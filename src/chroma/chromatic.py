@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .combinat import multiplicity_factor, partitions_of
 from .errors import TooLarge
-from .symfunc import SymFunc, default_cache
+from .symfunc import SymFunc, convert
 
 BRUTE_FORCE_BOUND = 8
 
@@ -123,17 +123,13 @@ def chromatic_symmetric(g, method="auto", bound=BRUTE_FORCE_BOUND):
     raise ValueError("unknown method %r" % (method,))
 
 
-def e_coefficients(g, cache=None, method="auto"):
+def e_coefficients(g, method="auto"):
     """The integer coefficients of X_g on the e-basis."""
-    x = chromatic_symmetric(g, method=method)
-    xe = (cache or default_cache).convert(x, "e")
-    return xe.as_int_dict()
+    return convert(chromatic_symmetric(g, method=method), "e").as_int_dict()
 
 
-def s_coefficients(g, cache=None, method="auto"):
-    x = chromatic_symmetric(g, method=method)
-    xs = (cache or default_cache).convert(x, "s")
-    return xs.as_int_dict()
+def s_coefficients(g, method="auto"):
+    return convert(chromatic_symmetric(g, method=method), "s").as_int_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +229,9 @@ def acyclic_orientation_sinks_brute(g):
     return result
 
 
-def check_sink_theorem(g, cache=None):
+def check_sink_theorem(g):
     """sink(g, j) equals the sum of e-coefficients over partitions of length j."""
-    coeffs = e_coefficients(g, cache=cache)
+    coeffs = e_coefficients(g)
     by_length = {}
     for lam, c in coeffs.items():
         by_length[len(lam)] = by_length.get(len(lam), 0) + c
@@ -270,12 +266,11 @@ class ChromaticExpansion:
         }
 
 
-def positivity_report(g, cache=None, method="auto"):
+def positivity_report(g, method="auto"):
     """Full m/e/s expansions of X_g with positivity flags and the sink check."""
-    cache = cache or default_cache
     xm = chromatic_symmetric(g, method=method)
-    xe = cache.convert(xm, "e")
-    xs = cache.convert(xm, "s")
+    xe = convert(xm, "e")
+    xs = convert(xm, "s")
     if not (xe.is_integral() and xs.is_integral()):
         raise AssertionError("chromatic expansions must be integral")
     return ChromaticExpansion(
@@ -285,5 +280,5 @@ def positivity_report(g, cache=None, method="auto"):
         s=xs,
         e_positive=xe.is_positive(),
         s_positive=xs.is_positive(),
-        sink_ok=check_sink_theorem(g, cache=cache),
+        sink_ok=check_sink_theorem(g),
     )

@@ -3,11 +3,11 @@
     chroma csf    --uio 3,4,4 [--basis e|m|p|s] [--partition S] [--format ..]
     chroma verify <suite> [--max-n N] [--max-k K] [--jobs J] [--instance JSON]
     chroma scan   [--max-n N] [--jobs J]
-    chroma cache  list|rebuild|clear --cache-dir D [--max-degree D]
 
 Exit codes: 0 all checks passed, 1 verification failure or counterexample,
-2 usage or parse error.  Output is canonical and byte-identical across runs
-and worker counts.
+2 usage or parse error, including a malformed --instance.  JSON output is
+canonical and byte-identical across runs and worker counts; the text format
+adds the run time.
 """
 
 import argparse
@@ -16,6 +16,7 @@ import multiprocessing
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chromatic import check_sink_theorem, e_coefficients, positivity_report
 from .combinat import (
@@ -38,10 +39,10 @@ from .corrects import (
     power_via_corrects,
     verify_cancellations,
 )
-from .errors import ChromaError
+from .errors import BadParameter, ChromaError
 from .ghom import GAnalogueContext, gnechrom_check, monomial_g, power_g, schur_g
 from .lgvgrid import build_grid, enumerate_multipaths, lgv_check, schur_via_lgv
-from .symfunc import TransitionMatrixCache, cauchy_check, default_cache
+from .symfunc import cauchy_check, convert
 
 # ---------------------------------------------------------------------------
 # reports
@@ -66,7 +67,6 @@ class VerificationReport:
             "instances": self.instances,
             "failures": self.failures,
             "ok": self.ok,
-            "seconds": round(self.seconds, 3),
         }
 
     def to_text(self):
@@ -98,10 +98,6 @@ def _emit(report, fmt):
         print(report.to_text())
 
 
-def _make_cache(cache_dir):
-    return TransitionMatrixCache(cache_dir) if cache_dir else default_cache
-
-
 # ---------------------------------------------------------------------------
 # verification suites
 
@@ -111,10 +107,10 @@ def _uios_up_to(max_n):
         yield from enumerate_uios(n)
 
 
-def _check_ppos(inst, cache):
+def _check_ppos(inst):
     u = UnitIntervalOrder.parse(inst["uio"])
     k = inst["k"]
-    ctx = GAnalogueContext(u.inc_graph(), cache)
+    ctx = GAnalogueContext(u.inc_graph())
     lhs = power_via_corrects(u, k)
     rhs = power_g(ctx, k)
     if lhs == rhs:
@@ -122,10 +118,10 @@ def _check_ppos(inst, cache):
     return False, {"lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _check_eposn(inst, cache):
+def _check_eposn(inst):
     u = UnitIntervalOrder.parse(inst["uio"])
     count = covering_corrects_count(u)
-    coeffs = e_coefficients(u.inc_graph(), cache=cache)
+    coeffs = e_coefficients(u.inc_graph())
     cn = coeffs.get((u.n,), 0)
     if count == cn and cn >= 0:
         return True, None
@@ -138,7 +134,7 @@ def _budget(inst):
     return inst.get("budget", DEFAULT_MULTIPATH_BUDGET)
 
 
-def _check_lgv(inst, cache):
+def _check_lgv(inst):
     u = UnitIntervalOrder.parse(inst["uio"])
     lam = parse_partition(inst["partition"])
     g = build_grid(u, max(len(lam), 1), lam)
@@ -153,10 +149,10 @@ def _check_lgv(inst, cache):
     return True, None
 
 
-def _check_gasharov(inst, cache):
+def _check_gasharov(inst):
     u = UnitIntervalOrder.parse(inst["uio"])
     lam = parse_partition(inst["partition"])
-    ctx = GAnalogueContext(u.inc_graph(), cache)
+    ctx = GAnalogueContext(u.inc_graph())
     via_det = schur_g(ctx, lam)
     via_grid = schur_via_lgv(u, conjugate(lam))
     if via_det == via_grid and via_det.is_monomial_positive():
@@ -164,36 +160,39 @@ def _check_gasharov(inst, cache):
     return False, {"via_det": str(via_det), "via_grid": str(via_grid)}
 
 
-def _check_sink(inst, cache):
+def _graph(payload):
+    return Graph(payload["n"], [tuple(e) for e in payload["edges"]])
+
+
+def _check_sink(inst):
     if "uio" in inst:
         g = UnitIntervalOrder.parse(inst["uio"]).inc_graph()
     else:
-        payload = inst["graph"]
-        g = Graph(payload["n"], [tuple(e) for e in payload["edges"]])
-    if check_sink_theorem(g, cache=cache):
+        g = _graph(inst["graph"])
+    if check_sink_theorem(g):
         return True, None
     return False, {"reason": "sink counts disagree with e-coefficient sums"}
 
 
-def _check_gnechrom(inst, cache):
+def _check_gnechrom(inst):
     u = UnitIntervalOrder.parse(inst["uio"])
-    ctx = GAnalogueContext(u.inc_graph(), cache)
-    if gnechrom_check(ctx, inst["alpha"], cache=cache):
+    ctx = GAnalogueContext(u.inc_graph())
+    if gnechrom_check(ctx, inst["alpha"]):
         return True, None
     return False, {"reason": "clan-graph identity failed"}
 
 
-def _check_cauchy(inst, cache):
+def _check_cauchy(inst):
     d = inst["d"]
-    if cauchy_check(d, d, cache=cache):
+    if cauchy_check(d, d):
         return True, None
     return False, {"reason": "three-way product identity failed"}
 
 
-def _check_involutions(inst, cache):
+def _check_involutions(inst):
     u = UnitIntervalOrder.parse(inst["uio"])
     k = inst["k"]
-    ctx = GAnalogueContext(u.inc_graph(), cache)
+    ctx = GAnalogueContext(u.inc_graph())
     report = verify_cancellations(u, k, budget=_budget(inst), ctx=ctx)
     bij = chi_psi_check(u, k, budget=_budget(inst))
     if report.ok and bij.ok:
@@ -201,10 +200,10 @@ def _check_involutions(inst, cache):
     return False, {"cancellations": report.to_json(), "bijection_ok": bij.ok}
 
 
-def _check_thn1(inst, cache):
+def _check_thn1(inst):
     u = UnitIntervalOrder.parse(inst["uio"])
     l = inst["l"]
-    ctx = GAnalogueContext(u.inc_graph(), cache)
+    ctx = GAnalogueContext(u.inc_graph())
     via_pairs = m_l1_via_corrects(u, l)
     via_powers = power_g(ctx, l) * power_g(ctx, 1) - power_g(ctx, l + 1)
     via_matrix = monomial_g(ctx, (l, 1))
@@ -218,7 +217,7 @@ def _check_thn1(inst, cache):
     }
 
 
-def _check_scott_suppes(inst, cache):
+def _check_scott_suppes(inst):
     posets = enumerate_posets_natural(inst["n"])
     for p in posets:
         free = is_ab_free(p, 2, 2) and is_ab_free(p, 3, 1)
@@ -232,7 +231,7 @@ def _check_scott_suppes(inst, cache):
     return True, None
 
 
-def _instances_ppos(max_n, max_k):
+def _instances_uio_k(max_n, max_k):
     return [
         {"uio": str(u), "k": k}
         for u in _uios_up_to(max_n)
@@ -279,14 +278,6 @@ def _instances_cauchy(max_d, max_k):
     return [{"d": d} for d in range(1, max_d + 1)]
 
 
-def _instances_involutions(max_n, max_k):
-    return [
-        {"uio": str(u), "k": k}
-        for u in _uios_up_to(max_n)
-        for k in range(1, max_k + 1)
-    ]
-
-
 def _instances_thn1(max_n, max_l):
     return [
         {"uio": str(u), "l": l}
@@ -299,45 +290,113 @@ def _instances_scott_suppes(max_n, max_k):
     return [{"n": n} for n in range(1, max_n + 1)]
 
 
+# instance schemas: each key maps to a validator that raises on a bad value
+
+
+def _positive_int(value):
+    if type(value) is not int or value < 1:
+        raise ValueError("expected a positive integer, got %s" % json.dumps(value))
+
+
+def _text(parse):
+    def validate(value):
+        if not isinstance(value, str):
+            raise ValueError("expected a string, got %s" % json.dumps(value))
+        parse(value)
+
+    return validate
+
+
+def _alpha(value):
+    if not isinstance(value, list) or any(
+        type(a) is not int or a < 0 for a in value
+    ):
+        raise ValueError("expected a list of nonnegative integers")
+
+
+_UIO = _text(UnitIntervalOrder.parse)
+_PARTITION = _text(parse_partition)
+
+
+class Suite(NamedTuple):
+    defaults: tuple
+    make_instances: object
+    check: object
+    schemas: tuple  # alternative {key: validator} maps; the first match counts
+
+
+_UIO_K = {"uio": _UIO, "k": _positive_int}
+_UIO_LAM = {"uio": _UIO, "partition": _PARTITION}
+
 SUITES = {
-    "ppos": ((6, 6), _instances_ppos, _check_ppos),
-    "eposn": ((6, 0), _instances_eposn, _check_eposn),
-    "lgv": ((4, 4), _instances_partitions, _check_lgv),
-    "gasharov": ((5, 5), _instances_partitions, _check_gasharov),
-    "sink": ((5, 0), _instances_sink, _check_sink),
-    "gnechrom": ((4, 6), _instances_gnechrom, _check_gnechrom),
-    "cauchy": ((5, 0), _instances_cauchy, _check_cauchy),
-    "involutions": ((4, 4), _instances_involutions, _check_involutions),
-    "thn1": ((6, 5), _instances_thn1, _check_thn1),
-    "scottsuppes": ((6, 0), _instances_scott_suppes, _check_scott_suppes),
+    "ppos": Suite((6, 6), _instances_uio_k, _check_ppos, (_UIO_K,)),
+    "eposn": Suite((6, 0), _instances_eposn, _check_eposn, ({"uio": _UIO},)),
+    "lgv": Suite((4, 4), _instances_partitions, _check_lgv, (_UIO_LAM,)),
+    "gasharov": Suite((5, 5), _instances_partitions, _check_gasharov, (_UIO_LAM,)),
+    "sink": Suite(
+        (5, 0), _instances_sink, _check_sink, ({"uio": _UIO}, {"graph": _graph})
+    ),
+    "gnechrom": Suite(
+        (4, 6), _instances_gnechrom, _check_gnechrom, ({"uio": _UIO, "alpha": _alpha},)
+    ),
+    "cauchy": Suite((5, 0), _instances_cauchy, _check_cauchy, ({"d": _positive_int},)),
+    "involutions": Suite((4, 4), _instances_uio_k, _check_involutions, (_UIO_K,)),
+    "thn1": Suite(
+        (6, 5), _instances_thn1, _check_thn1, ({"uio": _UIO, "l": _positive_int},)
+    ),
+    "scottsuppes": Suite(
+        (6, 0), _instances_scott_suppes, _check_scott_suppes, ({"n": _positive_int},)
+    ),
 }
 
 
+def _validate(name, inst):
+    """Raise BadParameter unless inst carries every key of one of the suite's
+    schemas with a valid value; other keys (detail, budget) are ignored."""
+    schemas = SUITES[name].schemas
+    if isinstance(inst, dict):
+        for schema in schemas:
+            if all(key in inst for key in schema):
+                for key, validate in schema.items():
+                    try:
+                        validate(inst[key])
+                    except (ChromaError, ValueError, TypeError, KeyError) as exc:
+                        raise BadParameter(
+                            "%s instance: bad %r: %s" % (name, key, exc)
+                        ) from None
+                return
+    raise BadParameter(
+        "%s instance must be a JSON object with keys %s"
+        % (name, " or ".join(",".join(schema) for schema in schemas))
+    )
+
+
 def _verify_one(packed):
-    name, inst, cache_dir = packed
-    _, _, check = SUITES[name]
-    ok, detail = check(inst, _make_cache(cache_dir))
+    name, inst = packed
+    ok, detail = SUITES[name].check(inst)
     return inst, ok, detail
 
 
-def run_suite(
-    name, max_n=None, max_k=None, cache_dir=None, instance=None, jobs=1, budget=None
-):
-    defaults, make_instances, _ = SUITES[name]
+def run_suite(name, max_n=None, max_k=None, instance=None, jobs=1, budget=None):
+    """Run a suite over its default instances, or over one given instance,
+    which must match the suite's schema (BadParameter otherwise)."""
+    suite = SUITES[name]
+    if instance is not None:
+        _validate(name, instance)
     bounds = {
-        "max_n": defaults[0] if max_n is None else max_n,
-        "max_k": defaults[1] if max_k is None else max_k,
+        "max_n": suite.defaults[0] if max_n is None else max_n,
+        "max_k": suite.defaults[1] if max_k is None else max_k,
     }
     start = time.monotonic()
     report = VerificationReport(suite=name, bounds=bounds)
     instances = (
         [instance]
         if instance is not None
-        else make_instances(bounds["max_n"], bounds["max_k"])
+        else suite.make_instances(bounds["max_n"], bounds["max_k"])
     )
     if budget is not None:
         instances = [dict(inst, budget=budget) for inst in instances]
-    work = [(name, inst, cache_dir) for inst in instances]
+    work = [(name, inst) for inst in instances]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_verify_one, work)
@@ -358,10 +417,9 @@ def run_suite(
 # the conjecture scanner
 
 
-def _scan_one(packed):
-    uio_text, cache_dir = packed
+def _scan_one(uio_text):
     u = UnitIntervalOrder.parse(uio_text)
-    coeffs = e_coefficients(u.inc_graph(), cache=_make_cache(cache_dir))
+    coeffs = e_coefficients(u.inc_graph())
     negatives = {
         format_partition(lam): c for lam, c in sorted(coeffs.items()) if c < 0
     }
@@ -371,13 +429,13 @@ def _scan_one(packed):
     return uio_text, None
 
 
-def scan_epositivity(max_n, jobs=1, cache_dir=None):
+def scan_epositivity(max_n, jobs=1):
     """Scan every semiorder with at most max_n elements for a negative
     e-coefficient; aggregation is in input order, so output is deterministic
     regardless of the worker count."""
-    work = [(str(u), cache_dir) for u in _uios_up_to(max_n)]
+    work = [str(u) for u in _uios_up_to(max_n)]
     start = time.monotonic()
-    report = VerificationReport(suite="scan", bounds={"max_n": max_n, "jobs": jobs})
+    report = VerificationReport(suite="scan", bounds={"max_n": max_n})
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_scan_one, work)
@@ -402,11 +460,8 @@ def _cmd_csf(args):
     except (ChromaError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    cache = _make_cache(args.cache_dir)
-    rep = positivity_report(u.inc_graph(), cache=cache)
-    chosen = {"e": rep.e, "m": rep.m, "s": rep.s, "p": cache.convert(rep.m, "p")}[
-        args.basis
-    ]
+    rep = positivity_report(u.inc_graph())
+    chosen = {"e": rep.e, "m": rep.m, "s": rep.s, "p": convert(rep.m, "p")}[args.basis]
     keys = sorted(chosen.coeffs, key=lambda lam: (sum(lam), lam), reverse=True)
     if wanted is not None:
         keys = [lam for lam in keys if lam == wanted]
@@ -445,47 +500,26 @@ def _cmd_verify(args):
         except ValueError as exc:
             print("error: bad instance payload: %s" % exc, file=sys.stderr)
             return 2
-    report = run_suite(
-        args.suite,
-        max_n=args.max_n,
-        max_k=args.max_k,
-        cache_dir=args.cache_dir,
-        instance=instance,
-        jobs=args.jobs,
-        budget=args.budget,
-    )
+    try:
+        report = run_suite(
+            args.suite,
+            max_n=args.max_n,
+            max_k=args.max_k,
+            instance=instance,
+            jobs=args.jobs,
+            budget=args.budget,
+        )
+    except BadParameter as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     _emit(report, args.format)
     return 0 if report.ok else 1
 
 
 def _cmd_scan(args):
-    report = scan_epositivity(args.max_n, jobs=args.jobs, cache_dir=args.cache_dir)
+    report = scan_epositivity(args.max_n, jobs=args.jobs)
     _emit(report, args.format)
     return 0 if report.ok else 1
-
-
-def _cmd_cache(args):
-    if not args.cache_dir:
-        print("error: cache management needs --cache-dir", file=sys.stderr)
-        return 2
-    cache = TransitionMatrixCache(args.cache_dir)
-    try:
-        if args.action == "rebuild":
-            built = cache.rebuild(args.max_degree)
-            print(
-                "materialized %d matrices up to degree %d"
-                % (len(built), args.max_degree)
-            )
-        elif args.action == "list":
-            for frm, to, d in cache.stored_keys():
-                print("%s->%s deg %d" % (frm, to, d))
-        elif args.action == "clear":
-            cache.clear()
-            print("cache cleared")
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    return 0
 
 
 def make_parser():
@@ -498,7 +532,6 @@ def make_parser():
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--cache-dir", default=None)
 
     p_csf = sub.add_parser("csf", help="expand the chromatic symmetric function")
     p_csf.add_argument("--uio", required=True, help="threshold vector, e.g. 3,4,4")
@@ -529,11 +562,6 @@ def make_parser():
     p_scan.add_argument("--jobs", type=int, default=1)
     common(p_scan)
 
-    p_cache = sub.add_parser("cache", help="manage the basis-change cache")
-    p_cache.add_argument("action", choices=("list", "rebuild", "clear"))
-    p_cache.add_argument("--max-degree", type=int, default=6)
-    common(p_cache)
-
     return parser
 
 
@@ -543,12 +571,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    handlers = {
-        "csf": _cmd_csf,
-        "verify": _cmd_verify,
-        "scan": _cmd_scan,
-        "cache": _cmd_cache,
-    }
+    handlers = {"csf": _cmd_csf, "verify": _cmd_verify, "scan": _cmd_scan}
     return handlers[args.command](args)
 
 

@@ -15,16 +15,15 @@ from math import factorial
 from .chromatic import chromatic_symmetric
 from .combinat import clan_graph, conjugate, partitions_of
 from .polyring import Polynomial, det
-from .symfunc import SymFunc, default_cache, newton_p
+from .symfunc import SymFunc, convert, newton_p, transition_matrix
 
 
 class GAnalogueContext:
     """A graph together with its precomputed stable-set polynomials."""
 
-    def __init__(self, graph, cache=None):
+    def __init__(self, graph):
         self.graph = graph
         self.n = graph.n
-        self.cache = cache or default_cache
         self._elementary = self._compute_elementary()
 
     def _compute_elementary(self):
@@ -68,7 +67,7 @@ def apply_ghom(f, ctx):
     used here all have integer e-coordinates, so images of e/m/p/s elements
     stay in integer vertex polynomials (asserted).
     """
-    fe = f if f.basis == "e" else ctx.cache.convert(f, "e")
+    fe = f if f.basis == "e" else convert(f, "e")
     out = Polynomial.zero(ctx.n)
     for lam, coeff in fe.coeffs.items():
         out = out + coeff * ctx.elementary_product(lam)
@@ -105,7 +104,7 @@ def monomial_g(ctx, lam):
     if not lam:
         return Polynomial.one(ctx.n)
     d = sum(lam)
-    matrix = ctx.cache.get("m", "e", d)
+    matrix = transition_matrix("m", "e", d)
     out = Polynomial.zero(ctx.n)
     for mu in partitions_of(d):
         entry = matrix[mu].get(lam, 0)
@@ -145,11 +144,10 @@ def coefficient_of_alpha(poly, alpha):
     return poly.coeff(mono)
 
 
-def gnechrom_check(ctx, alpha, cache=None):
+def gnechrom_check(ctx, alpha):
     """The clan-graph identity: extracting v^alpha from the kernel and
     scaling by the product of alpha! gives the chromatic function of the
     graph with each vertex blown up into an alpha-sized clique."""
-    cache = cache or ctx.cache
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != ctx.n or any(a < 0 for a in alpha):
         raise ValueError("alpha must assign a nonnegative size to each vertex")

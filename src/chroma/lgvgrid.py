@@ -19,10 +19,9 @@ conjugate partition as a manifestly monomial-positive sum.
 
 from itertools import permutations
 
-from .combinat import conjugate, is_partition
+from .combinat import is_partition
 from .errors import BadShape, NonIdentityPermutation, TooLarge
-from .ghom import GAnalogueContext, schur_g
-from .polyring import Polynomial, det, monomial_from_elements
+from .polyring import Polynomial, _parity, det, monomial_from_elements
 
 DEFAULT_MULTIPATH_BUDGET = 2_000_000
 
@@ -162,12 +161,7 @@ class Multipath:
     def __init__(self, paths, sigma):
         self.paths = tuple(paths)
         self.sigma = tuple(sigma)  # 1-based destination index per path
-        inv = 0
-        for i in range(len(sigma)):
-            for j in range(i + 1, len(sigma)):
-                if sigma[i] > sigma[j]:
-                    inv += 1
-        self.sign = -1 if inv & 1 else 1
+        self.sign = _parity(self.sigma)
 
     @property
     def k(self):
@@ -223,18 +217,23 @@ class Multipath:
         }
 
 
+def _path_table(g):
+    """All paths from base i to destination j, keyed by (i, j)."""
+    return {
+        (i, j): paths_between(g.uio, g.bases[i], g.dests[j])
+        for i in range(g.k)
+        for j in range(g.k)
+    }
+
+
 def enumerate_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
     """All multipaths of a grid, over all destination permutations.
 
     Deterministic order: permutations lexicographically, then the path
     choices per base in enumeration order.  Guarded by a global budget.
     """
-    u = g.uio
     k = g.k
-    path_table = {}
-    for i in range(k):
-        for j in range(k):
-            path_table[(i, j)] = paths_between(u, g.bases[i], g.dests[j])
+    path_table = _path_table(g)
     total = 0
     feasible = []
     for perm in permutations(range(k)):
@@ -283,12 +282,8 @@ def nonintersecting_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
     """Only the pairwise-disjoint multipaths, found by assigning paths base
     by base with disjointness pruning (destinations may permute; planarity
     is verified by the caller, not assumed here)."""
-    u = g.uio
     k = g.k
-    path_table = {}
-    for i in range(k):
-        for j in range(k):
-            path_table[(i, j)] = paths_between(u, g.bases[i], g.dests[j])
+    path_table = _path_table(g)
     out = []
     nodes = 0
 
@@ -332,15 +327,6 @@ def schur_via_lgv(u, lam, budget=DEFAULT_MULTIPATH_BUDGET):
             )
         total = total + mp.weight_product(u.n)
     return total
-
-
-def schur_positivity_check(u, lam, ctx=None, budget=DEFAULT_MULTIPATH_BUDGET):
-    """Cross-module identity: the grid sum for lam* equals the determinant
-    route for lam, and both are monomial-positive."""
-    ctx = ctx or GAnalogueContext(u.inc_graph())
-    via_det = schur_g(ctx, lam)
-    via_grid = schur_via_lgv(u, conjugate(lam), budget)
-    return via_det == via_grid and via_det.is_monomial_positive()
 
 
 def grid_edges(g):

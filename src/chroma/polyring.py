@@ -224,14 +224,6 @@ class Polynomial:
         }
         return out
 
-    def map_coefficients(self, fn):
-        out = Polynomial(self.nvars, None, self.prefix)
-        for m, c in self.terms.items():
-            c2 = _normalize_coeff(fn(c))
-            if c2:
-                out.terms[m] = c2
-        return out
-
     # serialization -------------------------------------------------------------
 
     def to_json(self):

@@ -1,19 +1,18 @@
 """Symmetric functions in the e/m/p/s bases with exact basis changes.
 
 Basis elements are indexed by partitions; coefficients are Fractions.  All
-basis changes go through one oracle-grade mechanism: expand both bases
-concretely in exactly d variables (enough, since a partition of d has at
-most d parts), read coordinates off the partition monomials
-x_1^{a_1}..x_l^{a_l}, and solve the resulting square system exactly.
-Computed matrices are cached in memory and, optionally, on disk.
+basis changes go through one mechanism: write both bases on the monomial
+basis by counting (0-1 matrices for e, ordered groupings of parts for p,
+Kostka numbers for s, Macdonald Ch. I) and solve the resulting square
+system exactly.  Computed matrices are memoised in memory, once per
+process.  The concrete expansions in finitely many variables
+(expand_concrete, SymFunc.expand) are the independent oracle for that
+route.
 """
 
-import hashlib
-import json
-import os
-import tempfile
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .combinat import (
@@ -249,8 +248,8 @@ class SymFunc:
             out = out + c * expand_concrete(self.basis, lam, N)
         return out
 
-    def convert(self, to, cache=None):
-        return (cache or default_cache).convert(self, to)
+    def convert(self, to):
+        return default_cache.convert(self, to)
 
     # serialization --------------------------------------------------------------
 
@@ -330,17 +329,78 @@ def newton_p(k):
 
 
 # ---------------------------------------------------------------------------
+# m-coordinates by counting
+
+
+@lru_cache(maxsize=None)
+def _placements(basis, parts, slots):
+    """The coefficient of the monomial with exponents `slots` (a partition) in
+    the product of basis_k over k in parts, for basis e or p.
+
+    Each factor e_k puts exponent 1 on k distinct slots, so for e this counts
+    0-1 matrices with row sums parts and column sums slots; each factor p_k
+    puts exponent k on one slot, so for p it counts the ways to send the parts
+    to slots with slot i's parts summing to slots[i].  The count only depends
+    on the multiset of exponents still to fill, hence the sorted state.
+    """
+    if not parts:
+        return 1  # the weights agree, so every slot is filled too
+    k, rest = parts[0], parts[1:]
+    if basis == "e":
+        choices, step = combinations(range(len(slots)), k), 1
+    else:
+        choices, step = ((i,) for i in range(len(slots))), k
+    total = 0
+    for chosen in choices:
+        left = list(slots)
+        for i in chosen:
+            left[i] -= step
+        if min(left, default=0) >= 0:
+            state = tuple(sorted((x for x in left if x), reverse=True))
+            total += _placements(basis, rest, state)
+    return total
+
+
+def _horizontal_strips(shape, k):
+    """Partitions mu with shape/mu a horizontal strip of k cells, that is
+    shape[i+1] <= mu[i] <= shape[i] and |shape| - |mu| = k."""
+    out = []
+
+    def rec(i, left, mu):
+        if i == len(shape):
+            if not left:
+                out.append(tuple(p for p in mu if p))
+            return
+        low = shape[i + 1] if i + 1 < len(shape) else 0
+        for take in range(min(left, shape[i] - low) + 1):
+            rec(i + 1, left - take, mu + [shape[i] - take])
+
+    rec(0, k, [])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _kostka(shape, content):
+    """K_{shape,content}: semistandard tableaux of the shape and content,
+    counted by peeling off the horizontal strip holding the largest entry."""
+    if not content:
+        return 1 if not shape else 0
+    last, rest = content[-1], content[:-1]
+    return sum(_kostka(mu, rest) for mu in _horizontal_strips(shape, last))
+
+
+def _m_coords(basis, lam, d):
+    """Coordinates of basis_lam on m_nu for nu running over partitions_of(d)
+    (Macdonald, Symmetric Functions and Hall Polynomials, Ch. I, sections 2-6)."""
+    if basis == "m":
+        return [int(nu == lam) for nu in partitions_of(d)]
+    if basis == "s":
+        return [_kostka(lam, nu) for nu in partitions_of(d)]
+    return [_placements(basis, lam, nu) for nu in partitions_of(d)]
+
+
+# ---------------------------------------------------------------------------
 # transition matrices
-
-
-def _partition_coords(poly, d):
-    """Coordinates of a degree-d symmetric polynomial in d variables, read off
-    the monomials x_1^{nu_1}..x_l^{nu_l} for nu running over partitions_of(d)."""
-    coords = []
-    for nu in partitions_of(d):
-        mono = tuple((i + 1, nu[i]) for i in range(len(nu)))
-        coords.append(Fraction(poly.coeff(mono)))
-    return coords
 
 
 def _solve_columns(columns, targets):
@@ -350,7 +410,6 @@ def _solve_columns(columns, targets):
         [columns[c][r] for c in range(size)] + [t[r] for t in targets]
         for r in range(size)
     ]
-    width = size + len(targets)
     for col in range(size):
         pivot = None
         for r in range(col, size):
@@ -373,8 +432,8 @@ def _compute_matrix(frm, to, d):
     lams = partitions_of(d)
     if frm == to:
         return {lam: {lam: Fraction(1)} for lam in lams}
-    columns = [_partition_coords(expand_concrete(to, mu, d), d) for mu in lams]
-    targets = [_partition_coords(expand_concrete(frm, lam, d), d) for lam in lams]
+    columns = [_m_coords(to, mu, d) for mu in lams]
+    targets = [_m_coords(frm, lam, d) for lam in lams]
     solved = _solve_columns(columns, targets)
     matrix = {}
     for lam, sol in zip(lams, solved):
@@ -386,40 +445,13 @@ def _compute_matrix(frm, to, d):
     return matrix
 
 
-def _matrix_payload(frm, to, d, matrix):
-    return {
-        "from": frm,
-        "to": to,
-        "degree": d,
-        "matrix": {
-            format_partition(lam): {
-                format_partition(mu): str(c) for mu, c in sorted(row.items())
-            }
-            for lam, row in sorted(matrix.items())
-        },
-    }
-
-
-def _payload_checksum(payload):
-    body = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(body).hexdigest()
-
-
 class TransitionMatrixCache:
-    """Once-writer / many-reader store of exact basis-change matrices.
+    """Once-writer / many-reader memo of exact basis-change matrices,
+    computed on demand and published under a lock."""
 
-    Entries are computed on demand and published atomically; when a cache
-    directory is configured, each (from, to, degree) key is one JSON file
-    with a checksum, and corrupted files are silently recomputed.
-    """
-
-    def __init__(self, directory=None):
-        self.directory = os.path.abspath(directory) if directory else None
+    def __init__(self):
         self._memory = {}
         self._lock = threading.Lock()
-
-    def key_path(self, frm, to, d):
-        return os.path.join(self.directory, "%s_to_%s_deg%d.json" % (frm, to, d))
 
     def get(self, frm, to, d):
         """Matrix M with from_lam = sum_mu M[lam][mu] * to_mu, weight d."""
@@ -431,50 +463,9 @@ class TransitionMatrixCache:
         with self._lock:
             if key in self._memory:
                 return self._memory[key]
-        matrix = self._load(frm, to, d)
-        if matrix is None:
-            matrix = _compute_matrix(frm, to, d)
-            self._store(frm, to, d, matrix)
+        matrix = _compute_matrix(frm, to, d)
         with self._lock:
-            self._memory.setdefault(key, matrix)
-            return self._memory[key]
-
-    def _load(self, frm, to, d):
-        if not self.directory:
-            return None
-        path = self.key_path(frm, to, d)
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-            payload = {k: data[k] for k in ("from", "to", "degree", "matrix")}
-            if data.get("checksum") != _payload_checksum(payload):
-                return None
-            return {
-                parse_partition(lam): {
-                    parse_partition(mu): Fraction(c) for mu, c in row.items()
-                }
-                for lam, row in payload["matrix"].items()
-            }
-        except (OSError, ValueError, KeyError):
-            return None
-
-    def _store(self, frm, to, d, matrix):
-        if not self.directory:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        payload = _matrix_payload(frm, to, d, matrix)
-        payload["checksum"] = _payload_checksum(
-            {k: payload[k] for k in ("from", "to", "degree", "matrix")}
-        )
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.key_path(frm, to, d))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            return self._memory.setdefault(key, matrix)
 
     def convert(self, f, to):
         """Re-express a SymFunc in another basis; exact."""
@@ -494,55 +485,23 @@ class TransitionMatrixCache:
                     out[mu] = out.get(mu, 0) + c * entry
         return SymFunc(to, out)
 
-    def rebuild(self, max_degree):
-        built = []
-        for d in range(1, max_degree + 1):
-            for frm in BASES:
-                for to in BASES:
-                    if frm != to:
-                        self.get(frm, to, d)
-                        built.append((frm, to, d))
-        return built
-
-    def stored_keys(self):
-        keys = set(self._memory)
-        if self.directory and os.path.isdir(self.directory):
-            for name in os.listdir(self.directory):
-                if name.endswith(".json"):
-                    stem = name[: -len(".json")]
-                    try:
-                        frm, rest = stem.split("_to_")
-                        to, deg = rest.split("_deg")
-                        keys.add((frm, to, int(deg)))
-                    except ValueError:
-                        continue
-        return sorted(keys)
-
-    def clear(self):
-        with self._lock:
-            self._memory.clear()
-        if self.directory and os.path.isdir(self.directory):
-            for name in os.listdir(self.directory):
-                if name.endswith(".json"):
-                    os.unlink(os.path.join(self.directory, name))
-
 
 default_cache = TransitionMatrixCache()
 
 
-def transition_matrix(frm, to, d, cache=None):
-    return (cache or default_cache).get(frm, to, d)
+def transition_matrix(frm, to, d):
+    return default_cache.get(frm, to, d)
 
 
-def convert(f, to, cache=None):
-    return (cache or default_cache).convert(f, to)
+def convert(f, to):
+    return default_cache.convert(f, to)
 
 
 # ---------------------------------------------------------------------------
 # the three-way product identity
 
 
-def cauchy_check(d, N, cache=None):
+def cauchy_check(d, N):
     """Truncated product identity at degree d in x_1..x_N, y_1..y_N:
 
         sum m_lam(x) e_lam(y) == sum s_lam(x) s_{lam*}(y) == sum e_lam(x) m_lam(y)

@@ -1,8 +1,9 @@
-import json
-import os
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chroma.combinat import partitions_of
 from chroma.polyring import Polynomial
@@ -179,6 +180,37 @@ def test_convert_preserves_concrete_expansion():
                     assert convert(f, to).expand(d) == reference, (frm, to, lam)
 
 
+def test_m_e_degree_seven_matches_concrete_expansion():
+    # scan reaches degree 8; check the counted route one degree past the
+    # exhaustive sweep above, both ways, against the literal expansion
+    d = 7
+    for frm, to in (("m", "e"), ("e", "m")):
+        for lam in partitions_of(d):
+            f = SymFunc.unit(frm, lam)
+            assert convert(f, to).expand(d) == f.expand(d), (frm, to, lam)
+
+
+_partitions = st.integers(0, 6).flatmap(lambda d: st.sampled_from(partitions_of(d)))
+_symfuncs = st.builds(
+    SymFunc,
+    st.sampled_from(BASES),
+    st.dictionaries(
+        _partitions, st.fractions(max_denominator=12), min_size=1, max_size=3
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symfuncs)
+def test_convert_round_trip_property(f):
+    d = max(f.degrees() + [1])  # enough variables for every term
+    reference = f.expand(d)
+    for to in BASES:
+        g = convert(f, to)
+        assert convert(g, f.basis) == f
+        assert g.expand(d) == reference
+
+
 # ---------------------------------------------------------------------------
 # the product identity
 
@@ -255,42 +287,8 @@ def test_schur_to_m_is_kostka_nonnegative():
 # cache behaviour
 
 
-def test_disk_cache_round_trip(tmp_path):
-    cache = TransitionMatrixCache(str(tmp_path))
-    m1 = cache.get("p", "e", 3)
-    path = cache.key_path("p", "e", 3)
-    assert os.path.exists(path)
-    fresh = TransitionMatrixCache(str(tmp_path))
-    assert fresh.get("p", "e", 3) == m1
-
-
-def test_disk_cache_detects_corruption(tmp_path):
-    cache = TransitionMatrixCache(str(tmp_path))
-    expected = cache.get("m", "e", 3)
-    path = cache.key_path("m", "e", 3)
-    with open(path) as fh:
-        payload = json.load(fh)
-    payload["matrix"]["3"]["3"] = "999"  # tamper without fixing the checksum
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    fresh = TransitionMatrixCache(str(tmp_path))
-    assert fresh.get("m", "e", 3) == expected  # recomputed, not trusted
-
-
-def test_cache_rebuild_list_clear(tmp_path):
-    cache = TransitionMatrixCache(str(tmp_path))
-    built = cache.rebuild(2)
-    assert len(built) == 2 * 12
-    keys = cache.stored_keys()
-    assert ("m", "e", 2) in keys
-    cache.clear()
-    assert TransitionMatrixCache(str(tmp_path)).stored_keys() == []
-
-
-def test_cache_concurrent_readers(tmp_path):
-    import threading
-
-    cache = TransitionMatrixCache(str(tmp_path))
+def test_cache_concurrent_readers():
+    cache = TransitionMatrixCache()
     results = []
 
     def worker():
@@ -302,7 +300,9 @@ def test_cache_concurrent_readers(tmp_path):
     for t in threads:
         t.join()
     assert len(results) == 8
-    assert all(r == results[0] for r in results)
+    # one matrix is published; every reader gets that same object
+    assert all(r is results[0] for r in results)
+    assert results[0] == transition_matrix("m", "e", 4)
 
 
 def test_symfunc_json_round_trip():

@@ -1,13 +1,16 @@
 """Command-line harness.
 
     chroma csf    --uio 3,4,4 [--basis e|m|p|s] [--partition S] [--format ..]
-    chroma verify <suite> [--max-n N] [--max-k K] [--jobs J] [--instance JSON]
-    chroma scan   [--max-n N] [--jobs J]
+    chroma verify <suite> [--max-n N] [--max-k K] [--jobs J] [--budget B]
+                  [--instance JSON]
+    chroma scan   [--max-n N] [--jobs J]      (the same as verify scan)
 
-Exit codes: 0 all checks passed, 1 verification failure or counterexample,
-2 usage or parse error, including a malformed --instance.  JSON output is
-canonical and byte-identical across runs and worker counts; the text format
-adds the run time.
+Exit codes: 0 all checks passed, 1 a verification failure or counterexample,
+2 usage or parse error, including a malformed --instance, 3 no failure but
+an instance exceeded its enumeration budget.  Each entry of a report's
+failures carries "outcome": "fail" or "budget".  JSON output is canonical
+and byte-identical across runs and worker counts; the text format adds the
+run time.
 """
 
 import argparse
@@ -16,6 +19,7 @@ import multiprocessing
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from typing import NamedTuple
 
 from .chromatic import check_sink_theorem, e_coefficients, positivity_report
@@ -39,9 +43,9 @@ from .corrects import (
     power_via_corrects,
     verify_cancellations,
 )
-from .errors import BadParameter, ChromaError
+from .errors import BadParameter, ChromaError, NonIdentityPermutation, TooLarge
 from .ghom import GAnalogueContext, gnechrom_check, monomial_g, power_g, schur_g
-from .lgvgrid import build_grid, enumerate_multipaths, lgv_check, schur_via_lgv
+from .lgvgrid import DEFAULT_MULTIPATH_BUDGET, build_grid, lgv_check, schur_via_lgv
 from .symfunc import cauchy_check, convert
 
 # ---------------------------------------------------------------------------
@@ -60,6 +64,11 @@ class VerificationReport:
     def ok(self):
         return not self.failures
 
+    @property
+    def exit_code(self):
+        outcomes = {f["outcome"] for f in self.failures}
+        return 1 if "fail" in outcomes else 3 if outcomes else 0
+
     def to_json(self):
         return {
             "suite": self.suite,
@@ -75,7 +84,8 @@ class VerificationReport:
             % (self.suite, self.instances, len(self.failures), self.seconds)
         ]
         for f in self.failures:
-            lines.append("  FAIL %s" % json.dumps(f, sort_keys=True))
+            outcome = f["outcome"].upper()
+            lines.append("  %s %s" % (outcome, json.dumps(f, sort_keys=True)))
         return "\n".join(lines)
 
     def to_csv(self):
@@ -129,8 +139,6 @@ def _check_eposn(inst):
 
 
 def _budget(inst):
-    from .lgvgrid import DEFAULT_MULTIPATH_BUDGET
-
     return inst.get("budget", DEFAULT_MULTIPATH_BUDGET)
 
 
@@ -138,15 +146,14 @@ def _check_lgv(inst):
     u = UnitIntervalOrder.parse(inst["uio"])
     lam = parse_partition(inst["partition"])
     g = build_grid(u, max(len(lam), 1), lam)
-    if not lgv_check(g, _budget(inst)):
-        return False, {"reason": "determinant mismatch"}
-    for mp in enumerate_multipaths(g, _budget(inst)):
-        if mp.is_nonintersecting() and mp.sigma != tuple(range(1, g.k + 1)):
-            return False, {
-                "reason": "non-identity disjoint multipath",
-                "multipath": mp.to_json(),
-            }
-    return True, None
+    try:
+        ok = lgv_check(g, _budget(inst))
+    except NonIdentityPermutation as exc:
+        mp = exc.args[1].to_json()
+        return False, {"reason": "non-identity disjoint multipath", "multipath": mp}
+    if ok:
+        return True, None
+    return False, {"reason": "determinant mismatch"}
 
 
 def _check_gasharov(inst):
@@ -192,8 +199,7 @@ def _check_cauchy(inst):
 def _check_involutions(inst):
     u = UnitIntervalOrder.parse(inst["uio"])
     k = inst["k"]
-    ctx = GAnalogueContext(u.inc_graph())
-    report = verify_cancellations(u, k, budget=_budget(inst), ctx=ctx)
+    report = verify_cancellations(u, k, budget=_budget(inst))
     bij = chi_psi_check(u, k, budget=_budget(inst))
     if report.ok and bij.ok:
         return True, None
@@ -231,15 +237,32 @@ def _check_scott_suppes(inst):
     return True, None
 
 
-def _instances_uio_k(max_n, max_k):
-    return [
-        {"uio": str(u), "k": k}
+def _scan_one(inst):
+    coeffs = e_coefficients(UnitIntervalOrder.parse(inst["uio"]).inc_graph())
+    negatives = {
+        format_partition(lam): c for lam, c in sorted(coeffs.items()) if c < 0
+    }
+    if not negatives:
+        return True, None
+    expansion = {format_partition(lam): c for lam, c in sorted(coeffs.items())}
+    return False, {"negatives": negatives, "expansion": expansion}
+
+
+def _per_uio(key, first):
+    """Instances {uio, key} for every order and key = first..max_k."""
+    return lambda max_n, max_k: [
+        {"uio": str(u), key: v}
         for u in _uios_up_to(max_n)
-        for k in range(1, max_k + 1)
+        for v in range(first, max_k + 1)
     ]
 
 
-def _instances_eposn(max_n, max_k):
+def _per_n(key):
+    """Instances {key: n} for n = 1..max_n."""
+    return lambda max_n, max_k: [{key: n} for n in range(1, max_n + 1)]
+
+
+def _instances_eposn(max_n, max_k=0):
     return [{"uio": str(u)} for u in _uios_up_to(max_n)]
 
 
@@ -263,31 +286,12 @@ def _instances_sink(max_n, max_k):
 
 
 def _instances_gnechrom(max_n, max_total):
-    out = []
-    for u in _uios_up_to(max_n):
-        alphas = [()]
-        for _ in range(u.n):
-            alphas = [a + (v,) for a in alphas for v in (0, 1, 2)]
-        for alpha in alphas:
-            if 1 <= sum(alpha) <= max_total:
-                out.append({"uio": str(u), "alpha": list(alpha)})
-    return out
-
-
-def _instances_cauchy(max_d, max_k):
-    return [{"d": d} for d in range(1, max_d + 1)]
-
-
-def _instances_thn1(max_n, max_l):
     return [
-        {"uio": str(u), "l": l}
+        {"uio": str(u), "alpha": list(alpha)}
         for u in _uios_up_to(max_n)
-        for l in range(2, max_l + 1)
+        for alpha in product((0, 1, 2), repeat=u.n)
+        if 1 <= sum(alpha) <= max_total
     ]
-
-
-def _instances_scott_suppes(max_n, max_k):
-    return [{"n": n} for n in range(1, max_n + 1)]
 
 
 # instance schemas: each key maps to a validator that raises on a bad value
@@ -314,22 +318,29 @@ def _alpha(value):
         raise ValueError("expected a list of nonnegative integers")
 
 
+def _alpha_fits(inst):
+    if len(inst["alpha"]) != UnitIntervalOrder.parse(inst["uio"]).n:
+        raise ValueError("'alpha' needs one entry per element of 'uio'")
+
+
 _UIO = _text(UnitIntervalOrder.parse)
 _PARTITION = _text(parse_partition)
 
 
 class Suite(NamedTuple):
-    defaults: tuple
+    defaults: tuple  # (max_n,) or (max_n, max_k)
     make_instances: object
     check: object
     schemas: tuple  # alternative {key: validator} maps; the first match counts
+    fits: object = None  # cross-key check of an instance, raises ValueError
 
 
 _UIO_K = {"uio": _UIO, "k": _positive_int}
 _UIO_LAM = {"uio": _UIO, "partition": _PARTITION}
+_UIO_ALPHA = {"uio": _UIO, "alpha": _alpha}
 
 SUITES = {
-    "ppos": Suite((6, 6), _instances_uio_k, _check_ppos, (_UIO_K,)),
+    "ppos": Suite((6, 6), _per_uio("k", 1), _check_ppos, (_UIO_K,)),
     "eposn": Suite((6, 0), _instances_eposn, _check_eposn, ({"uio": _UIO},)),
     "lgv": Suite((4, 4), _instances_partitions, _check_lgv, (_UIO_LAM,)),
     "gasharov": Suite((5, 5), _instances_partitions, _check_gasharov, (_UIO_LAM,)),
@@ -337,26 +348,32 @@ SUITES = {
         (5, 0), _instances_sink, _check_sink, ({"uio": _UIO}, {"graph": _graph})
     ),
     "gnechrom": Suite(
-        (4, 6), _instances_gnechrom, _check_gnechrom, ({"uio": _UIO, "alpha": _alpha},)
+        (4, 6), _instances_gnechrom, _check_gnechrom, (_UIO_ALPHA,), _alpha_fits
     ),
-    "cauchy": Suite((5, 0), _instances_cauchy, _check_cauchy, ({"d": _positive_int},)),
-    "involutions": Suite((4, 4), _instances_uio_k, _check_involutions, (_UIO_K,)),
+    "cauchy": Suite((5, 0), _per_n("d"), _check_cauchy, ({"d": _positive_int},)),
+    "involutions": Suite((4, 4), _per_uio("k", 1), _check_involutions, (_UIO_K,)),
     "thn1": Suite(
-        (6, 5), _instances_thn1, _check_thn1, ({"uio": _UIO, "l": _positive_int},)
+        (6, 5), _per_uio("l", 2), _check_thn1, ({"uio": _UIO, "l": _positive_int},)
     ),
     "scottsuppes": Suite(
-        (6, 0), _instances_scott_suppes, _check_scott_suppes, ({"n": _positive_int},)
+        (6, 0), _per_n("n"), _check_scott_suppes, ({"n": _positive_int},)
     ),
+    # _scan_one is looked up per call, so a wrapper installed on it sees every order
+    "scan": Suite((7,), _instances_eposn, lambda i: _scan_one(i), ({"uio": _UIO},)),
 }
 
 
 def _validate(name, inst):
     """Raise BadParameter unless inst carries every key of one of the suite's
-    schemas with a valid value; other keys (detail, budget) are ignored."""
-    schemas = SUITES[name].schemas
+    schemas with a valid value, its keys fit together, and a budget, if
+    present, is a positive integer; other keys (detail, outcome) are
+    ignored."""
+    suite = SUITES[name]
     if isinstance(inst, dict):
-        for schema in schemas:
+        for schema in suite.schemas:
             if all(key in inst for key in schema):
+                if "budget" in inst:
+                    schema = dict(schema, budget=_positive_int)
                 for key, validate in schema.items():
                     try:
                         validate(inst[key])
@@ -364,35 +381,42 @@ def _validate(name, inst):
                         raise BadParameter(
                             "%s instance: bad %r: %s" % (name, key, exc)
                         ) from None
+                try:
+                    if suite.fits is not None:
+                        suite.fits(inst)
+                except ValueError as exc:
+                    raise BadParameter("%s instance: %s" % (name, exc)) from None
                 return
     raise BadParameter(
         "%s instance must be a JSON object with keys %s"
-        % (name, " or ".join(",".join(schema) for schema in schemas))
+        % (name, " or ".join(",".join(schema) for schema in suite.schemas))
     )
 
 
 def _verify_one(packed):
+    """One instance's outcome: pass, fail, or budget (an enumeration guard hit)."""
     name, inst = packed
-    ok, detail = SUITES[name].check(inst)
-    return inst, ok, detail
+    try:
+        ok, detail = SUITES[name].check(inst)
+    except TooLarge as exc:
+        return inst, "budget", {"reason": str(exc)}
+    return inst, "pass" if ok else "fail", detail
 
 
 def run_suite(name, max_n=None, max_k=None, instance=None, jobs=1, budget=None):
     """Run a suite over its default instances, or over one given instance,
-    which must match the suite's schema (BadParameter otherwise)."""
+    which must match the suite's schema (BadParameter otherwise).  Every
+    instance that does not pass is recorded with its outcome; aggregation is
+    in input order, so the report does not depend on the worker count."""
     suite = SUITES[name]
     if instance is not None:
         _validate(name, instance)
-    bounds = {
-        "max_n": suite.defaults[0] if max_n is None else max_n,
-        "max_k": suite.defaults[1] if max_k is None else max_k,
-    }
+    given = zip(("max_n", "max_k"), suite.defaults, (max_n, max_k))
+    bounds = {key: default if value is None else value for key, default, value in given}
     start = time.monotonic()
     report = VerificationReport(suite=name, bounds=bounds)
     instances = (
-        [instance]
-        if instance is not None
-        else suite.make_instances(bounds["max_n"], bounds["max_k"])
+        [instance] if instance is not None else suite.make_instances(*bounds.values())
     )
     if budget is not None:
         instances = [dict(inst, budget=budget) for inst in instances]
@@ -402,10 +426,10 @@ def run_suite(name, max_n=None, max_k=None, instance=None, jobs=1, budget=None):
             results = pool.map(_verify_one, work)
     else:
         results = [_verify_one(w) for w in work]
-    for inst, ok, detail in results:
+    for inst, outcome, detail in results:
         report.instances += 1
-        if not ok:
-            payload = dict(inst)
+        if outcome != "pass":
+            payload = dict(inst, outcome=outcome)
             if detail:
                 payload["detail"] = detail
             report.failures.append(payload)
@@ -413,40 +437,9 @@ def run_suite(name, max_n=None, max_k=None, instance=None, jobs=1, budget=None):
     return report
 
 
-# ---------------------------------------------------------------------------
-# the conjecture scanner
-
-
-def _scan_one(uio_text):
-    u = UnitIntervalOrder.parse(uio_text)
-    coeffs = e_coefficients(u.inc_graph())
-    negatives = {
-        format_partition(lam): c for lam, c in sorted(coeffs.items()) if c < 0
-    }
-    if negatives:
-        expansion = {format_partition(lam): c for lam, c in sorted(coeffs.items())}
-        return uio_text, {"negatives": negatives, "expansion": expansion}
-    return uio_text, None
-
-
 def scan_epositivity(max_n, jobs=1):
-    """Scan every semiorder with at most max_n elements for a negative
-    e-coefficient; aggregation is in input order, so output is deterministic
-    regardless of the worker count."""
-    work = [str(u) for u in _uios_up_to(max_n)]
-    start = time.monotonic()
-    report = VerificationReport(suite="scan", bounds={"max_n": max_n})
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_scan_one, work)
-    else:
-        results = [_scan_one(w) for w in work]
-    for uio_text, bad in results:
-        report.instances += 1
-        if bad is not None:
-            report.failures.append({"uio": uio_text, "detail": bad})
-    report.seconds = time.monotonic() - start
-    return report
+    """The scan suite: every semiorder with at most max_n elements."""
+    return run_suite("scan", max_n=max_n, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -486,21 +479,15 @@ def _cmd_csf(args):
 
 
 def _cmd_verify(args):
-    if args.suite not in SUITES:
-        print(
-            "error: unknown suite %r (choose from %s)"
-            % (args.suite, ", ".join(sorted(SUITES))),
-            file=sys.stderr,
-        )
-        return 2
-    instance = None
-    if args.instance:
-        try:
-            instance = json.loads(args.instance)
-        except ValueError as exc:
-            print("error: bad instance payload: %s" % exc, file=sys.stderr)
-            return 2
     try:
+        if args.suite not in SUITES:
+            raise BadParameter(
+                "unknown suite %r (choose from %s)"
+                % (args.suite, ", ".join(sorted(SUITES)))
+            )
+        instance = None if args.instance is None else json.loads(args.instance)
+        if args.instance is not None:  # a null payload must not run the suite
+            _validate(args.suite, instance)
         report = run_suite(
             args.suite,
             max_n=args.max_n,
@@ -509,21 +496,36 @@ def _cmd_verify(args):
             jobs=args.jobs,
             budget=args.budget,
         )
+    except json.JSONDecodeError as exc:
+        print("error: bad instance payload: %s" % exc, file=sys.stderr)
+        return 2
     except BadParameter as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     _emit(report, args.format)
-    return 0 if report.ok else 1
+    return report.exit_code
 
 
-def _cmd_scan(args):
-    report = scan_epositivity(args.max_n, jobs=args.jobs)
-    _emit(report, args.format)
-    return 0 if report.ok else 1
+def _int_from(low):
+    """An argparse type: a decimal integer >= low."""
+
+    def parse(text):
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= %d, got %r" % (low, text)
+            )
+        return int(text)
+
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, exit 2
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
 
 
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chroma",
         description="Exact chromatic symmetric functions of unit interval "
         "orders, and verification suites for their positivity identities.",
@@ -543,24 +545,24 @@ def make_parser():
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite")
-    p_verify.add_argument("--max-n", type=int, default=None)
-    p_verify.add_argument("--max-k", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="override the enumeration guard (multipath/search nodes)",
+    p_scan = sub.add_parser(
+        "scan", help="scan for negative e-coefficients (verify scan)"
     )
-    p_verify.add_argument(
-        "--instance", default=None, help="single JSON instance to replay"
-    )
-    common(p_verify)
-
-    p_scan = sub.add_parser("scan", help="scan for negative e-coefficients")
-    p_scan.add_argument("--max-n", type=int, default=7)
-    p_scan.add_argument("--jobs", type=int, default=1)
-    common(p_scan)
+    p_scan.set_defaults(suite="scan")
+    for p in (p_verify, p_scan):
+        p.add_argument("--max-n", type=_int_from(1), default=None)
+        p.add_argument("--max-k", type=_int_from(0), default=None)
+        p.add_argument("--jobs", type=_int_from(1), default=1)
+        p.add_argument(
+            "--budget",
+            type=_int_from(1),
+            default=None,
+            help="override the enumeration guard (multipath/search nodes)",
+        )
+        p.add_argument(
+            "--instance", default=None, help="single JSON instance to replay"
+        )
+        common(p)
 
     return parser
 
@@ -571,7 +573,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    handlers = {"csf": _cmd_csf, "verify": _cmd_verify, "scan": _cmd_scan}
+    handlers = {"csf": _cmd_csf, "verify": _cmd_verify, "scan": _cmd_verify}
     return handlers[args.command](args)
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BadParameter,
-    NonIdentityPermutation,
     NotIntersecting,
     TooLarge,
     TriplePoint,
@@ -246,10 +245,6 @@ class MultipathClass:
     chain_length: int = 0
 
 
-def _identity(k):
-    return tuple(range(1, k + 1))
-
-
 def _j_form(mp, u):
     """Match the residue pattern: l-1 empty weights, one chain of length l
     ending on the rightmost destination, then singles; the chain bottom must
@@ -280,10 +275,7 @@ def classify_multipath(mp, u, grid):
     if grid.lam != (1,) * grid.k:
         raise WrongShape("classification needs the all-ones geometry")
     if mp.is_nonintersecting():
-        if mp.sigma != _identity(mp.k):
-            raise NonIdentityPermutation(
-                "disjoint multipath with sigma=%r" % (list(mp.sigma),)
-            )
+        mp.require_identity()
         seq = tuple(p.diag_rows[0] for p in mp.paths)
         if is_correct(u, seq):
             return MultipathClass("P")

@@ -167,6 +167,14 @@ class Multipath:
     def k(self):
         return len(self.paths)
 
+    def require_identity(self):
+        """Raise NonIdentityPermutation(message, self) unless path i ends on
+        destination i, as planarity forces for a disjoint multipath."""
+        if self.sigma != tuple(range(1, self.k + 1)):
+            raise NonIdentityPermutation(
+                "disjoint multipath with sigma=%r" % (list(self.sigma),), self
+            )
+
     def is_nonintersecting(self):
         for i in range(self.k):
             si = self.paths[i].vertex_set
@@ -267,13 +275,14 @@ def path_sum_matrix(g):
 
 def lgv_check(g, budget=DEFAULT_MULTIPATH_BUDGET):
     """det(path-sum matrix) equals the signed sum over non-intersecting
-    multipaths; exact polynomial identity."""
-    matrix = path_sum_matrix(g)
-    determinant = det(matrix)
+    multipaths; exact polynomial identity.  The same pass checks that every
+    disjoint multipath connects base i to destination i (require_identity)."""
+    determinant = det(path_sum_matrix(g))
     n = g.uio.n
     total = Polynomial.zero(n)
     for mp in enumerate_multipaths(g, budget):
         if mp.is_nonintersecting():
+            mp.require_identity()
             total = total + mp.sign * mp.weight_product(n)
     return determinant == total
 
@@ -321,10 +330,7 @@ def schur_via_lgv(u, lam, budget=DEFAULT_MULTIPATH_BUDGET):
     g = build_grid(u, len(lam), lam)
     total = Polynomial.zero(u.n)
     for mp in nonintersecting_multipaths(g, budget):
-        if mp.sigma != tuple(range(1, g.k + 1)):
-            raise NonIdentityPermutation(
-                "disjoint multipath with sigma=%r" % (list(mp.sigma),)
-            )
+        mp.require_identity()
         total = total + mp.weight_product(u.n)
     return total
 

@@ -2,43 +2,19 @@
 
 Each test prints a single PASS line (visible with pytest -s or in the
 captured output); any failure shows the counterexample in the assertion
-payload.
+payload.  Criteria 02-12 run the matching `chroma verify` suite through
+run_suite, with its bounds written out here.
 """
 
 import time
 from math import factorial
 
-from chroma.chromatic import check_sink_theorem, e_coefficients
-from chroma.combinat import (
-    Graph,
-    all_graphs,
-    catalan,
-    conjugate,
-    enumerate_posets_natural,
-    enumerate_uios,
-    is_ab_free,
-    partitions_of,
-    uio_recognize,
-)
-from chroma.corrects import (
-    chi_psi_check,
-    covering_corrects_count,
-    m_l1_via_corrects,
-    power_via_corrects,
-    verify_cancellations,
-)
-from chroma.ghom import GAnalogueContext, gnechrom_check, monomial_g, power_g, schur_g
-from chroma.lgvgrid import (
-    build_grid,
-    enumerate_multipaths,
-    lgv_check,
-    schur_via_lgv,
-)
-from chroma.cli import scan_epositivity
+from chroma.chromatic import e_coefficients
+from chroma.cli import run_suite
+from chroma.combinat import Graph, partitions_of
 from chroma.symfunc import (
     BASES,
     SymFunc,
-    cauchy_check,
     convert,
     jacobi_trudi_e,
     newton_p,
@@ -50,11 +26,6 @@ def _report(number, label, start):
     print("ACCEPTANCE %02d PASS (%.1fs): %s" % (number, time.monotonic() - start, label))
 
 
-def uios_up_to(max_n):
-    for n in range(1, max_n + 1):
-        yield from enumerate_uios(n)
-
-
 def test_criterion_01_complete_graph_identity():
     start = time.monotonic()
     for n in range(1, 7):
@@ -64,118 +35,89 @@ def test_criterion_01_complete_graph_identity():
 
 def test_criterion_02_power_sums_via_correct_sequences():
     start = time.monotonic()
-    uios = list(uios_up_to(6))
-    assert len(uios) == 196
-    for u in uios:
-        ctx = GAnalogueContext(u.inc_graph())
-        for k in range(1, 7):
-            assert power_via_corrects(u, k) == power_g(ctx, k), (str(u), k)
+    rep = run_suite("ppos", max_n=6, max_k=6)
+    assert rep.instances == 1176  # 196 orders with n <= 6, k = 1..6
+    assert rep.ok, rep.failures
     _report(2, "correct-sequence sums equal the power-sum analogue, n<=6 k<=6", start)
 
 
 def test_criterion_03_top_e_coefficient_counts_covering_corrects():
     start = time.monotonic()
-    for u in uios_up_to(6):
-        cn = e_coefficients(u.inc_graph()).get((u.n,), 0)
-        assert covering_corrects_count(u) == cn, str(u)
-        assert cn >= 0
+    rep = run_suite("eposn", max_n=6, max_k=0)
+    assert rep.instances == 196
+    assert rep.ok, rep.failures
     _report(3, "c_n counts covering correct sequences and is nonnegative, n<=6", start)
 
 
 def test_criterion_04_schur_positivity_via_grid():
     start = time.monotonic()
-    for u in uios_up_to(5):
-        ctx = GAnalogueContext(u.inc_graph())
-        for w in range(1, 6):
-            for lam in partitions_of(w):
-                via_det = schur_g(ctx, lam)
-                assert via_det.is_monomial_positive(), (str(u), lam)
-                assert schur_via_lgv(u, conjugate(lam)) == via_det, (str(u), lam)
+    rep = run_suite("gasharov", max_n=5, max_k=5)
+    assert rep.instances == 1152  # 64 orders with n <= 5, 18 partitions of 1..5
+    assert rep.ok, rep.failures
     _report(4, "Schur analogues are monomial-positive and match the grid sum", start)
 
 
 def test_criterion_05_grid_determinant_identity():
     start = time.monotonic()
-    for u in uios_up_to(4):
-        for w in range(1, 5):
-            for lam in partitions_of(w):
-                g = build_grid(u, len(lam), lam)
-                assert lgv_check(g), (str(u), lam)
-                for mp in enumerate_multipaths(g):
-                    if mp.is_nonintersecting():
-                        assert mp.sigma == tuple(range(1, g.k + 1)), (str(u), lam)
+    rep = run_suite("lgv", max_n=4, max_k=4)
+    assert rep.instances == 242  # 22 orders with n <= 4, 11 partitions of 1..4
+    assert rep.ok, rep.failures
     _report(5, "path-sum determinant equals the disjoint-family sum, sigma = id", start)
 
 
 def test_criterion_06_sink_counts():
     start = time.monotonic()
-    for n in range(1, 6):
-        for g in all_graphs(n):
-            assert check_sink_theorem(g), g
-    for u in uios_up_to(6):
-        assert check_sink_theorem(u.inc_graph()), str(u)
+    rep = run_suite("sink", max_n=5, max_k=0)
+    assert rep.instances == 1295  # 1099 graphs on 1..5 vertices, 196 orders n <= 6
+    assert rep.ok, rep.failures
     _report(6, "sink counts match e-coefficient sums by length", start)
 
 
 def test_criterion_07_truncated_product_identity():
     start = time.monotonic()
-    for d in range(1, 6):
-        assert cauchy_check(d, d), d
+    rep = run_suite("cauchy", max_n=5, max_k=0)
+    assert rep.instances == 5
+    assert rep.ok, rep.failures
     _report(7, "three-way kernel expansion identity at degrees d <= 5", start)
 
 
 def test_criterion_08_clan_graph_identity():
     start = time.monotonic()
-    for u in uios_up_to(4):
-        ctx = GAnalogueContext(u.inc_graph())
-        alphas = [()]
-        for _ in range(u.n):
-            alphas = [a + (v,) for a in alphas for v in (0, 1, 2)]
-        for alpha in alphas:
-            if 1 <= sum(alpha) <= 6:
-                assert gnechrom_check(ctx, alpha), (str(u), alpha)
+    rep = run_suite("gnechrom", max_n=4, max_k=6)
+    assert rep.instances == 1198  # alpha in {0,1,2}^n with 1 <= |alpha| <= 6
+    assert rep.ok, rep.failures
     _report(8, "kernel coefficient times factorials equals the blow-up X", start)
 
 
 def test_criterion_09_involution_suite():
     start = time.monotonic()
-    for u in uios_up_to(4):
-        ctx = GAnalogueContext(u.inc_graph())
-        for k in range(1, 5):
-            rep = verify_cancellations(u, k, ctx=ctx)
-            assert rep.ok, (str(u), k, rep.to_json())
-            bij = chi_psi_check(u, k)
-            assert bij.ok, (str(u), k)
+    rep = run_suite("involutions", max_n=4, max_k=4)
+    assert rep.instances == 88
+    assert rep.ok, rep.failures
     _report(9, "crossing-class sums vanish; the tail switch is an involution", start)
 
 
 def test_criterion_10_hook_shape_triple_identity():
     start = time.monotonic()
-    for u in uios_up_to(6):
-        ctx = GAnalogueContext(u.inc_graph())
-        for l in range(2, 6):
-            got = m_l1_via_corrects(u, l)
-            assert got == power_g(ctx, l) * power_g(ctx, 1) - power_g(ctx, l + 1)
-            assert got == monomial_g(ctx, (l, 1))
-            assert got.is_monomial_positive(), (str(u), l)
+    rep = run_suite("thn1", max_n=6, max_k=5)
+    assert rep.instances == 784  # 196 orders with n <= 6, l = 2..5
+    assert rep.ok, rep.failures
     _report(10, "hook-shape pair expansion: triple agreement, l = 2..5, n <= 6", start)
 
 
 def test_criterion_11_threshold_recognition():
     start = time.monotonic()
-    for n in range(1, 7):
-        for p in enumerate_posets_natural(n):
-            free = is_ab_free(p, 2, 2) and is_ab_free(p, 3, 1)
-            assert (uio_recognize(p) is not None) == free, p
+    rep = run_suite("scottsuppes", max_n=6, max_k=0)
+    assert rep.instances == 6
+    assert rep.ok, rep.failures
     _report(11, "recognition succeeds exactly on (2+2)- and (3+1)-free posets", start)
 
 
 def test_criterion_12_epositivity_scan():
     start = time.monotonic()
-    report = scan_epositivity(7)
-    assert report.instances == 625
-    assert report.instances == sum(catalan(n) for n in range(1, 8))
-    assert report.failures == [], report.failures
+    rep = run_suite("scan", max_n=7)
+    assert rep.instances == 625  # Catalan(1) + .. + Catalan(7)
+    assert rep.ok, rep.failures
     _report(12, "no negative e-coefficients across all 625 orders with n <= 7", start)
 
 

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from chroma.cli import main, run_suite, scan_epositivity
+from chroma.cli import SUITES, main, run_suite, scan_epositivity
+from chroma.errors import TooLarge
 
 
 def run(capsys, *argv):
@@ -148,6 +151,44 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     data = json.loads(out)
     assert data["failures"][0]["detail"] == {"reason": "forced"}
+    assert data["failures"][0]["outcome"] == "fail"
+
+
+def test_verify_fail_outranks_budget(capsys, monkeypatch):
+    import chroma.cli as cli
+
+    def check(inst):
+        if inst["d"] == 1:
+            raise TooLarge("forced")
+        return False, {"reason": "forced"}
+
+    forced = cli.SUITES["cauchy"]._replace(check=check)
+    monkeypatch.setitem(cli.SUITES, "cauchy", forced)
+    code, out, _ = run(capsys, "verify", "cauchy", "--max-n", "2")
+    assert code == 1
+    outcomes = [f["outcome"] for f in json.loads(out)["failures"]]
+    assert outcomes == ["budget", "fail"]
+    code, _, _ = run(capsys, "verify", "cauchy", "--max-n", "1")
+    assert code == 3
+
+
+def test_verify_lgv_names_a_non_identity_multipath(capsys, monkeypatch):
+    import chroma.cli as cli
+    from chroma.lgvgrid import Multipath, grid_path_from_vertices
+
+    p1 = grid_path_from_vertices([(1, 1), (2, 3), (2, 4)])
+    p2 = grid_path_from_vertices([(2, 1), (2, 2), (3, 4)])
+    swapped = Multipath([p2, p1], (2, 1))
+
+    def lgv_check(g, budget):
+        swapped.require_identity()
+
+    monkeypatch.setattr(cli, "lgv_check", lgv_check)
+    payload = {"uio": "3,4,4", "partition": "1,1"}
+    code, out, _ = run(capsys, "verify", "lgv", "--instance", json.dumps(payload))
+    assert code == 1
+    detail = json.loads(out)["failures"][0]["detail"]
+    assert detail["multipath"] == swapped.to_json()
 
 
 @pytest.mark.parametrize(
@@ -156,6 +197,13 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         ("ppos", {"uio": "3,4,4"}),  # missing key
         ("ppos", [1]),  # not an object
         ("ppos", {"uio": "3,9,4", "k": 2}),  # malformed threshold vector
+        ("gnechrom", {"uio": "3,4,4", "alpha": [1]}),  # alpha shorter than uio
+        ("involutions", {"uio": "3,4,4", "k": 2, "budget": "x"}),
+        ("lgv", {"uio": "3,4,4", "partition": "1", "budget": 0}),
+        ("lgv", {"uio": "3,4,4", "partition": "1", "budget": True}),
+        ("scan", {"uio": 344}),
+        ("ppos", None),  # null must not fall back to the default instances
+        ("ppos", ""),
     ],
 )
 def test_verify_malformed_instance_exits_two(capsys, suite, payload):
@@ -166,12 +214,40 @@ def test_verify_malformed_instance_exits_two(capsys, suite, payload):
     assert "Traceback" not in err
 
 
-def test_verify_budget_flag_propagates(capsys):
-    # an absurdly small budget must abort the enumeration-backed suites
-    from chroma.errors import TooLarge
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "lgv", "--max-n", "3", "--max-k", "3", "--budget", "-1"),
+        ("verify", "lgv", "--budget", "0"),
+        ("verify", "lgv", "--budget", "x"),
+        ("verify", "ppos", "--jobs", "0"),
+        ("verify", "ppos", "--max-n", "0"),
+        ("verify", "ppos", "--max-k", "-1"),
+        ("verify", "ppos", "--max-n", "2.5"),
+        ("scan", "--max-n", "-2"),
+        ("scan", "--jobs", "0"),
+    ],
+)
+def test_verify_flag_ranges_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
-    with pytest.raises(TooLarge):
-        run(capsys, "verify", "lgv", "--max-n", "3", "--max-k", "3", "--budget", "1")
+
+def test_verify_budget_flag_propagates(capsys):
+    # an absurdly small budget turns instances into budget outcomes; the run
+    # goes on and counts every instance
+    code, out, _ = run(
+        capsys, "verify", "lgv", "--max-n", "3", "--max-k", "3", "--budget", "1"
+    )
+    assert code == 3
+    data = json.loads(out)
+    assert data["instances"] == (1 + 2 + 5) * (1 + 2 + 3)
+    assert data["failures"]
+    assert {f["outcome"] for f in data["failures"]} == {"budget"}
+    assert all(f["budget"] == 1 for f in data["failures"])
     code, out, _ = run(
         capsys, "verify", "lgv", "--max-n", "2", "--max-k", "2",
         "--budget", "1000000",
@@ -189,6 +265,21 @@ def test_scan_small(capsys):
     data = json.loads(out)
     assert data["instances"] == 22
     assert data["failures"] == []
+
+
+def test_scan_is_verify_scan(capsys):
+    code1, out1, _ = run(capsys, "scan", "--max-n", "4")
+    code2, out2, _ = run(capsys, "verify", "scan", "--max-n", "4")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["bounds"] == {"max_n": 4}
+
+
+def test_scan_payload_replays(capsys):
+    payload = {"uio": "3,4,4", "outcome": "fail", "detail": {"negatives": {}}}
+    code, out, _ = run(capsys, "verify", "scan", "--instance", json.dumps(payload))
+    assert code == 0
+    assert json.loads(out)["instances"] == 1
 
 
 def test_scan_deterministic_across_workers(capsys):
@@ -210,3 +301,52 @@ def test_run_suite_counts():
 def test_scan_epositivity_counts():
     rep = scan_epositivity(3)
     assert rep.instances == 8 and rep.ok
+
+
+# ---------------------------------------------------------------------------
+# --instance fuzzing: any JSON object over a suite's keys gets an exit code,
+# never a traceback
+
+
+# Orders have at most three elements and ints stay within -3..5: valid
+# instances grow steeply past that (cauchy d = 7 runs for minutes).  List
+# entries stay within -3..3, since gnechrom's alpha = (5, 5, 5) on the
+# 3-chain blows it up into a 15-vertex graph whose X takes about 30 s.
+_INTS = st.integers(-3, 5)
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    _INTS,
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=4),
+)
+_PLAUSIBLE = {
+    "uio": st.sampled_from(["2", "2,3", "3,3", "2,3,4", "3,4,4", "4,4,4", "3,9,4"]),
+    "partition": st.sampled_from(["", "1", "2,1", "1,2", "3,3", "5,5,5", "0", "-1"]),
+    "alpha": st.lists(st.integers(-3, 3), max_size=4),
+    "graph": st.fixed_dictionaries(
+        {"n": _INTS, "edges": st.lists(st.lists(_INTS, max_size=3), max_size=4)}
+    ),
+}
+
+
+def _instances(suite):
+    keys = {key for schema in SUITES[suite].schemas for key in schema} | {"budget"}
+    values = {key: st.one_of(_PLAUSIBLE.get(key, _INTS), _JUNK) for key in keys}
+    return st.one_of(st.fixed_dictionaries({}, optional=values), _JUNK)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_instance_fuzz(capsys, suite):
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(_instances(suite))
+    def replay(inst):
+        code, _, err = run(capsys, "verify", suite, "--instance", json.dumps(inst))
+        assert code in (0, 1, 2, 3), inst
+        assert "Traceback" not in err
+
+    replay()

@@ -149,7 +149,7 @@ def _check_lgv(inst):
     try:
         ok = lgv_check(g, _budget(inst))
     except NonIdentityPermutation as exc:
-        mp = exc.args[1].to_json()
+        mp = exc.multipath.to_json()
         return False, {"reason": "non-identity disjoint multipath", "multipath": mp}
     if ok:
         return True, None
@@ -338,6 +338,7 @@ class Suite(NamedTuple):
 _UIO_K = {"uio": _UIO, "k": _positive_int}
 _UIO_LAM = {"uio": _UIO, "partition": _PARTITION}
 _UIO_ALPHA = {"uio": _UIO, "alpha": _alpha}
+_ALL = object()  # run_suite's default instance: every instance of the suite
 
 SUITES = {
     "ppos": Suite((6, 6), _per_uio("k", 1), _check_ppos, (_UIO_K,)),
@@ -403,20 +404,22 @@ def _verify_one(packed):
     return inst, "pass" if ok else "fail", detail
 
 
-def run_suite(name, max_n=None, max_k=None, instance=None, jobs=1, budget=None):
+def run_suite(name, max_n=None, max_k=None, instance=_ALL, jobs=1, budget=None):
     """Run a suite over its default instances, or over one given instance,
-    which must match the suite's schema (BadParameter otherwise).  Every
-    instance that does not pass is recorded with its outcome; aggregation is
-    in input order, so the report does not depend on the worker count."""
+    which must match the suite's schema, with bounds the suite has (else
+    BadParameter).  Every instance that does not pass is recorded with its
+    outcome, in input order, so the report does not depend on jobs."""
     suite = SUITES[name]
-    if instance is not None:
+    if max_k is not None and len(suite.defaults) < 2:
+        raise BadParameter("suite %r takes no --max-k" % name)
+    if instance is not _ALL:
         _validate(name, instance)
     given = zip(("max_n", "max_k"), suite.defaults, (max_n, max_k))
     bounds = {key: default if value is None else value for key, default, value in given}
     start = time.monotonic()
     report = VerificationReport(suite=name, bounds=bounds)
     instances = (
-        [instance] if instance is not None else suite.make_instances(*bounds.values())
+        [instance] if instance is not _ALL else suite.make_instances(*bounds.values())
     )
     if budget is not None:
         instances = [dict(inst, budget=budget) for inst in instances]
@@ -485,9 +488,7 @@ def _cmd_verify(args):
                 "unknown suite %r (choose from %s)"
                 % (args.suite, ", ".join(sorted(SUITES)))
             )
-        instance = None if args.instance is None else json.loads(args.instance)
-        if args.instance is not None:  # a null payload must not run the suite
-            _validate(args.suite, instance)
+        instance = _ALL if args.instance is None else json.loads(args.instance)
         report = run_suite(
             args.suite,
             max_n=args.max_n,
@@ -548,21 +549,19 @@ def make_parser():
     p_scan = sub.add_parser(
         "scan", help="scan for negative e-coefficients (verify scan)"
     )
-    p_scan.set_defaults(suite="scan")
+    p_scan.set_defaults(suite="scan", max_k=None, budget=None, instance=None)
     for p in (p_verify, p_scan):
         p.add_argument("--max-n", type=_int_from(1), default=None)
-        p.add_argument("--max-k", type=_int_from(0), default=None)
         p.add_argument("--jobs", type=_int_from(1), default=1)
-        p.add_argument(
-            "--budget",
-            type=_int_from(1),
-            default=None,
-            help="override the enumeration guard (multipath/search nodes)",
-        )
-        p.add_argument(
-            "--instance", default=None, help="single JSON instance to replay"
-        )
         common(p)
+    p_verify.add_argument("--max-k", type=_int_from(0), default=None)
+    p_verify.add_argument(
+        "--budget",
+        type=_int_from(1),
+        default=None,
+        help="override the enumeration guard (multipath/search nodes)",
+    )
+    p_verify.add_argument("--instance", help="single JSON instance to replay")
 
     return parser
 

@@ -406,7 +406,7 @@ class CancellationReport:
         }
 
 
-def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET, ctx=None):
+def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
     """Enumerate every multipath of the all-ones grid and check:
 
       (a) the signed multiplier sum over class I vanishes,
@@ -439,7 +439,6 @@ def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET, ctx=None):
             if cls.tag in ("J", "L"):
                 sums["JL_plain"] = sums["JL_plain"] + mp.sign * mp.weight_product(n)
     involution_ok = _check_involution_on_I(i_class, u, grid)
-    ctx = ctx or GAnalogueContext(u.inc_graph())
     return CancellationReport(
         uio=str(u),
         k=k,
@@ -448,7 +447,7 @@ def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET, ctx=None):
         sum_JL=sums["rest"],
         total=sums["total"],
         sum_P=sums["P"],
-        pk=power_g(ctx, k),
+        pk=power_g(GAnalogueContext(u.inc_graph()), k),
         rewrite_lhs=sums["rest"],
         rewrite_rhs=sums["JL_plain"],
         involution_ok=involution_ok,

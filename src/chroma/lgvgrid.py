@@ -168,12 +168,14 @@ class Multipath:
         return len(self.paths)
 
     def require_identity(self):
-        """Raise NonIdentityPermutation(message, self) unless path i ends on
-        destination i, as planarity forces for a disjoint multipath."""
+        """Raise NonIdentityPermutation, with this multipath as its .multipath,
+        unless path i ends on destination i, as planarity forces for a
+        disjoint multipath."""
         if self.sigma != tuple(range(1, self.k + 1)):
-            raise NonIdentityPermutation(
-                "disjoint multipath with sigma=%r" % (list(self.sigma),), self
-            )
+            msg = "disjoint multipath with sigma=%r" % (list(self.sigma),)
+            exc = NonIdentityPermutation(msg)
+            exc.multipath = self
+            raise exc
 
     def is_nonintersecting(self):
         for i in range(self.k):

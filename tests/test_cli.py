@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chroma.cli import SUITES, main, run_suite, scan_epositivity
-from chroma.errors import TooLarge
+from chroma.errors import BadParameter, NonIdentityPermutation, TooLarge
 
 
 def run(capsys, *argv):
@@ -189,6 +189,10 @@ def test_verify_lgv_names_a_non_identity_multipath(capsys, monkeypatch):
     assert code == 1
     detail = json.loads(out)["failures"][0]["detail"]
     assert detail["multipath"] == swapped.to_json()
+    # uncaught, the error still reads as its one-line message
+    with pytest.raises(NonIdentityPermutation) as info:
+        swapped.require_identity()
+    assert str(info.value) == "disjoint multipath with sigma=[2, 1]"
 
 
 @pytest.mark.parametrize(
@@ -226,6 +230,11 @@ def test_verify_malformed_instance_exits_two(capsys, suite, payload):
         ("verify", "ppos", "--max-n", "2.5"),
         ("scan", "--max-n", "-2"),
         ("scan", "--jobs", "0"),
+        # flags a suite has no use for are refused, not ignored
+        ("verify", "scan", "--max-k", "5"),
+        ("scan", "--max-k", "5"),
+        ("scan", "--budget", "1"),
+        ("scan", "--instance", "{}"),
     ],
 )
 def test_verify_flag_ranges_exit_two(capsys, argv):
@@ -296,6 +305,12 @@ def test_scan_deterministic_across_workers(capsys):
 def test_run_suite_counts():
     rep = run_suite("cauchy", max_n=2)
     assert rep.instances == 2 and rep.ok
+
+
+def test_run_suite_rejects_null_instance():
+    # None is a payload like any other, not a request for the default instances
+    with pytest.raises(BadParameter):
+        run_suite("cauchy", instance=None)
 
 
 def test_scan_epositivity_counts():

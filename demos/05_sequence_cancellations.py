@@ -14,7 +14,6 @@ from chroma import (
     uio_from_next,
     verify_cancellations,
 )
-from chroma.corrects import chi_psi_check
 
 u = uio_from_next([3, 4, 4])
 ctx = GAnalogueContext(u.inc_graph())
@@ -41,7 +40,7 @@ print("class sizes:", rep.counts)
 print("signed sum over I:", rep.sum_I, "| over J and L:", rep.sum_JL)
 print("survivors equal the power sum:", rep.total == rep.pk)
 
-bij = chi_psi_check(u, 3)
+bij = rep.bijection
 print("chain bijection pairs %d with %d forms, signed sum %s"
       % (bij.dominator_count, bij.dominator_free_count, bij.signed_sum))
 

@@ -110,26 +110,26 @@ def chromatic_symmetric_stable(g):
     )
 
 
-def chromatic_symmetric(g, method="auto", bound=BRUTE_FORCE_BOUND):
+def chromatic_symmetric(g, method="stable", bound=BRUTE_FORCE_BOUND):
     """X_g as an m-basis SymFunc of degree n.
 
-    method "brute" enumerates colourings (TooLarge past the bound); "stable"
-    uses the accelerator; "auto" picks the accelerator.
+    method "stable" uses the accelerator; "brute" enumerates colourings
+    (TooLarge past the bound).
     """
     if method == "brute":
         return chromatic_symmetric_brute(g, bound)
-    if method in ("stable", "auto"):
+    if method == "stable":
         return chromatic_symmetric_stable(g)
     raise ValueError("unknown method %r" % (method,))
 
 
-def e_coefficients(g, method="auto"):
+def e_coefficients(g):
     """The integer coefficients of X_g on the e-basis."""
-    return convert(chromatic_symmetric(g, method=method), "e").as_int_dict()
+    return convert(chromatic_symmetric(g), "e").as_int_dict()
 
 
-def s_coefficients(g, method="auto"):
-    return convert(chromatic_symmetric(g, method=method), "s").as_int_dict()
+def s_coefficients(g):
+    return convert(chromatic_symmetric(g), "s").as_int_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +266,9 @@ class ChromaticExpansion:
         }
 
 
-def positivity_report(g, method="auto"):
+def positivity_report(g):
     """Full m/e/s expansions of X_g with positivity flags and the sink check."""
-    xm = chromatic_symmetric(g, method=method)
+    xm = chromatic_symmetric(g)
     xe = convert(xm, "e")
     xs = convert(xm, "s")
     if not (xe.is_integral() and xs.is_integral()):

@@ -37,7 +37,6 @@ from .combinat import (
     uio_recognize,
 )
 from .corrects import (
-    chi_psi_check,
     covering_corrects_count,
     m_l1_via_corrects,
     power_via_corrects,
@@ -198,12 +197,10 @@ def _check_cauchy(inst):
 
 def _check_involutions(inst):
     u = UnitIntervalOrder.parse(inst["uio"])
-    k = inst["k"]
-    report = verify_cancellations(u, k, budget=_budget(inst))
-    bij = chi_psi_check(u, k, budget=_budget(inst))
-    if report.ok and bij.ok:
+    rep = verify_cancellations(u, inst["k"], budget=_budget(inst))
+    if rep.ok:
         return True, None
-    return False, {"cancellations": report.to_json(), "bijection_ok": bij.ok}
+    return False, {"cancellations": rep.to_json(), "bijection_ok": rep.bijection.ok}
 
 
 def _check_thn1(inst):
@@ -333,6 +330,7 @@ class Suite(NamedTuple):
     check: object
     schemas: tuple  # alternative {key: validator} maps; the first match counts
     fits: object = None  # cross-key check of an instance, raises ValueError
+    budgeted: bool = False  # the check reads a budget (multipath guard)
 
 
 _UIO_K = {"uio": _UIO, "k": _positive_int}
@@ -343,7 +341,9 @@ _ALL = object()  # run_suite's default instance: every instance of the suite
 SUITES = {
     "ppos": Suite((6, 6), _per_uio("k", 1), _check_ppos, (_UIO_K,)),
     "eposn": Suite((6, 0), _instances_eposn, _check_eposn, ({"uio": _UIO},)),
-    "lgv": Suite((4, 4), _instances_partitions, _check_lgv, (_UIO_LAM,)),
+    "lgv": Suite(
+        (4, 4), _instances_partitions, _check_lgv, (_UIO_LAM,), budgeted=True
+    ),
     "gasharov": Suite((5, 5), _instances_partitions, _check_gasharov, (_UIO_LAM,)),
     "sink": Suite(
         (5, 0), _instances_sink, _check_sink, ({"uio": _UIO}, {"graph": _graph})
@@ -352,7 +352,9 @@ SUITES = {
         (4, 6), _instances_gnechrom, _check_gnechrom, (_UIO_ALPHA,), _alpha_fits
     ),
     "cauchy": Suite((5, 0), _per_n("d"), _check_cauchy, ({"d": _positive_int},)),
-    "involutions": Suite((4, 4), _per_uio("k", 1), _check_involutions, (_UIO_K,)),
+    "involutions": Suite(
+        (4, 4), _per_uio("k", 1), _check_involutions, (_UIO_K,), budgeted=True
+    ),
     "thn1": Suite(
         (6, 5), _per_uio("l", 2), _check_thn1, ({"uio": _UIO, "l": _positive_int},)
     ),
@@ -367,13 +369,15 @@ SUITES = {
 def _validate(name, inst):
     """Raise BadParameter unless inst carries every key of one of the suite's
     schemas with a valid value, its keys fit together, and a budget, if
-    present, is a positive integer; other keys (detail, outcome) are
-    ignored."""
+    present, is a positive integer on a suite that reads one; other keys
+    (detail, outcome) are ignored."""
     suite = SUITES[name]
     if isinstance(inst, dict):
         for schema in suite.schemas:
             if all(key in inst for key in schema):
                 if "budget" in inst:
+                    if not suite.budgeted:
+                        raise BadParameter("%s instance takes no 'budget'" % name)
                     schema = dict(schema, budget=_positive_int)
                 for key, validate in schema.items():
                     try:
@@ -406,12 +410,14 @@ def _verify_one(packed):
 
 def run_suite(name, max_n=None, max_k=None, instance=_ALL, jobs=1, budget=None):
     """Run a suite over its default instances, or over one given instance,
-    which must match the suite's schema, with bounds the suite has (else
-    BadParameter).  Every instance that does not pass is recorded with its
-    outcome, in input order, so the report does not depend on jobs."""
+    which must match the suite's schema, with bounds and a budget the suite
+    has (else BadParameter).  Every instance that does not pass is recorded
+    with its outcome, in input order, so the report does not depend on jobs."""
     suite = SUITES[name]
     if max_k is not None and len(suite.defaults) < 2:
         raise BadParameter("suite %r takes no --max-k" % name)
+    if budget is not None and not suite.budgeted:
+        raise BadParameter("suite %r takes no --budget" % name)
     if instance is not _ALL:
         _validate(name, instance)
     given = zip(("max_n", "max_k"), suite.defaults, (max_n, max_k))
@@ -559,7 +565,8 @@ def make_parser():
         "--budget",
         type=_int_from(1),
         default=None,
-        help="override the enumeration guard (multipath/search nodes)",
+        help="multipath enumeration guard per instance (lgv and involutions "
+        "only; other suites refuse it)",
     )
     p_verify.add_argument("--instance", help="single JSON instance to replay")
 

@@ -242,7 +242,7 @@ def delta_switch(mp):
 class MultipathClass:
     tag: str  # P, I, J, L or other
     z: tuple = None
-    chain_length: int = 0
+    chain_length: int = 0  # chain of the J/L weight form; 1 for L (one step per path)
 
 
 def _j_form(mp, u):
@@ -279,7 +279,7 @@ def classify_multipath(mp, u, grid):
         seq = tuple(p.diag_rows[0] for p in mp.paths)
         if is_correct(u, seq):
             return MultipathClass("P")
-        return MultipathClass("L")
+        return MultipathClass("L", chain_length=1)
     z = leftmost_lowest_intersection(mp)
     through = [i for i, p in enumerate(mp.paths) if z in p.vertex_set]
     if all(mp.sigma[i] != 1 for i in through):
@@ -369,6 +369,27 @@ def split_chain_top(form, u):
 
 
 @dataclass
+class ChainBijectionReport:
+    dominator_count: int
+    dominator_free_count: int
+    mutually_inverse: bool
+    sign_reversing: bool
+    weight_preserving: bool
+    signed_sum: Polynomial
+    forms_match_multipaths: bool
+    ok: bool = field(init=False)
+
+    def __post_init__(self):
+        self.ok = (
+            self.mutually_inverse
+            and self.sign_reversing
+            and self.weight_preserving
+            and self.signed_sum.is_zero()
+            and self.forms_match_multipaths
+        )
+
+
+@dataclass
 class CancellationReport:
     uio: str
     k: int
@@ -378,9 +399,9 @@ class CancellationReport:
     total: Polynomial
     sum_P: Polynomial
     pk: Polynomial
-    rewrite_lhs: Polynomial
-    rewrite_rhs: Polynomial
+    sum_JL_plain: Polynomial
     involution_ok: bool
+    bijection: ChainBijectionReport
     ok: bool = field(init=False)
 
     def __post_init__(self):
@@ -389,8 +410,9 @@ class CancellationReport:
             and self.sum_JL.is_zero()
             and self.total == self.sum_P
             and self.total == self.pk
-            and self.rewrite_lhs == self.rewrite_rhs
+            and self.sum_JL == self.sum_JL_plain
             and self.involution_ok
+            and self.bijection.ok
         )
 
     def to_json(self):
@@ -407,7 +429,7 @@ class CancellationReport:
 
 
 def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
-    """Enumerate every multipath of the all-ones grid and check:
+    """Enumerate every multipath of the all-ones grid once and check:
 
       (a) the signed multiplier sum over class I vanishes,
       (b) the signed multiplier sum over the rest minus P vanishes, and it
@@ -415,30 +437,35 @@ def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
       (c) the grand total equals the sum over P, equals the power-sum
           analogue,
       (d) the tail switch is a sign-reversing, multiplier- and
-          weight-preserving involution on I.
+          weight-preserving involution on I,
+      (e) the chain moves pair off the J and L weight forms (chi_psi_check).
     """
     grid = build_grid(u, k, (1,) * k)
     n = u.n
-    mps = enumerate_multipaths(grid, budget)
     zero = Polynomial.zero(n)
     sums = {"I": zero, "rest": zero, "P": zero, "total": zero, "JL_plain": zero}
     counts = {"P": 0, "I": 0, "J": 0, "L": 0, "other": 0}
     i_class = []
-    for mp in mps:
+    forms = []
+    for mp in enumerate_multipaths(grid, budget):
         cls = classify_multipath(mp, u, grid)
         counts[cls.tag] += 1
-        contrib = (mp.sign * mp.multiplier()) * mp.weight_product(n)
+        weight = mp.weight_product(n)
+        contrib = (mp.sign * mp.multiplier()) * weight
         sums["total"] = sums["total"] + contrib
         if cls.tag == "I":
             sums["I"] = sums["I"] + contrib
             i_class.append(mp)
         elif cls.tag == "P":
-            sums["P"] = sums["P"] + mp.weight_product(n)
+            sums["P"] = sums["P"] + weight
         else:
             sums["rest"] = sums["rest"] + contrib
             if cls.tag in ("J", "L"):
-                sums["JL_plain"] = sums["JL_plain"] + mp.sign * mp.weight_product(n)
-    involution_ok = _check_involution_on_I(i_class, u, grid)
+                l = cls.chain_length
+                chain = mp.paths[l - 1].diag_rows
+                singles = tuple(p.diag_rows[0] for p in mp.paths[l:])
+                forms.append(WeightForm(chain=chain, singles=singles))
+                sums["JL_plain"] = sums["JL_plain"] + mp.sign * weight
     return CancellationReport(
         uio=str(u),
         k=k,
@@ -448,9 +475,9 @@ def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
         total=sums["total"],
         sum_P=sums["P"],
         pk=power_g(GAnalogueContext(u.inc_graph()), k),
-        rewrite_lhs=sums["rest"],
-        rewrite_rhs=sums["JL_plain"],
-        involution_ok=involution_ok,
+        sum_JL_plain=sums["JL_plain"],
+        involution_ok=_check_involution_on_I(i_class, u, grid),
+        bijection=chi_psi_check(forms, u),
     )
 
 
@@ -476,50 +503,12 @@ def _check_involution_on_I(i_class, u, grid):
     return True
 
 
-@dataclass
-class ChainBijectionReport:
-    uio: str
-    k: int
-    dominator_count: int
-    dominator_free_count: int
-    mutually_inverse: bool
-    sign_reversing: bool
-    weight_preserving: bool
-    signed_sum: Polynomial
-    forms_match_multipaths: bool
-    ok: bool = field(init=False)
-
-    def __post_init__(self):
-        self.ok = (
-            self.mutually_inverse
-            and self.sign_reversing
-            and self.weight_preserving
-            and self.signed_sum.is_zero()
-            and self.forms_match_multipaths
-        )
-
-
-def chi_psi_check(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
-    """Build the residue (J) and disjoint-incorrect (L) weight forms from the
-    multipath enumeration, split them into dominator-carrying and
-    dominator-free halves, and verify the chain moves are mutually inverse,
-    sign-reversing, weight-preserving, and kill the signed sum."""
-    grid = build_grid(u, k, (1,) * k)
+def chi_psi_check(forms, u):
+    """Split the residue (J) and disjoint-incorrect (L) weight forms into
+    dominator-carrying and dominator-free halves, and verify the chain moves
+    are mutually inverse, sign-reversing, weight-preserving, and kill the
+    signed sum."""
     n = u.n
-    forms = []
-    for mp in enumerate_multipaths(grid, budget):
-        cls = classify_multipath(mp, u, grid)
-        if cls.tag == "J":
-            l = cls.chain_length
-            forms.append(
-                WeightForm(
-                    chain=mp.paths[l - 1].diag_rows,
-                    singles=tuple(p.diag_rows[0] for p in mp.paths[l:]),
-                )
-            )
-        elif cls.tag == "L":
-            seq = tuple(p.diag_rows[0] for p in mp.paths)
-            forms.append(WeightForm(chain=seq[:1], singles=seq[1:]))
     with_dominator = [f for f in forms if _dominating_single_positions(f, u)]
     dominator_free = [f for f in forms if not _dominating_single_positions(f, u)]
     free_set = set(dominator_free)
@@ -547,8 +536,6 @@ def chi_psi_check(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
         set(forms)
     )
     return ChainBijectionReport(
-        uio=str(u),
-        k=k,
         dominator_count=len(with_dominator),
         dominator_free_count=len(dominator_free),
         mutually_inverse=mutually_inverse,

@@ -15,7 +15,7 @@ from math import factorial
 from .chromatic import chromatic_symmetric
 from .combinat import clan_graph, conjugate, partitions_of
 from .polyring import Polynomial, det
-from .symfunc import SymFunc, convert, newton_p, transition_matrix
+from .symfunc import SymFunc, convert, transition_matrix
 
 
 class GAnalogueContext:
@@ -91,15 +91,16 @@ def schur_g(ctx, lam):
 
 
 def power_g(ctx, k):
-    """Power-sum analogue through the Newton determinant expansion."""
-    return apply_ghom(newton_p(k), ctx)
+    """Power-sum analogue: the image of p_k, which reaches the e-basis through
+    the memoised p-to-e transition matrix."""
+    return apply_ghom(SymFunc.p((k,)), ctx)
 
 
 def monomial_g(ctx, lam):
     """Monomial analogue, read off the pairing between the two expansions of
     the generating kernel: m^G_lam = sum_mu D[mu][lam] e^G_mu with D the
     m-to-e matrix (the transposed use is deliberate; apply_ghom(m_lam) is the
-    redundant direct route and the suite checks they agree)."""
+    direct route, and test_ghom::test_three_routes_agree checks they agree)."""
     lam = tuple(lam)
     if not lam:
         return Polynomial.one(ctx.n)

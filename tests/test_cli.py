@@ -172,6 +172,22 @@ def test_verify_fail_outranks_budget(capsys, monkeypatch):
     assert code == 3
 
 
+def test_involutions_enumerate_the_grid_once(monkeypatch):
+    import chroma.corrects as corrects
+
+    calls = []
+    original = corrects.enumerate_multipaths
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(corrects, "enumerate_multipaths", counted)
+    rep = run_suite("involutions", instance={"uio": "3,4,4", "k": 3})
+    assert rep.ok, rep.failures
+    assert len(calls) == 1
+
+
 def test_verify_lgv_names_a_non_identity_multipath(capsys, monkeypatch):
     import chroma.cli as cli
     from chroma.lgvgrid import Multipath, grid_path_from_vertices
@@ -208,6 +224,7 @@ def test_verify_lgv_names_a_non_identity_multipath(capsys, monkeypatch):
         ("scan", {"uio": 344}),
         ("ppos", None),  # null must not fall back to the default instances
         ("ppos", ""),
+        ("ppos", {"uio": "3,4,4", "k": 2, "budget": 5}),  # ppos reads no budget
     ],
 )
 def test_verify_malformed_instance_exits_two(capsys, suite, payload):
@@ -235,6 +252,7 @@ def test_verify_malformed_instance_exits_two(capsys, suite, payload):
         ("scan", "--max-k", "5"),
         ("scan", "--budget", "1"),
         ("scan", "--instance", "{}"),
+        ("verify", "ppos", "--budget", "5"),
     ],
 )
 def test_verify_flag_ranges_exit_two(capsys, argv):

@@ -6,7 +6,6 @@ from chroma.combinat import enumerate_uios, uio_from_next
 from chroma.corrects import (
     WeightForm,
     absorb_dominating_single,
-    chi_psi_check,
     classify_multipath,
     covering_corrects_count,
     delta_switch,
@@ -378,7 +377,7 @@ def test_chain_bijection_exhaustive_small():
     for n in range(1, 4):
         for u in enumerate_uios(n):
             for k in range(1, 4):
-                rep = chi_psi_check(u, k)
+                rep = verify_cancellations(u, k).bijection
                 assert rep.ok, (str(u), k)
                 assert rep.dominator_count == rep.dominator_free_count
 

@@ -95,7 +95,7 @@ def test_newton_examples():
 
 
 def test_newton_matches_transition_matrices():
-    for k in range(1, 7):
+    for k in range(1, 8):
         assert newton_p(k) == convert(SymFunc.p((k,)), "e")
 
 

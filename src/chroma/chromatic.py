@@ -128,10 +128,6 @@ def e_coefficients(g):
     return convert(chromatic_symmetric(g), "e").as_int_dict()
 
 
-def s_coefficients(g):
-    return convert(chromatic_symmetric(g), "s").as_int_dict()
-
-
 # ---------------------------------------------------------------------------
 # acyclic orientations and sinks
 

@@ -114,9 +114,6 @@ class UnitIntervalOrder:
         """Element j strictly dominates element i."""
         return j >= self.next[i - 1]
 
-    def prec(self, i, j):
-        return j >= self.next[i - 1]
-
     def comparable(self, i, j):
         return self.succ(i, j) or self.succ(j, i)
 

@@ -63,7 +63,7 @@ def is_correct(u, seq):
         if u.succ(seq[i], seq[i + 1]):
             return False
     for j in range(1, len(seq)):
-        if all(u.prec(seq[i], seq[j]) for i in range(j)):
+        if all(u.succ(seq[j], seq[i]) for i in range(j)):
             return False
     return True
 

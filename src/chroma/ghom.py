@@ -15,7 +15,7 @@ from math import factorial
 from .chromatic import chromatic_symmetric
 from .combinat import clan_graph, conjugate, partitions_of
 from .polyring import Polynomial, det
-from .symfunc import SymFunc, convert, transition_matrix
+from .symfunc import SymFunc, convert
 
 
 class GAnalogueContext:
@@ -63,16 +63,18 @@ def elementary_g(ctx, i):
 def apply_ghom(f, ctx):
     """Image of a symmetric function under the substitution e_i -> e_i^G.
 
-    The input is converted to the e-basis first; the classical expansions
-    used here all have integer e-coordinates, so images of e/m/p/s elements
-    stay in integer vertex polynomials (asserted).
+    The input is converted to the e-basis first.  This is the one place where
+    SymFunc coefficients meet vertex polynomials: the e-coordinates must be
+    integers (asserted once, up front; the classical expansions of e/m/p/s
+    elements all have integer e-coordinates), and they enter as ints, so the
+    image is an integer vertex polynomial.
     """
     fe = f if f.basis == "e" else convert(f, "e")
+    if not fe.is_integral():
+        raise AssertionError("expected an integer vertex polynomial")
     out = Polynomial.zero(ctx.n)
     for lam, coeff in fe.coeffs.items():
-        out = out + coeff * ctx.elementary_product(lam)
-    if not out.is_integral():
-        raise AssertionError("expected an integer vertex polynomial")
+        out = out + int(coeff) * ctx.elementary_product(lam)
     return out
 
 
@@ -97,30 +99,14 @@ def power_g(ctx, k):
 
 
 def monomial_g(ctx, lam):
-    """Monomial analogue, read off the pairing between the two expansions of
-    the generating kernel: m^G_lam = sum_mu D[mu][lam] e^G_mu with D the
-    m-to-e matrix (the transposed use is deliberate; apply_ghom(m_lam) is the
-    direct route, and test_ghom::test_three_routes_agree checks they agree)."""
+    """Monomial analogue: the image of m_lam.  The m-to-e matrix D is
+    symmetric, so this is also the generating kernel's pairing
+    sum_mu D[mu][lam] e^G_mu; test_ghom::test_three_routes_agree checks it
+    against that sum."""
     lam = tuple(lam)
     if not lam:
         return Polynomial.one(ctx.n)
-    d = sum(lam)
-    matrix = transition_matrix("m", "e", d)
-    out = Polynomial.zero(ctx.n)
-    for mu in partitions_of(d):
-        entry = matrix[mu].get(lam, 0)
-        if entry:
-            out = out + entry * ctx.elementary_product(mu)
-    if not out.is_integral():
-        raise AssertionError("expected an integer vertex polynomial")
-    return out
-
-
-def truncated_T(ctx, d):
-    """Degree-d slice of the kernel as the pairing lam -> e^G_lam, lam ⊦ d."""
-    if not 1 <= d <= ctx.n:
-        raise ValueError("slice degree must be in 1..n")
-    return {lam: ctx.elementary_product(lam) for lam in partitions_of(d)}
+    return apply_ghom(SymFunc.m(lam), ctx)
 
 
 def kernel_slice_symmetric(ctx, d):

@@ -1,11 +1,13 @@
 """Sparse exact multivariate polynomials.
 
-One ring class serves two roles: vertex polynomials in v_1..v_n (integer
-coefficients; everything the positivity theorems talk about lives here) and
-truncated symmetric polynomials in colour variables x_1..x_N (coefficients
-may be Fractions during basis changes).  Monomials are stored as sorted
-tuples of (variable index, exponent) pairs with all exponents positive;
-terms with coefficient zero are never stored.
+One ring class serves vertex polynomials in v_1..v_n, which are int-only
+(ghom.apply_ghom is the one place where Fraction coordinates meet them),
+and the x-polynomials of the concrete-expansion oracles in symfunc, whose
+coefficients may be Fractions, integral ones included.  Arithmetic stores
+what + and * return; is_integral and to_json judge coefficients by value.
+There is no variable-name prefix: every polynomial prints as v1, v2, ...
+Monomials are stored as sorted tuples of (variable index, exponent) pairs
+with all exponents positive; terms with coefficient zero are never stored.
 """
 
 from fractions import Fraction
@@ -40,51 +42,38 @@ def monomial_from_elements(elements):
     return tuple(sorted(exps.items()))
 
 
-def _normalize_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class Polynomial:
     """Exact sparse polynomial in variables 1..nvars."""
 
-    __slots__ = ("nvars", "terms", "prefix")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None, prefix="v"):
+    def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.prefix = prefix
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = _normalize_coeff(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # constructors -----------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars, prefix="v"):
-        return cls(nvars, {}, prefix)
+    def zero(cls, nvars):
+        return cls(nvars, {})
 
     @classmethod
-    def const(cls, nvars, c, prefix="v"):
-        return cls(nvars, {ONE: c}, prefix)
+    def const(cls, nvars, c):
+        return cls(nvars, {ONE: c})
 
     @classmethod
-    def one(cls, nvars, prefix="v"):
-        return cls.const(nvars, 1, prefix)
+    def one(cls, nvars):
+        return cls.const(nvars, 1)
 
     @classmethod
-    def variable(cls, i, nvars, prefix="v"):
+    def variable(cls, i, nvars):
         if not 1 <= i <= nvars:
             raise ValueError("variable index out of range")
-        return cls(nvars, {((i, 1),): 1}, prefix)
+        return cls(nvars, {((i, 1),): 1})
 
     @classmethod
-    def monomial(cls, mono, coeff, nvars, prefix="v"):
-        return cls(nvars, {tuple(mono): coeff}, prefix)
+    def monomial(cls, mono, coeff, nvars):
+        return cls(nvars, {tuple(mono): coeff})
 
     # ring operations ----------------------------------------------------------
 
@@ -96,7 +85,7 @@ class Polynomial:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.nvars, other, self.prefix)
+            other = Polynomial.const(self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
@@ -105,20 +94,20 @@ class Polynomial:
                 terms[mono] = c
             else:
                 terms.pop(mono, None)
-        out = Polynomial(self.nvars, None, self.prefix)
-        out.terms = {m: _normalize_coeff(c) for m, c in terms.items()}
+        out = Polynomial(self.nvars)
+        out.terms = terms
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial(self.nvars, None, self.prefix)
+        out = Polynomial(self.nvars)
         out.terms = {m: -c for m, c in self.terms.items()}
         return out
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.nvars, other, self.prefix)
+            other = Polynomial.const(self.nvars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -127,11 +116,9 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Polynomial.zero(self.nvars, self.prefix)
-            out = Polynomial(self.nvars, None, self.prefix)
-            out.terms = {
-                m: _normalize_coeff(c * other) for m, c in self.terms.items()
-            }
+                return Polynomial.zero(self.nvars)
+            out = Polynomial(self.nvars)
+            out.terms = {m: c * other for m, c in self.terms.items()}
             return out
         self._check(other)
         acc = {}
@@ -143,8 +130,8 @@ class Polynomial:
                     acc[mono] = c
                 else:
                     del acc[mono]
-        out = Polynomial(self.nvars, None, self.prefix)
-        out.terms = {m: _normalize_coeff(c) for m, c in acc.items()}
+        out = Polynomial(self.nvars)
+        out.terms = acc
         return out
 
     __rmul__ = __mul__
@@ -152,7 +139,7 @@ class Polynomial:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        result = Polynomial.one(self.nvars, self.prefix)
+        result = Polynomial.one(self.nvars)
         base = self
         while k:
             if k & 1:
@@ -163,7 +150,7 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.nvars, other, self.prefix)
+            other = Polynomial.const(self.nvars, other)
         return (
             isinstance(other, Polynomial)
             and self.nvars == other.nvars
@@ -187,7 +174,7 @@ class Polynomial:
         return all(c > 0 for c in self.terms.values())
 
     def is_integral(self):
-        return all(isinstance(c, int) for c in self.terms.values())
+        return all(c.denominator == 1 for c in self.terms.values())
 
     def degree(self):
         """Total degree; the zero polynomial reports -1."""
@@ -217,7 +204,7 @@ class Polynomial:
             var + offset > nvars for m in self.terms for var, _ in m
         ):
             raise VariableMismatch("embedding does not fit")
-        out = Polynomial(nvars, None, self.prefix)
+        out = Polynomial(nvars)
         out.terms = {
             tuple((var + offset, e) for var, e in m): c
             for m, c in self.terms.items()
@@ -230,18 +217,18 @@ class Polynomial:
         return [
             {
                 "exps": [list(p) for p in mono],
-                "coeff": coeff if isinstance(coeff, int) else str(coeff),
+                "coeff": int(coeff) if coeff.denominator == 1 else str(coeff),
             }
             for mono, coeff in self.canonical_terms()
         ]
 
     @classmethod
-    def from_json(cls, data, nvars, prefix="v"):
+    def from_json(cls, data, nvars):
         terms = {}
         for entry in data:
             mono = tuple((int(v), int(e)) for v, e in entry["exps"])
             terms[mono] = _parse_coeff(entry["coeff"])
-        return cls(nvars, terms, prefix)
+        return cls(nvars, terms)
 
     def __str__(self):
         if not self.terms:
@@ -249,7 +236,7 @@ class Polynomial:
         parts = []
         for mono, coeff in self.canonical_terms():
             factors = [
-                "%s%d" % (self.prefix, var) + ("^%d" % e if e > 1 else "")
+                "v%d" % var + ("^%d" % e if e > 1 else "")
                 for var, e in mono
             ]
             body = "*".join(factors)

@@ -44,19 +44,19 @@ def _as_partition(lam):
 def elementary_concrete(m, N):
     """e_m truncated to x_1..x_N."""
     if m < 0:
-        return Polynomial.zero(N, "x")
+        return Polynomial.zero(N)
     if m == 0:
-        return Polynomial.one(N, "x")
+        return Polynomial.one(N)
     terms = {}
     for subset in combinations(range(1, N + 1), m):
         terms[tuple((i, 1) for i in subset)] = 1
-    return Polynomial(N, terms, "x")
+    return Polynomial(N, terms)
 
 
 def power_concrete(m, N):
     """p_m truncated to x_1..x_N."""
     terms = {((i, m),): 1 for i in range(1, N + 1)}
-    return Polynomial(N, terms, "x")
+    return Polynomial(N, terms)
 
 
 def _distinct_permutations(values):
@@ -83,26 +83,26 @@ def monomial_concrete(lam, N):
     """m_lam truncated to x_1..x_N (zero when N < len(lam))."""
     lam = _as_partition(lam)
     if len(lam) > N:
-        return Polynomial.zero(N, "x")
+        return Polynomial.zero(N)
     padded = list(lam) + [0] * (N - len(lam))
     terms = {}
     for vec in _distinct_permutations(padded):
         mono = tuple((i + 1, e) for i, e in enumerate(vec) if e)
         terms[mono] = 1
-    return Polynomial(N, terms, "x")
+    return Polynomial(N, terms)
 
 
 def schur_concrete(lam, N):
     """s_lam truncated to x_1..x_N, through its e-determinant expansion."""
     f = jacobi_trudi_e(lam)
-    out = Polynomial.zero(N, "x")
+    out = Polynomial.zero(N)
     for mu, coeff in f.coeffs.items():
         out = out + coeff * _e_product_concrete(mu, N)
     return out
 
 
 def _e_product_concrete(mu, N):
-    out = Polynomial.one(N, "x")
+    out = Polynomial.one(N)
     for part in mu:
         out = out * elementary_concrete(part, N)
     return out
@@ -114,7 +114,7 @@ def expand_concrete(basis, lam, N):
     if basis == "e":
         return _e_product_concrete(lam, N)
     if basis == "p":
-        out = Polynomial.one(N, "x")
+        out = Polynomial.one(N)
         for part in lam:
             out = out * power_concrete(part, N)
         return out
@@ -243,7 +243,7 @@ class SymFunc:
 
     def expand(self, N):
         """Concrete polynomial in x_1..x_N."""
-        out = Polynomial.zero(N, "x")
+        out = Polynomial.zero(N)
         for lam, c in self.coeffs.items():
             out = out + c * expand_concrete(self.basis, lam, N)
         return out
@@ -514,7 +514,7 @@ def cauchy_check(d, N):
     total = 2 * N
 
     def pair(bx, by, star=False):
-        acc = Polynomial.zero(total, "x")
+        acc = Polynomial.zero(total)
         for lam in partitions_of(d):
             mu = conjugate(lam) if star else lam
             fx = expand_concrete(bx, lam, N).embed(total, 0)

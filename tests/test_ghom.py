@@ -1,3 +1,7 @@
+from fractions import Fraction
+
+import pytest
+
 from chroma.chromatic import e_coefficients, positivity_report
 from chroma.combinat import (
     Graph,
@@ -16,10 +20,9 @@ from chroma.ghom import (
     monomial_g,
     power_g,
     schur_g,
-    truncated_T,
 )
 from chroma.polyring import Polynomial
-from chroma.symfunc import SymFunc, newton_p
+from chroma.symfunc import SymFunc, newton_p, transition_matrix
 
 TWO_CHAIN = uio_from_next([2, 3])
 ANTI2 = uio_from_next([3, 3])
@@ -110,18 +113,15 @@ def test_three_routes_agree():
             ctx = ctx_of(u)
             for d in range(1, 6):
                 assert power_g(ctx, d) == apply_ghom(newton_p(d), ctx)
+                m_to_e = transition_matrix("m", "e", d)
                 for lam in partitions_of(d):
                     assert schur_g(ctx, lam) == apply_ghom(SymFunc.s(lam), ctx)
-                    assert monomial_g(ctx, lam) == apply_ghom(SymFunc.m(lam), ctx)
-
-
-def test_truncated_kernel_slice():
-    ctx = ctx_of(TWO_CHAIN)
-    t1 = truncated_T(ctx, 1)
-    assert t1 == {(1,): elementary_g(ctx, 1)}
-    t2 = truncated_T(ctx, 2)
-    assert t2[(2,)] == vp(TWO_CHAIN, 1, 2)
-    assert t2[(1, 1)] == elementary_g(ctx, 1) * elementary_g(ctx, 1)
+                    # the kernel pairing: the transposed m-to-e matrix
+                    pairing = Polynomial.zero(ctx.n)
+                    for mu in partitions_of(d):
+                        entry = m_to_e[mu].get(lam, 0)
+                        pairing = pairing + entry * ctx.elementary_product(mu)
+                    assert monomial_g(ctx, lam) == pairing
 
 
 def test_kernel_slice_two_expansions_agree():
@@ -207,6 +207,11 @@ def test_forward_positivity_instances():
                     assert rep.s_positive
 
 
+def test_apply_ghom_refuses_fractional_e_coordinates():
+    with pytest.raises(AssertionError):
+        apply_ghom(SymFunc("e", {(1,): Fraction(1, 2)}), ctx_of(U3))
+
+
 def test_images_are_integer_polynomials():
     for n in range(1, 5):
         for u in enumerate_uios(n):
@@ -214,4 +219,6 @@ def test_images_are_integer_polynomials():
             for d in range(1, 5):
                 for lam in partitions_of(d):
                     for f in (SymFunc.m(lam), SymFunc.p(lam), SymFunc.s(lam)):
-                        assert apply_ghom(f, ctx).is_integral()
+                        # the Fraction e-coordinates enter as ints
+                        image = apply_ghom(f, ctx)
+                        assert all(type(c) is int for c in image.terms.values())

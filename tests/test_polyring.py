@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chroma.errors import VariableMismatch
 from chroma.polyring import Polynomial, det, monomial_from_elements
@@ -159,3 +162,70 @@ def test_det_polynomial_matrix():
     # det [[v1, 1], [v2, v1]] = v1^2 - v2
     mat = [[v(1), Polynomial.one(3)], [v(2), v(1)]]
     assert det(mat) == v(1) * v(1) - v(2)
+
+
+# ---------------------------------------------------------------------------
+# properties over mixed int / Fraction coefficients
+
+_monos = st.dictionaries(st.integers(1, 3), st.integers(1, 3), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+_ints = st.integers(-5, 5)
+# includes integral Fractions such as Fraction(2)
+_mixed = st.one_of(_ints, st.fractions(-5, 5, max_denominator=4))
+
+
+def _polys(coeffs):
+    return st.dictionaries(_monos, coeffs, max_size=4).map(
+        lambda terms: Polynomial(3, terms)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys(_mixed), _polys(_mixed), _polys(_mixed), _mixed)
+def test_ring_laws_property(a, b, c, k):
+    zero = Polynomial.zero(3)
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * Polynomial.one(3) == a
+    assert (a - a).is_zero() and (a * zero).is_zero()
+    assert k * (a + b) == k * a + k * b
+    assert a - b == a + (-1) * b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys(_mixed), _polys(_mixed), _mixed)
+def test_zero_terms_are_elided_property(a, b, k):
+    for poly in (a, a + b, a - b, a * b, a - a, k * a, Fraction(0) * a):
+        assert all(c != 0 for c in poly.terms.values())
+    assert Polynomial(3, {(): 0, ((1, 1),): Fraction(0)}).terms == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys(_mixed))
+def test_is_integral_judges_by_value(p):
+    expected = all(Fraction(c).denominator == 1 for c in p.terms.values())
+    assert p.is_integral() == expected
+    assert Polynomial(3, {((1, 1),): Fraction(2)}).is_integral()
+    assert not Polynomial(3, {((1, 1),): Fraction(1, 2)}).is_integral()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys(_mixed))
+def test_json_round_trip_property(p):
+    data = json.loads(json.dumps(p.to_json()))
+    # integral values, Fraction(2) included, are written as JSON ints
+    assert all(isinstance(e["coeff"], int) or "/" in e["coeff"] for e in data)
+    q = Polynomial.from_json(data, 3)
+    assert q == p
+    assert q.is_integral() == p.is_integral()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys(_ints), _polys(_ints), _ints)
+def test_int_inputs_give_int_coefficients(a, b, k):
+    for poly in (a + b, a - b, -a, a * b, k * a, a * k, a + k, a - k, k - a):
+        assert all(type(c) is int for c in poly.terms.values())

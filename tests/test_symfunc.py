@@ -19,11 +19,9 @@ from chroma.symfunc import (
     transition_matrix,
 )
 
-X = "x"
-
 
 def xvar(i, n):
-    return Polynomial.variable(i, n, X)
+    return Polynomial.variable(i, n)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +53,7 @@ def test_expand_monomial():
 def test_expand_schur_21_frozen():
     # hand expansion of the 2x2 elementary determinant in three variables
     got = expand_concrete("s", (2, 1), 3)
-    expected = Polynomial.zero(3, X)
+    expected = Polynomial.zero(3)
     for mono, c in [
         ((((1, 2), (2, 1))), 1),
         ((((1, 2), (3, 1))), 1),
@@ -65,7 +63,7 @@ def test_expand_schur_21_frozen():
         ((((2, 1), (3, 2))), 1),
         ((((1, 1), (2, 1), (3, 1))), 2),
     ]:
-        expected = expected + Polynomial.monomial(mono, c, 3, X)
+        expected = expected + Polynomial.monomial(mono, c, 3)
     assert got == expected
 
 

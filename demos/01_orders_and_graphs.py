@@ -7,12 +7,12 @@ from fractions import Fraction
 
 from chroma import (
     Poset,
+    UnitIntervalOrder,
     catalan,
     enumerate_uios,
     inc_graph,
     is_ab_free,
     realize,
-    uio_from_next,
     uio_from_points,
     uio_recognize,
 )
@@ -30,7 +30,7 @@ print("incomparability edges:", inc_graph(u8.poset()).edges())
 
 # Every valid threshold vector is realizable by rational points, and the
 # realization round-trips exactly.
-u = uio_from_next([3, 4, 4])
+u = UnitIntervalOrder([3, 4, 4])
 pts = realize(u)
 print("realize(3,4,4) ->", pts, "->", uio_from_points(pts))
 

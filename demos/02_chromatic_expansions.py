@@ -5,9 +5,9 @@ Run with:  python demos/02_chromatic_expansions.py
 
 from chroma import (
     Graph,
+    UnitIntervalOrder,
     acyclic_orientation_sinks,
     positivity_report,
-    uio_from_next,
 )
 
 # The complete graph: every proper colouring uses n distinct colours, so
@@ -18,7 +18,7 @@ for n in (2, 3, 4):
 
 # The 3-element order with one comparable pair has a path as its
 # incomparability graph; its expansion is e-positive.
-u3 = uio_from_next([3, 4, 4])
+u3 = UnitIntervalOrder([3, 4, 4])
 rep = positivity_report(u3.inc_graph())
 print("inc(3,4,4): m =", rep.m.as_int_dict())
 print("            e =", rep.e.as_int_dict(), " e-positive:", rep.e_positive)

@@ -6,24 +6,23 @@ Run with:  python demos/03_graph_analogues.py
 from chroma import (
     GAnalogueContext,
     SymFunc,
+    UnitIntervalOrder,
     apply_ghom,
     clan_graph,
     e_coefficients,
-    elementary_g,
     gnechrom_check,
     monomial_g,
     power_g,
     schur_g,
-    uio_from_next,
 )
 
 # Treat the vertices of a graph as variables; the analogue of e_i sums the
 # products over stable i-subsets.  For an incomparability graph of an
 # order, stable sets are chains.
-u = uio_from_next([3, 4, 4])
+u = UnitIntervalOrder([3, 4, 4])
 ctx = GAnalogueContext(u.inc_graph())
 for i in range(0, 4):
-    print("e_%d^G =" % i, elementary_g(ctx, i))
+    print("e_%d^G =" % i, ctx.elementary(i))
 
 # Substituting these generators turns any symmetric function into a vertex
 # polynomial: one homomorphism, many expansions.

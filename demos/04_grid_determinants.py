@@ -5,25 +5,24 @@ Run with:  python demos/04_grid_determinants.py
 
 from chroma import (
     GAnalogueContext,
+    UnitIntervalOrder,
     build_grid,
     conjugate,
-    elementary_g,
     lgv_check,
     path_sum,
     schur_g,
     schur_via_lgv,
-    uio_from_next,
 )
 from chroma.lgvgrid import enumerate_multipaths
 
 # Grid vertices are (column, row); vertical steps are free, and a diagonal
 # step out of row r costs the variable v_r while jumping to the first row
 # dominating r.  Diagonal rows along a path always form a chain.
-u = uio_from_next([3, 4, 5, 6, 6])
+u = UnitIntervalOrder([3, 4, 5, 6, 6])
 ctx = GAnalogueContext(u.inc_graph())
 print("paths (1,1) -> (3,6) carry weight", path_sum(u, (1, 1), (3, 6)))
 print("matches the stable-pair polynomial:",
-      path_sum(u, (1, 1), (3, 6)) == elementary_g(ctx, 2))
+      path_sum(u, (1, 1), (3, 6)) == ctx.elementary(2))
 
 # Placing bases on the top row and destinations on the bottom row by a
 # partition makes the path-sum determinant collapse onto families of

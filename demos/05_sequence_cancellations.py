@@ -6,16 +6,16 @@ Run with:  python demos/05_sequence_cancellations.py
 
 from chroma import (
     GAnalogueContext,
+    UnitIntervalOrder,
     enumerate_corrects,
     is_correct,
     m_l1_via_corrects,
     power_g,
     power_via_corrects,
-    uio_from_next,
     verify_cancellations,
 )
 
-u = uio_from_next([3, 4, 4])
+u = UnitIntervalOrder([3, 4, 4])
 ctx = GAnalogueContext(u.inc_graph())
 
 # A sequence is correct when no entry dominates its successor and every

@@ -49,11 +49,11 @@ def _proper_coloring_counts(g):
     return counts
 
 
-def chromatic_symmetric_brute(g, bound=BRUTE_FORCE_BOUND):
+def chromatic_symmetric_brute(g):
     """X_g by enumerating all proper colourings; the definitional oracle."""
     n = g.n
-    if n > bound:
-        raise TooLarge("brute-force colouring is capped at n <= %d" % bound)
+    if n > BRUTE_FORCE_BOUND:
+        raise TooLarge("brute-force colouring is capped at n <= %d" % BRUTE_FORCE_BOUND)
     if n == 0:
         return SymFunc("m", {(): 1})
     counts = _proper_coloring_counts(g)
@@ -110,14 +110,14 @@ def chromatic_symmetric_stable(g):
     )
 
 
-def chromatic_symmetric(g, method="stable", bound=BRUTE_FORCE_BOUND):
+def chromatic_symmetric(g, method="stable"):
     """X_g as an m-basis SymFunc of degree n.
 
     method "stable" uses the accelerator; "brute" enumerates colourings
-    (TooLarge past the bound).
+    (TooLarge past BRUTE_FORCE_BOUND).
     """
     if method == "brute":
-        return chromatic_symmetric_brute(g, bound)
+        return chromatic_symmetric_brute(g)
     if method == "stable":
         return chromatic_symmetric_stable(g)
     raise ValueError("unknown method %r" % (method,))
@@ -225,9 +225,9 @@ def acyclic_orientation_sinks_brute(g):
     return result
 
 
-def check_sink_theorem(g):
-    """sink(g, j) equals the sum of e-coefficients over partitions of length j."""
-    coeffs = e_coefficients(g)
+def check_sink_theorem(g, coeffs):
+    """sink(g, j) equals the sum of the e-coefficients of X_g (coeffs, as
+    e_coefficients returns them) over partitions of length j."""
     by_length = {}
     for lam, c in coeffs.items():
         by_length[len(lam)] = by_length.get(len(lam), 0) + c
@@ -276,5 +276,5 @@ def positivity_report(g):
         s=xs,
         e_positive=xe.is_positive(),
         s_positive=xs.is_positive(),
-        sink_ok=check_sink_theorem(g),
+        sink_ok=check_sink_theorem(g, xe.as_int_dict()),
     )

@@ -175,7 +175,7 @@ def _check_sink(inst):
         g = UnitIntervalOrder.parse(inst["uio"]).inc_graph()
     else:
         g = _graph(inst["graph"])
-    if check_sink_theorem(g):
+    if check_sink_theorem(g, e_coefficients(g)):
         return True, None
     return False, {"reason": "sink counts disagree with e-coefficient sums"}
 
@@ -430,8 +430,9 @@ def run_suite(name, max_n=None, max_k=None, instance=_ALL, jobs=1, budget=None):
     if budget is not None:
         instances = [dict(inst, budget=budget) for inst in instances]
     work = [(name, inst) for inst in instances]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = min(jobs, len(work))  # never more processes than instances
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_verify_one, work)
     else:
         results = [_verify_one(w) for w in work]

@@ -153,11 +153,6 @@ class UnitIntervalOrder:
         return cls(int(v) for v in text.strip().split(","))
 
 
-def uio_from_next(next_values):
-    """Validated constructor; raises MalformedNext on any invariant breach."""
-    return UnitIntervalOrder(next_values)
-
-
 def uio_from_points(points):
     """Semiorder of a sorted sequence of rational points: u > w iff u >= w+1."""
     pts = [Fraction(p) for p in points]

@@ -129,11 +129,11 @@ def enumerate_corrects(u, k, budget=DEFAULT_SEQUENCE_BUDGET):
     return out
 
 
-def power_via_corrects(u, k, budget=DEFAULT_SEQUENCE_BUDGET):
+def power_via_corrects(u, k):
     """Sum of w_1 * .. * w_k over correct sequences; the power-sum analogue."""
     total = Polynomial.zero(u.n)
     acc = {}
-    for seq in enumerate_corrects(u, k, budget):
+    for seq in enumerate_corrects(u, k):
         mono = monomial_from_elements(seq)
         acc[mono] = acc.get(mono, 0) + 1
     total.terms.update(acc)
@@ -169,7 +169,7 @@ def covering_corrects_count(u):
     return count
 
 
-def m_l1_via_corrects(u, l, budget=DEFAULT_SEQUENCE_BUDGET):
+def m_l1_via_corrects(u, l):
     """The hook-shape monomial analogue m^G_{(l,1)} as a sum over pairs of a
     correct sequence of length l and one extra element z with either z
     dominating the whole sequence or z below the last entry.
@@ -180,7 +180,7 @@ def m_l1_via_corrects(u, l, budget=DEFAULT_SEQUENCE_BUDGET):
         raise BadParameter("the pair expansion needs l >= 2")
     n = u.n
     acc = {}
-    for seq in enumerate_corrects(u, l, budget):
+    for seq in enumerate_corrects(u, l):
         mx = max(seq)
         last = seq[-1]
         for z in range(1, n + 1):

@@ -56,10 +56,6 @@ class GAnalogueContext:
         return out
 
 
-def elementary_g(ctx, i):
-    return ctx.elementary(i)
-
-
 def apply_ghom(f, ctx):
     """Image of a symmetric function under the substitution e_i -> e_i^G.
 

@@ -289,7 +289,7 @@ def lgv_check(g, budget=DEFAULT_MULTIPATH_BUDGET):
     return determinant == total
 
 
-def nonintersecting_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
+def nonintersecting_multipaths(g):
     """Only the pairwise-disjoint multipaths, found by assigning paths base
     by base with disjointness pruning (destinations may permute; planarity
     is verified by the caller, not assumed here)."""
@@ -309,7 +309,7 @@ def nonintersecting_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
                 continue
             for p in path_table[(i, j)]:
                 nodes += 1
-                if nodes > budget:
+                if nodes > DEFAULT_MULTIPATH_BUDGET:
                     raise TooLarge("disjoint-family search exceeded its budget")
                 if occupied & p.vertex_set:
                     continue
@@ -319,7 +319,7 @@ def nonintersecting_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
     return out
 
 
-def schur_via_lgv(u, lam, budget=DEFAULT_MULTIPATH_BUDGET):
+def schur_via_lgv(u, lam):
     """The Schur analogue of conjugate(lam), summed over non-intersecting
     multipaths of the grid built for lam.  Monomial-positive by construction;
     raises NonIdentityPermutation if any disjoint family permutes the
@@ -331,7 +331,7 @@ def schur_via_lgv(u, lam, budget=DEFAULT_MULTIPATH_BUDGET):
         return Polynomial.one(u.n)
     g = build_grid(u, len(lam), lam)
     total = Polynomial.zero(u.n)
-    for mp in nonintersecting_multipaths(g, budget):
+    for mp in nonintersecting_multipaths(g):
         mp.require_identity()
         total = total + mp.weight_product(u.n)
     return total

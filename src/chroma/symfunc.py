@@ -10,7 +10,6 @@ process.  The concrete expansions in finitely many variables
 route.
 """
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -248,9 +247,6 @@ class SymFunc:
             out = out + c * expand_concrete(self.basis, lam, N)
         return out
 
-    def convert(self, to):
-        return default_cache.convert(self, to)
-
     # serialization --------------------------------------------------------------
 
     def to_json(self):
@@ -447,12 +443,11 @@ def _compute_matrix(frm, to, d):
 
 
 class TransitionMatrixCache:
-    """Once-writer / many-reader memo of exact basis-change matrices,
-    computed on demand and published under a lock."""
+    """In-memory memo of exact basis-change matrices, each computed on first
+    use and kept for the life of the process."""
 
     def __init__(self):
         self._memory = {}
-        self._lock = threading.Lock()
 
     def get(self, frm, to, d):
         """Matrix M with from_lam = sum_mu M[lam][mu] * to_mu, weight d."""
@@ -461,12 +456,9 @@ class TransitionMatrixCache:
         if d < 1:
             raise ValueError("degree must be >= 1")
         key = (frm, to, d)
-        with self._lock:
-            if key in self._memory:
-                return self._memory[key]
-        matrix = _compute_matrix(frm, to, d)
-        with self._lock:
-            return self._memory.setdefault(key, matrix)
+        if key not in self._memory:
+            self._memory[key] = _compute_matrix(frm, to, d)
+        return self._memory[key]
 
     def convert(self, f, to):
         """Re-express a SymFunc in another basis; exact."""

@@ -14,10 +14,10 @@ from chroma.chromatic import (
 )
 from chroma.combinat import (
     Graph,
+    UnitIntervalOrder,
     all_graphs,
     disjoint_union,
     enumerate_uios,
-    uio_from_next,
 )
 from chroma.errors import TooLarge
 from chroma.symfunc import SymFunc, convert
@@ -41,12 +41,12 @@ def test_edgeless_graphs():
 
 
 def test_uio_examples():
-    assert e_coefficients(uio_from_next([3, 4, 4]).inc_graph()) == {
+    assert e_coefficients(UnitIntervalOrder([3, 4, 4]).inc_graph()) == {
         (2, 1): 1,
         (3,): 3,
     }
     # two components: an incomparable pair and a dominating point
-    assert e_coefficients(uio_from_next([3, 3, 4]).inc_graph()) == {(2, 1): 2}
+    assert e_coefficients(UnitIntervalOrder([3, 3, 4]).inc_graph()) == {(2, 1): 2}
 
 
 def test_stable_accelerator_matches_brute_force():
@@ -141,7 +141,7 @@ def test_sink_counts_match_brute_force():
         g = u.inc_graph()
         assert acyclic_orientation_sinks(g) == acyclic_orientation_sinks_brute(g)
     # spot checks at the six-vertex acceptance bound, densest cases included
-    for g in (Graph.complete(6), uio_from_next([4, 5, 6, 7, 7, 7]).inc_graph()):
+    for g in (Graph.complete(6), UnitIntervalOrder([4, 5, 6, 7, 7, 7]).inc_graph()):
         assert acyclic_orientation_sinks(g) == acyclic_orientation_sinks_brute(g)
 
 
@@ -154,7 +154,7 @@ def test_sink_counts_total_is_acyclic_orientation_count():
 def test_sink_theorem_small():
     for n in range(1, 5):
         for g in all_graphs(n):
-            assert check_sink_theorem(g)
+            assert check_sink_theorem(g, e_coefficients(g))
 
 
 def test_claw_is_not_e_positive():
@@ -168,9 +168,24 @@ def test_positivity_report_chain_power_family():
     # the half-integer family: incomparability graphs are paths; e-positive
     # (n = 8 exercises the degree-8 basis engine, hence the slowest case)
     for n in range(1, 9):
-        u = uio_from_next([min(i + 2, n + 1) for i in range(1, n + 1)])
+        u = UnitIntervalOrder([min(i + 2, n + 1) for i in range(1, n + 1)])
         rep = positivity_report(u.inc_graph())
         assert rep.e_positive and rep.s_positive and rep.sink_ok
+
+
+def test_positivity_report_computes_x_once(monkeypatch):
+    import chroma.chromatic as chromatic
+
+    calls = []
+    original = chromatic.chromatic_symmetric
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(chromatic, "chromatic_symmetric", counted)
+    assert positivity_report(CLAW).sink_ok
+    assert len(calls) == 1
 
 
 def test_positivity_report_claw():

@@ -316,6 +316,40 @@ def test_scan_deterministic_across_workers(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv, pool_sizes",
+    [
+        (("verify", "cauchy", "--max-n", "3", "--jobs", "100000"), [3]),
+        (("verify", "cauchy", "--max-n", "3", "--jobs", "2"), [2]),
+        (("verify", "cauchy", "--max-n", "1", "--jobs", "4"), []),
+        (("verify", "gnechrom", "--max-k", "0", "--jobs", "4"), []),
+    ],
+    ids=["more-jobs-than-instances", "fewer-jobs", "one-instance", "no-instances"],
+)
+def test_jobs_never_exceed_instances(capsys, monkeypatch, argv, pool_sizes):
+    import multiprocessing
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["ok"]
+    assert asked == pool_sizes
+
+
 # ---------------------------------------------------------------------------
 # library-level entry points used by the acceptance suite
 

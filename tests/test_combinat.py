@@ -20,7 +20,6 @@ from chroma.combinat import (
     parse_partition,
     partitions_of,
     realize,
-    uio_from_next,
     uio_from_points,
     uio_recognize,
 )
@@ -88,11 +87,11 @@ def test_partition_text_roundtrip():
 
 
 def test_uio_from_next_examples():
-    pair = uio_from_next([3, 3])
+    pair = UnitIntervalOrder([3, 3])
     assert pair.incomparable(1, 2)
-    chain = uio_from_next([2, 3])
+    chain = UnitIntervalOrder([2, 3])
     assert chain.succ(2, 1) and not chain.succ(1, 2)
-    u8 = uio_from_next([3, 4, 5, 6, 7, 8, 9, 9])
+    u8 = UnitIntervalOrder([3, 4, 5, 6, 7, 8, 9, 9])
     for i in range(1, 9):
         for j in range(1, 9):
             assert u8.succ(j, i) == (j >= i + 2)
@@ -103,15 +102,15 @@ def test_uio_from_next_examples():
 )
 def test_uio_from_next_rejects_malformed(bad):
     with pytest.raises(MalformedNext):
-        uio_from_next(bad)
+        UnitIntervalOrder(bad)
 
 
 def test_uio_from_points_examples():
-    assert uio_from_points([0, Fraction(1, 2)]) == uio_from_next([3, 3])
+    assert uio_from_points([0, Fraction(1, 2)]) == UnitIntervalOrder([3, 3])
     u8 = uio_from_points([Fraction(i, 2) for i in range(1, 9)])
-    assert u8 == uio_from_next([3, 4, 5, 6, 7, 8, 9, 9])
+    assert u8 == UnitIntervalOrder([3, 4, 5, 6, 7, 8, 9, 9])
     p52 = uio_from_points([Fraction(i, 3) for i in range(1, 6)])
-    assert p52 == uio_from_next([4, 5, 6, 6, 6])
+    assert p52 == UnitIntervalOrder([4, 5, 6, 6, 6])
 
 
 def test_realize_round_trip():
@@ -123,7 +122,7 @@ def test_realize_round_trip():
 
 
 def test_realize_small_case_constraints():
-    pts = realize(uio_from_next([3, 4, 4]))
+    pts = realize(UnitIntervalOrder([3, 4, 4]))
     assert pts[2] >= pts[0] + 1
     assert abs(pts[1] - pts[0]) < 1 and abs(pts[2] - pts[1]) < 1
 
@@ -187,10 +186,10 @@ def test_chains_of_length():
 
 
 def test_uio_recognize_examples():
-    assert uio_recognize(Poset.chain(3)) == uio_from_next([2, 3, 4])
+    assert uio_recognize(Poset.chain(3)) == UnitIntervalOrder([2, 3, 4])
     three_plus_one = Poset(4, [(1, 2), (2, 3), (1, 3)])
     assert uio_recognize(three_plus_one) is None
-    assert uio_recognize(Poset.antichain(4)) == uio_from_next([5, 5, 5, 5])
+    assert uio_recognize(Poset.antichain(4)) == UnitIntervalOrder([5, 5, 5, 5])
 
 
 def test_recognize_inverts_enumeration():
@@ -213,7 +212,7 @@ def test_scott_suppes_equivalence_small(n):
 def test_inc_graph_examples():
     assert inc_graph(Poset.chain(2)).edges() == ()
     assert inc_graph(Poset.antichain(4)) == Graph.complete(4)
-    u8 = uio_from_next([3, 4, 5, 6, 7, 8, 9, 9])
+    u8 = UnitIntervalOrder([3, 4, 5, 6, 7, 8, 9, 9])
     assert u8.inc_graph() == Graph.path(8)
 
 

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from chroma.combinat import enumerate_uios, uio_from_next
+from chroma.combinat import UnitIntervalOrder, enumerate_uios
 from chroma.corrects import (
     WeightForm,
     absorb_dominating_single,
@@ -29,10 +29,10 @@ from chroma.lgvgrid import (
 from chroma.chromatic import e_coefficients
 from chroma.polyring import Polynomial, monomial_from_elements
 
-TWO_CHAIN = uio_from_next([2, 3])
-ANTI2 = uio_from_next([3, 3])
-U3 = uio_from_next([3, 4, 4])
-U5 = uio_from_next([3, 4, 5, 6, 6])
+TWO_CHAIN = UnitIntervalOrder([2, 3])
+ANTI2 = UnitIntervalOrder([3, 3])
+U3 = UnitIntervalOrder([3, 4, 4])
+U5 = UnitIntervalOrder([3, 4, 5, 6, 6])
 
 
 def mono(u, *elements):
@@ -125,7 +125,7 @@ def test_power_via_corrects_matches_determinant():
 
 
 def test_covering_examples():
-    assert covering_corrects_count(uio_from_next([4, 4, 4])) == 6
+    assert covering_corrects_count(UnitIntervalOrder([4, 4, 4])) == 6
     assert covering_corrects_count(TWO_CHAIN) == 0
     assert covering_corrects_count(U3) == 3
 

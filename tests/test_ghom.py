@@ -5,16 +5,15 @@ import pytest
 from chroma.chromatic import e_coefficients, positivity_report
 from chroma.combinat import (
     Graph,
+    UnitIntervalOrder,
     clan_graph,
     enumerate_uios,
     partitions_of,
-    uio_from_next,
 )
 from chroma.ghom import (
     GAnalogueContext,
     apply_ghom,
     coefficient_of_alpha,
-    elementary_g,
     gnechrom_check,
     kernel_slice_symmetric,
     monomial_g,
@@ -24,9 +23,9 @@ from chroma.ghom import (
 from chroma.polyring import Polynomial
 from chroma.symfunc import SymFunc, newton_p, transition_matrix
 
-TWO_CHAIN = uio_from_next([2, 3])
-ANTI2 = uio_from_next([3, 3])
-U3 = uio_from_next([3, 4, 4])
+TWO_CHAIN = UnitIntervalOrder([2, 3])
+ANTI2 = UnitIntervalOrder([3, 3])
+U3 = UnitIntervalOrder([3, 4, 4])
 
 
 def ctx_of(u):
@@ -41,18 +40,18 @@ def vp(u, *elements):
 
 def test_elementary_conventions():
     ctx = ctx_of(TWO_CHAIN)
-    assert elementary_g(ctx, 0) == Polynomial.one(2)
-    assert elementary_g(ctx, -1).is_zero()
-    assert elementary_g(ctx, 3).is_zero()
+    assert ctx.elementary(0) == Polynomial.one(2)
+    assert ctx.elementary(-1).is_zero()
+    assert ctx.elementary(3).is_zero()
 
 
 def test_elementary_examples():
     # a 2-chain has an edgeless incomparability graph: both vertices stable
     ctx = ctx_of(TWO_CHAIN)
-    assert elementary_g(ctx, 2) == vp(TWO_CHAIN, 1, 2)
+    assert ctx.elementary(2) == vp(TWO_CHAIN, 1, 2)
     # in U3 only 1 < 3 is comparable, so {1,3} is the unique stable pair
     ctx3 = ctx_of(U3)
-    assert elementary_g(ctx3, 2) == vp(U3, 1, 3)
+    assert ctx3.elementary(2) == vp(U3, 1, 3)
     # complete graph: no stable pair at all
     assert GAnalogueContext(Graph.complete(3)).elementary(2).is_zero()
 
@@ -63,7 +62,7 @@ def test_elementary_monomials_are_squarefree_stable_sets():
             ctx = ctx_of(u)
             g = u.inc_graph()
             for i in range(0, n + 1):
-                for mono, c in elementary_g(ctx, i).terms.items():
+                for mono, c in ctx.elementary(i).terms.items():
                     assert c == 1
                     assert all(e == 1 for _, e in mono)
                     assert len(mono) == i
@@ -85,18 +84,18 @@ def test_apply_ghom_elementary_one():
 
 def test_full_chain_gives_full_product():
     # inc(chain) is edgeless, so the top stable set is everything
-    chain4 = uio_from_next([2, 3, 4, 5])
+    chain4 = UnitIntervalOrder([2, 3, 4, 5])
     ctx = ctx_of(chain4)
     assert apply_ghom(SymFunc.s((1, 1, 1, 1)), ctx) == vp(chain4, 1, 2, 3, 4)
     # on a complete incomparability graph the same image collapses to zero
-    anti4 = uio_from_next([5, 5, 5, 5])
+    anti4 = UnitIntervalOrder([5, 5, 5, 5])
     assert apply_ghom(SymFunc.s((1, 1, 1, 1)), ctx_of(anti4)).is_zero()
 
 
 def test_power_examples():
     assert power_g(ctx_of(TWO_CHAIN), 2) == vp(TWO_CHAIN, 1, 1) + vp(TWO_CHAIN, 2, 2)
     anti = ctx_of(ANTI2)
-    e1 = elementary_g(anti, 1)
+    e1 = anti.elementary(1)
     assert power_g(anti, 2) == e1 * e1
     assert power_g(anti, 1) == e1
 

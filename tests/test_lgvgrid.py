@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from chroma.combinat import conjugate, enumerate_uios, partitions_of, uio_from_next
+from chroma.combinat import UnitIntervalOrder, conjugate, enumerate_uios, partitions_of
 from chroma.errors import BadShape, TooLarge
-from chroma.ghom import GAnalogueContext, elementary_g, schur_g
+from chroma.ghom import GAnalogueContext, schur_g
 from chroma.lgvgrid import (
     Multipath,
     build_grid,
@@ -20,9 +20,9 @@ from chroma.lgvgrid import (
 )
 from chroma.polyring import Polynomial, det
 
-U8 = uio_from_next([3, 4, 5, 6, 7, 8, 9, 9])
-U5 = uio_from_next([3, 4, 5, 6, 6])
-U3 = uio_from_next([3, 4, 4])
+U8 = UnitIntervalOrder([3, 4, 5, 6, 7, 8, 9, 9])
+U5 = UnitIntervalOrder([3, 4, 5, 6, 6])
+U3 = UnitIntervalOrder([3, 4, 4])
 
 
 def identity(k):
@@ -79,9 +79,8 @@ def test_path_sums_are_stable_set_polynomials():
             ctx = GAnalogueContext(u.inc_graph())
             for i in (1, 2, 3):
                 for j in range(0, n + 1):
-                    assert path_sum(u, (i, 1), (i + j, n + 1)) == elementary_g(
-                        ctx, j
-                    ), (str(u), i, j)
+                    got = path_sum(u, (i, 1), (i + j, n + 1))
+                    assert got == ctx.elementary(j), (str(u), i, j)
 
 
 def test_matrix_entries_follow_displacement():
@@ -94,7 +93,7 @@ def test_matrix_entries_follow_displacement():
             for i in range(g.k):
                 for j in range(g.k):
                     disp = g.lam[j] + (i + 1) - (j + 1)
-                    assert mat[i][j] == elementary_g(ctx, disp)
+                    assert mat[i][j] == ctx.elementary(disp)
 
 
 def test_enumerate_multipaths_single_path():
@@ -108,7 +107,7 @@ def test_enumerate_multipaths_single_path():
 
 
 def test_enumerate_multipaths_antichain_pair():
-    anti2 = uio_from_next([3, 3])
+    anti2 = UnitIntervalOrder([3, 3])
     g = build_grid(anti2, 2, (1, 1))
     mps = enumerate_multipaths(g)
     # no chains of length 2, so the swapped assignment has no path
@@ -128,7 +127,7 @@ def test_multipath_sign_bookkeeping():
 
 
 def test_multipath_budget_guard():
-    g = build_grid(uio_from_next([2, 3, 4, 5]), 4, (1, 1, 1, 1))
+    g = build_grid(UnitIntervalOrder([2, 3, 4, 5]), 4, (1, 1, 1, 1))
     with pytest.raises(TooLarge):
         enumerate_multipaths(g, budget=3)
 
@@ -176,8 +175,8 @@ def test_nonintersecting_enumeration_matches_filter():
 
 def test_schur_via_lgv_examples():
     ctx3 = GAnalogueContext(U3.inc_graph())
-    assert schur_via_lgv(U3, (1,)) == elementary_g(ctx3, 1)
-    two_chain = uio_from_next([2, 3])
+    assert schur_via_lgv(U3, (1,)) == ctx3.elementary(1)
+    two_chain = UnitIntervalOrder([2, 3])
     v1 = Polynomial.variable(1, 2)
     v2 = Polynomial.variable(2, 2)
     assert schur_via_lgv(two_chain, (1, 1)) == v1 * v1 + v1 * v2 + v2 * v2

@@ -1,4 +1,3 @@
-import threading
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from chroma.polyring import Polynomial
 from chroma.symfunc import (
     BASES,
     SymFunc,
-    TransitionMatrixCache,
+    _compute_matrix,
     cauchy_check,
     convert,
     expand_concrete,
@@ -285,22 +284,10 @@ def test_schur_to_m_is_kostka_nonnegative():
 # cache behaviour
 
 
-def test_cache_concurrent_readers():
-    cache = TransitionMatrixCache()
-    results = []
-
-    def worker():
-        results.append(cache.get("m", "e", 4))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(results) == 8
-    # one matrix is published; every reader gets that same object
-    assert all(r is results[0] for r in results)
-    assert results[0] == transition_matrix("m", "e", 4)
+def test_transition_matrix_is_memoised():
+    first = transition_matrix("m", "e", 4)
+    assert transition_matrix("m", "e", 4) is first
+    assert first == _compute_matrix("m", "e", 4)
 
 
 def test_symfunc_json_round_trip():

@@ -10,10 +10,10 @@ from chroma import (
     conjugate,
     lgv_check,
     path_sum,
-    schur_g,
     schur_via_lgv,
 )
-from chroma.lgvgrid import enumerate_multipaths
+from chroma.lgvgrid import enumerate_multipaths, path_sum_matrix
+from chroma.polyring import det
 
 # Grid vertices are (column, row); vertical steps are free, and a diagonal
 # step out of row r costs the variable v_r while jumping to the first row
@@ -37,6 +37,8 @@ print("all disjoint families keep base i on destination i:",
       all(mp.sigma == (1, 2) for mp in disjoint))
 
 # Because disjoint families carry no signs, the Schur analogue of the
-# conjugate shape is a sum of monomials: positivity by construction.
+# conjugate shape is a sum of monomials: positivity by construction.  (2,1)
+# is its own conjugate, so the path-sum determinant of the grid above is the
+# same polynomial.
 print("grid sum for (2,1)* :", schur_via_lgv(u, conjugate(lam)))
-print("determinant route   :", schur_g(ctx, lam))
+print("determinant route   :", det(path_sum_matrix(grid)))

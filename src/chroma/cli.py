@@ -256,10 +256,10 @@ def _per_uio(key, first):
 
 def _per_n(key):
     """Instances {key: n} for n = 1..max_n."""
-    return lambda max_n, max_k: [{key: n} for n in range(1, max_n + 1)]
+    return lambda max_n: [{key: n} for n in range(1, max_n + 1)]
 
 
-def _instances_eposn(max_n, max_k=0):
+def _instances_eposn(max_n):
     return [{"uio": str(u)} for u in _uios_up_to(max_n)]
 
 
@@ -272,7 +272,7 @@ def _instances_partitions(max_n, max_weight):
     ]
 
 
-def _instances_sink(max_n, max_k):
+def _instances_sink(max_n):
     out = []
     for n in range(1, max_n + 1):
         for g in all_graphs(n):
@@ -340,18 +340,18 @@ _ALL = object()  # run_suite's default instance: every instance of the suite
 
 SUITES = {
     "ppos": Suite((6, 6), _per_uio("k", 1), _check_ppos, (_UIO_K,)),
-    "eposn": Suite((6, 0), _instances_eposn, _check_eposn, ({"uio": _UIO},)),
+    "eposn": Suite((6,), _instances_eposn, _check_eposn, ({"uio": _UIO},)),
     "lgv": Suite(
         (4, 4), _instances_partitions, _check_lgv, (_UIO_LAM,), budgeted=True
     ),
     "gasharov": Suite((5, 5), _instances_partitions, _check_gasharov, (_UIO_LAM,)),
     "sink": Suite(
-        (5, 0), _instances_sink, _check_sink, ({"uio": _UIO}, {"graph": _graph})
+        (5,), _instances_sink, _check_sink, ({"uio": _UIO}, {"graph": _graph})
     ),
     "gnechrom": Suite(
         (4, 6), _instances_gnechrom, _check_gnechrom, (_UIO_ALPHA,), _alpha_fits
     ),
-    "cauchy": Suite((5, 0), _per_n("d"), _check_cauchy, ({"d": _positive_int},)),
+    "cauchy": Suite((5,), _per_n("d"), _check_cauchy, ({"d": _positive_int},)),
     "involutions": Suite(
         (4, 4), _per_uio("k", 1), _check_involutions, (_UIO_K,), budgeted=True
     ),
@@ -359,7 +359,7 @@ SUITES = {
         (6, 5), _per_uio("l", 2), _check_thn1, ({"uio": _UIO, "l": _positive_int},)
     ),
     "scottsuppes": Suite(
-        (6, 0), _per_n("n"), _check_scott_suppes, ({"n": _positive_int},)
+        (6,), _per_n("n"), _check_scott_suppes, ({"n": _positive_int},)
     ),
     # _scan_one is looked up per call, so a wrapper installed on it sees every order
     "scan": Suite((7,), _instances_eposn, lambda i: _scan_one(i), ({"uio": _UIO},)),
@@ -566,8 +566,9 @@ def make_parser():
         "--budget",
         type=_int_from(1),
         default=None,
-        help="multipath enumeration guard per instance (lgv and involutions "
-        "only; other suites refuse it)",
+        help="enumeration guard per instance: paths tried by lgv's "
+        "disjoint-family search, multipaths listed by involutions (other "
+        "suites refuse it)",
     )
     p_verify.add_argument("--instance", help="single JSON instance to replay")
 

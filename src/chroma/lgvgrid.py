@@ -275,24 +275,11 @@ def path_sum_matrix(g):
     ]
 
 
-def lgv_check(g, budget=DEFAULT_MULTIPATH_BUDGET):
-    """det(path-sum matrix) equals the signed sum over non-intersecting
-    multipaths; exact polynomial identity.  The same pass checks that every
-    disjoint multipath connects base i to destination i (require_identity)."""
-    determinant = det(path_sum_matrix(g))
-    n = g.uio.n
-    total = Polynomial.zero(n)
-    for mp in enumerate_multipaths(g, budget):
-        if mp.is_nonintersecting():
-            mp.require_identity()
-            total = total + mp.sign * mp.weight_product(n)
-    return determinant == total
-
-
-def nonintersecting_multipaths(g):
+def nonintersecting_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
     """Only the pairwise-disjoint multipaths, found by assigning paths base
     by base with disjointness pruning (destinations may permute; planarity
-    is verified by the caller, not assumed here)."""
+    is verified by the caller, not assumed here).  The budget bounds the
+    number of paths tried."""
     k = g.k
     path_table = _path_table(g)
     out = []
@@ -309,14 +296,32 @@ def nonintersecting_multipaths(g):
                 continue
             for p in path_table[(i, j)]:
                 nodes += 1
-                if nodes > DEFAULT_MULTIPATH_BUDGET:
-                    raise TooLarge("disjoint-family search exceeded its budget")
+                if nodes > budget:
+                    raise TooLarge("disjoint-family search exceeded budget %d" % budget)
                 if occupied & p.vertex_set:
                     continue
                 rec(i + 1, used_dests + [j], chosen + [p], occupied | p.vertex_set)
 
     rec(0, [], [], frozenset())
     return out
+
+
+def _disjoint_family_sum(g, budget=DEFAULT_MULTIPATH_BUDGET):
+    """Sum of the weights of the disjoint multipaths of g.  Each must connect
+    base i to destination i (require_identity), so every sign is +1."""
+    n = g.uio.n
+    total = Polynomial.zero(n)
+    for mp in nonintersecting_multipaths(g, budget):
+        mp.require_identity()
+        total = total + mp.weight_product(n)
+    return total
+
+
+def lgv_check(g, budget=DEFAULT_MULTIPATH_BUDGET):
+    """det(path-sum matrix) equals the sum over non-intersecting multipaths,
+    each of which connects base i to destination i; exact polynomial
+    identity."""
+    return det(path_sum_matrix(g)) == _disjoint_family_sum(g, budget)
 
 
 def schur_via_lgv(u, lam):
@@ -327,14 +332,7 @@ def schur_via_lgv(u, lam):
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError("not a partition: %r" % (lam,))
-    if not lam:
-        return Polynomial.one(u.n)
-    g = build_grid(u, len(lam), lam)
-    total = Polynomial.zero(u.n)
-    for mp in nonintersecting_multipaths(g):
-        mp.require_identity()
-        total = total + mp.weight_product(u.n)
-    return total
+    return _disjoint_family_sum(build_grid(u, len(lam), lam))
 
 
 def grid_edges(g):

@@ -43,7 +43,7 @@ def test_criterion_02_power_sums_via_correct_sequences():
 
 def test_criterion_03_top_e_coefficient_counts_covering_corrects():
     start = time.monotonic()
-    rep = run_suite("eposn", max_n=6, max_k=0)
+    rep = run_suite("eposn", max_n=6)
     assert rep.instances == 196
     assert rep.ok, rep.failures
     _report(3, "c_n counts covering correct sequences and is nonnegative, n<=6", start)
@@ -67,7 +67,7 @@ def test_criterion_05_grid_determinant_identity():
 
 def test_criterion_06_sink_counts():
     start = time.monotonic()
-    rep = run_suite("sink", max_n=5, max_k=0)
+    rep = run_suite("sink", max_n=5)
     assert rep.instances == 1295  # 1099 graphs on 1..5 vertices, 196 orders n <= 6
     assert rep.ok, rep.failures
     _report(6, "sink counts match e-coefficient sums by length", start)
@@ -75,7 +75,7 @@ def test_criterion_06_sink_counts():
 
 def test_criterion_07_truncated_product_identity():
     start = time.monotonic()
-    rep = run_suite("cauchy", max_n=5, max_k=0)
+    rep = run_suite("cauchy", max_n=5)
     assert rep.instances == 5
     assert rep.ok, rep.failures
     _report(7, "three-way kernel expansion identity at degrees d <= 5", start)
@@ -107,7 +107,7 @@ def test_criterion_10_hook_shape_triple_identity():
 
 def test_criterion_11_threshold_recognition():
     start = time.monotonic()
-    rep = run_suite("scottsuppes", max_n=6, max_k=0)
+    rep = run_suite("scottsuppes", max_n=6)
     assert rep.instances == 6
     assert rep.ok, rep.failures
     _report(11, "recognition succeeds exactly on (2+2)- and (3+1)-free posets", start)

@@ -123,19 +123,17 @@ def test_verify_text_and_csv_formats(capsys):
 @pytest.mark.parametrize(
     "suite,bounds",
     [
-        ("eposn", ("4", "0")),
-        ("lgv", ("3", "3")),
-        ("gasharov", ("3", "3")),
-        ("gnechrom", ("3", "4")),
-        ("involutions", ("3", "3")),
-        ("thn1", ("3", "3")),
-        ("scottsuppes", ("4", "0")),
+        ("eposn", ("--max-n", "4")),
+        ("lgv", ("--max-n", "3", "--max-k", "3")),
+        ("gasharov", ("--max-n", "3", "--max-k", "3")),
+        ("gnechrom", ("--max-n", "3", "--max-k", "4")),
+        ("involutions", ("--max-n", "3", "--max-k", "3")),
+        ("thn1", ("--max-n", "3", "--max-k", "3")),
+        ("scottsuppes", ("--max-n", "4")),
     ],
 )
 def test_verify_suites_small_bounds(capsys, suite, bounds):
-    code, out, _ = run(
-        capsys, "verify", suite, "--max-n", bounds[0], "--max-k", bounds[1]
-    )
+    code, out, _ = run(capsys, "verify", suite, *bounds)
     assert code == 0, out
     assert json.loads(out)["ok"] is True
 
@@ -186,6 +184,17 @@ def test_involutions_enumerate_the_grid_once(monkeypatch):
     rep = run_suite("involutions", instance={"uio": "3,4,4", "k": 3})
     assert rep.ok, rep.failures
     assert len(calls) == 1
+
+
+def test_lgv_never_lists_every_multipath(monkeypatch):
+    import chroma.lgvgrid as lgvgrid
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lgv listed every multipath")
+
+    monkeypatch.setattr(lgvgrid, "enumerate_multipaths", refuse)
+    rep = run_suite("lgv", instance={"uio": "3,4,4", "partition": "2,1"})
+    assert rep.ok, rep.failures
 
 
 def test_verify_lgv_names_a_non_identity_multipath(capsys, monkeypatch):
@@ -253,6 +262,10 @@ def test_verify_malformed_instance_exits_two(capsys, suite, payload):
         ("scan", "--budget", "1"),
         ("scan", "--instance", "{}"),
         ("verify", "ppos", "--budget", "5"),
+        ("verify", "cauchy", "--max-n", "2", "--max-k", "9"),
+        ("verify", "eposn", "--max-k", "1"),
+        ("verify", "sink", "--max-k", "1"),
+        ("verify", "scottsuppes", "--max-k", "1"),
     ],
 )
 def test_verify_flag_ranges_exit_two(capsys, argv):

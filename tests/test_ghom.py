@@ -7,6 +7,7 @@ from chroma.combinat import (
     Graph,
     UnitIntervalOrder,
     clan_graph,
+    conjugate,
     enumerate_uios,
     partitions_of,
 )
@@ -20,7 +21,7 @@ from chroma.ghom import (
     power_g,
     schur_g,
 )
-from chroma.polyring import Polynomial
+from chroma.polyring import Polynomial, det
 from chroma.symfunc import SymFunc, newton_p, transition_matrix
 
 TWO_CHAIN = UnitIntervalOrder([2, 3])
@@ -114,7 +115,13 @@ def test_three_routes_agree():
                 assert power_g(ctx, d) == apply_ghom(newton_p(d), ctx)
                 m_to_e = transition_matrix("m", "e", d)
                 for lam in partitions_of(d):
-                    assert schur_g(ctx, lam) == apply_ghom(SymFunc.s(lam), ctx)
+                    # the dual Jacobi-Trudi determinant in the e^G_i
+                    lstar = conjugate(lam)
+                    jt = [
+                        [ctx.elementary(lstar[i] - i + j) for j in range(len(lstar))]
+                        for i in range(len(lstar))
+                    ]
+                    assert schur_g(ctx, lam) == det(jt)
                     # the kernel pairing: the transposed m-to-e matrix
                     pairing = Polynomial.zero(ctx.n)
                     for mu in partitions_of(d):

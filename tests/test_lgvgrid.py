@@ -130,6 +130,8 @@ def test_multipath_budget_guard():
     g = build_grid(UnitIntervalOrder([2, 3, 4, 5]), 4, (1, 1, 1, 1))
     with pytest.raises(TooLarge):
         enumerate_multipaths(g, budget=3)
+    with pytest.raises(TooLarge):
+        nonintersecting_multipaths(g, budget=3)
 
 
 def test_lgv_identity_exhaustive_small():
@@ -161,16 +163,21 @@ def test_nonintersecting_families_have_identity_permutation():
 
 
 def test_nonintersecting_enumeration_matches_filter():
-    for u in enumerate_uios(3):
-        for lam in [(1,), (1, 1), (2, 1), (2, 2)]:
-            g = build_grid(u, len(lam), lam)
-            direct = {mp.key() for mp in nonintersecting_multipaths(g)}
-            filtered = {
-                mp.key()
-                for mp in enumerate_multipaths(g)
-                if mp.is_nonintersecting()
-            }
-            assert direct == filtered
+    # every lgv instance at its default bounds (n <= 4, weight <= 4): the
+    # pruned search finds exactly the disjoint members of the full list
+    for n in range(1, 5):
+        for u in enumerate_uios(n):
+            for w in range(1, 5):
+                for lam in partitions_of(w):
+                    g = build_grid(u, len(lam), lam)
+                    direct = nonintersecting_multipaths(g)
+                    filtered = {
+                        mp.key()
+                        for mp in enumerate_multipaths(g)
+                        if mp.is_nonintersecting()
+                    }
+                    assert {mp.key() for mp in direct} == filtered, (str(u), lam)
+                    assert len(direct) == len(filtered)
 
 
 def test_schur_via_lgv_examples():

@@ -1,0 +1,87 @@
+"""Planted defects: each case breaks one function with monkeypatch, replays
+one `chroma verify <suite> --instance` and asserts that the suite reports
+the instance as a failure (exit 1, "outcome": "fail").
+
+The gasharov suite compares schur_g with schur_via_lgv; the lgv suite
+compares det(path_sum_matrix(g)) with the sum over the disjoint families
+that nonintersecting_multipaths finds.  Both sides of the lgv check share
+build_grid and paths_between, so a defect there moves both sides together
+and no case here plants one.  Unplanted, the instance passes both suites
+(criteria 04 and 05 run it).
+"""
+
+import json
+
+import pytest
+
+import chroma.cli as cli
+import chroma.lgvgrid as lgvgrid
+from chroma.combinat import UnitIntervalOrder
+from chroma.polyring import Polynomial
+
+U3 = "3,4,4"
+INSTANCE = {"uio": U3, "partition": "2,1"}
+
+
+def extra_monomial(n):
+    return Polynomial.variable(1, n)
+
+
+def plant_schur_g(monkeypatch):
+    original = cli.schur_g
+
+    def planted(ctx, lam):
+        return original(ctx, lam) + extra_monomial(ctx.n)
+
+    monkeypatch.setattr(cli, "schur_g", planted)
+
+
+def plant_dropped_family(monkeypatch):
+    original = lgvgrid.nonintersecting_multipaths
+
+    def planted(g, budget=lgvgrid.DEFAULT_MULTIPATH_BUDGET):
+        return original(g, budget)[:-1]
+
+    monkeypatch.setattr(lgvgrid, "nonintersecting_multipaths", planted)
+
+
+def plant_path_sum_entry(monkeypatch):
+    original = lgvgrid.path_sum
+    g = lgvgrid.build_grid(UnitIntervalOrder.parse(U3), 2, (2, 1))
+    entry = (g.bases[0], g.dests[0])
+
+    def planted(u, a, b):
+        total = original(u, a, b)
+        if (a, b) == entry:
+            total = total + extra_monomial(u.n)
+        return total
+
+    monkeypatch.setattr(lgvgrid, "path_sum", planted)
+
+
+def replay(capsys, suite, inst):
+    code = cli.main(["verify", suite, "--instance", json.dumps(inst)])
+    out = capsys.readouterr().out
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "plant, suite",
+    [
+        (plant_schur_g, "gasharov"),
+        (plant_dropped_family, "lgv"),
+        (plant_dropped_family, "gasharov"),
+        (plant_path_sum_entry, "lgv"),
+    ],
+    ids=[
+        "schur_g-extra-monomial-gasharov",
+        "dropped-family-lgv",
+        "dropped-family-gasharov",
+        "path_sum-extra-monomial-lgv",
+    ],
+)
+def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite):
+    plant(monkeypatch)
+    code, report = replay(capsys, suite, INSTANCE)
+    assert code == 1
+    assert [f["outcome"] for f in report["failures"]] == ["fail"]

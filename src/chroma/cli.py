@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
-from .chromatic import check_sink_theorem, e_coefficients, positivity_report
+from .chromatic import (
+    check_sink_theorem,
+    chromatic_symmetric,
+    e_coefficients,
+    positivity_report,
+)
 from .combinat import (
     Graph,
     UnitIntervalOrder,
@@ -463,8 +468,11 @@ def _cmd_csf(args):
     except (ChromaError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    rep = positivity_report(u.inc_graph())
-    chosen = {"e": rep.e, "m": rep.m, "s": rep.s, "p": convert(rep.m, "p")}[args.basis]
+    g = u.inc_graph()
+    # only the text format prints the positivity flags and the sink check
+    rep = positivity_report(g) if args.format == "text" else None
+    xm = rep.m if rep else chromatic_symmetric(g)
+    chosen = convert(xm, args.basis)
     keys = sorted(chosen.coeffs, key=lambda lam: (sum(lam), lam), reverse=True)
     if wanted is not None:
         keys = [lam for lam in keys if lam == wanted]

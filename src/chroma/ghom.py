@@ -8,7 +8,6 @@ subsets are exactly the chains, which is what ties this layer to the grid
 and to correct sequences.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
@@ -136,7 +135,7 @@ def gnechrom_check(ctx, alpha):
         for lam in partitions_of(weight):
             c = coefficient_of_alpha(ctx.elementary_product(lam), alpha)
             if c:
-                coeffs[lam] = Fraction(c * scale)
+                coeffs[lam] = c * scale
         lhs = SymFunc("m", coeffs)
     rhs = chromatic_symmetric(clan_graph(ctx.graph, alpha))
     return lhs == rhs

@@ -1,11 +1,13 @@
 """Symmetric functions in the e/m/p/s bases with exact basis changes.
 
-Basis elements are indexed by partitions; coefficients are Fractions.  All
-basis changes go through one mechanism: write both bases on the monomial
-basis by counting (0-1 matrices for e, ordered groupings of parts for p,
-Kostka numbers for s, Macdonald Ch. I) and solve the resulting square
-system exactly.  Computed matrices are memoised in memory, once per
-process.  The concrete expansions in finitely many variables
+Basis elements are indexed by partitions; coefficients are exact: an int
+when integral, else a Fraction.  All basis changes go through one
+mechanism: write both bases on the monomial basis by counting (0-1
+matrices for e, ordered groupings of parts for p, Kostka numbers for s,
+Macdonald Ch. I) and solve the resulting square system exactly.  Computed
+matrices are memoised in memory, once per process, with their integral
+entries stored as ints, so that e/m/s basis changes are integer
+arithmetic.  The concrete expansions in finitely many variables
 (expand_concrete, SymFunc.expand) are the independent oracle for that
 route.
 """
@@ -140,7 +142,10 @@ class SymFunc:
         if coeffs:
             for lam, c in coeffs.items():
                 lam = _as_partition(lam)
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
                 if c:
                     clean[lam] = c
         self.basis = basis
@@ -428,7 +433,7 @@ def _solve_columns(columns, targets):
 def _compute_matrix(frm, to, d):
     lams = partitions_of(d)
     if frm == to:
-        return {lam: {lam: Fraction(1)} for lam in lams}
+        return {lam: {lam: 1} for lam in lams}
     columns = [_m_coords(to, mu, d) for mu in lams]
     targets = [_m_coords(frm, lam, d) for lam in lams]
     solved = _solve_columns(columns, targets)
@@ -437,7 +442,7 @@ def _compute_matrix(frm, to, d):
         row = {}
         for mu, c in zip(lams, sol):
             if c:
-                row[mu] = c
+                row[mu] = c.numerator if c.denominator == 1 else c
         matrix[lam] = row
     return matrix
 

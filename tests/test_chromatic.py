@@ -1,6 +1,8 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chroma.chromatic import (
     acyclic_orientation_sinks,
@@ -76,6 +78,28 @@ def test_stable_accelerator_matches_brute_force_sampled_n6():
         edges = [e for e in pairs if rng.random() < 0.5]
         g = Graph(6, edges)
         assert chromatic_symmetric_brute(g) == chromatic_symmetric_stable(g)
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """A graph on at most six vertices and the same graph with its vertices
+    renamed by a random permutation."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    perm = draw(st.permutations(range(1, n + 1)))
+    renamed = [(perm[i - 1], perm[j - 1]) for i, j in edges]
+    return Graph(n, edges), Graph(n, renamed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_graphs())
+def test_stable_count_does_not_depend_on_vertex_order(pair):
+    # the dynamic programme walks the vertices in label order; X_G does not
+    g, renamed = pair
+    brute = chromatic_symmetric_brute(g)
+    assert chromatic_symmetric_stable(g) == brute
+    assert chromatic_symmetric_stable(renamed) == brute
 
 
 def test_rational_spacing_families_are_e_positive():

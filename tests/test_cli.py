@@ -50,6 +50,27 @@ def test_csf_text_format_mentions_flags(capsys):
     assert "ePositive=True" in out and "sinkCheck=True" in out
 
 
+def test_csf_json_and_csv_skip_the_positivity_report(capsys, monkeypatch):
+    # only the text format prints the sink check, so the other formats
+    # never count acyclic orientations
+    import chroma.chromatic as chromatic
+
+    outputs = {}
+    for fmt in ("json", "csv"):
+        for basis in "emps":
+            argv = ("csf", "--uio", "3,4,5,5", "--basis", basis, "--format", fmt)
+            outputs[argv] = run(capsys, *argv)
+
+    def refuse(g):
+        raise AssertionError("csf counted sinks for a format that omits them")
+
+    monkeypatch.setattr(chromatic, "acyclic_orientation_sinks", refuse)
+    for argv, expected in outputs.items():
+        assert run(capsys, *argv) == expected
+    e_json = ("csf", "--uio", "3,4,5,5", "--basis", "e", "--format", "json")
+    assert json.loads(outputs[e_json][1]) == {"4": 4, "3,1": 2, "2,2": 2}
+
+
 def test_csf_rejects_malformed_vector(capsys):
     code, _, err = run(capsys, "csf", "--uio", "2,2")
     assert code == 2
@@ -168,6 +189,15 @@ def test_verify_fail_outranks_budget(capsys, monkeypatch):
     assert outcomes == ["budget", "fail"]
     code, _, _ = run(capsys, "verify", "cauchy", "--max-n", "1")
     assert code == 3
+
+
+def test_gnechrom_replays_a_fifteen_vertex_clan_graph(capsys):
+    # the clan graph has 15 vertices and 12,962,661 stable partitions; they
+    # are counted by block sizes, not listed one by one
+    inst = {"uio": "2,3,4", "alpha": [5, 5, 5]}
+    code, out, _ = run(capsys, "verify", "gnechrom", "--instance", json.dumps(inst))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
 
 
 def test_involutions_enumerate_the_grid_once(monkeypatch):

@@ -8,12 +8,18 @@ that nonintersecting_multipaths finds.  Both sides of the lgv check share
 build_grid and paths_between, so a defect there moves both sides together
 and no case here plants one.  Unplanted, the instance passes both suites
 (criteria 04 and 05 run it).
+
+The eposn suite compares the top e-coefficient of X_G with the covering
+correct sequences, and the sink suite compares the e-coefficient sums of
+X_G with acyclic orientations counted by sinks; both read X_G from the
+stable-partition count, so one miscounted block type fails both.
 """
 
 import json
 
 import pytest
 
+import chroma.chromatic as chromatic
 import chroma.cli as cli
 import chroma.lgvgrid as lgvgrid
 from chroma.combinat import UnitIntervalOrder
@@ -59,10 +65,31 @@ def plant_path_sum_entry(monkeypatch):
     monkeypatch.setattr(lgvgrid, "path_sum", planted)
 
 
+def plant_singleton_blocks(monkeypatch):
+    # one more partition into singletons: X_G gains n! * m_(1^n) = n! * e_n
+    original = chromatic._stable_partition_signatures
+
+    def planted(g):
+        sigs = original(g)
+        ones = (1,) * g.n
+        sigs[ones] = sigs.get(ones, 0) + 1
+        return sigs
+
+    monkeypatch.setattr(chromatic, "_stable_partition_signatures", planted)
+
+
 def replay(capsys, suite, inst):
     code = cli.main(["verify", suite, "--instance", json.dumps(inst)])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+@pytest.mark.parametrize("suite", ["eposn", "sink"])
+def test_planted_stable_count_fails_the_suite(capsys, monkeypatch, suite):
+    plant_singleton_blocks(monkeypatch)
+    code, report = replay(capsys, suite, {"uio": U3})
+    assert code == 1
+    assert [f["outcome"] for f in report["failures"]] == ["fail"]
 
 
 @pytest.mark.parametrize(

@@ -122,6 +122,16 @@ def test_m_to_e_degree_three_integer_entries():
     assert m[(3,)] == {(1, 1, 1): 1, (2, 1): -3, (3,): 3}
 
 
+def test_integral_bases_have_int_entries():
+    # e, m and s differ by integer matrices, stored as ints, so convert
+    # between them never builds a Fraction
+    for frm in ("e", "m", "s"):
+        for to in ("e", "m", "s"):
+            for d in range(1, 9):
+                for row in transition_matrix(frm, to, d).values():
+                    assert all(type(c) is int for c in row.values()), (frm, to, d)
+
+
 def test_m_to_e_matrix_is_symmetric():
     # the pairing behind the kernel identity relies on this
     for d in range(1, 6):
@@ -297,6 +307,14 @@ def test_symfunc_json_round_trip():
     assert data["coeffs"]["2,1"] == "3"
     assert data["coeffs"]["3"] == "1/2"
     assert SymFunc.from_json(data) == f
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    f = SymFunc("e", {(1,): Fraction(4, 2)})
+    assert type(f.coeffs[(1,)]) is int
+    assert f.to_json()["coeffs"] == {"1": "2"}
+    assert type((f * Fraction(1, 2)).coeffs[(1,)]) is int
+    assert type(SymFunc.from_json(f.to_json()).coeffs[(1,)]) is int
 
 
 def test_symfunc_multiplication_rules():

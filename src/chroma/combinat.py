@@ -42,9 +42,7 @@ def partitions_of(n):
 
 def is_partition(lam):
     """True for a weakly decreasing tuple of positive integers (or ())."""
-    return all(p >= 1 for p in lam) and all(
-        lam[i] >= lam[i + 1] for i in range(len(lam) - 1)
-    )
+    return list(lam) == sorted(lam, reverse=True) and (not lam or lam[-1] >= 1)
 
 
 def conjugate(lam):

@@ -25,6 +25,7 @@ This module enumerates everything at desk scale and verifies each step as
 an exact polynomial identity rather than trusting the bookkeeping.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -131,13 +132,9 @@ def enumerate_corrects(u, k, budget=DEFAULT_SEQUENCE_BUDGET):
 
 def power_via_corrects(u, k):
     """Sum of w_1 * .. * w_k over correct sequences; the power-sum analogue."""
-    total = Polynomial.zero(u.n)
-    acc = {}
-    for seq in enumerate_corrects(u, k):
-        mono = monomial_from_elements(seq)
-        acc[mono] = acc.get(mono, 0) + 1
-    total.terms.update(acc)
-    return total
+    return Polynomial(
+        u.n, Counter(monomial_from_elements(seq) for seq in enumerate_corrects(u, k))
+    )
 
 
 def covering_corrects_count(u):
@@ -179,17 +176,14 @@ def m_l1_via_corrects(u, l):
     if l < 2:
         raise BadParameter("the pair expansion needs l >= 2")
     n = u.n
-    acc = {}
+    counts = Counter()
     for seq in enumerate_corrects(u, l):
         mx = max(seq)
         last = seq[-1]
         for z in range(1, n + 1):
             if u.succ(z, mx) or u.succ(last, z):
-                mono = monomial_from_elements(seq + (z,))
-                acc[mono] = acc.get(mono, 0) + 1
-    total = Polynomial.zero(n)
-    total.terms.update(acc)
-    return total
+                counts[monomial_from_elements(seq + (z,))] += 1
+    return Polynomial(n, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +304,8 @@ class WeightForm:
     def sign(self):
         return -1 if (len(self.chain) - 1) & 1 else 1
 
-    def weight_product(self, n):
-        return Polynomial.monomial(monomial_from_elements(self.flattened), 1, n)
+    def weight_monomial(self):
+        return monomial_from_elements(self.flattened)
 
 
 def _dominating_single_positions(form, u):
@@ -441,41 +435,40 @@ def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
       (e) the chain moves pair off the J and L weight forms (chi_psi_check).
     """
     grid = build_grid(u, k, (1,) * k)
-    n = u.n
-    zero = Polynomial.zero(n)
-    sums = {"I": zero, "rest": zero, "P": zero, "total": zero, "JL_plain": zero}
+    sums = {key: Counter() for key in ("I", "rest", "P", "total", "JL_plain")}
     counts = {"P": 0, "I": 0, "J": 0, "L": 0, "other": 0}
     i_class = []
     forms = []
     for mp in enumerate_multipaths(grid, budget):
         cls = classify_multipath(mp, u, grid)
         counts[cls.tag] += 1
-        weight = mp.weight_product(n)
-        contrib = (mp.sign * mp.multiplier()) * weight
-        sums["total"] = sums["total"] + contrib
+        weight = mp.weight_monomial()
+        contrib = mp.sign * mp.multiplier()
+        sums["total"][weight] += contrib
         if cls.tag == "I":
-            sums["I"] = sums["I"] + contrib
+            sums["I"][weight] += contrib
             i_class.append(mp)
         elif cls.tag == "P":
-            sums["P"] = sums["P"] + weight
+            sums["P"][weight] += 1
         else:
-            sums["rest"] = sums["rest"] + contrib
+            sums["rest"][weight] += contrib
             if cls.tag in ("J", "L"):
                 l = cls.chain_length
                 chain = mp.paths[l - 1].diag_rows
                 singles = tuple(p.diag_rows[0] for p in mp.paths[l:])
                 forms.append(WeightForm(chain=chain, singles=singles))
-                sums["JL_plain"] = sums["JL_plain"] + mp.sign * weight
+                sums["JL_plain"][weight] += mp.sign
+    poly = {key: Polynomial(u.n, c) for key, c in sums.items()}
     return CancellationReport(
         uio=str(u),
         k=k,
         counts=counts,
-        sum_I=sums["I"],
-        sum_JL=sums["rest"],
-        total=sums["total"],
-        sum_P=sums["P"],
+        sum_I=poly["I"],
+        sum_JL=poly["rest"],
+        total=poly["total"],
+        sum_P=poly["P"],
         pk=power_g(GAnalogueContext(u.inc_graph()), k),
-        sum_JL_plain=sums["JL_plain"],
+        sum_JL_plain=poly["JL_plain"],
         involution_ok=_check_involution_on_I(i_class, u, grid),
         bijection=chi_psi_check(forms, u),
     )
@@ -483,7 +476,6 @@ def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
 
 def _check_involution_on_I(i_class, u, grid):
     keys = {mp.key() for mp in i_class}
-    n = u.n
     for mp in i_class:
         image = delta_switch(mp)
         if image.key() not in keys:
@@ -496,7 +488,7 @@ def _check_involution_on_I(i_class, u, grid):
             return False
         if image.multiplier() != mp.multiplier():
             return False
-        if image.weight_product(n) != mp.weight_product(n):
+        if image.weight_monomial() != mp.weight_monomial():
             return False
         if leftmost_lowest_intersection(image) != leftmost_lowest_intersection(mp):
             return False
@@ -508,7 +500,6 @@ def chi_psi_check(forms, u):
     dominator-carrying and dominator-free halves, and verify the chain moves
     are mutually inverse, sign-reversing, weight-preserving, and kill the
     signed sum."""
-    n = u.n
     with_dominator = [f for f in forms if _dominating_single_positions(f, u)]
     dominator_free = [f for f in forms if not _dominating_single_positions(f, u)]
     free_set = set(dominator_free)
@@ -528,9 +519,9 @@ def chi_psi_check(forms, u):
         image = split_chain_top(f, u)
         if image not in with_set or absorb_dominating_single(image, u) != f:
             mutually_inverse = False
-    signed = Polynomial.zero(n)
+    signed = Counter()
     for f in forms:
-        signed = signed + f.sign * f.weight_product(n)
+        signed[f.weight_monomial()] += f.sign
     # every dominator-free form must genuinely carry a chain to split
     forms_ok = all(len(f.chain) >= 2 for f in dominator_free) and len(forms) == len(
         set(forms)
@@ -541,6 +532,6 @@ def chi_psi_check(forms, u):
         mutually_inverse=mutually_inverse,
         sign_reversing=sign_reversing,
         weight_preserving=weight_preserving,
-        signed_sum=signed,
+        signed_sum=Polynomial(u.n, signed),
         forms_match_multipaths=forms_ok,
     )

@@ -71,7 +71,7 @@ def apply_ghom(f, ctx):
         raise AssertionError("expected an integer vertex polynomial")
     out = Polynomial.zero(ctx.n)
     for lam, coeff in fe.coeffs.items():
-        out = out + int(coeff) * ctx.elementary_product(lam)
+        out = out + coeff * ctx.elementary_product(lam)
     return out
 
 

@@ -17,6 +17,7 @@ connect base i to destination i), giving the Schur analogue of the
 conjugate partition as a manifestly monomial-positive sum.
 """
 
+from collections import Counter
 from itertools import permutations
 
 from .combinat import is_partition
@@ -82,9 +83,6 @@ class GridPath:
     def weight_monomial(self):
         return monomial_from_elements(self.diag_rows)
 
-    def weight(self, n):
-        return Polynomial.monomial(self.weight_monomial(), 1, n)
-
     def __eq__(self, other):
         return isinstance(other, GridPath) and self.vertices == other.vertices
 
@@ -147,10 +145,9 @@ def paths_between(u, a, b):
 
 def path_sum(u, a, b):
     """Exact sum of path weights from a to b (the matrix entries below)."""
-    total = Polynomial.zero(u.n)
-    for p in paths_between(u, a, b):
-        total = total + p.weight(u.n)
-    return total
+    return Polynomial(
+        u.n, Counter(p.weight_monomial() for p in paths_between(u, a, b))
+    )
 
 
 class Multipath:
@@ -202,11 +199,9 @@ class Multipath:
     def weight_vector(self):
         return tuple(p.weight_monomial() for p in self.paths)
 
-    def weight_product(self, n):
-        elements = []
-        for p in self.paths:
-            elements.extend(p.diag_rows)
-        return Polynomial.monomial(monomial_from_elements(elements), 1, n)
+    def weight_monomial(self):
+        """The product of the path weights, as one monomial."""
+        return monomial_from_elements(r for p in self.paths for r in p.diag_rows)
 
     def key(self):
         return (self.sigma, tuple(p.vertices for p in self.paths))
@@ -309,12 +304,11 @@ def nonintersecting_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
 def _disjoint_family_sum(g, budget=DEFAULT_MULTIPATH_BUDGET):
     """Sum of the weights of the disjoint multipaths of g.  Each must connect
     base i to destination i (require_identity), so every sign is +1."""
-    n = g.uio.n
-    total = Polynomial.zero(n)
+    counts = Counter()
     for mp in nonintersecting_multipaths(g, budget):
         mp.require_identity()
-        total = total + mp.weight_product(n)
-    return total
+        counts[mp.weight_monomial()] += 1
+    return Polynomial(g.uio.n, counts)
 
 
 def lgv_check(g, budget=DEFAULT_MULTIPATH_BUDGET):

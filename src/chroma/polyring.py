@@ -1,8 +1,9 @@
 """Sparse exact multivariate polynomials.
 
 One ring class serves vertex polynomials in v_1..v_n, which are int-only
-(ghom.apply_ghom is the one place where Fraction coordinates meet them),
-and the x-polynomials of the concrete-expansion oracles in symfunc, whose
+(ghom.apply_ghom is the one place where symmetric-function coordinates
+meet them, and SymFunc stores integral coordinates as ints), and the
+x-polynomials of the concrete-expansion oracles in symfunc, whose
 coefficients may be Fractions, integral ones included.  Arithmetic stores
 what + and * return; is_integral and to_json judge coefficients by value.
 There is no variable-name prefix: every polynomial prints as v1, v2, ...

@@ -228,11 +228,6 @@ class SymFunc:
     def degrees(self):
         return sorted({sum(lam) for lam in self.coeffs})
 
-    def degree_slice(self, d):
-        return SymFunc(
-            self.basis, {lam: c for lam, c in self.coeffs.items() if sum(lam) == d}
-        )
-
     def is_positive(self):
         """No negative coefficient (zero entries are never stored)."""
         return all(c > 0 for c in self.coeffs.values())
@@ -243,7 +238,7 @@ class SymFunc:
     def as_int_dict(self):
         if not self.is_integral():
             raise ValueError("non-integer coefficients present")
-        return {lam: int(c) for lam, c in self.coeffs.items()}
+        return dict(self.coeffs)
 
     def expand(self, N):
         """Concrete polynomial in x_1..x_N."""
@@ -472,15 +467,10 @@ class TransitionMatrixCache:
         if to == f.basis:
             return SymFunc(f.basis, dict(f.coeffs))
         out = {}
-        for d in f.degrees():
-            piece = f.degree_slice(d)
-            if d == 0:
-                out[()] = out.get((), 0) + piece.coeffs[()]
-                continue
-            matrix = self.get(f.basis, to, d)
-            for lam, c in piece.coeffs.items():
-                for mu, entry in matrix[lam].items():
-                    out[mu] = out.get(mu, 0) + c * entry
+        for lam, c in f.coeffs.items():
+            row = self.get(f.basis, to, sum(lam))[lam] if lam else {(): 1}
+            for mu, entry in row.items():
+                out[mu] = out.get(mu, 0) + c * entry
         return SymFunc(to, out)
 
 

@@ -227,6 +227,28 @@ def test_lgv_never_lists_every_multipath(monkeypatch):
     assert rep.ok, rep.failures
 
 
+@pytest.mark.parametrize(
+    "suite, inst",
+    [
+        ("involutions", {"uio": "3,4,4", "k": 3}),
+        ("lgv", {"uio": "3,4,4", "partition": "2,1"}),
+        ("gasharov", {"uio": "3,4,4", "partition": "2,1"}),
+    ],
+)
+def test_grid_sums_build_no_one_term_polynomials(capsys, monkeypatch, suite, inst):
+    # path, family and weight-form sums count coefficients per monomial and
+    # build each polynomial once
+    from chroma.polyring import Polynomial
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum built a one-term polynomial")
+
+    monkeypatch.setattr(Polynomial, "monomial", refuse)
+    code, out, _ = run(capsys, "verify", suite, "--instance", json.dumps(inst))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_verify_lgv_names_a_non_identity_multipath(capsys, monkeypatch):
     import chroma.cli as cli
     from chroma.lgvgrid import Multipath, grid_path_from_vertices

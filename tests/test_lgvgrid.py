@@ -102,7 +102,7 @@ def test_enumerate_multipaths_single_path():
     assert all(mp.sigma == (1,) for mp in mps)
     total = Polynomial.zero(3)
     for mp in mps:
-        total = total + mp.weight_product(3)
+        total = total + Polynomial.monomial(mp.weight_monomial(), 1, 3)
     assert total == path_sum(U3, (1, 1), (2, 4))
 
 

@@ -13,6 +13,12 @@ The eposn suite compares the top e-coefficient of X_G with the covering
 correct sequences, and the sink suite compares the e-coefficient sums of
 X_G with acyclic orientations counted by sinks; both read X_G from the
 stable-partition count, so one miscounted block type fails both.
+
+The ppos suite compares power_via_corrects with power_g, and the thn1 suite
+compares m_l1_via_corrects with two power_g routes and monomial_g; both sum
+over enumerate_corrects, so one lost correct sequence fails both.  The
+involutions suite checks the signed sums over every multipath of the
+all-ones grid against power_g; one lost multipath breaks the cancellation.
 """
 
 import json
@@ -21,6 +27,7 @@ import pytest
 
 import chroma.chromatic as chromatic
 import chroma.cli as cli
+import chroma.corrects as corrects
 import chroma.lgvgrid as lgvgrid
 from chroma.combinat import UnitIntervalOrder
 from chroma.polyring import Polynomial
@@ -78,6 +85,24 @@ def plant_singleton_blocks(monkeypatch):
     monkeypatch.setattr(chromatic, "_stable_partition_signatures", planted)
 
 
+def plant_dropped_sequence(monkeypatch):
+    original = corrects.enumerate_corrects
+
+    def planted(u, k, budget=corrects.DEFAULT_SEQUENCE_BUDGET):
+        return original(u, k, budget)[:-1]
+
+    monkeypatch.setattr(corrects, "enumerate_corrects", planted)
+
+
+def plant_dropped_multipath(monkeypatch):
+    original = corrects.enumerate_multipaths
+
+    def planted(g, budget=lgvgrid.DEFAULT_MULTIPATH_BUDGET):
+        return original(g, budget)[:-1]
+
+    monkeypatch.setattr(corrects, "enumerate_multipaths", planted)
+
+
 def replay(capsys, suite, inst):
     code = cli.main(["verify", suite, "--instance", json.dumps(inst)])
     out = capsys.readouterr().out
@@ -93,22 +118,28 @@ def test_planted_stable_count_fails_the_suite(capsys, monkeypatch, suite):
 
 
 @pytest.mark.parametrize(
-    "plant, suite",
+    "plant, suite, inst",
     [
-        (plant_schur_g, "gasharov"),
-        (plant_dropped_family, "lgv"),
-        (plant_dropped_family, "gasharov"),
-        (plant_path_sum_entry, "lgv"),
+        (plant_schur_g, "gasharov", INSTANCE),
+        (plant_dropped_family, "lgv", INSTANCE),
+        (plant_dropped_family, "gasharov", INSTANCE),
+        (plant_path_sum_entry, "lgv", INSTANCE),
+        (plant_dropped_sequence, "ppos", {"uio": U3, "k": 3}),
+        (plant_dropped_sequence, "thn1", {"uio": U3, "l": 2}),
+        (plant_dropped_multipath, "involutions", {"uio": U3, "k": 3}),
     ],
     ids=[
         "schur_g-extra-monomial-gasharov",
         "dropped-family-lgv",
         "dropped-family-gasharov",
         "path_sum-extra-monomial-lgv",
+        "dropped-sequence-ppos",
+        "dropped-sequence-thn1",
+        "dropped-multipath-involutions",
     ],
 )
-def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite):
+def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite, inst):
     plant(monkeypatch)
-    code, report = replay(capsys, suite, INSTANCE)
+    code, report = replay(capsys, suite, inst)
     assert code == 1
     assert [f["outcome"] for f in report["failures"]] == ["fail"]

@@ -27,6 +27,7 @@ an exact polynomial identity rather than trusting the bookkeeping.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import (
     BadParameter,
@@ -95,38 +96,50 @@ def is_correct_via_connectivity(u, seq):
     return True
 
 
+def _extension_bounds(u):
+    """The tables that bound the next entry of a correct sequence.
+
+    c may follow a prefix when its last element does not dominate c and c
+    does not dominate the running maximum (dominating the maximum is the same
+    as dominating everything before, since the elements are sorted by
+    position).  next is nondecreasing, so the first condition keeps a suffix
+    c >= lo[last] and the second a prefix c < nxt[running_max].  Index 0
+    stands for the empty prefix, which bounds nothing: lo[0] = 1 and
+    nxt[0] = n + 1.
+    """
+    n = u.n
+    nxt = (n + 1,) + u.next
+    lo = []
+    c = 1
+    for last in range(n + 1):
+        while nxt[c] <= last:  # last dominates c
+            c += 1
+        lo.append(c)
+    return lo, nxt
+
+
 def enumerate_corrects(u, k, budget=DEFAULT_SEQUENCE_BUDGET):
     """All correct sequences of length k, lexicographic.
 
-    Prefixes of correct sequences are correct, so this is a straight DFS:
-    extend by c whenever the last element does not dominate c and c does not
-    dominate the running maximum (dominating the maximum is the same as
-    dominating everything before, since the elements are sorted by
-    position).
+    Prefixes of correct sequences are correct, so this is a straight DFS
+    that extends each prefix by the interval of _extension_bounds, in
+    increasing order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if u.n ** k > budget:
         raise TooLarge("n^k = %d exceeds the sequence budget" % (u.n ** k,))
+    lo, nxt = _extension_bounds(u)
     out = []
-    n = u.n
 
-    def rec(prefix, running_max):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
+    def grow(seq, last, top):
+        if len(seq) == k - 1:
+            out.extend([seq + (c,) for c in range(lo[last], nxt[top])])
             return
-        last = prefix[-1] if prefix else None
-        for c in range(1, n + 1):
-            if last is not None:
-                if u.succ(last, c):
-                    continue
-                if u.succ(c, running_max):
-                    continue
-            prefix.append(c)
-            rec(prefix, max(running_max, c))
-            prefix.pop()
+        for c in range(lo[last], nxt[top]):
+            grow(seq + (c,), c, c if c > top else top)
 
-    rec([], 0)
+    grow((), 0, 0)
     return out
 
 
@@ -144,25 +157,19 @@ def covering_corrects_count(u):
     corrects with distinct entries), so the antichain costs n! rather than
     n^n."""
     n = u.n
+    lo, nxt = _extension_bounds(u)
     count = 0
 
-    def rec(prefix, used, running_max):
+    def rec(length, last, used, running_max):
         nonlocal count
-        if len(prefix) == n:
+        if length == n:
             count += 1
             return
-        last = prefix[-1] if prefix else None
-        for c in range(1, n + 1):
-            if used & (1 << c):
-                continue
-            if last is not None:
-                if u.succ(last, c) or u.succ(c, running_max):
-                    continue
-            prefix.append(c)
-            rec(prefix, used | (1 << c), max(running_max, c))
-            prefix.pop()
+        for c in range(lo[last], nxt[running_max]):
+            if not used & (1 << c):
+                rec(length + 1, c, used | (1 << c), max(running_max, c))
 
-    rec([], 0, 0)
+    rec(0, 0, 0, 0)
     return count
 
 
@@ -171,18 +178,18 @@ def m_l1_via_corrects(u, l):
     correct sequence of length l and one extra element z with either z
     dominating the whole sequence or z below the last entry.
 
-    Restricted to l >= 2: at l = 1 the same recipe double-counts.
+    Restricted to l >= 2: at l = 1 the same recipe double-counts.  In the
+    tables of _extension_bounds, the z below the last entry are those
+    before lo[last], and the z dominating the maximum those from nxt[max].
     """
     if l < 2:
         raise BadParameter("the pair expansion needs l >= 2")
     n = u.n
+    lo, nxt = _extension_bounds(u)
     counts = Counter()
     for seq in enumerate_corrects(u, l):
-        mx = max(seq)
-        last = seq[-1]
-        for z in range(1, n + 1):
-            if u.succ(z, mx) or u.succ(last, z):
-                counts[monomial_from_elements(seq + (z,))] += 1
+        for z in chain(range(1, lo[seq[-1]]), range(nxt[max(seq)], n + 1)):
+            counts[monomial_from_elements(seq + (z,))] += 1
     return Polynomial(n, counts)
 
 

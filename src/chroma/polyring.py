@@ -7,8 +7,17 @@ x-polynomials of the concrete-expansion oracles in symfunc, whose
 coefficients may be Fractions, integral ones included.  Arithmetic stores
 what + and * return; is_integral and to_json judge coefficients by value.
 There is no variable-name prefix: every polynomial prints as v1, v2, ...
-Monomials are stored as sorted tuples of (variable index, exponent) pairs
-with all exponents positive; terms with coefficient zero are never stored.
+
+A monomial is one packed int (Kronecker substitution): the exponent of v_i
+sits in the FIELD-bit field at bit FIELD*(i-1), so the product of two
+monomials is their integer sum and the empty monomial is 0.  Exponents stay
+below EXP_LIMIT = 2^(FIELD-1): pack refuses larger ones, and __mul__ tests
+every result monomial against the ring's mask of field top bits, so a
+product is either exact or raises OverflowError; a carry never reaches the
+next variable.  The sparse form, sorted (variable index, exponent) pairs
+with positive exponents, appears only where polynomials are read or
+written: pack/unpack, coeff, to_json/from_json, __str__ and
+canonical_terms.  Terms with coefficient zero are never stored.
 """
 
 from fractions import Fraction
@@ -16,31 +25,47 @@ from itertools import permutations
 
 from .errors import VariableMismatch
 
-ONE = ()  # the empty monomial
+FIELD = 16  # bits per exponent field
+EXP_LIMIT = 1 << (FIELD - 1)  # every stored exponent is below this
+_FIELD_MASK = (1 << FIELD) - 1
+ONE = 0  # the empty monomial
 
 
-def monomial_mul(m1, m2):
-    """Merge two sparse exponent tuples."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for var, e in m2:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
+def pack(pairs):
+    """Packed monomial of (variable index, exponent) pairs."""
+    mono = 0
+    for var, e in pairs:
+        if not 0 <= e < EXP_LIMIT:
+            raise OverflowError("exponent %d outside [0, %d)" % (e, EXP_LIMIT))
+        mono += e << FIELD * (var - 1)
+    return mono
 
 
-def monomial_degree(m):
-    return sum(e for _, e in m)
+def unpack(mono):
+    """Sorted (variable index, exponent) pairs of a packed monomial."""
+    pairs = []
+    var = 1
+    while mono:
+        e = mono & _FIELD_MASK
+        if e:
+            pairs.append((var, e))
+        mono >>= FIELD
+        var += 1
+    return tuple(pairs)
+
+
+def _top_bits(nvars):
+    """The top bit of each of the first nvars exponent fields."""
+    return ((1 << FIELD * nvars) - 1) // _FIELD_MASK << (FIELD - 1)
 
 
 def monomial_from_elements(elements):
-    """Squarefree-or-not monomial from a multiset of variable indices."""
-    exps = {}
+    """Monomial of a multiset of variable indices, each repeated fewer than
+    EXP_LIMIT times: the sum of their field units."""
+    mono = 0
     for v in elements:
-        exps[v] = exps.get(v, 0) + 1
-    return tuple(sorted(exps.items()))
+        mono += 1 << FIELD * (v - 1)
+    return mono
 
 
 class Polynomial:
@@ -70,11 +95,11 @@ class Polynomial:
     def variable(cls, i, nvars):
         if not 1 <= i <= nvars:
             raise ValueError("variable index out of range")
-        return cls(nvars, {((i, 1),): 1})
+        return cls(nvars, {1 << FIELD * (i - 1): 1})
 
     @classmethod
     def monomial(cls, mono, coeff, nvars):
-        return cls(nvars, {tuple(mono): coeff})
+        return cls(nvars, {mono: coeff})
 
     # ring operations ----------------------------------------------------------
 
@@ -125,12 +150,17 @@ class Polynomial:
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = monomial_mul(m1, m2)
+                mono = m1 + m2
                 c = acc.get(mono, 0) + c1 * c2
                 if c:
                     acc[mono] = c
                 else:
                     del acc[mono]
+        # the factors' exponents are below EXP_LIMIT, so a sum never carries
+        # out of its field, and a set top bit is an exponent >= EXP_LIMIT
+        top = _top_bits(self.nvars)
+        if any(mono & top for mono in acc):
+            raise OverflowError("an exponent reaches %d" % EXP_LIMIT)
         out = Polynomial(self.nvars)
         out.terms = acc
         return out
@@ -164,8 +194,9 @@ class Polynomial:
     # queries -----------------------------------------------------------------
 
     def coeff(self, mono):
-        """Exact coefficient of a monomial, 0 when absent."""
-        return self.terms.get(tuple(mono), 0)
+        """Exact coefficient of a monomial given as (variable index,
+        exponent) pairs, 0 when absent."""
+        return self.terms.get(pack(mono), 0)
 
     def is_zero(self):
         return not self.terms
@@ -181,35 +212,28 @@ class Polynomial:
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(monomial_degree(m) for m in self.terms)
-
-    def _dense(self, mono):
-        vec = [0] * self.nvars
-        for var, e in mono:
-            vec[var - 1] = e
-        return tuple(vec)
+        return max(sum(e for _, e in unpack(m)) for m in self.terms)
 
     def canonical_terms(self):
-        """Terms in graded lexicographic order (degree, then v1-major)."""
-        return sorted(
-            self.terms.items(),
-            key=lambda mc: (
-                monomial_degree(mc[0]),
-                tuple(-e for e in self._dense(mc[0])),
-            ),
-        )
+        """(monomial pairs, coefficient) in graded lexicographic order
+        (degree, then v1-major)."""
+        fields = [FIELD * i for i in range(self.nvars)]
+
+        def key(mono):
+            dense = [mono >> f & _FIELD_MASK for f in fields]
+            return sum(dense), [-e for e in dense]
+
+        return [(unpack(m), self.terms[m]) for m in sorted(self.terms, key=key)]
 
     def embed(self, nvars, offset=0):
         """Same polynomial inside a larger ring, variables shifted by offset."""
-        if offset < 0 or self.degree() >= 0 and any(
-            var + offset > nvars for m in self.terms for var, _ in m
-        ):
+        # the largest monomial holds the highest variable any term uses
+        top = max(self.terms, default=ONE)
+        if offset < 0 or top >> FIELD * max(nvars - offset, 0):
             raise VariableMismatch("embedding does not fit")
+        shift = FIELD * offset
         out = Polynomial(nvars)
-        out.terms = {
-            tuple((var + offset, e) for var, e in m): c
-            for m, c in self.terms.items()
-        }
+        out.terms = {m << shift: c for m, c in self.terms.items()}
         return out
 
     # serialization -------------------------------------------------------------
@@ -227,7 +251,7 @@ class Polynomial:
     def from_json(cls, data, nvars):
         terms = {}
         for entry in data:
-            mono = tuple((int(v), int(e)) for v, e in entry["exps"])
+            mono = pack((int(v), int(e)) for v, e in entry["exps"])
             terms[mono] = _parse_coeff(entry["coeff"])
         return cls(nvars, terms)
 

@@ -24,7 +24,7 @@ from .combinat import (
     partitions_of,
 )
 from .errors import SingularSystem
-from .polyring import Polynomial, det
+from .polyring import Polynomial, det, monomial_from_elements, pack
 
 BASES = ("e", "m", "p", "s")
 
@@ -50,13 +50,13 @@ def elementary_concrete(m, N):
         return Polynomial.one(N)
     terms = {}
     for subset in combinations(range(1, N + 1), m):
-        terms[tuple((i, 1) for i in subset)] = 1
+        terms[monomial_from_elements(subset)] = 1
     return Polynomial(N, terms)
 
 
 def power_concrete(m, N):
     """p_m truncated to x_1..x_N."""
-    terms = {((i, m),): 1 for i in range(1, N + 1)}
+    terms = {pack(((i, m),)): 1 for i in range(1, N + 1)}
     return Polynomial(N, terms)
 
 
@@ -88,8 +88,7 @@ def monomial_concrete(lam, N):
     padded = list(lam) + [0] * (N - len(lam))
     terms = {}
     for vec in _distinct_permutations(padded):
-        mono = tuple((i + 1, e) for i, e in enumerate(vec) if e)
-        terms[mono] = 1
+        terms[pack(enumerate(vec, 1))] = 1
     return Polynomial(N, terms)
 
 
@@ -224,9 +223,6 @@ class SymFunc:
         return bool(self.coeffs)
 
     # queries ------------------------------------------------------------------
-
-    def degrees(self):
-        return sorted({sum(lam) for lam in self.coeffs})
 
     def is_positive(self):
         """No negative coefficient (zero entries are never stored)."""

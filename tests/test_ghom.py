@@ -21,7 +21,7 @@ from chroma.ghom import (
     power_g,
     schur_g,
 )
-from chroma.polyring import Polynomial, det
+from chroma.polyring import Polynomial, det, unpack
 from chroma.symfunc import SymFunc, newton_p, transition_matrix
 
 TWO_CHAIN = UnitIntervalOrder([2, 3])
@@ -63,7 +63,8 @@ def test_elementary_monomials_are_squarefree_stable_sets():
             ctx = ctx_of(u)
             g = u.inc_graph()
             for i in range(0, n + 1):
-                for mono, c in ctx.elementary(i).terms.items():
+                for packed, c in ctx.elementary(i).terms.items():
+                    mono = unpack(packed)
                     assert c == 1
                     assert all(e == 1 for _, e in mono)
                     assert len(mono) == i
@@ -74,6 +75,20 @@ def test_elementary_monomials_are_squarefree_stable_sets():
                             if a != b:
                                 assert not g.adjacent(a, b)
                                 assert u.comparable(a, b)
+
+
+def test_elementary_product_is_memoised_plain_product():
+    for n in range(1, 5):
+        for u in enumerate_uios(n):
+            ctx = ctx_of(u)
+            for d in range(6):
+                for lam in partitions_of(d):
+                    plain = Polynomial.one(n)
+                    for part in lam:
+                        plain = plain * ctx.elementary(part)
+                    first = ctx.elementary_product(lam)
+                    assert first == plain, (str(u), lam)
+                    assert ctx.elementary_product(lam) is first
 
 
 def test_apply_ghom_elementary_one():

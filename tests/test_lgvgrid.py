@@ -18,7 +18,7 @@ from chroma.lgvgrid import (
     paths_between,
     schur_via_lgv,
 )
-from chroma.polyring import Polynomial, det
+from chroma.polyring import Polynomial, det, pack
 
 U8 = UnitIntervalOrder([3, 4, 5, 6, 7, 8, 9, 9])
 U5 = UnitIntervalOrder([3, 4, 5, 6, 6])
@@ -57,7 +57,7 @@ def test_trivial_vertical_window():
 def test_path_sum_single_chain():
     # U3: picking rows 1 then 3 is the only two-step chain
     p = path_sum(U3, (1, 1), (3, 4))
-    assert p == Polynomial.monomial(((1, 1), (3, 1)), 1, 3)
+    assert p == Polynomial.monomial(pack(((1, 1), (3, 1))), 1, 3)
 
 
 def test_path_vertices_follow_edge_rules():

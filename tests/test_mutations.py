@@ -16,9 +16,14 @@ stable-partition count, so one miscounted block type fails both.
 
 The ppos suite compares power_via_corrects with power_g, and the thn1 suite
 compares m_l1_via_corrects with two power_g routes and monomial_g; both sum
-over enumerate_corrects, so one lost correct sequence fails both.  The
-involutions suite checks the signed sums over every multipath of the
-all-ones grid against power_g; one lost multipath breaks the cancellation.
+over enumerate_corrects, so one lost correct sequence fails both.  Only
+their G-analogue side reads GAnalogueContext.elementary_product, so an extra
+monomial in e^G_lam fails both too.  The involutions suite checks the signed
+sums over every multipath of the all-ones grid against power_g; one lost
+multipath breaks the cancellation.
+
+The gnechrom suite compares a coefficient of the e^G products with X of the
+clan graph; a clan graph that lost one edge has a different X.
 """
 
 import json
@@ -28,8 +33,9 @@ import pytest
 import chroma.chromatic as chromatic
 import chroma.cli as cli
 import chroma.corrects as corrects
+import chroma.ghom as ghom
 import chroma.lgvgrid as lgvgrid
-from chroma.combinat import UnitIntervalOrder
+from chroma.combinat import Graph, UnitIntervalOrder
 from chroma.polyring import Polynomial
 
 U3 = "3,4,4"
@@ -103,6 +109,25 @@ def plant_dropped_multipath(monkeypatch):
     monkeypatch.setattr(corrects, "enumerate_multipaths", planted)
 
 
+def plant_elementary_product(monkeypatch):
+    original = ghom.GAnalogueContext.elementary_product
+
+    def planted(ctx, lam):
+        return original(ctx, lam) + extra_monomial(ctx.n)
+
+    monkeypatch.setattr(ghom.GAnalogueContext, "elementary_product", planted)
+
+
+def plant_clan_edge(monkeypatch):
+    original = ghom.clan_graph
+
+    def planted(g, alpha):
+        clan = original(g, alpha)
+        return Graph(clan.n, clan.edges()[:-1])
+
+    monkeypatch.setattr(ghom, "clan_graph", planted)
+
+
 def replay(capsys, suite, inst):
     code = cli.main(["verify", suite, "--instance", json.dumps(inst)])
     out = capsys.readouterr().out
@@ -127,6 +152,9 @@ def test_planted_stable_count_fails_the_suite(capsys, monkeypatch, suite):
         (plant_dropped_sequence, "ppos", {"uio": U3, "k": 3}),
         (plant_dropped_sequence, "thn1", {"uio": U3, "l": 2}),
         (plant_dropped_multipath, "involutions", {"uio": U3, "k": 3}),
+        (plant_elementary_product, "ppos", {"uio": U3, "k": 3}),
+        (plant_elementary_product, "thn1", {"uio": U3, "l": 2}),
+        (plant_clan_edge, "gnechrom", {"uio": "2,3,4", "alpha": [2, 1, 1]}),
     ],
     ids=[
         "schur_g-extra-monomial-gasharov",
@@ -136,6 +164,9 @@ def test_planted_stable_count_fails_the_suite(capsys, monkeypatch, suite):
         "dropped-sequence-ppos",
         "dropped-sequence-thn1",
         "dropped-multipath-involutions",
+        "elementary_product-extra-monomial-ppos",
+        "elementary_product-extra-monomial-thn1",
+        "clan-dropped-edge-gnechrom",
     ],
 )
 def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite, inst):

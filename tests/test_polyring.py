@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chroma.errors import VariableMismatch
-from chroma.polyring import Polynomial, det, monomial_from_elements
+from chroma.polyring import (
+    EXP_LIMIT,
+    Polynomial,
+    det,
+    monomial_from_elements,
+    pack,
+    unpack,
+)
 
 
 def v(i, n=3):
@@ -168,7 +175,7 @@ def test_det_polynomial_matrix():
 # properties over mixed int / Fraction coefficients
 
 _monos = st.dictionaries(st.integers(1, 3), st.integers(1, 3), max_size=3).map(
-    lambda exps: tuple(sorted(exps.items()))
+    lambda exps: pack(exps.items())
 )
 _ints = st.integers(-5, 5)
 # includes integral Fractions such as Fraction(2)
@@ -201,7 +208,7 @@ def test_ring_laws_property(a, b, c, k):
 def test_zero_terms_are_elided_property(a, b, k):
     for poly in (a, a + b, a - b, a * b, a - a, k * a, Fraction(0) * a):
         assert all(c != 0 for c in poly.terms.values())
-    assert Polynomial(3, {(): 0, ((1, 1),): Fraction(0)}).terms == {}
+    assert Polynomial(3, {pack(()): 0, pack(((1, 1),)): Fraction(0)}).terms == {}
 
 
 @settings(max_examples=80, deadline=None)
@@ -209,8 +216,8 @@ def test_zero_terms_are_elided_property(a, b, k):
 def test_is_integral_judges_by_value(p):
     expected = all(Fraction(c).denominator == 1 for c in p.terms.values())
     assert p.is_integral() == expected
-    assert Polynomial(3, {((1, 1),): Fraction(2)}).is_integral()
-    assert not Polynomial(3, {((1, 1),): Fraction(1, 2)}).is_integral()
+    assert Polynomial(3, {pack(((1, 1),)): Fraction(2)}).is_integral()
+    assert not Polynomial(3, {pack(((1, 1),)): Fraction(1, 2)}).is_integral()
 
 
 @settings(max_examples=80, deadline=None)
@@ -229,3 +236,59 @@ def test_json_round_trip_property(p):
 def test_int_inputs_give_int_coefficients(a, b, k):
     for poly in (a + b, a - b, -a, a * b, k * a, a * k, a + k, a - k, k - a):
         assert all(type(c) is int for c in poly.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# the packed-monomial kernel against a sparse-tuple reference
+
+
+def _tuple_product(a, b):
+    """a * b over sparse (variable, exponent) tuples, merged through a dict."""
+    acc = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for var, e in m2:
+                exps[var] = exps.get(var, 0) + e
+            mono = tuple(sorted(exps.items()))
+            acc[mono] = acc.get(mono, 0) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
+_sparse8 = st.dictionaries(st.integers(1, 8), st.integers(1, 6), max_size=8).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+_terms8 = st.dictionaries(_sparse8, _mixed, max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_terms8, _terms8)
+def test_packed_product_matches_tuple_merge(a, b):
+    pa = Polynomial(8, {pack(m): c for m, c in a.items()})
+    pb = Polynomial(8, {pack(m): c for m, c in b.items()})
+    product = pa * pb
+    expected = _tuple_product(
+        {m: c for m, c in a.items() if c}, {m: c for m, c in b.items() if c}
+    )
+    assert {unpack(m): c for m, c in product.terms.items()} == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse8)
+def test_unpack_inverts_pack(m):
+    assert unpack(pack(m)) == m
+
+
+def test_exponent_guard():
+    assert EXP_LIMIT == 2**15
+    v1, v2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+    top = v1 ** (2**15 - 1)
+    # exact, and no carry into v2's field
+    assert [unpack(m) for m in top.terms] == [((1, 2**15 - 1),)]
+    assert [unpack(m) for m in (top * v2).terms] == [((1, 2**15 - 1), (2, 1))]
+    with pytest.raises(OverflowError):
+        v1 ** 2**15
+    with pytest.raises(OverflowError):
+        top * v1
+    with pytest.raises(OverflowError):
+        pack(((1, 2**15),))

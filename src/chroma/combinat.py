@@ -129,7 +129,9 @@ class UnitIntervalOrder:
         return Poset(self.n, pairs)
 
     def inc_graph(self):
-        return inc_graph(self.poset())
+        # i < j are incomparable exactly when j < next[i]
+        edges = [(i, j) for i, t in enumerate(self.next, 1) for j in range(i + 1, t)]
+        return Graph(self.n, edges)
 
     # plumbing -------------------------------------------------------------
 

@@ -21,13 +21,15 @@ kill everything except the correct sequences:
   * those residues cancel against the disjoint-but-incorrect multipaths
     (class L) through a chain-shrinking/growing bijection.
 
-This module enumerates everything at desk scale and verifies each step as
-an exact polynomial identity rather than trusting the bookkeeping.
+Sums over correct sequences are counted by one state DP (_grow), never
+listed; enumerate_corrects, the filtered exhaustive search, is its oracle.
+Multipaths are enumerated at desk scale and each cancellation is verified
+as an exact polynomial identity.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 
 from .errors import (
     BadParameter,
@@ -44,7 +46,7 @@ from .lgvgrid import (
     enumerate_multipaths,
     grid_path_from_vertices,
 )
-from .polyring import Polynomial, monomial_from_elements
+from .polyring import FIELD, Polynomial, monomial_from_elements
 
 DEFAULT_SEQUENCE_BUDGET = 10_000_000
 
@@ -118,59 +120,55 @@ def _extension_bounds(u):
     return lo, nxt
 
 
-def enumerate_corrects(u, k, budget=DEFAULT_SEQUENCE_BUDGET):
-    """All correct sequences of length k, lexicographic.
+def _grow(u, states):
+    """One more entry for each state (last entry, running maximum, packed
+    monomial) -> number of correct prefixes; the empty prefix is (0, 0, 0)."""
+    lo, nxt = _extension_bounds(u)
+    out = {}
+    for (last, top, mono), count in states.items():
+        for c in range(lo[last], nxt[top]):
+            key = (c, c if c > top else top, mono + (1 << FIELD * (c - 1)))
+            out[key] = out.get(key, 0) + count
+    return out
 
-    Prefixes of correct sequences are correct, so this is a straight DFS
-    that extends each prefix by the interval of _extension_bounds, in
-    increasing order.
-    """
+
+def _states(u, k):
+    """The states of the correct sequences of length k."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if u.n ** k > DEFAULT_SEQUENCE_BUDGET:
+        raise TooLarge("n^k = %d exceeds the sequence budget" % (u.n ** k,))
+    states = {(0, 0, 0): 1}
+    for _ in range(k):
+        states = _grow(u, states)
+    return states
+
+
+def enumerate_corrects(u, k, budget=DEFAULT_SEQUENCE_BUDGET):
+    """All correct sequences of length k, lexicographic: the n^k candidates
+    filtered by is_correct, the oracle that _grow is tested against."""
     if u.n ** k > budget:
         raise TooLarge("n^k = %d exceeds the sequence budget" % (u.n ** k,))
-    lo, nxt = _extension_bounds(u)
-    out = []
-
-    def grow(seq, last, top):
-        if len(seq) == k - 1:
-            out.extend([seq + (c,) for c in range(lo[last], nxt[top])])
-            return
-        for c in range(lo[last], nxt[top]):
-            grow(seq + (c,), c, c if c > top else top)
-
-    grow((), 0, 0)
-    return out
+    return [seq for seq in product(range(1, u.n + 1), repeat=k) if is_correct(u, seq)]
 
 
 def power_via_corrects(u, k):
     """Sum of w_1 * .. * w_k over correct sequences; the power-sum analogue."""
-    return Polynomial(
-        u.n, Counter(monomial_from_elements(seq) for seq in enumerate_corrects(u, k))
-    )
+    counts = Counter()
+    for (_, _, mono), count in _states(u, k).items():
+        counts[mono] += count
+    return Polynomial(u.n, counts)
 
 
 def covering_corrects_count(u):
-    """Correct sequences of length n using every element exactly once.
-
-    Searches over permutations directly (prefixes of a covering correct are
-    corrects with distinct entries), so the antichain costs n! rather than
-    n^n."""
-    n = u.n
-    lo, nxt = _extension_bounds(u)
-    count = 0
-
-    def rec(length, last, used, running_max):
-        nonlocal count
-        if length == n:
-            count += 1
-            return
-        for c in range(lo[last], nxt[running_max]):
-            if not used & (1 << c):
-                rec(length + 1, c, used | (1 << c), max(running_max, c))
-
-    rec(0, 0, 0, 0)
-    return count
+    """Correct sequences of length n using every element exactly once: only
+    squarefree states are kept after each step, and only the new entry's
+    field can reach 2, so the antichain costs subsets rather than n^n."""
+    states = {(0, 0, 0): 1}
+    for _ in range(u.n):
+        grown = _grow(u, states)
+        states = {s: grown[s] for s in grown if not s[2] >> FIELD * (s[0] - 1) & 2}
+    return sum(states.values())
 
 
 def m_l1_via_corrects(u, l):
@@ -187,9 +185,9 @@ def m_l1_via_corrects(u, l):
     n = u.n
     lo, nxt = _extension_bounds(u)
     counts = Counter()
-    for seq in enumerate_corrects(u, l):
-        for z in chain(range(1, lo[seq[-1]]), range(nxt[max(seq)], n + 1)):
-            counts[monomial_from_elements(seq + (z,))] += 1
+    for (last, top, mono), count in _states(u, l).items():
+        for z in chain(range(1, lo[last]), range(nxt[top], n + 1)):
+            counts[mono + (1 << FIELD * (z - 1))] += count
     return Polynomial(n, counts)
 
 

@@ -216,6 +216,12 @@ def test_inc_graph_examples():
     assert u8.inc_graph() == Graph.path(8)
 
 
+def test_order_inc_graph_matches_poset_route():
+    for n in range(1, 9):
+        for u in enumerate_uios(n):
+            assert u.inc_graph() == inc_graph(u.poset()), str(u)
+
+
 def test_clan_graph_examples():
     g = Graph.path(3)
     assert clan_graph(g, (1, 1, 1)) == g

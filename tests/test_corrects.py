@@ -1,6 +1,9 @@
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
+
+import chroma.corrects as corrects
 
 from chroma.combinat import UnitIntervalOrder, enumerate_uios
 from chroma.corrects import (
@@ -76,19 +79,6 @@ def test_connectivity_form_agrees():
                     assert is_correct(u, seq) == is_correct_via_connectivity(u, seq)
 
 
-def test_enumeration_matches_filter():
-    for n in range(1, 6):
-        for u in enumerate_uios(n):
-            for k in range(1, 6):
-                got = enumerate_corrects(u, k)
-                want = [
-                    seq
-                    for seq in product(range(1, n + 1), repeat=k)
-                    if is_correct(u, seq)
-                ]
-                assert got == want
-
-
 def test_enumeration_examples():
     assert len(enumerate_corrects(ANTI2, 2)) == 4
     assert enumerate_corrects(TWO_CHAIN, 2) == [(1, 1), (2, 2)]
@@ -97,6 +87,57 @@ def test_enumeration_examples():
 def test_sequence_budget():
     with pytest.raises(TooLarge):
         enumerate_corrects(U3, 3, budget=10)
+
+
+# ---------------------------------------------------------------------------
+# the counting step (power, hook and covering sums) against the filter
+
+
+def monomial_counts(seqs):
+    return Counter(monomial_from_elements(seq) for seq in seqs)
+
+
+def test_power_dp_matches_oracle():
+    for n in range(1, 6):
+        for u in enumerate_uios(n):
+            for k in range(1, 6):
+                want = Polynomial(n, monomial_counts(enumerate_corrects(u, k)))
+                assert power_via_corrects(u, k) == want, (str(u), k)
+    anti6 = UnitIntervalOrder([7] * 6)
+    want = Polynomial(6, monomial_counts(enumerate_corrects(anti6, 6)))
+    assert power_via_corrects(anti6, 6) == want
+
+
+def test_m_l1_dp_matches_oracle():
+    for n in range(1, 6):
+        for u in enumerate_uios(n):
+            for l in range(2, 5):
+                pairs = [
+                    seq + (z,)
+                    for seq in enumerate_corrects(u, l)
+                    for z in range(1, n + 1)
+                    if all(u.succ(z, w) for w in seq) or u.succ(seq[-1], z)
+                ]
+                want = Polynomial(n, monomial_counts(pairs))
+                assert m_l1_via_corrects(u, l) == want, (str(u), l)
+
+
+def test_covering_dp_matches_oracle():
+    for n in range(1, 7):
+        for u in enumerate_uios(n):
+            want = sum(
+                1 for seq in permutations(range(1, n + 1)) if is_correct(u, seq)
+            )
+            assert covering_corrects_count(u) == want, str(u)
+
+
+def test_power_budget_refuses_before_counting(monkeypatch):
+    def no_step(u, states):
+        raise AssertionError("counted past the budget")
+
+    monkeypatch.setattr(corrects, "_grow", no_step)
+    with pytest.raises(TooLarge):
+        power_via_corrects(UnitIntervalOrder([11] * 10), 8)
 
 
 # ---------------------------------------------------------------------------

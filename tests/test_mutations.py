@@ -14,16 +14,27 @@ correct sequences, and the sink suite compares the e-coefficient sums of
 X_G with acyclic orientations counted by sinks; both read X_G from the
 stable-partition count, so one miscounted block type fails both.
 
-The ppos suite compares power_via_corrects with power_g, and the thn1 suite
-compares m_l1_via_corrects with two power_g routes and monomial_g; both sum
-over enumerate_corrects, so one lost correct sequence fails both.  Only
-their G-analogue side reads GAnalogueContext.elementary_product, so an extra
-monomial in e^G_lam fails both too.  The involutions suite checks the signed
+The ppos suite compares power_via_corrects with power_g, the thn1 suite
+compares m_l1_via_corrects with two power_g routes and monomial_g, and the
+eposn suite compares covering_corrects_count with the top e-coefficient;
+all three count correct sequences through the one step corrects._grow, so
+one count lost there fails all three.  Only the G-analogue side of ppos and
+thn1 reads GAnalogueContext.elementary_product, so an extra monomial in
+e^G_lam fails both too.  The involutions suite checks the signed
 sums over every multipath of the all-ones grid against power_g; one lost
 multipath breaks the cancellation.
 
 The gnechrom suite compares a coefficient of the e^G products with X of the
 clan graph; a clan graph that lost one edge has a different X.
+
+The cauchy suite compares three sums of products of concrete expansions.
+All three sides read elementary_concrete (the Schur side through its
+e-determinant), but only the m-e and e-m sides read monomial_concrete, so a
+monomial expansion that lost a term breaks the identity.  The scottsuppes
+suite compares (2+2)/(3+1)-freeness with uio_recognize over the posets of
+enumerate_posets_natural; both sides read that list and Poset's relation,
+so a defect there moves both together and no case plants one, but a
+recogniser that misses one order fails the suite.
 """
 
 import json
@@ -35,6 +46,7 @@ import chroma.cli as cli
 import chroma.corrects as corrects
 import chroma.ghom as ghom
 import chroma.lgvgrid as lgvgrid
+import chroma.symfunc as symfunc
 from chroma.combinat import Graph, UnitIntervalOrder
 from chroma.polyring import Polynomial
 
@@ -92,12 +104,15 @@ def plant_singleton_blocks(monkeypatch):
 
 
 def plant_dropped_sequence(monkeypatch):
-    original = corrects.enumerate_corrects
+    # every step loses one count from the first state it reaches
+    original = corrects._grow
 
-    def planted(u, k, budget=corrects.DEFAULT_SEQUENCE_BUDGET):
-        return original(u, k, budget)[:-1]
+    def planted(u, states):
+        grown = original(u, states)
+        grown[next(iter(grown))] -= 1
+        return grown
 
-    monkeypatch.setattr(corrects, "enumerate_corrects", planted)
+    monkeypatch.setattr(corrects, "_grow", planted)
 
 
 def plant_dropped_multipath(monkeypatch):
@@ -128,6 +143,32 @@ def plant_clan_edge(monkeypatch):
     monkeypatch.setattr(ghom, "clan_graph", planted)
 
 
+def plant_dropped_monomial_term(monkeypatch):
+    original = symfunc.monomial_concrete
+
+    def planted(lam, N):
+        f = original(lam, N)
+        top = max(f.terms)
+        return f - Polynomial.monomial(top, f.terms[top], f.nvars)
+
+    monkeypatch.setattr(symfunc, "monomial_concrete", planted)
+
+
+def plant_missed_order(monkeypatch):
+    # the first poset that would be recognised is reported as no order
+    original = cli.uio_recognize
+    missed = []
+
+    def planted(p):
+        u = original(p)
+        if u is None or missed:
+            return u
+        missed.append(p)
+        return None
+
+    monkeypatch.setattr(cli, "uio_recognize", planted)
+
+
 def replay(capsys, suite, inst):
     code = cli.main(["verify", suite, "--instance", json.dumps(inst)])
     out = capsys.readouterr().out
@@ -151,10 +192,13 @@ def test_planted_stable_count_fails_the_suite(capsys, monkeypatch, suite):
         (plant_path_sum_entry, "lgv", INSTANCE),
         (plant_dropped_sequence, "ppos", {"uio": U3, "k": 3}),
         (plant_dropped_sequence, "thn1", {"uio": U3, "l": 2}),
+        (plant_dropped_sequence, "eposn", {"uio": U3}),
         (plant_dropped_multipath, "involutions", {"uio": U3, "k": 3}),
         (plant_elementary_product, "ppos", {"uio": U3, "k": 3}),
         (plant_elementary_product, "thn1", {"uio": U3, "l": 2}),
         (plant_clan_edge, "gnechrom", {"uio": "2,3,4", "alpha": [2, 1, 1]}),
+        (plant_dropped_monomial_term, "cauchy", {"d": 2}),
+        (plant_missed_order, "scottsuppes", {"n": 3}),
     ],
     ids=[
         "schur_g-extra-monomial-gasharov",
@@ -163,10 +207,13 @@ def test_planted_stable_count_fails_the_suite(capsys, monkeypatch, suite):
         "path_sum-extra-monomial-lgv",
         "dropped-sequence-ppos",
         "dropped-sequence-thn1",
+        "dropped-sequence-eposn",
         "dropped-multipath-involutions",
         "elementary_product-extra-monomial-ppos",
         "elementary_product-extra-monomial-thn1",
         "clan-dropped-edge-gnechrom",
+        "monomial_concrete-dropped-term-cauchy",
+        "uio_recognize-missed-order-scottsuppes",
     ],
 )
 def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite, inst):

@@ -210,9 +210,9 @@ def acyclic_orientation_sinks(g):
         memo[key] = total
         return total
 
-    result = {}
     if n == 0:
-        return result
+        return {0: 1}  # the one (empty) orientation, which has no sinks
+    result = {}
     for s in _independent_nonempty_submasks(full, adj):
         rest = full & ~s
         c = count(rest, nbr(s) & rest)

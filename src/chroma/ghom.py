@@ -72,13 +72,10 @@ def apply_ghom(f, ctx):
     elements all have integer e-coordinates), and they enter as ints, so the
     image is an integer vertex polynomial.
     """
-    fe = f if f.basis == "e" else convert(f, "e")
+    fe = convert(f, "e")
     if not fe.is_integral():
         raise AssertionError("expected an integer vertex polynomial")
-    out = Polynomial.zero(ctx.n)
-    for lam, coeff in fe.coeffs.items():
-        out = out + coeff * ctx.elementary_product(lam)
-    return out
+    return Polynomial(ctx.n, fe.collect(lambda lam: ctx.elementary_product(lam).terms))
 
 
 def schur_g(ctx, lam):

@@ -7,9 +7,16 @@ matrices for e, ordered groupings of parts for p, Kostka numbers for s,
 Macdonald Ch. I) and solve the resulting square system exactly.  Computed
 matrices are memoised in memory, once per process, with their integral
 entries stored as ints, so that e/m/s basis changes are integer
-arithmetic.  The concrete expansions in finitely many variables
+arithmetic.  Degree 0 has its own 1x1 matrix {(): {(): 1}}, and a basis
+changed into itself goes through the identity matrix, so convert has no
+special case.  The concrete expansions in finitely many variables
 (expand_concrete, SymFunc.expand) are the independent oracle for that
 route.
+
+SymFunc.collect is the one loop that applies a linear map out of a basis,
+sum_lam c_lam * image(lam), into a single dict: convert collects matrix
+rows, SymFunc.expand collects concrete expansions, and ghom.apply_ghom
+collects e^G products.
 """
 
 from fractions import Fraction
@@ -94,29 +101,17 @@ def monomial_concrete(lam, N):
 
 def schur_concrete(lam, N):
     """s_lam truncated to x_1..x_N, through its e-determinant expansion."""
-    f = jacobi_trudi_e(lam)
-    out = Polynomial.zero(N)
-    for mu, coeff in f.coeffs.items():
-        out = out + coeff * _e_product_concrete(mu, N)
-    return out
-
-
-def _e_product_concrete(mu, N):
-    out = Polynomial.one(N)
-    for part in mu:
-        out = out * elementary_concrete(part, N)
-    return out
+    return jacobi_trudi_e(lam).expand(N)
 
 
 def expand_concrete(basis, lam, N):
     """The literal truncation of the defining sum to x_1..x_N."""
     lam = _as_partition(lam)
-    if basis == "e":
-        return _e_product_concrete(lam, N)
-    if basis == "p":
+    if basis in ("e", "p"):
+        factor = elementary_concrete if basis == "e" else power_concrete
         out = Polynomial.one(N)
         for part in lam:
-            out = out * power_concrete(part, N)
+            out = out * factor(part, N)
         return out
     if basis == "m":
         return monomial_concrete(lam, N)
@@ -236,12 +231,23 @@ class SymFunc:
             raise ValueError("non-integer coefficients present")
         return dict(self.coeffs)
 
+    def collect(self, image):
+        """sum_lam c_lam * image(lam) as one {key: coefficient} dict, where
+        image(lam) is a dict (a matrix row, or a polynomial's .terms).  The
+        one loop behind every linear map out of a basis; keys whose
+        coefficients cancel stay in with 0, for the caller's constructor to
+        drop."""
+        out = {}
+        for lam, c in self.coeffs.items():
+            for key, v in image(lam).items():
+                out[key] = out.get(key, 0) + c * v
+        return out
+
     def expand(self, N):
         """Concrete polynomial in x_1..x_N."""
-        out = Polynomial.zero(N)
-        for lam, c in self.coeffs.items():
-            out = out + c * expand_concrete(self.basis, lam, N)
-        return out
+        return Polynomial(
+            N, self.collect(lambda lam: expand_concrete(self.basis, lam, N).terms)
+        )
 
     # serialization --------------------------------------------------------------
 
@@ -447,12 +453,12 @@ class TransitionMatrixCache:
 
     def get(self, frm, to, d):
         """Matrix M with from_lam = sum_mu M[lam][mu] * to_mu, weight d."""
-        if frm not in BASES or to not in BASES:
-            raise ValueError("unknown basis")
-        if d < 1:
-            raise ValueError("degree must be >= 1")
         key = (frm, to, d)
-        if key not in self._memory:
+        if key not in self._memory:  # a memoised key was validated when built
+            if frm not in BASES or to not in BASES:
+                raise ValueError("unknown basis")
+            if d < 0:
+                raise ValueError("degree must be >= 0")
             self._memory[key] = _compute_matrix(frm, to, d)
         return self._memory[key]
 
@@ -460,14 +466,7 @@ class TransitionMatrixCache:
         """Re-express a SymFunc in another basis; exact."""
         if to not in BASES:
             raise ValueError("unknown basis")
-        if to == f.basis:
-            return SymFunc(f.basis, dict(f.coeffs))
-        out = {}
-        for lam, c in f.coeffs.items():
-            row = self.get(f.basis, to, sum(lam))[lam] if lam else {(): 1}
-            for mu, entry in row.items():
-                out[mu] = out.get(mu, 0) + c * entry
-        return SymFunc(to, out)
+        return SymFunc(to, f.collect(lambda lam: self.get(f.basis, to, sum(lam))[lam]))
 
 
 default_cache = TransitionMatrixCache()

@@ -130,6 +130,15 @@ def test_verify_sink_small(capsys):
     assert data["instances"] == (1 + 2 + 8) + (1 + 2 + 5 + 14)
 
 
+def test_verify_sink_empty_graph_replay(capsys):
+    # one empty orientation with no sinks, and X of the empty graph is e_()
+    inst = {"graph": {"n": 0, "edges": []}}
+    code, out, _ = run(capsys, "verify", "sink", "--instance", json.dumps(inst))
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True and data["failures"] == []
+
+
 def test_verify_text_and_csv_formats(capsys):
     code, out, _ = run(
         capsys, "verify", "cauchy", "--max-n", "2", "--format", "text"

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chroma.chromatic import e_coefficients, positivity_report
 from chroma.combinat import (
@@ -22,7 +25,7 @@ from chroma.ghom import (
     schur_g,
 )
 from chroma.polyring import Polynomial, det, unpack
-from chroma.symfunc import SymFunc, newton_p, transition_matrix
+from chroma.symfunc import BASES, SymFunc, convert, newton_p, transition_matrix
 
 TWO_CHAIN = UnitIntervalOrder([2, 3])
 ANTI2 = UnitIntervalOrder([3, 3])
@@ -243,3 +246,28 @@ def test_images_are_integer_polynomials():
                         # the Fraction e-coordinates enter as ints
                         image = apply_ghom(f, ctx)
                         assert all(type(c) is int for c in image.terms.values())
+
+
+_UIOS_TO_4 = [u for n in range(1, 5) for u in enumerate_uios(n)]
+_small_partitions = st.integers(0, 4).flatmap(
+    lambda d: st.sampled_from(partitions_of(d))
+)
+_int_coeffs = st.dictionaries(_small_partitions, st.integers(-5, 5), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_UIOS_TO_4),
+    st.sampled_from(list(permutations(BASES, 2))),
+    _int_coeffs,
+    _int_coeffs,
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+def test_apply_ghom_is_linear_across_bases(u, bases, fc, gc, a, b):
+    # g enters in its own basis on the right and through convert on the left,
+    # whose coordinates in f's basis may be Fractions
+    f, g = SymFunc(bases[0], fc), SymFunc(bases[1], gc)
+    ctx = ctx_of(u)
+    lhs = apply_ghom(a * f + b * convert(g, f.basis), ctx)
+    assert lhs == a * apply_ghom(f, ctx) + b * apply_ghom(g, ctx)

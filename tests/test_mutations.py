@@ -35,6 +35,15 @@ suite compares (2+2)/(3+1)-freeness with uio_recognize over the posets of
 enumerate_posets_natural; both sides read that list and Poset's relation,
 so a defect there moves both together and no case plants one, but a
 recogniser that misses one order fails the suite.
+
+SymFunc.collect is the one loop behind every linear map out of a basis:
+convert, SymFunc.expand and apply_ghom.  Each of ppos, eposn and cauchy
+reads it on one side only: ppos through power_g (its corrects side holds
+no SymFunc), eposn through the m-to-e conversion of X_G (not through the
+covering-sequence count), and cauchy through the Schur side, whose
+schur_concrete expands the e-determinant (the m-e and e-m sides expand
+products and monomials directly).  So a collected coefficient that gains
+1 fails all three.
 """
 
 import json
@@ -154,6 +163,18 @@ def plant_dropped_monomial_term(monkeypatch):
     monkeypatch.setattr(symfunc, "monomial_concrete", planted)
 
 
+def plant_collect_first_key(monkeypatch):
+    original = symfunc.SymFunc.collect
+
+    def planted(f, image):
+        out = original(f, image)
+        if out:
+            out[next(iter(out))] += 1
+        return out
+
+    monkeypatch.setattr(symfunc.SymFunc, "collect", planted)
+
+
 def plant_missed_order(monkeypatch):
     # the first poset that would be recognised is reported as no order
     original = cli.uio_recognize
@@ -199,6 +220,9 @@ def test_planted_stable_count_fails_the_suite(capsys, monkeypatch, suite):
         (plant_clan_edge, "gnechrom", {"uio": "2,3,4", "alpha": [2, 1, 1]}),
         (plant_dropped_monomial_term, "cauchy", {"d": 2}),
         (plant_missed_order, "scottsuppes", {"n": 3}),
+        (plant_collect_first_key, "ppos", {"uio": U3, "k": 3}),
+        (plant_collect_first_key, "eposn", {"uio": U3}),
+        (plant_collect_first_key, "cauchy", {"d": 2}),
     ],
     ids=[
         "schur_g-extra-monomial-gasharov",
@@ -214,6 +238,9 @@ def test_planted_stable_count_fails_the_suite(capsys, monkeypatch, suite):
         "clan-dropped-edge-gnechrom",
         "monomial_concrete-dropped-term-cauchy",
         "uio_recognize-missed-order-scottsuppes",
+        "collect-first-key-ppos",
+        "collect-first-key-eposn",
+        "collect-first-key-cauchy",
     ],
 )
 def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite, inst):

@@ -102,9 +102,10 @@ def test_newton_matches_transition_matrices():
 
 def test_identity_transitions():
     for basis in BASES:
-        m = transition_matrix(basis, basis, 3)
-        for lam in partitions_of(3):
-            assert m[lam] == {lam: 1}
+        for d in (0, 3):
+            m = transition_matrix(basis, basis, d)
+            for lam in partitions_of(d):
+                assert m[lam] == {lam: 1}
 
 
 def test_p_to_e_degree_two():
@@ -150,7 +151,7 @@ def test_integrality_of_e_expansions():
 
 
 def test_transitions_compose_to_identity():
-    for d in range(1, 6):
+    for d in range(0, 6):
         lams = partitions_of(d)
         for b1 in BASES:
             for b2 in BASES:

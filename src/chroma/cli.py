@@ -18,11 +18,15 @@ import json
 import multiprocessing
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
+from math import comb, prod
 from typing import NamedTuple
 
 from .chromatic import (
+    _threshold_walk,
     check_sink_theorem,
     chromatic_symmetric,
     e_coefficients,
@@ -37,6 +41,7 @@ from .combinat import (
     enumerate_uios,
     format_partition,
     is_ab_free,
+    multiplicity_factor,
     parse_partition,
     partitions_of,
     uio_recognize,
@@ -50,7 +55,7 @@ from .corrects import (
 from .errors import BadParameter, ChromaError, NonIdentityPermutation, TooLarge
 from .ghom import GAnalogueContext, gnechrom_check, monomial_g, power_g, schur_g
 from .lgvgrid import DEFAULT_MULTIPATH_BUDGET, build_grid, lgv_check, schur_via_lgv
-from .symfunc import cauchy_check, convert
+from .symfunc import cauchy_check, convert, transition_matrix
 
 # ---------------------------------------------------------------------------
 # reports
@@ -239,15 +244,134 @@ def _check_scott_suppes(inst):
     return True, None
 
 
-def _scan_one(inst):
-    coeffs = e_coefficients(UnitIntervalOrder.parse(inst["uio"]).inc_graph())
-    negatives = {
-        format_partition(lam): c for lam, c in sorted(coeffs.items()) if c < 0
+_FIELD = 64  # bits per k when the values at k = 1..n are packed into one int
+
+
+def _packed(values):
+    """sum_i values[i] * 2^(_FIELD * i): exact for any ints, and equal for two
+    lists whose entries differ by less than 2^_FIELD only if they agree."""
+    return sum(v << (_FIELD * i) for i, v in enumerate(values))
+
+
+@lru_cache(maxsize=None)
+def _e_at_ones(n):
+    """For every lam of n, e_lam(1^k) = prod_i C(k, lam_i) for k = 1..n, as a
+    list and packed; and the largest of these values."""
+    values = {
+        lam: [prod(comb(k, part) for part in lam) for k in range(1, n + 1)]
+        for lam in partitions_of(n)
     }
-    if not negatives:
+    packed = {lam: _packed(vals) for lam, vals in values.items()}
+    return values, packed, max(max(vals) for vals in values.values())
+
+
+@lru_cache(maxsize=None)
+def _chromatic_values(degrees):
+    """chi_G(k) = prod_i (k - d_i) for k = 1..n, as a list and packed, and
+    n * prod_{i >= 2} d_i, from the d_i sorted (d_1 = 0 comes first): the
+    multiset is all they read, and orders with n <= 11 have 2,047 of them."""
+    n = len(degrees)
+    chi = [prod(k - d for d in degrees) for k in range(1, n + 1)]
+    return chi, _packed(chi), n * prod(degrees[1:])
+
+
+def _scan_verdict(nxt, coeffs):
+    """The scan's verdict on the order with threshold vector nxt, given the
+    e-coefficients of its X_G: none is negative, and two identities that
+    need neither stable partitions nor the m-to-e matrix hold.
+
+    The earlier neighbours of i, d_i = #{j < i : next[j] > i} of them, are
+    pairwise adjacent, so chi_G(k) = prod_i (k - d_i), and X_G(1^k) =
+    chi_G(k) (Stanley, Adv. Math. 111 (1995), Prop. 2.2) reads
+    sum_lam c_lam prod_i C(k, lam_i) = prod_i (k - d_i) for k = 1..n.  The
+    sink theorem at one sink and Greene-Zaslavsky give c_(n) = n * |[k]
+    chi_G(k)| = n * prod_{i >= 2} d_i.
+    """
+    n = len(nxt)
+    detail = {}
+    if min(coeffs.values(), default=0) < 0:
+        detail["negatives"] = {
+            format_partition(lam): c for lam, c in sorted(coeffs.items()) if c < 0
+        }
+    degrees = sorted(i - bisect_right(nxt, i + 1, 0, i) for i in range(n))
+    chi, chi_packed, top = _chromatic_values(tuple(degrees))
+    values, packed, largest = _e_at_ones(n)
+    # |x_g(k)| <= sum |c_lam| * largest and |chi(k)| <= n^n: below 2^(_FIELD-1)
+    # each, one packed sum compares all n values; else compare them one by one
+    small = sum(map(abs, coeffs.values())) * largest + n**n < 1 << (_FIELD - 1)
+    if not small or sum(c * packed[lam] for lam, c in coeffs.items()) != chi_packed:
+        for k in range(1, n + 1):
+            x_g = sum(c * values[lam][k - 1] for lam, c in coeffs.items())
+            if x_g != chi[k - 1]:
+                detail["chromatic"] = {"k": k, "x_g": x_g, "chi_g": chi[k - 1]}
+                break
+    if coeffs.get((n,), 0) != top:
+        detail["top"] = {"c_n": coeffs.get((n,), 0), "sinks": top}
+    if not detail:
         return True, None
-    expansion = {format_partition(lam): c for lam, c in sorted(coeffs.items())}
-    return False, {"negatives": negatives, "expansion": expansion}
+    detail["expansion"] = {
+        format_partition(lam): c for lam, c in sorted(coeffs.items())
+    }
+    return False, detail
+
+
+def _scan_one(inst):
+    """One order of the scan through the per-order DP: the --instance
+    replay, and the oracle for the prefix walk."""
+    u = UnitIntervalOrder.parse(inst["uio"])
+    return _scan_verdict(u.next, e_coefficients(u.inc_graph()))
+
+
+@lru_cache(maxsize=None)
+def _stable_e_rows(n):
+    """partitions_of(n), and for each lam the e-expansion that one stable
+    partition of type lam adds to X_G: row lam of the m-to-e matrix times
+    multiplicity_factor(lam), as (position in partitions_of(n), entry)."""
+    lams = partitions_of(n)
+    where = {lam: j for j, lam in enumerate(lams)}
+    rows = {
+        lam: [(where[mu], multiplicity_factor(lam) * c) for mu, c in row.items()]
+        for lam, row in transition_matrix("m", "e", n).items()
+    }
+    return lams, rows
+
+
+def _scan_subtree(job):
+    """The scan of every order with next[1] = first and at most max_n
+    elements through the prefix walk: (orders, [(next, inst, "fail",
+    detail)]).  Each order's X_G is read off its signatures straight into
+    the e-basis, with no order, graph or SymFunc built."""
+    first, max_n = job
+    count, failures = 0, []
+    for nxt, sigs in _threshold_walk(first, max_n):
+        lams, rows = _stable_e_rows(len(nxt))
+        acc = [0] * len(lams)
+        for lam, c in sigs.items():
+            for j, v in rows[lam]:
+                acc[j] += c * v
+        ok, detail = _scan_verdict(nxt, {lams[j]: c for j, c in enumerate(acc) if c})
+        count += 1
+        if not ok:
+            uio = ",".join(map(str, nxt))
+            failures.append((nxt, {"uio": uio}, "fail", detail))
+    return count, failures
+
+
+def _scan_all(max_n, jobs):
+    """Every order with at most max_n elements, one subtree of the prefix
+    walk per first threshold, on up to jobs workers; failures in the order
+    of the suite's instances (by size, then threshold vector)."""
+    work = [(first, max_n) for first in range(2, max_n + 2)]
+    workers = min(jobs, len(work))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            parts = pool.map(_scan_subtree, work, chunksize=1)
+    else:
+        parts = [_scan_subtree(w) for w in work]
+    failures = sorted(
+        (f for _, found in parts for f in found), key=lambda f: (len(f[0]), f[0])
+    )
+    return sum(count for count, _ in parts), [f[1:] for f in failures]
 
 
 def _per_uio(key, first):
@@ -336,6 +460,9 @@ class Suite(NamedTuple):
     schemas: tuple  # alternative {key: validator} maps; the first match counts
     fits: object = None  # cross-key check of an instance, raises ValueError
     budgeted: bool = False  # the check reads a budget (multipath guard)
+    # runs every default instance at once: (max_n, jobs) -> (instances,
+    # [(inst, outcome, detail)] for those that did not pass, in input order)
+    run_all: object = None
 
 
 _UIO_K = {"uio": _UIO, "k": _positive_int}
@@ -366,8 +493,15 @@ SUITES = {
     "scottsuppes": Suite(
         (6,), _per_n("n"), _check_scott_suppes, ({"n": _positive_int},)
     ),
-    # _scan_one is looked up per call, so a wrapper installed on it sees every order
-    "scan": Suite((7,), _instances_eposn, lambda i: _scan_one(i), ({"uio": _UIO},)),
+    # _scan_one is looked up per call, so a wrapper installed on it sees every
+    # replayed order; the full scan walks the prefix tree in _scan_all
+    "scan": Suite(
+        (7,),
+        _instances_eposn,
+        lambda i: _scan_one(i),
+        ({"uio": _UIO},),
+        run_all=_scan_all,
+    ),
 }
 
 
@@ -429,20 +563,25 @@ def run_suite(name, max_n=None, max_k=None, instance=_ALL, jobs=1, budget=None):
     bounds = {key: default if value is None else value for key, default, value in given}
     start = time.monotonic()
     report = VerificationReport(suite=name, bounds=bounds)
-    instances = (
-        [instance] if instance is not _ALL else suite.make_instances(*bounds.values())
-    )
-    if budget is not None:
-        instances = [dict(inst, budget=budget) for inst in instances]
-    work = [(name, inst) for inst in instances]
-    workers = min(jobs, len(work))  # never more processes than instances
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_verify_one, work)
+    if instance is _ALL and suite.run_all is not None:
+        report.instances, results = suite.run_all(*bounds.values(), jobs)
     else:
-        results = [_verify_one(w) for w in work]
+        instances = (
+            [instance]
+            if instance is not _ALL
+            else suite.make_instances(*bounds.values())
+        )
+        if budget is not None:
+            instances = [dict(inst, budget=budget) for inst in instances]
+        work = [(name, inst) for inst in instances]
+        workers = min(jobs, len(work))  # never more processes than instances
+        if workers > 1:
+            with multiprocessing.Pool(workers) as pool:
+                results = pool.map(_verify_one, work)
+        else:
+            results = [_verify_one(w) for w in work]
+        report.instances = len(results)
     for inst, outcome, detail in results:
-        report.instances += 1
         if outcome != "pass":
             payload = dict(inst, outcome=outcome)
             if detail:

@@ -4,7 +4,9 @@ Basis elements are indexed by partitions; coefficients are exact: an int
 when integral, else a Fraction.  All basis changes go through one
 mechanism: write both bases on the monomial basis by counting (0-1
 matrices for e, ordered groupings of parts for p, Kostka numbers for s,
-Macdonald Ch. I) and solve the resulting square system exactly.  Computed
+Macdonald Ch. I) and solve the resulting square system exactly, by
+back-substitution: every basis is triangular on m in a suitable order of
+the partitions, unitriangular for e, m and s (see _pivots).  Computed
 matrices are memoised in memory, once per process, with their integral
 entries stored as ints, so that e/m/s basis changes are integer
 arithmetic.  Degree 0 has its own 1x1 matrix {(): {(): 1}}, and a basis
@@ -402,45 +404,49 @@ def _m_coords(basis, lam, d):
 # transition matrices
 
 
-def _solve_columns(columns, targets):
-    """Solve A x = t for each target, A given by columns; exact Fractions."""
-    size = len(columns)
-    rows = [
-        [columns[c][r] for c in range(size)] + [t[r] for t in targets]
-        for r in range(size)
-    ]
-    for col in range(size):
-        pivot = None
-        for r in range(col, size):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularSystem("basis expansion matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / Fraction(rows[col][col])
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [[rows[r][size + t] for r in range(size)] for t in range(len(targets))]
+def _pivots(to, lams):
+    """(mu, nu) pairs, in solving order, that make the m-coordinates of the
+    `to` basis triangular: to_mu has a nonzero coordinate on m_nu, and no
+    to_mu of a later pair has one there.  Dominance is refined by the order
+    of partitions_of, so s_mu (Kostka, nu <= mu) is solved from (d) down,
+    p_mu (parts merged, nu >= mu) from (1^d) up, and e_mu (0-1 matrices,
+    nu <= mu*, with 1 at mu*) in the order of its conjugate."""
+    if to == "e":
+        return [(conjugate(nu), nu) for nu in lams]
+    return [(nu, nu) for nu in (reversed(lams) if to == "p" else lams)]
 
 
 def _compute_matrix(frm, to, d):
+    """Matrix M with frm_lam = sum_mu M[lam][mu] * to_mu, weight d: both
+    bases on m-coordinates, then back-substitution along _pivots.  The
+    diagonal is 1 except for p, so entries stay ints for e, m and s."""
     lams = partitions_of(d)
     if frm == to:
         return {lam: {lam: 1} for lam in lams}
-    columns = [_m_coords(to, mu, d) for mu in lams]
-    targets = [_m_coords(frm, lam, d) for lam in lams]
-    solved = _solve_columns(columns, targets)
+    columns = {
+        mu: {nu: c for nu, c in zip(lams, _m_coords(to, mu, d)) if c} for mu in lams
+    }
+    pivots = _pivots(to, lams)
     matrix = {}
-    for lam, sol in zip(lams, solved):
-        row = {}
-        for mu, c in zip(lams, sol):
-            if c:
-                row[mu] = c.numerator if c.denominator == 1 else c
-        matrix[lam] = row
+    for lam in lams:
+        residual = dict(zip(lams, _m_coords(frm, lam, d)))
+        solved = {}
+        for mu, nu in pivots:
+            r = residual[nu]
+            if not r:
+                continue
+            diagonal = columns[mu].get(nu, 0)
+            if not diagonal:
+                raise SingularSystem("basis expansion matrix is singular")
+            x = r if diagonal == 1 else Fraction(r, diagonal)
+            if type(x) is not int and x.denominator == 1:
+                x = x.numerator
+            solved[mu] = x
+            for key, c in columns[mu].items():
+                residual[key] -= x * c
+        if any(residual.values()):  # a coordinate off the triangle
+            raise SingularSystem("basis expansion matrix is not triangular")
+        matrix[lam] = {mu: solved[mu] for mu in lams if mu in solved}
     return matrix
 
 

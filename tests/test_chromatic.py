@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chroma.chromatic as chromatic
 from chroma.chromatic import (
     acyclic_orientation_sinks,
     acyclic_orientation_sinks_brute,
@@ -100,6 +101,29 @@ def test_stable_count_does_not_depend_on_vertex_order(pair):
     brute = chromatic_symmetric_brute(g)
     assert chromatic_symmetric_stable(g) == brute
     assert chromatic_symmetric_stable(renamed) == brute
+
+
+def test_threshold_walk_matches_per_order_dp(monkeypatch):
+    # the scan's prefix walk against the per-order DP: every order with
+    # n <= 8 exactly once, with the same signatures in the same order, and
+    # one DP step per prefix of the tree (4,861, against 15,521 vertices)
+    steps = []
+    step = chromatic._stable_step
+    monkeypatch.setattr(
+        chromatic, "_stable_step", lambda *args: steps.append(1) or step(*args)
+    )
+    walked = [
+        pair for first in range(2, 10) for pair in chromatic._threshold_walk(first, 8)
+    ]
+    monkeypatch.undo()
+    assert len(steps) == 4861
+    orders = [u for n in range(1, 9) for u in enumerate_uios(n)]
+    assert sorted(nxt for nxt, _ in walked) == sorted(u.next for u in orders)
+    assert sum(u.n for u in orders) == 15521
+    found = dict(walked)
+    for u in orders:
+        expected = chromatic._stable_partition_signatures(u.inc_graph())
+        assert list(found[u.next].items()) == list(expected.items()), str(u)
 
 
 def test_rational_spacing_families_are_e_positive():

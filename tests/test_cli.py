@@ -4,7 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chroma.cli import SUITES, main, run_suite, scan_epositivity
+import chroma.chromatic as chromatic
+from chroma.cli import SUITES, _scan_verdict, main, run_suite, scan_epositivity
 from chroma.errors import BadParameter, NonIdentityPermutation, TooLarge
 
 
@@ -390,6 +391,66 @@ def test_scan_deterministic_across_workers(capsys):
     assert out1 == out2
 
 
+def test_scan_json_is_the_same_for_any_jobs(capsys):
+    outs = set()
+    for jobs in ("1", "2", "3"):
+        code, out, _ = run(capsys, "scan", "--max-n", "6", "--format", "json", "--jobs", jobs)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["instances"] == 196
+
+
+def test_scan_walk_reports_what_the_per_order_route_reports(monkeypatch):
+    # with a stable-partition count that is off for every order, the prefix
+    # walk and a replay of each order through _scan_one report the same
+    # failures, with the same details, in input order
+    original = chromatic._signatures
+
+    def planted(states):
+        sigs = original(states)
+        top = next(iter(sigs))
+        sigs[top] += 1
+        return sigs
+
+    monkeypatch.setattr(chromatic, "_signatures", planted)
+    walked = run_suite("scan", max_n=5)
+    replayed = [
+        failure
+        for inst in SUITES["scan"].make_instances(5)
+        for failure in run_suite("scan", instance=inst).failures
+    ]
+    assert walked.instances == 64 and len(walked.failures) == 64
+    assert walked.failures == replayed
+
+
+def test_scan_verdict_checks_both_identities():
+    # 3,4,4 is the path 1-2-3: X = 3 e_3 + e_21, chi(k) = k (k-1)^2
+    path = (3, 4, 4)
+    good = {(3,): 3, (2, 1): 1}
+    assert _scan_verdict(path, good) == (True, None)
+    # e_111(1^k) = k^3
+    ok, detail = _scan_verdict(path, {**good, (1, 1, 1): 1})
+    assert not ok
+    assert detail["chromatic"] == {"k": 1, "x_g": 1, "chi_g": 0}
+    assert "top" not in detail and "negatives" not in detail
+    ok, detail = _scan_verdict(path, {(3,): 2, (2, 1): 1})
+    assert detail["top"] == {"c_n": 2, "sinks": 3}
+    assert detail["chromatic"] == {"k": 3, "x_g": 11, "chi_g": 12}
+    assert detail["expansion"] == {"2,1": 1, "3": 2}
+    ok, detail = _scan_verdict(path, {(3,): 3, (2, 1): -1})
+    assert detail["negatives"] == {"2,1": -1}
+
+
+def test_scan_verdict_does_not_trust_a_wrapped_packed_sum():
+    # on the edge 3,3, chi(k) = k (k-1); these coefficients make x_g(1) =
+    # chi(1) + 2^64 and x_g(2) = chi(2) - 1, whose packed sums agree
+    big = 1 << 64
+    ok, detail = _scan_verdict((3, 3), {(2,): 1 - 4 * big, (1, 1): big})
+    assert not ok
+    assert detail["chromatic"] == {"k": 1, "x_g": big, "chi_g": 0}
+
+
 @pytest.mark.parametrize(
     "argv, pool_sizes",
     [
@@ -397,8 +458,16 @@ def test_scan_deterministic_across_workers(capsys):
         (("verify", "cauchy", "--max-n", "3", "--jobs", "2"), [2]),
         (("verify", "cauchy", "--max-n", "1", "--jobs", "4"), []),
         (("verify", "gnechrom", "--max-k", "0", "--jobs", "4"), []),
+        # the scan's work items are the first thresholds 2..max_n+1
+        (("scan", "--max-n", "3", "--jobs", "100000"), [3]),
     ],
-    ids=["more-jobs-than-instances", "fewer-jobs", "one-instance", "no-instances"],
+    ids=[
+        "more-jobs-than-instances",
+        "fewer-jobs",
+        "one-instance",
+        "no-instances",
+        "scan-subtrees",
+    ],
 )
 def test_jobs_never_exceed_instances(capsys, monkeypatch, argv, pool_sizes):
     import multiprocessing
@@ -415,7 +484,7 @@ def test_jobs_never_exceed_instances(capsys, monkeypatch, argv, pool_sizes):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=None):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)

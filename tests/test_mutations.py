@@ -12,7 +12,14 @@ and no case here plants one.  Unplanted, the instance passes both suites
 The eposn suite compares the top e-coefficient of X_G with the covering
 correct sequences, and the sink suite compares the e-coefficient sums of
 X_G with acyclic orientations counted by sinks; both read X_G from the
-stable-partition count, so one miscounted block type fails both.
+stable-partition count, so one miscounted block type fails both.  The scan
+suite checks the e-coefficients of X_G against chi_G(k) = prod (k - d_i)
+and c_(n) = n * prod d_i, which read only the threshold vector.  Its full
+run (the prefix walk) and its --instance replay (_scan_one, the per-order
+oracle) share the DP step, the signature read-out and the m-to-e matrix,
+but not enumerate_uios: the walk generates the threshold vectors itself.
+So a miscounted block type planted in the read-out fails the scan, and the
+replay of its first failure reports the same detail.
 
 The ppos suite compares power_via_corrects with power_g, the thn1 suite
 compares m_l1_via_corrects with two power_g routes and monomial_g, and the
@@ -100,16 +107,17 @@ def plant_path_sum_entry(monkeypatch):
 
 
 def plant_singleton_blocks(monkeypatch):
-    # one more partition into singletons: X_G gains n! * m_(1^n) = n! * e_n
-    original = chromatic._stable_partition_signatures
+    # one more partition into singletons: X_G gains n! * m_(1^n) = n! * e_n;
+    # planted in the read-out that the per-order DP and the prefix walk share
+    original = chromatic._signatures
 
-    def planted(g):
-        sigs = original(g)
-        ones = (1,) * g.n
+    def planted(states):
+        sigs = original(states)
+        ones = (1,) * sum(next(iter(sigs)))
         sigs[ones] = sigs.get(ones, 0) + 1
         return sigs
 
-    monkeypatch.setattr(chromatic, "_stable_partition_signatures", planted)
+    monkeypatch.setattr(chromatic, "_signatures", planted)
 
 
 def plant_dropped_sequence(monkeypatch):
@@ -202,6 +210,18 @@ def test_planted_stable_count_fails_the_suite(capsys, monkeypatch, suite):
     code, report = replay(capsys, suite, {"uio": U3})
     assert code == 1
     assert [f["outcome"] for f in report["failures"]] == ["fail"]
+
+
+def test_planted_stable_count_fails_the_scan_and_its_replay(capsys, monkeypatch):
+    plant_singleton_blocks(monkeypatch)
+    code = cli.main(["scan", "--max-n", "6"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    first = report["failures"][0]
+    assert first["outcome"] == "fail" and "chromatic" in first["detail"]
+    code, replayed = replay(capsys, "scan", {"uio": first["uio"]})
+    assert code == 1
+    assert replayed["failures"] == [first]
 
 
 @pytest.mark.parametrize(

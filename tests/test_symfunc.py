@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chroma.symfunc as symfunc
 from chroma.combinat import partitions_of
+from chroma.errors import SingularSystem
 from chroma.polyring import Polynomial, pack
 from chroma.symfunc import (
     BASES,
     SymFunc,
     _compute_matrix,
+    _m_coords,
     cauchy_check,
     convert,
     expand_concrete,
@@ -295,10 +298,64 @@ def test_schur_to_m_is_kostka_nonnegative():
 # cache behaviour
 
 
+def gauss_jordan_matrix(frm, to, d):
+    """The basis-change matrix by Gauss-Jordan elimination over Fractions on
+    the m-coordinates of both bases, with no use of triangularity."""
+    lams = partitions_of(d)
+    size = len(lams)
+    columns = [_m_coords(to, mu, d) for mu in lams]
+    targets = [_m_coords(frm, lam, d) for lam in lams]
+    rows = [
+        [Fraction(columns[c][r]) for c in range(size)] + [t[r] for t in targets]
+        for r in range(size)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [v * inv for v in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return {
+        lam: {mu: rows[r][size + t] for r, mu in enumerate(lams) if rows[r][size + t]}
+        for t, lam in enumerate(lams)
+    }
+
+
+def test_triangular_matrices_match_gauss_jordan():
+    # every pair of bases through degree 8, which the n <= 8 scan reaches;
+    # back-substitution keeps the entries that are integers as ints
+    for d in range(0, 9):
+        for frm in BASES:
+            for to in BASES:
+                built = _compute_matrix(frm, to, d)
+                assert built == gauss_jordan_matrix(frm, to, d), (frm, to, d)
+                for row in built.values():
+                    for c in row.values():
+                        assert type(c) is int or c.denominator > 1, (frm, to, d)
+
+
+def test_coordinate_off_the_triangle_is_refused(monkeypatch):
+    # s_11 planted with a coordinate on m_2, above the diagonal
+    original = symfunc._m_coords
+
+    def planted(basis, lam, d):
+        coords = original(basis, lam, d)
+        if basis == "s" and lam == (1, 1):
+            coords[0] += 1
+        return coords
+
+    monkeypatch.setattr(symfunc, "_m_coords", planted)
+    with pytest.raises(SingularSystem):
+        symfunc._compute_matrix("m", "s", 2)
+
+
 def test_transition_matrix_is_memoised():
     first = transition_matrix("m", "e", 4)
     assert transition_matrix("m", "e", 4) is first
-    assert first == _compute_matrix("m", "e", 4)
+    assert first == gauss_jordan_matrix("m", "e", 4)
 
 
 def test_symfunc_json_round_trip():

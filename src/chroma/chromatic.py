@@ -7,17 +7,19 @@ partitions of the vertex set into independent blocks by block sizes, with
 a dynamic programme over the vertex order; the test suite cross-validates
 the two routes before anything else relies on the fast one.  The scan runs
 the same DP step down the tree of threshold prefixes (_threshold_walk), and
-the per-order DP is its oracle.  Coefficients are exact: an int when
-integral, else a Fraction.
+the per-order DP is its oracle; the two share one memo of moves and one
+read-out of signatures into the e-basis (_signature_e).  Coefficients are
+exact: an int when integral, else a Fraction.
 """
 
 from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .combinat import multiplicity_factor, partitions_of
 from .errors import TooLarge
-from .symfunc import SymFunc, convert
+from .symfunc import SymFunc, convert, transition_matrix
 
 BRUTE_FORCE_BOUND = 8
 
@@ -59,8 +61,6 @@ def chromatic_symmetric_brute(g):
     n = g.n
     if n > BRUTE_FORCE_BOUND:
         raise TooLarge("brute-force colouring is capped at n <= %d" % BRUTE_FORCE_BOUND)
-    if n == 0:
-        return SymFunc("m", {(): 1})
     counts = _proper_coloring_counts(g)
     coeffs = {}
     for lam in partitions_of(n):
@@ -125,22 +125,25 @@ def _moves(state, v, own):
     return out
 
 
-def _stable_step(states, v, own, known=None, canon=None):
-    """One step of the stable-partition DP: the {state: count} map after
-    placing vertex v, whose later neighbours are the bits of own.
+# One memo of moves, (v, own) -> {state: moves}, for the life of the process,
+# and one object per state met, so the moves it holds share their states.  The
+# walk to n <= 10 meets 9,029 distinct (state, v, own) in 886,025 visits.
+_MOVES = {}
+_STATES = {}
 
-    known, when given, memoises the moves of each state at this (v, own),
-    and canon keeps one object per state met, so the moves the memo holds
-    share their states.
-    """
+
+def _stable_step(states, v, own):
+    """One step of the stable-partition DP: the {state: count} map after
+    placing vertex v, whose later neighbours are the bits of own."""
+    known = _MOVES.setdefault((v, own), {})
     step = defaultdict(int)
     for state, count in states.items():
-        moves = None if known is None else known.get(state)
+        moves = known.get(state)
         if moves is None:
-            moves = _moves(state, v, own)
-            if known is not None:
-                moves = [(canon.setdefault(new, new), alike) for new, alike in moves]
-                known[state] = moves
+            moves = known[state] = [
+                (_STATES.setdefault(new, new), alike)
+                for new, alike in _moves(state, v, own)
+            ]
         for new, alike in moves:
             step[new] += count * alike
     return step
@@ -175,19 +178,13 @@ def _threshold_walk(first, max_n):
     instead of one per vertex of every order.  Vertex v's later neighbours
     are v+1..next[v]-1.  A prefix with next[v] = v + 1 is an order of size
     v: nothing after v is adjacent to 1..v, so every block is closed.
-
-    The moves of a state depend only on (v, next[v]), and few states recur
-    across the prefixes of one depth (9,029 distinct (state, v, next[v]) in
-    the 886,025 state visits for n <= 10), so the walk memoises them per
-    (v, next[v]).  Besides that memo, only the states along the current
+    Besides the shared memo of moves, only the states along the current
     path are alive.
     """
-    known, canon = {}, {}
 
     def grow(prefix, states):
         v, t = len(prefix), prefix[-1]
-        own = (1 << (t - 1)) - (1 << v)
-        states = _stable_step(states, v, own, known.setdefault((v, t), {}), canon)
+        states = _stable_step(states, v, (1 << (t - 1)) - (1 << v))
         if t == v + 1:
             yield tuple(prefix), _signatures(states)
         for child in range(max(v + 2, t), max_n + 2):
@@ -201,8 +198,6 @@ def _threshold_walk(first, max_n):
 def chromatic_symmetric_stable(g):
     """X_g via independent-set partitions: the m-coefficient of lam counts
     stable partitions of type lam, weighted by permutations of equal parts."""
-    if g.n == 0:
-        return SymFunc("m", {(): 1})
     sigs = _stable_partition_signatures(g)
     return SymFunc(
         "m", {lam: count * multiplicity_factor(lam) for lam, count in sigs.items()}
@@ -222,9 +217,35 @@ def chromatic_symmetric(g, method="stable"):
     raise ValueError("unknown method %r" % (method,))
 
 
+@lru_cache(maxsize=None)
+def _stable_e_rows(n):
+    """partitions_of(n), and for each lam the e-expansion that one stable
+    partition of type lam adds to X_G: row lam of the m-to-e matrix times
+    multiplicity_factor(lam), as (position in partitions_of(n), entry)."""
+    lams = partitions_of(n)
+    where = {lam: j for j, lam in enumerate(lams)}
+    rows = {
+        lam: [(where[mu], multiplicity_factor(lam) * c) for mu, c in row.items()]
+        for lam, row in transition_matrix("m", "e", n).items()
+    }
+    return lams, rows
+
+
+def _signature_e(sigs):
+    """The e-coefficients of X_G read off its signatures, as e_coefficients
+    returns them: the one read-out of the per-order DP and the prefix walk.
+    The sums run by position in partitions_of(n), with no SymFunc built."""
+    lams, rows = _stable_e_rows(sum(next(iter(sigs))))
+    acc = [0] * len(lams)
+    for lam, c in sigs.items():
+        for j, v in rows[lam]:
+            acc[j] += c * v
+    return {lams[j]: c for j, c in enumerate(acc) if c}
+
+
 def e_coefficients(g):
     """The integer coefficients of X_g on the e-basis."""
-    return convert(chromatic_symmetric(g), "e").as_int_dict()
+    return _signature_e(_stable_partition_signatures(g))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .chromatic import (
+    _signature_e,
     _threshold_walk,
     check_sink_theorem,
     chromatic_symmetric,
@@ -41,7 +42,6 @@ from .combinat import (
     enumerate_uios,
     format_partition,
     is_ab_free,
-    multiplicity_factor,
     parse_partition,
     partitions_of,
     uio_recognize,
@@ -55,7 +55,7 @@ from .corrects import (
 from .errors import BadParameter, ChromaError, NonIdentityPermutation, TooLarge
 from .ghom import GAnalogueContext, gnechrom_check, monomial_g, power_g, schur_g
 from .lgvgrid import DEFAULT_MULTIPATH_BUDGET, build_grid, lgv_check, schur_via_lgv
-from .symfunc import cauchy_check, convert, transition_matrix
+from .symfunc import cauchy_check, convert
 
 # ---------------------------------------------------------------------------
 # reports
@@ -322,34 +322,15 @@ def _scan_one(inst):
     return _scan_verdict(u.next, e_coefficients(u.inc_graph()))
 
 
-@lru_cache(maxsize=None)
-def _stable_e_rows(n):
-    """partitions_of(n), and for each lam the e-expansion that one stable
-    partition of type lam adds to X_G: row lam of the m-to-e matrix times
-    multiplicity_factor(lam), as (position in partitions_of(n), entry)."""
-    lams = partitions_of(n)
-    where = {lam: j for j, lam in enumerate(lams)}
-    rows = {
-        lam: [(where[mu], multiplicity_factor(lam) * c) for mu, c in row.items()]
-        for lam, row in transition_matrix("m", "e", n).items()
-    }
-    return lams, rows
-
-
 def _scan_subtree(job):
     """The scan of every order with next[1] = first and at most max_n
     elements through the prefix walk: (orders, [(next, inst, "fail",
-    detail)]).  Each order's X_G is read off its signatures straight into
-    the e-basis, with no order, graph or SymFunc built."""
+    detail)]).  It differs from _scan_one only in where the signatures
+    come from: the walk, with no order or graph built per order."""
     first, max_n = job
     count, failures = 0, []
     for nxt, sigs in _threshold_walk(first, max_n):
-        lams, rows = _stable_e_rows(len(nxt))
-        acc = [0] * len(lams)
-        for lam, c in sigs.items():
-            for j, v in rows[lam]:
-                acc[j] += c * v
-        ok, detail = _scan_verdict(nxt, {lams[j]: c for j, c in enumerate(acc) if c})
+        ok, detail = _scan_verdict(nxt, _signature_e(sigs))
         count += 1
         if not ok:
             uio = ",".join(map(str, nxt))

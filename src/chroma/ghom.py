@@ -130,14 +130,11 @@ def gnechrom_check(ctx, alpha):
     scale = 1
     for a in alpha:
         scale *= factorial(a)
-    if weight == 0:
-        lhs = SymFunc("m", {(): 1})
-    else:
-        coeffs = {}
-        for lam in partitions_of(weight):
-            c = coefficient_of_alpha(ctx.elementary_product(lam), alpha)
-            if c:
-                coeffs[lam] = c * scale
-        lhs = SymFunc("m", coeffs)
+    coeffs = {}
+    for lam in partitions_of(weight):
+        c = coefficient_of_alpha(ctx.elementary_product(lam), alpha)
+        if c:
+            coeffs[lam] = c * scale
+    lhs = SymFunc("m", coeffs)
     rhs = chromatic_symmetric(clan_graph(ctx.graph, alpha))
     return lhs == rhs

@@ -19,6 +19,7 @@ from chroma.combinat import (
     Graph,
     UnitIntervalOrder,
     all_graphs,
+    clan_graph,
     disjoint_union,
     enumerate_uios,
 )
@@ -53,7 +54,7 @@ def test_uio_examples():
 
 
 def test_stable_accelerator_matches_brute_force():
-    for n in range(1, 5):
+    for n in range(0, 5):
         for g in all_graphs(n):
             assert chromatic_symmetric_brute(g) == chromatic_symmetric_stable(g)
     for n in range(1, 6):
@@ -124,6 +125,44 @@ def test_threshold_walk_matches_per_order_dp(monkeypatch):
     for u in orders:
         expected = chromatic._stable_partition_signatures(u.inc_graph())
         assert list(found[u.next].items()) == list(expected.items()), str(u)
+
+
+def _graphs_and_orders(max_graph_n, max_order_n):
+    graphs = [g for n in range(0, max_graph_n + 1) for g in all_graphs(n)]
+    orders = [u for n in range(1, max_order_n + 1) for u in enumerate_uios(n)]
+    return graphs + [u.inc_graph() for u in orders]
+
+
+def test_e_readout_matches_the_m_to_e_conversion():
+    # e_coefficients reads the signatures straight into the e-basis; the
+    # oracle converts the m-expansion of X_G through the SymFunc route
+    clan = clan_graph(UnitIntervalOrder.parse("2,3,4").inc_graph(), (5, 5, 5))
+    assert clan.n == 15
+    for g in _graphs_and_orders(4, 7) + [clan]:
+        assert e_coefficients(g) == convert(chromatic_symmetric(g), "e").as_int_dict()
+
+
+def test_shared_move_memo_keeps_every_count(monkeypatch):
+    # the per-order DP on general graphs and on orders, and the prefix walk,
+    # fill one memo of moves; every count equals the count made with a memo
+    # of its own, before and after the walk, and a second pass finds every
+    # move it needs in the memo
+    monkeypatch.setattr(chromatic, "_MOVES", {})
+    monkeypatch.setattr(chromatic, "_STATES", {})
+    graphs = _graphs_and_orders(4, 6)
+    alone = []
+    for g in graphs:
+        chromatic._MOVES.clear()
+        alone.append(chromatic._stable_partition_signatures(g))
+    chromatic._MOVES.clear()
+    first = [chromatic._stable_partition_signatures(g) for g in graphs]
+    for start in range(2, 9):
+        for _ in chromatic._threshold_walk(start, 7):
+            pass
+    met = len(chromatic._STATES)
+    again = [chromatic._stable_partition_signatures(g) for g in graphs]
+    assert first == alone and again == alone
+    assert len(chromatic._STATES) == met
 
 
 def test_rational_spacing_families_are_e_positive():

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chroma.combinat import (
     Graph,
@@ -119,6 +121,24 @@ def test_realize_round_trip():
             pts = realize(u)
             assert all(isinstance(p, Fraction) for p in pts)
             assert uio_from_points(pts) == u
+
+
+@st.composite
+def threshold_vectors(draw, max_n=12):
+    """A valid threshold vector: nondecreasing, with i < next[i] <= n + 1."""
+    n = draw(st.integers(1, max_n))
+    nxt = []
+    for i in range(1, n + 1):
+        nxt.append(draw(st.integers(max(nxt[-1:] + [i + 1]), n + 1)))
+    return nxt
+
+
+@settings(max_examples=100, deadline=None)
+@given(threshold_vectors())
+def test_uio_text_and_points_round_trip_property(nxt):
+    u = UnitIntervalOrder(nxt)
+    assert UnitIntervalOrder.parse(str(u)) == u
+    assert uio_from_points(realize(u)) == u
 
 
 def test_realize_small_case_constraints():

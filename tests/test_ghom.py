@@ -164,6 +164,8 @@ def test_clan_identity_trivial_cases():
     for n in range(1, 5):
         for u in enumerate_uios(n):
             assert gnechrom_check(ctx_of(u), (1,) * n)
+    # alpha of all zeros: [v^0] e^G_() = 1 is X of the empty clan graph
+    assert gnechrom_check(ctx_of(UnitIntervalOrder.parse("2,3,4")), (0, 0, 0))
 
 
 def test_clan_identity_blowup_example():

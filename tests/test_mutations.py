@@ -16,10 +16,19 @@ stable-partition count, so one miscounted block type fails both.  The scan
 suite checks the e-coefficients of X_G against chi_G(k) = prod (k - d_i)
 and c_(n) = n * prod d_i, which read only the threshold vector.  Its full
 run (the prefix walk) and its --instance replay (_scan_one, the per-order
-oracle) share the DP step, the signature read-out and the m-to-e matrix,
-but not enumerate_uios: the walk generates the threshold vectors itself.
-So a miscounted block type planted in the read-out fails the scan, and the
-replay of its first failure reports the same detail.
+oracle) share the DP step, the signature read-out and the e-basis
+read-out, but not enumerate_uios: the walk generates the threshold vectors
+itself.  So a miscounted block type planted in the signature read-out fails
+the scan, and the replay of its first failure reports the same detail.
+
+Every stable-partition count goes through chromatic._stable_step and its
+one memo of moves: eposn, sink, gnechrom (X of the clan graph) and both
+routes of the scan.  Of these, eposn, sink and the scan read the counts
+into the e-basis through the one read-out chromatic._signature_e (cli
+imports it for the walk, so the plant replaces both names); gnechrom
+compares m-expansions and does not read it.  So an e-coefficient that
+gains 1 there fails eposn, sink and the scan, and the replay of the scan's
+first failure agrees.
 
 The ppos suite compares power_via_corrects with power_g, the thn1 suite
 compares m_l1_via_corrects with two power_g routes and monomial_g, and the
@@ -44,13 +53,12 @@ so a defect there moves both together and no case plants one, but a
 recogniser that misses one order fails the suite.
 
 SymFunc.collect is the one loop behind every linear map out of a basis:
-convert, SymFunc.expand and apply_ghom.  Each of ppos, eposn and cauchy
-reads it on one side only: ppos through power_g (its corrects side holds
-no SymFunc), eposn through the m-to-e conversion of X_G (not through the
-covering-sequence count), and cauchy through the Schur side, whose
-schur_concrete expands the e-determinant (the m-e and e-m sides expand
-products and monomials directly).  So a collected coefficient that gains
-1 fails all three.
+convert, SymFunc.expand and apply_ghom.  Each of ppos and cauchy reads it
+on one side only: ppos through power_g (its corrects side holds no
+SymFunc), and cauchy through the Schur side, whose schur_concrete expands
+the e-determinant (the m-e and e-m sides expand products and monomials
+directly).  So a collected coefficient that gains 1 fails both.  eposn
+does not read it: its e-coefficients come from chromatic._signature_e.
 """
 
 import json
@@ -118,6 +126,19 @@ def plant_singleton_blocks(monkeypatch):
         return sigs
 
     monkeypatch.setattr(chromatic, "_signatures", planted)
+
+
+def plant_e_readout_first_key(monkeypatch):
+    # the first e-coefficient that the shared read-out returns gains 1
+    original = chromatic._signature_e
+
+    def planted(sigs):
+        coeffs = original(sigs)
+        coeffs[next(iter(coeffs))] += 1
+        return coeffs
+
+    monkeypatch.setattr(chromatic, "_signature_e", planted)
+    monkeypatch.setattr(cli, "_signature_e", planted)
 
 
 def plant_dropped_sequence(monkeypatch):
@@ -212,8 +233,7 @@ def test_planted_stable_count_fails_the_suite(capsys, monkeypatch, suite):
     assert [f["outcome"] for f in report["failures"]] == ["fail"]
 
 
-def test_planted_stable_count_fails_the_scan_and_its_replay(capsys, monkeypatch):
-    plant_singleton_blocks(monkeypatch)
+def assert_scan_and_replay_fail(capsys):
     code = cli.main(["scan", "--max-n", "6"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -222,6 +242,16 @@ def test_planted_stable_count_fails_the_scan_and_its_replay(capsys, monkeypatch)
     code, replayed = replay(capsys, "scan", {"uio": first["uio"]})
     assert code == 1
     assert replayed["failures"] == [first]
+
+
+def test_planted_stable_count_fails_the_scan_and_its_replay(capsys, monkeypatch):
+    plant_singleton_blocks(monkeypatch)
+    assert_scan_and_replay_fail(capsys)
+
+
+def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
+    plant_e_readout_first_key(monkeypatch)
+    assert_scan_and_replay_fail(capsys)
 
 
 @pytest.mark.parametrize(
@@ -241,8 +271,9 @@ def test_planted_stable_count_fails_the_scan_and_its_replay(capsys, monkeypatch)
         (plant_dropped_monomial_term, "cauchy", {"d": 2}),
         (plant_missed_order, "scottsuppes", {"n": 3}),
         (plant_collect_first_key, "ppos", {"uio": U3, "k": 3}),
-        (plant_collect_first_key, "eposn", {"uio": U3}),
         (plant_collect_first_key, "cauchy", {"d": 2}),
+        (plant_e_readout_first_key, "eposn", {"uio": U3}),
+        (plant_e_readout_first_key, "sink", {"uio": U3}),
     ],
     ids=[
         "schur_g-extra-monomial-gasharov",
@@ -259,8 +290,9 @@ def test_planted_stable_count_fails_the_scan_and_its_replay(capsys, monkeypatch)
         "monomial_concrete-dropped-term-cauchy",
         "uio_recognize-missed-order-scottsuppes",
         "collect-first-key-ppos",
-        "collect-first-key-eposn",
         "collect-first-key-cauchy",
+        "e-readout-first-key-eposn",
+        "e-readout-first-key-sink",
     ],
 )
 def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite, inst):

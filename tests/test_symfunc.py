@@ -222,6 +222,34 @@ def test_convert_round_trip_property(f):
         assert g.expand(d) == reference
 
 
+_scalars = st.fractions(max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symfuncs, _symfuncs, _symfuncs, _scalars, _scalars)
+def test_ring_laws_property(f, g, h, a, b):
+    g, h = convert(g, f.basis), convert(h, f.basis)
+    assert f + g == g + f
+    assert (f + g) + h == f + (g + h)
+    assert f - f == SymFunc.zero(f.basis)
+    assert a * (f + g) == a * f + a * g
+    assert (a + b) * f == a * f + b * f
+    # products live in the multiplicative bases
+    for basis in ("e", "p"):
+        x, y, z = (convert(k, basis) for k in (f, g, h))
+        assert x * y == y * x
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symfuncs)
+def test_json_round_trip_property(f):
+    back = SymFunc.from_json(f.to_json())
+    assert back == f
+    assert all((type(c) is int) == (c.denominator == 1) for c in back.coeffs.values())
+
+
 # ---------------------------------------------------------------------------
 # the product identity
 

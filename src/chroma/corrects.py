@@ -197,13 +197,10 @@ def m_l1_via_corrects(u, l):
 
 def leftmost_lowest_intersection(mp):
     """The crossing vertex with minimal column, ties broken by maximal row
-    (rows grow downwards, so this is the leftmost lowest point).  Exactly two
+    (rows grow downwards, so this is the leftmost lowest point), as
+    Multipath.crossing reads it off the lowest shared bit.  Exactly two
     paths may pass through it."""
-    shared = mp.intersection_vertices()
-    if not shared:
-        raise NotIntersecting("multipath is disjoint")
-    z = min(shared, key=lambda cr: (cr[0], -cr[1]))
-    through = [i for i, p in enumerate(mp.paths) if z in p.vertex_set]
+    z, through = mp.crossing()
     if len(through) != 2:
         raise TriplePoint("%d paths through %r" % (len(through), z))
     return z
@@ -215,19 +212,22 @@ def delta_switch(mp):
     The union of the two affected vertex sets is unchanged, so the crossing
     set -- and with it the distinguished point -- is preserved, which makes
     the operation an involution; the two destination indices swap, so the
-    sign flips.
+    sign flips.  A path whose mask holds z but whose vertices do not is
+    refused with NotIntersecting.
     """
     z = leftmost_lowest_intersection(mp)
-    through = [i for i, p in enumerate(mp.paths) if z in p.vertex_set]
-    i, j = through
+    i, j = mp.crossing()[1]
     pi, pj = mp.paths[i], mp.paths[j]
-    cut_i = pi.vertices.index(z)
-    cut_j = pj.vertices.index(z)
+    try:
+        cut_i = pi.vertices.index(z)
+        cut_j = pj.vertices.index(z)
+    except ValueError:
+        raise NotIntersecting("a crossing path misses %r" % (z,)) from None
     new_i = pi.vertices[:cut_i] + pj.vertices[cut_j:]
     new_j = pj.vertices[:cut_j] + pi.vertices[cut_i:]
     paths = list(mp.paths)
-    paths[i] = grid_path_from_vertices(new_i)
-    paths[j] = grid_path_from_vertices(new_j)
+    paths[i] = grid_path_from_vertices(new_i, pi.stride)
+    paths[j] = grid_path_from_vertices(new_j, pi.stride)
     sigma = list(mp.sigma)
     sigma[i], sigma[j] = sigma[j], sigma[i]
     return Multipath(paths, sigma)
@@ -280,8 +280,7 @@ def classify_multipath(mp, u, grid):
             return MultipathClass("P")
         return MultipathClass("L", chain_length=1)
     z = leftmost_lowest_intersection(mp)
-    through = [i for i, p in enumerate(mp.paths) if z in p.vertex_set]
-    if all(mp.sigma[i] != 1 for i in through):
+    if all(mp.sigma[i] != 1 for i in mp.crossing()[1]):
         return MultipathClass("I", z=z)
     l = _j_form(mp, u)
     if l is not None:
@@ -481,22 +480,25 @@ def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
 
 def _check_involution_on_I(i_class, u, grid):
     keys = {mp.key() for mp in i_class}
-    for mp in i_class:
-        image = delta_switch(mp)
-        if image.key() not in keys:
-            return False
-        if classify_multipath(image, u, grid).tag != "I":
-            return False
-        if delta_switch(image) != mp:
-            return False
-        if image.sign != -mp.sign:
-            return False
-        if image.multiplier() != mp.multiplier():
-            return False
-        if image.weight_monomial() != mp.weight_monomial():
-            return False
-        if leftmost_lowest_intersection(image) != leftmost_lowest_intersection(mp):
-            return False
+    try:
+        for mp in i_class:
+            image = delta_switch(mp)
+            if image.key() not in keys:
+                return False
+            if classify_multipath(image, u, grid).tag != "I":
+                return False
+            if delta_switch(image) != mp:
+                return False
+            if image.sign != -mp.sign:
+                return False
+            if image.multiplier() != mp.multiplier():
+                return False
+            if image.weight_monomial() != mp.weight_monomial():
+                return False
+            if leftmost_lowest_intersection(image) != leftmost_lowest_intersection(mp):
+                return False
+    except NotIntersecting:  # a switch at a vertex its paths do not share
+        return False
     return True
 
 

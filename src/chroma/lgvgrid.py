@@ -15,13 +15,19 @@ n+1, placed by a partition; the determinant of the path-sum matrix then
 collapses onto non-intersecting multipaths (which planarity forces to
 connect base i to destination i), giving the Schur analogue of the
 conjugate partition as a manifestly monomial-positive sum.
+
+Each path also carries its vertices as one int mask.  With the stride
+S = n + 2, vertex (c, r) is bit c*S + (S-1-r): rows 0..n+1 fit in a
+column's S bits, so no two vertices share a bit.  The lowest bit of a mask
+is its vertex of minimal column and, within that column, maximal row, so
+the lowest shared bit of a multipath is its leftmost lowest crossing.
 """
 
 from collections import Counter
 from itertools import permutations
 
 from .combinat import is_partition
-from .errors import BadShape, NonIdentityPermutation, TooLarge
+from .errors import BadShape, NonIdentityPermutation, NotIntersecting, TooLarge
 from .polyring import Polynomial, _parity, det, monomial_from_elements
 
 DEFAULT_MULTIPATH_BUDGET = 2_000_000
@@ -63,14 +69,19 @@ def build_grid(u, k, lam):
 
 
 class GridPath:
-    """A directed grid path stored as its full vertex sequence."""
+    """A grid path: vertices, diagonal rows, and its vertex mask and weight."""
 
-    __slots__ = ("vertices", "diag_rows", "vertex_set")
+    __slots__ = ("vertices", "diag_rows", "stride", "mask", "weight")
 
-    def __init__(self, vertices, diag_rows):
+    def __init__(self, vertices, diag_rows, stride):
         self.vertices = tuple(vertices)
         self.diag_rows = tuple(diag_rows)
-        self.vertex_set = frozenset(self.vertices)
+        self.stride = stride
+        mask = 0
+        for c, r in self.vertices:
+            mask |= 1 << c * stride + stride - 1 - r
+        self.mask = mask
+        self.weight = monomial_from_elements(self.diag_rows)
 
     @property
     def source(self):
@@ -79,9 +90,6 @@ class GridPath:
     @property
     def target(self):
         return self.vertices[-1]
-
-    def weight_monomial(self):
-        return monomial_from_elements(self.diag_rows)
 
     def __eq__(self, other):
         return isinstance(other, GridPath) and self.vertices == other.vertices
@@ -93,14 +101,19 @@ class GridPath:
         return "GridPath(%r)" % (list(self.vertices),)
 
 
-def grid_path_from_vertices(vertices):
-    """Rebuild a GridPath from an explicit vertex sequence; diagonal steps
-    are the column increments and contribute their source row."""
+def grid_path_from_vertices(vertices, stride):
+    """Rebuild a GridPath from an explicit vertex sequence on a grid of the
+    given stride; diagonal steps are the column increments and contribute
+    their source row.  A vertex outside columns >= 0 and rows 0..stride-1
+    would share its bit with another, so it is refused."""
     vertices = tuple(tuple(v) for v in vertices)
+    for c, r in vertices:
+        if c < 0 or not 0 <= r < stride:
+            raise BadShape("vertex %r outside a grid of stride %d" % ((c, r), stride))
     rows = tuple(
         r1 for (c1, r1), (c2, _) in zip(vertices, vertices[1:]) if c2 == c1 + 1
     )
-    return GridPath(vertices, rows)
+    return GridPath(vertices, rows, stride)
 
 
 def _vertical_run(col, row_from, row_to):
@@ -117,14 +130,14 @@ def paths_between(u, a, b):
     n = u.n
     (ca, ra), (cb, rb) = a, b
     out = []
-    if cb < ca or rb < ra or rb > n + 1:
+    if cb < ca or ra < 1 or rb < ra or rb > n + 1:
         return out
 
     def rec(col, row, vertices, diag_rows):
         if col == cb:
             if row <= rb:
                 out.append(
-                    GridPath(vertices + _vertical_run(col, row, rb), diag_rows)
+                    GridPath(vertices + _vertical_run(col, row, rb), diag_rows, n + 2)
                 )
             return
         # choose the next diagonal row; it must leave room to reach row rb
@@ -145,20 +158,19 @@ def paths_between(u, a, b):
 
 def path_sum(u, a, b):
     """Exact sum of path weights from a to b (the matrix entries below)."""
-    return Polynomial(
-        u.n, Counter(p.weight_monomial() for p in paths_between(u, a, b))
-    )
+    return Polynomial(u.n, Counter(p.weight for p in paths_between(u, a, b)))
 
 
 class Multipath:
-    """A tuple of paths, path i from base i to destination sigma(i)."""
+    """A tuple of paths on one grid, path i from base i to destination sigma(i)."""
 
-    __slots__ = ("paths", "sigma", "sign")
+    __slots__ = ("paths", "sigma", "sign", "_shared", "_crossing")
 
     def __init__(self, paths, sigma):
         self.paths = tuple(paths)
         self.sigma = tuple(sigma)  # 1-based destination index per path
         self.sign = _parity(self.sigma)
+        self._shared = self._crossing = None
 
     @property
     def k(self):
@@ -174,34 +186,51 @@ class Multipath:
             exc.multipath = self
             raise exc
 
+    def shared_mask(self):
+        """The mask of the vertices shared by at least two paths."""
+        if self._shared is None:
+            seen = shared = 0
+            for p in self.paths:
+                shared |= seen & p.mask
+                seen |= p.mask
+            self._shared = shared
+        return self._shared
+
     def is_nonintersecting(self):
-        for i in range(self.k):
-            si = self.paths[i].vertex_set
-            for j in range(i + 1, self.k):
-                if si & self.paths[j].vertex_set:
-                    return False
-        return True
+        return not self.shared_mask()
+
+    def _vertex(self, index):
+        stride = self.paths[0].stride
+        c, offset = divmod(index, stride)
+        return c, stride - 1 - offset
 
     def intersection_vertices(self):
         """Vertices shared by at least two paths."""
-        seen = set()
-        shared = set()
-        for p in self.paths:
-            dup = seen & p.vertex_set
-            shared |= dup
-            seen |= p.vertex_set
-        return shared
+        shared = self.shared_mask()
+        return {self._vertex(b) for b in range(shared.bit_length()) if shared >> b & 1}
+
+    def crossing(self):
+        """(z, through): the leftmost lowest shared vertex z, read off the
+        lowest shared bit, and the indices of the paths through it."""
+        if self._crossing is None:
+            shared = self.shared_mask()
+            if not shared:
+                raise NotIntersecting("multipath is disjoint")
+            low = shared & -shared
+            through = tuple(i for i, p in enumerate(self.paths) if p.mask & low)
+            self._crossing = (self._vertex(low.bit_length() - 1), through)
+        return self._crossing
 
     def multiplier(self):
         """Index of the base whose path reaches destination 1."""
         return self.sigma.index(1) + 1
 
     def weight_vector(self):
-        return tuple(p.weight_monomial() for p in self.paths)
+        return tuple(p.weight for p in self.paths)
 
     def weight_monomial(self):
         """The product of the path weights, as one monomial."""
-        return monomial_from_elements(r for p in self.paths for r in p.diag_rows)
+        return sum(p.weight for p in self.paths)
 
     def key(self):
         return (self.sigma, tuple(p.vertices for p in self.paths))
@@ -273,31 +302,31 @@ def path_sum_matrix(g):
 def nonintersecting_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
     """Only the pairwise-disjoint multipaths, found by assigning paths base
     by base with disjointness pruning (destinations may permute; planarity
-    is verified by the caller, not assumed here).  The budget bounds the
-    number of paths tried."""
+    is verified by the caller, not assumed here).  The vertices taken so far
+    are one mask, and a path fits when its mask misses it.  The budget
+    bounds the number of paths tried."""
     k = g.k
     path_table = _path_table(g)
     out = []
     nodes = 0
 
-    def rec(i, used_dests, chosen, occupied):
+    def rec(i, sigma, chosen, occupied):
         nonlocal nodes
         if i == k:
-            sigma = tuple(j + 1 for j in used_dests)
             out.append(Multipath(chosen, sigma))
             return
-        for j in range(k):
-            if j in used_dests:
+        for j in range(1, k + 1):
+            if j in sigma:
                 continue
-            for p in path_table[(i, j)]:
+            for p in path_table[(i, j - 1)]:
                 nodes += 1
                 if nodes > budget:
                     raise TooLarge("disjoint-family search exceeded budget %d" % budget)
-                if occupied & p.vertex_set:
+                if occupied & p.mask:
                     continue
-                rec(i + 1, used_dests + [j], chosen + [p], occupied | p.vertex_set)
+                rec(i + 1, sigma + (j,), chosen + [p], occupied | p.mask)
 
-    rec(0, [], [], frozenset())
+    rec(0, (), [], 0)
     return out
 
 

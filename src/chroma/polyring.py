@@ -21,6 +21,7 @@ canonical_terms.  Terms with coefficient zero are never stored.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import VariableMismatch
@@ -309,6 +310,7 @@ def det(matrix):
     return total
 
 
+@lru_cache(maxsize=4096)  # det and the multipath signs share one memo
 def _parity(perm):
     inv = 0
     for i in range(len(perm)):

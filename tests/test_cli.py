@@ -263,8 +263,8 @@ def test_verify_lgv_names_a_non_identity_multipath(capsys, monkeypatch):
     import chroma.cli as cli
     from chroma.lgvgrid import Multipath, grid_path_from_vertices
 
-    p1 = grid_path_from_vertices([(1, 1), (2, 3), (2, 4)])
-    p2 = grid_path_from_vertices([(2, 1), (2, 2), (3, 4)])
+    p1 = grid_path_from_vertices([(1, 1), (2, 3), (2, 4)], 5)
+    p2 = grid_path_from_vertices([(2, 1), (2, 2), (3, 4)], 5)
     swapped = Multipath([p2, p1], (2, 1))
 
     def lgv_check(g, budget):

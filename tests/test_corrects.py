@@ -210,41 +210,45 @@ def test_m_l1_triple_identity_small():
 # figure-pinned multipaths (5-element half-integer order, 7 paths)
 
 
+def u5_path(vertices):
+    return grid_path_from_vertices(vertices, U5.n + 2)
+
+
 def fig4_multipath():
     paths = [
-        grid_path_from_vertices([(7, r) for r in range(1, 7)]),
-        grid_path_from_vertices([(6, r) for r in range(1, 7)]),
-        grid_path_from_vertices([(5, 1), (6, 3), (7, 5), (8, 6)]),
-        grid_path_from_vertices([(4, r) for r in range(1, 7)]),
-        grid_path_from_vertices([(3, 1), (3, 2), (4, 4), (5, 6)]),
-        grid_path_from_vertices([(2, 1), (2, 2), (2, 3), (2, 4), (3, 6)]),
-        grid_path_from_vertices([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6)]),
+        u5_path([(7, r) for r in range(1, 7)]),
+        u5_path([(6, r) for r in range(1, 7)]),
+        u5_path([(5, 1), (6, 3), (7, 5), (8, 6)]),
+        u5_path([(4, r) for r in range(1, 7)]),
+        u5_path([(3, 1), (3, 2), (4, 4), (5, 6)]),
+        u5_path([(2, 1), (2, 2), (2, 3), (2, 4), (3, 6)]),
+        u5_path([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6)]),
     ]
     return Multipath(paths, (2, 3, 1, 5, 4, 6, 7))
 
 
 def fig5_multipath():
     paths = [
-        grid_path_from_vertices([(7, r) for r in range(1, 7)]),
-        grid_path_from_vertices([(6, r) for r in range(1, 7)]),
-        grid_path_from_vertices([(5, 1), (6, 3), (7, 5), (8, 6)]),
-        grid_path_from_vertices([(4, 1), (4, 2), (4, 3), (4, 4), (5, 6)]),
-        grid_path_from_vertices([(3, 1), (3, 2), (4, 4), (4, 5), (4, 6)]),
-        grid_path_from_vertices([(2, 1), (2, 2), (2, 3), (2, 4), (3, 6)]),
-        grid_path_from_vertices([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6)]),
+        u5_path([(7, r) for r in range(1, 7)]),
+        u5_path([(6, r) for r in range(1, 7)]),
+        u5_path([(5, 1), (6, 3), (7, 5), (8, 6)]),
+        u5_path([(4, 1), (4, 2), (4, 3), (4, 4), (5, 6)]),
+        u5_path([(3, 1), (3, 2), (4, 4), (4, 5), (4, 6)]),
+        u5_path([(2, 1), (2, 2), (2, 3), (2, 4), (3, 6)]),
+        u5_path([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6)]),
     ]
     return Multipath(paths, (2, 3, 1, 4, 5, 6, 7))
 
 
 def fig6_multipath():
     paths = [
-        grid_path_from_vertices([(7, r) for r in range(1, 7)]),
-        grid_path_from_vertices([(6, r) for r in range(1, 7)]),
-        grid_path_from_vertices([(5, 1), (6, 3), (7, 5), (8, 6)]),
-        grid_path_from_vertices([(4, 1), (4, 2), (5, 4), (5, 5), (5, 6)]),
-        grid_path_from_vertices([(3, 1), (3, 2), (4, 4), (4, 5), (4, 6)]),
-        grid_path_from_vertices([(2, 1), (2, 2), (2, 3), (2, 4), (3, 6)]),
-        grid_path_from_vertices([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6)]),
+        u5_path([(7, r) for r in range(1, 7)]),
+        u5_path([(6, r) for r in range(1, 7)]),
+        u5_path([(5, 1), (6, 3), (7, 5), (8, 6)]),
+        u5_path([(4, 1), (4, 2), (5, 4), (5, 5), (5, 6)]),
+        u5_path([(3, 1), (3, 2), (4, 4), (4, 5), (4, 6)]),
+        u5_path([(2, 1), (2, 2), (2, 3), (2, 4), (3, 6)]),
+        u5_path([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6)]),
     ]
     return Multipath(paths, (2, 3, 1, 4, 5, 6, 7))
 
@@ -252,15 +256,13 @@ def fig6_multipath():
 def fig7_grid_and_multipath():
     grid = build_grid(U5, 7, (1,) * 7)
     paths = [
-        grid_path_from_vertices([(7, r) for r in range(1, 7)]),
-        grid_path_from_vertices([(6, 1), (7, 3), (8, 5), (8, 6)]),
-        grid_path_from_vertices([(5, 1), (5, 2), (6, 4), (6, 5), (6, 6)]),
-        grid_path_from_vertices([(4, 1), (4, 2), (5, 4), (5, 5), (5, 6)]),
-        grid_path_from_vertices(
-            [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 6)]
-        ),
-        grid_path_from_vertices([(2, 1), (2, 2), (2, 3), (2, 4), (3, 6)]),
-        grid_path_from_vertices([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6)]),
+        u5_path([(7, r) for r in range(1, 7)]),
+        u5_path([(6, 1), (7, 3), (8, 5), (8, 6)]),
+        u5_path([(5, 1), (5, 2), (6, 4), (6, 5), (6, 6)]),
+        u5_path([(4, 1), (4, 2), (5, 4), (5, 5), (5, 6)]),
+        u5_path([(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 6)]),
+        u5_path([(2, 1), (2, 2), (2, 3), (2, 4), (3, 6)]),
+        u5_path([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6)]),
     ]
     return grid, Multipath(paths, (2, 1, 3, 4, 5, 6, 7))
 
@@ -352,9 +354,9 @@ def test_triple_point_rejected():
     # them; geometry like this cannot arise from single-column destinations,
     # so it must be refused rather than switched
     shared = [
-        grid_path_from_vertices([(1, 4), (2, 5)]),
-        grid_path_from_vertices([(2, 2), (2, 3), (2, 5)]),
-        grid_path_from_vertices([(2, 5), (2, 6)]),
+        grid_path_from_vertices([(1, 4), (2, 5)], 7),
+        grid_path_from_vertices([(2, 2), (2, 3), (2, 5)], 7),
+        grid_path_from_vertices([(2, 5), (2, 6)], 7),
     ]
     mp = Multipath(shared, (1, 2, 3))
     with pytest.raises(TriplePoint):
@@ -362,15 +364,24 @@ def test_triple_point_rejected():
 
 
 def test_leftmost_lowest_matches_brute_scan():
-    for u in enumerate_uios(4):
-        grid = build_grid(u, 3, (1, 1, 1))
-        for mp in enumerate_multipaths(grid):
-            if mp.is_nonintersecting():
-                continue
-            z = leftmost_lowest_intersection(mp)
-            shared = mp.intersection_vertices()
-            assert z in shared
-            assert all((z[0], -z[1]) <= (c, -r) for c, r in shared)
+    # every all-ones grid with n <= 5 and k <= 4: the shared vertices and the
+    # crossing come from the paths' vertex tuples, not from the masks
+    for n in range(1, 6):
+        for u in enumerate_uios(n):
+            for k in range(1, 5):
+                grid = build_grid(u, k, (1,) * k)
+                for mp in enumerate_multipaths(grid):
+                    counts = Counter(v for p in mp.paths for v in p.vertices)
+                    shared = {v for v, c in counts.items() if c >= 2}
+                    assert mp.is_nonintersecting() == (not shared)
+                    if not shared:
+                        continue
+                    z = min(shared, key=lambda cr: (cr[0], -cr[1]))
+                    through = tuple(
+                        i for i, p in enumerate(mp.paths) if z in p.vertices
+                    )
+                    assert mp.crossing() == (z, through), (str(u), k)
+                    assert leftmost_lowest_intersection(mp) == z
 
 
 # ---------------------------------------------------------------------------

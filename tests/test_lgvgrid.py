@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +20,7 @@ from chroma.lgvgrid import (
     paths_between,
     schur_via_lgv,
 )
-from chroma.polyring import Polynomial, det, pack
+from chroma.polyring import Polynomial, det, monomial_from_elements, pack
 
 U8 = UnitIntervalOrder([3, 4, 5, 6, 7, 8, 9, 9])
 U5 = UnitIntervalOrder([3, 4, 5, 6, 6])
@@ -118,8 +120,8 @@ def test_enumerate_multipaths_antichain_pair():
 
 
 def test_multipath_sign_bookkeeping():
-    p1 = grid_path_from_vertices([(1, 1), (2, 3), (2, 4)])
-    p2 = grid_path_from_vertices([(2, 1), (2, 2), (3, 4)])
+    p1 = grid_path_from_vertices([(1, 1), (2, 3), (2, 4)], 5)
+    p2 = grid_path_from_vertices([(2, 1), (2, 2), (3, 4)], 5)
     mp = Multipath([p2, p1], (2, 1))
     assert mp.sign == -1
     assert mp.multiplier() == 2
@@ -163,11 +165,11 @@ def test_nonintersecting_families_have_identity_permutation():
 
 
 def test_nonintersecting_enumeration_matches_filter():
-    # every lgv instance at its default bounds (n <= 4, weight <= 4): the
-    # pruned search finds exactly the disjoint members of the full list
-    for n in range(1, 5):
+    # every gasharov instance at its default bounds (n <= 5, weight <= 5):
+    # the pruned search finds exactly the disjoint members of the full list
+    for n in range(1, 6):
         for u in enumerate_uios(n):
-            for w in range(1, 5):
+            for w in range(1, 6):
                 for lam in partitions_of(w):
                     g = build_grid(u, len(lam), lam)
                     direct = nonintersecting_multipaths(g)
@@ -178,6 +180,59 @@ def test_nonintersecting_enumeration_matches_filter():
                     }
                     assert {mp.key() for mp in direct} == filtered, (str(u), lam)
                     assert len(direct) == len(filtered)
+
+
+def assert_masks_match_vertex_tuples(mp):
+    """Shared vertices, disjointness, the crossing and the weight of mp,
+    recomputed from its paths' vertex tuples rather than from the masks."""
+    counts = Counter(v for p in mp.paths for v in p.vertices)
+    shared = {v for v, c in counts.items() if c >= 2}
+    sets = [set(p.vertices) for p in mp.paths]
+    disjoint = all(not a & b for a, b in combinations(sets, 2))
+    assert mp.is_nonintersecting() == disjoint == (not shared)
+    assert mp.intersection_vertices() == shared
+    rows = [
+        r1
+        for p in mp.paths
+        for (c1, r1), (c2, _) in zip(p.vertices, p.vertices[1:])
+        if c2 != c1
+    ]
+    assert mp.weight_monomial() == monomial_from_elements(rows)
+    if shared:
+        z = min(shared, key=lambda cr: (cr[0], -cr[1]))
+        through = tuple(i for i, p in enumerate(mp.paths) if z in p.vertices)
+        assert mp.crossing() == (z, through)
+
+
+def test_masks_match_vertex_tuples():
+    # every lgv instance at its default bounds (n <= 4, weight <= 4)
+    for n in range(1, 5):
+        for u in enumerate_uios(n):
+            for w in range(1, 5):
+                for lam in partitions_of(w):
+                    for mp in enumerate_multipaths(build_grid(u, len(lam), lam)):
+                        assert_masks_match_vertex_tuples(mp)
+
+
+def test_grid_path_rows_fit_the_stride():
+    # stride 5 (n = 3) holds rows 0..4: the largest row that fits is
+    # accepted, and the first row past it would alias the next column
+    p = grid_path_from_vertices([(1, 3), (1, 4)], 5)
+    assert p.mask == 0b11 << 5
+    for bad in ([(1, 4), (1, 5)], [(1, -1), (1, 0)], [(-1, 1), (0, 2)]):
+        with pytest.raises(BadShape):
+            grid_path_from_vertices(bad, 5)
+
+
+def test_large_grid_stays_exact():
+    # n = 70: each column spans 72 bits, past any one machine word, and the
+    # disjoint families still sum to the determinant
+    n = 70
+    u = UnitIntervalOrder([min(i + 35, n + 1) for i in range(1, n + 1)])
+    g = build_grid(u, 2, (1, 1))
+    assert lgv_check(g)
+    for mp in enumerate_multipaths(g):
+        assert_masks_match_vertex_tuples(mp)
 
 
 def test_schur_via_lgv_examples():

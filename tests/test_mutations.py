@@ -40,6 +40,16 @@ e^G_lam fails both too.  The involutions suite checks the signed
 sums over every multipath of the all-ones grid against power_g; one lost
 multipath breaks the cancellation.
 
+The lgv, gasharov and involutions suites share the path masks of
+lgvgrid.GridPath, one bit per grid vertex.  The disjoint-family search that
+lgv and gasharov sum over tests each path's mask against the vertices taken
+so far; involutions reads disjointness and the leftmost lowest crossing off
+the shared bits of each multipath (Multipath.crossing).  No two paths of
+INSTANCE ever meet, so a mask that loses a vertex cannot fail it; a mask
+that also claims the base left of its source can.  Then every family of
+INSTANCE meets, and the involutions check sees tail switches at vertices
+that the switched paths do not pass.
+
 The gnechrom suite compares a coefficient of the e^G products with X of the
 clan graph; a clan graph that lost one edge has a different X.
 
@@ -151,6 +161,19 @@ def plant_dropped_sequence(monkeypatch):
         return grown
 
     monkeypatch.setattr(corrects, "_grow", planted)
+
+
+def plant_mask_claims_left_base(monkeypatch):
+    # every path's mask also claims the vertex one column left of its
+    # source: with the bases in adjacent columns, the next base
+    original = lgvgrid.GridPath.__init__
+
+    def planted(self, vertices, diag_rows, stride):
+        original(self, vertices, diag_rows, stride)
+        c, r = self.vertices[0]
+        self.mask |= 1 << (c - 1) * stride + stride - 1 - r
+
+    monkeypatch.setattr(lgvgrid.GridPath, "__init__", planted)
 
 
 def plant_dropped_multipath(monkeypatch):
@@ -265,6 +288,9 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_dropped_sequence, "thn1", {"uio": U3, "l": 2}),
         (plant_dropped_sequence, "eposn", {"uio": U3}),
         (plant_dropped_multipath, "involutions", {"uio": U3, "k": 3}),
+        (plant_mask_claims_left_base, "involutions", {"uio": U3, "k": 3}),
+        (plant_mask_claims_left_base, "lgv", INSTANCE),
+        (plant_mask_claims_left_base, "gasharov", INSTANCE),
         (plant_elementary_product, "ppos", {"uio": U3, "k": 3}),
         (plant_elementary_product, "thn1", {"uio": U3, "l": 2}),
         (plant_clan_edge, "gnechrom", {"uio": "2,3,4", "alpha": [2, 1, 1]}),
@@ -284,6 +310,9 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         "dropped-sequence-thn1",
         "dropped-sequence-eposn",
         "dropped-multipath-involutions",
+        "mask-left-base-involutions",
+        "mask-left-base-lgv",
+        "mask-left-base-gasharov",
         "elementary_product-extra-monomial-ppos",
         "elementary_product-extra-monomial-thn1",
         "clan-dropped-edge-gnechrom",

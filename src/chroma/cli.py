@@ -11,6 +11,12 @@ an instance exceeded its enumeration budget.  Each entry of a report's
 failures carries "outcome": "fail" or "budget".  JSON output is canonical
 and byte-identical across runs and worker counts; the text format adds the
 run time.
+
+Every instance, default or replayed, takes one path: the suite's schema
+parses it into the check's keyword arguments (a bad value is exit 2), the
+check computes, and _verify_one alone turns what a check raises into an
+outcome: TooLarge is "budget", any other package error a "fail" whose
+detail names its class and message.
 """
 
 import argparse
@@ -52,7 +58,7 @@ from .corrects import (
     power_via_corrects,
     verify_cancellations,
 )
-from .errors import BadParameter, ChromaError, NonIdentityPermutation, TooLarge
+from .errors import BadParameter, ChromaError, TooLarge
 from .ghom import GAnalogueContext, gnechrom_check, monomial_g, power_g, schur_g
 from .lgvgrid import DEFAULT_MULTIPATH_BUDGET, build_grid, lgv_check, schur_via_lgv
 from .symfunc import cauchy_check, convert
@@ -126,98 +132,70 @@ def _uios_up_to(max_n):
         yield from enumerate_uios(n)
 
 
-def _check_ppos(inst):
-    u = UnitIntervalOrder.parse(inst["uio"])
-    k = inst["k"]
-    ctx = GAnalogueContext(u.inc_graph())
-    lhs = power_via_corrects(u, k)
+def _check_ppos(uio, k):
+    ctx = GAnalogueContext(uio.inc_graph())
+    lhs = power_via_corrects(uio, k)
     rhs = power_g(ctx, k)
     if lhs == rhs:
         return True, None
     return False, {"lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _check_eposn(inst):
-    u = UnitIntervalOrder.parse(inst["uio"])
-    count = covering_corrects_count(u)
-    coeffs = e_coefficients(u.inc_graph())
-    cn = coeffs.get((u.n,), 0)
+def _check_eposn(uio):
+    count = covering_corrects_count(uio)
+    coeffs = e_coefficients(uio.inc_graph())
+    cn = coeffs.get((uio.n,), 0)
     if count == cn and cn >= 0:
         return True, None
     return False, {"covering_corrects": count, "c_n": cn}
 
 
-def _budget(inst):
-    return inst.get("budget", DEFAULT_MULTIPATH_BUDGET)
-
-
-def _check_lgv(inst):
-    u = UnitIntervalOrder.parse(inst["uio"])
-    lam = parse_partition(inst["partition"])
-    g = build_grid(u, max(len(lam), 1), lam)
-    try:
-        ok = lgv_check(g, _budget(inst))
-    except NonIdentityPermutation as exc:
-        mp = exc.multipath.to_json()
-        return False, {"reason": "non-identity disjoint multipath", "multipath": mp}
-    if ok:
+def _check_lgv(uio, partition, budget=DEFAULT_MULTIPATH_BUDGET):
+    g = build_grid(uio, max(len(partition), 1), partition)
+    if lgv_check(g, budget):
         return True, None
     return False, {"reason": "determinant mismatch"}
 
 
-def _check_gasharov(inst):
-    u = UnitIntervalOrder.parse(inst["uio"])
-    lam = parse_partition(inst["partition"])
-    ctx = GAnalogueContext(u.inc_graph())
-    via_det = schur_g(ctx, lam)
-    via_grid = schur_via_lgv(u, conjugate(lam))
+def _check_gasharov(uio, partition):
+    ctx = GAnalogueContext(uio.inc_graph())
+    via_det = schur_g(ctx, partition)
+    via_grid = schur_via_lgv(uio, conjugate(partition))
     if via_det == via_grid and via_det.is_monomial_positive():
         return True, None
     return False, {"via_det": str(via_det), "via_grid": str(via_grid)}
 
 
-def _graph(payload):
-    return Graph(payload["n"], [tuple(e) for e in payload["edges"]])
-
-
-def _check_sink(inst):
-    if "uio" in inst:
-        g = UnitIntervalOrder.parse(inst["uio"]).inc_graph()
-    else:
-        g = _graph(inst["graph"])
+def _check_sink(uio=None, graph=None):
+    g = uio.inc_graph() if graph is None else graph
     if check_sink_theorem(g, e_coefficients(g)):
         return True, None
     return False, {"reason": "sink counts disagree with e-coefficient sums"}
 
 
-def _check_gnechrom(inst):
-    u = UnitIntervalOrder.parse(inst["uio"])
-    ctx = GAnalogueContext(u.inc_graph())
-    if gnechrom_check(ctx, inst["alpha"]):
+def _check_gnechrom(uio, alpha):
+    ctx = GAnalogueContext(uio.inc_graph())
+    if gnechrom_check(ctx, alpha):
         return True, None
     return False, {"reason": "clan-graph identity failed"}
 
 
-def _check_cauchy(inst):
-    d = inst["d"]
+def _check_cauchy(d):
     if cauchy_check(d, d):
         return True, None
     return False, {"reason": "three-way product identity failed"}
 
 
-def _check_involutions(inst):
-    u = UnitIntervalOrder.parse(inst["uio"])
-    rep = verify_cancellations(u, inst["k"], budget=_budget(inst))
+def _check_involutions(uio, k, budget=DEFAULT_MULTIPATH_BUDGET):
+    rep = verify_cancellations(uio, k, budget=budget)
     if rep.ok:
         return True, None
     return False, {"cancellations": rep.to_json(), "bijection_ok": rep.bijection.ok}
 
 
-def _check_thn1(inst):
-    u = UnitIntervalOrder.parse(inst["uio"])
-    l = inst["l"]
-    ctx = GAnalogueContext(u.inc_graph())
-    via_pairs = m_l1_via_corrects(u, l)
+def _check_thn1(uio, l):
+    ctx = GAnalogueContext(uio.inc_graph())
+    via_pairs = m_l1_via_corrects(uio, l)
     via_powers = power_g(ctx, l) * power_g(ctx, 1) - power_g(ctx, l + 1)
     via_matrix = monomial_g(ctx, (l, 1))
     agree = via_pairs == via_powers and via_powers == via_matrix
@@ -230,9 +208,8 @@ def _check_thn1(inst):
     }
 
 
-def _check_scott_suppes(inst):
-    posets = enumerate_posets_natural(inst["n"])
-    for p in posets:
+def _check_scott_suppes(n):
+    for p in enumerate_posets_natural(n):
         free = is_ab_free(p, 2, 2) and is_ab_free(p, 3, 1)
         recognized = uio_recognize(p) is not None
         if free != recognized:
@@ -315,11 +292,10 @@ def _scan_verdict(nxt, coeffs):
     return False, detail
 
 
-def _scan_one(inst):
+def _scan_one(uio):
     """One order of the scan through the per-order DP: the --instance
     replay, and the oracle for the prefix walk."""
-    u = UnitIntervalOrder.parse(inst["uio"])
-    return _scan_verdict(u.next, e_coefficients(u.inc_graph()))
+    return _scan_verdict(uio.next, e_coefficients(uio.inc_graph()))
 
 
 def _scan_subtree(job):
@@ -401,21 +377,28 @@ def _instances_gnechrom(max_n, max_total):
     ]
 
 
-# instance schemas: each key maps to a validator that raises on a bad value
+# instance schemas: each key maps to a parser that returns the value its
+# check takes as that keyword argument, or raises on a bad value
 
 
-def _positive_int(value):
-    if type(value) is not int or value < 1:
-        raise ValueError("expected a positive integer, got %s" % json.dumps(value))
+def _at_least(low):
+    def parse(value):
+        if type(value) is not int or value < low:
+            raise ValueError(
+                "expected an integer >= %d, got %s" % (low, json.dumps(value))
+            )
+        return value
+
+    return parse
 
 
 def _text(parse):
-    def validate(value):
+    def parse_text(value):
         if not isinstance(value, str):
             raise ValueError("expected a string, got %s" % json.dumps(value))
-        parse(value)
+        return parse(value)
 
-    return validate
+    return parse_text
 
 
 def _alpha(value):
@@ -423,10 +406,15 @@ def _alpha(value):
         type(a) is not int or a < 0 for a in value
     ):
         raise ValueError("expected a list of nonnegative integers")
+    return value
 
 
-def _alpha_fits(inst):
-    if len(inst["alpha"]) != UnitIntervalOrder.parse(inst["uio"]).n:
+def _graph(payload):
+    return Graph(payload["n"], [tuple(e) for e in payload["edges"]])
+
+
+def _alpha_fits(uio, alpha):
+    if len(alpha) != uio.n:
         raise ValueError("'alpha' needs one entry per element of 'uio'")
 
 
@@ -437,16 +425,16 @@ _PARTITION = _text(parse_partition)
 class Suite(NamedTuple):
     defaults: tuple  # (max_n,) or (max_n, max_k)
     make_instances: object
-    check: object
-    schemas: tuple  # alternative {key: validator} maps; the first match counts
-    fits: object = None  # cross-key check of an instance, raises ValueError
+    check: object  # keyword arguments as parsed -> (ok, detail)
+    schemas: tuple  # alternative {key: parser} maps; the first match counts
+    fits: object = None  # cross-key check of the parsed arguments, ValueError
     budgeted: bool = False  # the check reads a budget (multipath guard)
     # runs every default instance at once: (max_n, jobs) -> (instances,
     # [(inst, outcome, detail)] for those that did not pass, in input order)
     run_all: object = None
 
 
-_UIO_K = {"uio": _UIO, "k": _positive_int}
+_UIO_K = {"uio": _UIO, "k": _at_least(1)}
 _UIO_LAM = {"uio": _UIO, "partition": _PARTITION}
 _UIO_ALPHA = {"uio": _UIO, "alpha": _alpha}
 _ALL = object()  # run_suite's default instance: every instance of the suite
@@ -464,33 +452,34 @@ SUITES = {
     "gnechrom": Suite(
         (4, 6), _instances_gnechrom, _check_gnechrom, (_UIO_ALPHA,), _alpha_fits
     ),
-    "cauchy": Suite((5,), _per_n("d"), _check_cauchy, ({"d": _positive_int},)),
+    "cauchy": Suite((5,), _per_n("d"), _check_cauchy, ({"d": _at_least(1)},)),
     "involutions": Suite(
         (4, 4), _per_uio("k", 1), _check_involutions, (_UIO_K,), budgeted=True
     ),
     "thn1": Suite(
-        (6, 5), _per_uio("l", 2), _check_thn1, ({"uio": _UIO, "l": _positive_int},)
+        (6, 5), _per_uio("l", 2), _check_thn1, ({"uio": _UIO, "l": _at_least(2)},)
     ),
     "scottsuppes": Suite(
-        (6,), _per_n("n"), _check_scott_suppes, ({"n": _positive_int},)
+        (6,), _per_n("n"), _check_scott_suppes, ({"n": _at_least(1)},)
     ),
     # _scan_one is looked up per call, so a wrapper installed on it sees every
     # replayed order; the full scan walks the prefix tree in _scan_all
     "scan": Suite(
         (7,),
         _instances_eposn,
-        lambda i: _scan_one(i),
+        lambda uio: _scan_one(uio),
         ({"uio": _UIO},),
         run_all=_scan_all,
     ),
 }
 
 
-def _validate(name, inst):
-    """Raise BadParameter unless inst carries every key of one of the suite's
-    schemas with a valid value, its keys fit together, and a budget, if
-    present, is a positive integer on a suite that reads one; other keys
-    (detail, outcome) are ignored."""
+def _parse(name, inst):
+    """The check's keyword arguments for inst: every key of the first of the
+    suite's schemas that inst carries, each value parsed, and a budget if
+    inst has one and the suite reads one; other keys (detail, outcome) are
+    ignored.  BadParameter if no schema matches, a value is bad, or the
+    arguments do not fit together."""
     suite = SUITES[name]
     if isinstance(inst, dict):
         for schema in suite.schemas:
@@ -498,20 +487,21 @@ def _validate(name, inst):
                 if "budget" in inst:
                     if not suite.budgeted:
                         raise BadParameter("%s instance takes no 'budget'" % name)
-                    schema = dict(schema, budget=_positive_int)
-                for key, validate in schema.items():
+                    schema = dict(schema, budget=_at_least(1))
+                args = {}
+                for key, parse in schema.items():
                     try:
-                        validate(inst[key])
+                        args[key] = parse(inst[key])
                     except (ChromaError, ValueError, TypeError, KeyError) as exc:
                         raise BadParameter(
                             "%s instance: bad %r: %s" % (name, key, exc)
                         ) from None
-                try:
-                    if suite.fits is not None:
-                        suite.fits(inst)
-                except ValueError as exc:
-                    raise BadParameter("%s instance: %s" % (name, exc)) from None
-                return
+                if suite.fits is not None:
+                    try:
+                        suite.fits(**args)
+                    except ValueError as exc:
+                        raise BadParameter("%s instance: %s" % (name, exc)) from None
+                return args
     raise BadParameter(
         "%s instance must be a JSON object with keys %s"
         % (name, " or ".join(",".join(schema) for schema in suite.schemas))
@@ -519,12 +509,18 @@ def _validate(name, inst):
 
 
 def _verify_one(packed):
-    """One instance's outcome: pass, fail, or budget (an enumeration guard hit)."""
-    name, inst = packed
+    """One instance's outcome from its parsed arguments: pass, fail, or
+    budget.  The only place that reports what a check raises: TooLarge (an
+    enumeration guard hit) is a budget outcome, and any other package error
+    is a failure whose detail names it."""
+    name, inst, args = packed
     try:
-        ok, detail = SUITES[name].check(inst)
+        ok, detail = SUITES[name].check(**args)
     except TooLarge as exc:
         return inst, "budget", {"reason": str(exc)}
+    except ChromaError as exc:
+        error = {"error": type(exc).__name__, "reason": str(exc)}
+        return inst, "fail", dict(error, **exc.detail)
     return inst, "pass" if ok else "fail", detail
 
 
@@ -538,8 +534,6 @@ def run_suite(name, max_n=None, max_k=None, instance=_ALL, jobs=1, budget=None):
         raise BadParameter("suite %r takes no --max-k" % name)
     if budget is not None and not suite.budgeted:
         raise BadParameter("suite %r takes no --budget" % name)
-    if instance is not _ALL:
-        _validate(name, instance)
     given = zip(("max_n", "max_k"), suite.defaults, (max_n, max_k))
     bounds = {key: default if value is None else value for key, default, value in given}
     start = time.monotonic()
@@ -552,9 +546,12 @@ def run_suite(name, max_n=None, max_k=None, instance=_ALL, jobs=1, budget=None):
             if instance is not _ALL
             else suite.make_instances(*bounds.values())
         )
-        if budget is not None:
-            instances = [dict(inst, budget=budget) for inst in instances]
-        work = [(name, inst) for inst in instances]
+        work = [(name, inst, _parse(name, inst)) for inst in instances]
+        if budget is not None:  # the flag overrides an instance's own budget
+            work = [
+                (name, dict(inst, budget=budget), dict(args, budget=budget))
+                for _, inst, args in work
+            ]
         workers = min(jobs, len(work))  # never more processes than instances
         if workers > 1:
             with multiprocessing.Pool(workers) as pool:

@@ -480,25 +480,22 @@ def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
 
 def _check_involution_on_I(i_class, u, grid):
     keys = {mp.key() for mp in i_class}
-    try:
-        for mp in i_class:
-            image = delta_switch(mp)
-            if image.key() not in keys:
-                return False
-            if classify_multipath(image, u, grid).tag != "I":
-                return False
-            if delta_switch(image) != mp:
-                return False
-            if image.sign != -mp.sign:
-                return False
-            if image.multiplier() != mp.multiplier():
-                return False
-            if image.weight_monomial() != mp.weight_monomial():
-                return False
-            if leftmost_lowest_intersection(image) != leftmost_lowest_intersection(mp):
-                return False
-    except NotIntersecting:  # a switch at a vertex its paths do not share
-        return False
+    for mp in i_class:
+        image = delta_switch(mp)
+        if image.key() not in keys:
+            return False
+        if classify_multipath(image, u, grid).tag != "I":
+            return False
+        if delta_switch(image) != mp:
+            return False
+        if image.sign != -mp.sign:
+            return False
+        if image.multiplier() != mp.multiplier():
+            return False
+        if image.weight_monomial() != mp.weight_monomial():
+            return False
+        if leftmost_lowest_intersection(image) != leftmost_lowest_intersection(mp):
+            return False
     return True
 
 

@@ -2,7 +2,10 @@
 
 
 class ChromaError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.  ``detail`` holds what a
+    failure report adds to the class name and message."""
+
+    detail = {}
 
 
 class MalformedNext(ChromaError):

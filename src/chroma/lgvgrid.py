@@ -177,13 +177,13 @@ class Multipath:
         return len(self.paths)
 
     def require_identity(self):
-        """Raise NonIdentityPermutation, with this multipath as its .multipath,
+        """Raise NonIdentityPermutation, whose detail names this multipath,
         unless path i ends on destination i, as planarity forces for a
         disjoint multipath."""
         if self.sigma != tuple(range(1, self.k + 1)):
             msg = "disjoint multipath with sigma=%r" % (list(self.sigma),)
             exc = NonIdentityPermutation(msg)
-            exc.multipath = self
+            exc.detail = {"multipath": self.to_json()}
             raise exc
 
     def shared_mask(self):
@@ -369,18 +369,3 @@ def grid_edges(g):
             if c + 1 <= g.columns:
                 edges.append(((c, r), (c + 1, nxt[r - 1]), r))
     return edges
-
-
-def grid_is_acyclic_and_planar(g):
-    """Structural check: every edge strictly increases the row (acyclic) and
-    diagonals leaving one column never invert (no crossings under the
-    straight-line embedding, given nondecreasing thresholds)."""
-    n = g.uio.n
-    nxt = g.uio.next
-    for _, _, r in grid_edges(g):
-        if r is not None and nxt[r - 1] <= r:
-            return False
-    for r1 in range(1, n):
-        if nxt[r1 - 1] > nxt[r1]:
-            return False
-    return True

@@ -173,7 +173,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     import chroma.cli as cli
 
     forced = cli.SUITES["cauchy"]._replace(
-        check=lambda inst: (False, {"reason": "forced"})
+        check=lambda d: (False, {"reason": "forced"})
     )
     monkeypatch.setitem(cli.SUITES, "cauchy", forced)
     code, out, _ = run(capsys, "verify", "cauchy", "--max-n", "1")
@@ -186,8 +186,8 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 def test_verify_fail_outranks_budget(capsys, monkeypatch):
     import chroma.cli as cli
 
-    def check(inst):
-        if inst["d"] == 1:
+    def check(d):
+        if d == 1:
             raise TooLarge("forced")
         return False, {"reason": "forced"}
 
@@ -274,12 +274,31 @@ def test_verify_lgv_names_a_non_identity_multipath(capsys, monkeypatch):
     payload = {"uio": "3,4,4", "partition": "1,1"}
     code, out, _ = run(capsys, "verify", "lgv", "--instance", json.dumps(payload))
     assert code == 1
-    detail = json.loads(out)["failures"][0]["detail"]
-    assert detail["multipath"] == swapped.to_json()
+    [failure] = json.loads(out)["failures"]
+    assert failure["outcome"] == "fail"
+    assert failure["detail"] == {
+        "error": "NonIdentityPermutation",
+        "reason": "disjoint multipath with sigma=[2, 1]",
+        "multipath": swapped.to_json(),
+    }
     # uncaught, the error still reads as its one-line message
     with pytest.raises(NonIdentityPermutation) as info:
         swapped.require_identity()
     assert str(info.value) == "disjoint multipath with sigma=[2, 1]"
+
+
+def test_thn1_refuses_l_below_two_before_the_check(capsys, monkeypatch):
+    # m_l1 needs l >= 2; l = 1 is malformed input, not a counterexample
+    import chroma.cli as cli
+
+    def refuse(u, l):
+        raise AssertionError("the check ran on a malformed instance")
+
+    monkeypatch.setattr(cli, "m_l1_via_corrects", refuse)
+    payload = {"uio": "3,4,4", "l": 1}
+    code, out, err = run(capsys, "verify", "thn1", "--instance", json.dumps(payload))
+    assert code == 2 and out == ""
+    assert err.startswith("error: thn1 instance: bad 'l'")
 
 
 @pytest.mark.parametrize(
@@ -296,6 +315,7 @@ def test_verify_lgv_names_a_non_identity_multipath(capsys, monkeypatch):
         ("ppos", None),  # null must not fall back to the default instances
         ("ppos", ""),
         ("ppos", {"uio": "3,4,4", "k": 2, "budget": 5}),  # ppos reads no budget
+        ("thn1", {"uio": "3,4,4", "l": 1}),  # m_(l,1) needs l >= 2
     ],
 )
 def test_verify_malformed_instance_exits_two(capsys, suite, payload):
@@ -556,7 +576,9 @@ def test_verify_instance_fuzz(capsys, suite):
     @given(_instances(suite))
     def replay(inst):
         code, _, err = run(capsys, "verify", suite, "--instance", json.dumps(inst))
-        assert code in (0, 1, 2, 3), inst
+        # no fuzzed instance is a counterexample, so exit 1 would misreport
+        # malformed input
+        assert code in (0, 2, 3), inst
         assert "Traceback" not in err
 
     replay()

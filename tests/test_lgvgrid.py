@@ -11,7 +11,7 @@ from chroma.lgvgrid import (
     Multipath,
     build_grid,
     enumerate_multipaths,
-    grid_is_acyclic_and_planar,
+    grid_edges,
     grid_path_from_vertices,
     lgv_check,
     nonintersecting_multipaths,
@@ -266,23 +266,12 @@ def test_determinant_equals_abstract_determinant():
             assert det(path_sum_matrix(g)) == schur_g(ctx, conjugate(lam))
 
 
-def test_grid_structure_checks():
-    for n in range(1, 9):
-        for u in enumerate_uios(n):
-            g = build_grid(u, 2, (2, 1))
-            assert grid_is_acyclic_and_planar(g)
-
-
 def test_grid_planarity_geometric_small():
     # exact straight-line segment test on small windows
     for n in range(1, 5):
         for u in enumerate_uios(n):
             g = build_grid(u, 2, (2, 1))
-            segments = []
-            from chroma.lgvgrid import grid_edges
-
-            for a, b, _ in grid_edges(g):
-                segments.append((a, b))
+            segments = [(a, b) for a, b, _ in grid_edges(g)]
             for s1 in segments:
                 for s2 in segments:
                     if s1 is s2:

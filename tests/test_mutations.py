@@ -48,7 +48,16 @@ the shared bits of each multipath (Multipath.crossing).  No two paths of
 INSTANCE ever meet, so a mask that loses a vertex cannot fail it; a mask
 that also claims the base left of its source can.  Then every family of
 INSTANCE meets, and the involutions check sees tail switches at vertices
-that the switched paths do not pass.
+that the switched paths do not pass (NotIntersecting).
+
+A mask that loses one of its own vertices also makes the involutions check
+raise instead of compare.  With each path's second vertex gone, a crossing
+family of INSTANCE's all-ones grid passes for disjoint, and
+classify_multipath finds its destinations permuted (NonIdentityPermutation).
+With each mask's lowest bit gone, chi_psi_check meets a dominator-free form
+whose chain has length 1, and split_chain_top refuses it (BadParameter).
+cli._verify_one reports either as that instance's "fail", with the error's
+class name in its detail, and the other instances of the run go on.
 
 The gnechrom suite compares a coefficient of the e^G products with X of the
 clan graph; a clan graph that lost one edge has a different X.
@@ -72,6 +81,7 @@ does not read it: its e-coefficients come from chromatic._signature_e.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -172,6 +182,29 @@ def plant_mask_claims_left_base(monkeypatch):
         original(self, vertices, diag_rows, stride)
         c, r = self.vertices[0]
         self.mask |= 1 << (c - 1) * stride + stride - 1 - r
+
+    monkeypatch.setattr(lgvgrid.GridPath, "__init__", planted)
+
+
+def plant_mask_loses_second_vertex(monkeypatch):
+    # every path's mask misses its second vertex
+    original = lgvgrid.GridPath.__init__
+
+    def planted(self, vertices, diag_rows, stride):
+        original(self, vertices, diag_rows, stride)
+        c, r = self.vertices[1]
+        self.mask &= ~(1 << c * stride + stride - 1 - r)
+
+    monkeypatch.setattr(lgvgrid.GridPath, "__init__", planted)
+
+
+def plant_mask_loses_lowest_bit(monkeypatch):
+    # every path's mask misses its leftmost lowest vertex
+    original = lgvgrid.GridPath.__init__
+
+    def planted(self, vertices, diag_rows, stride):
+        original(self, vertices, diag_rows, stride)
+        self.mask &= self.mask - 1
 
     monkeypatch.setattr(lgvgrid.GridPath, "__init__", planted)
 
@@ -329,3 +362,40 @@ def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite, inst)
     code, report = replay(capsys, suite, inst)
     assert code == 1
     assert [f["outcome"] for f in report["failures"]] == ["fail"]
+
+
+@pytest.mark.parametrize(
+    "plant, error",
+    [
+        (plant_mask_loses_second_vertex, "NonIdentityPermutation"),
+        (plant_mask_loses_lowest_bit, "BadParameter"),
+    ],
+    ids=["mask-second-vertex-involutions", "mask-lowest-bit-involutions"],
+)
+def test_planted_error_fails_the_suite_and_names_it(capsys, monkeypatch, plant, error):
+    plant(monkeypatch)
+    code, report = replay(capsys, "involutions", {"uio": U3, "k": 3})
+    assert code == 1
+    [failure] = report["failures"]
+    assert failure["outcome"] == "fail"
+    assert failure["detail"]["error"] == error
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a planted defect reaches the workers only when they are forked",
+)
+def test_planted_error_gives_the_same_report_for_any_jobs(capsys, monkeypatch):
+    # 10 of the 24 instances raise inside the check, between passing ones
+    plant_mask_loses_lowest_bit(monkeypatch)
+    runs = []
+    for jobs in ("1", "2"):
+        argv = ["verify", "involutions", "--max-n", "3", "--max-k", "3"]
+        code = cli.main(argv + ["--jobs", jobs])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    code, out = runs[0]
+    report = json.loads(out)
+    assert code == 1 and report["instances"] == 24
+    assert len(report["failures"]) == 10
+    assert {f["detail"]["error"] for f in report["failures"]} == {"BadParameter"}

@@ -316,35 +316,6 @@ def acyclic_orientation_sinks(g):
     return result
 
 
-def acyclic_orientation_sinks_brute(g):
-    """Oracle: enumerate all 2^|E| orientations and filter acyclic ones."""
-    edges = g.edges()
-    n = g.n
-    result = {}
-    for mask in range(1 << len(edges)):
-        out_adj = [[] for _ in range(n + 1)]
-        indeg = [0] * (n + 1)
-        for k, (i, j) in enumerate(edges):
-            a, b = (i, j) if mask >> k & 1 else (j, i)
-            out_adj[a].append(b)
-            indeg[b] += 1
-        order = [v for v in range(1, n + 1) if indeg[v] == 0]
-        seen = 0
-        queue = list(order)
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in out_adj[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != n:
-            continue
-        sinks = sum(1 for v in range(1, n + 1) if not out_adj[v])
-        result[sinks] = result.get(sinks, 0) + 1
-    return result
-
-
 def check_sink_theorem(g, coeffs):
     """sink(g, j) equals the sum of the e-coefficients of X_g (coeffs, as
     e_coefficients returns them) over partitions of length j."""

@@ -12,7 +12,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .errors import MalformedNext
+from .errors import MalformedNext, TooLarge
+
+NATURAL_POSET_BOUND = 1 << 21  # relation masks enumerate_posets_natural walks
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -360,9 +362,13 @@ def enumerate_posets_natural(n):
     """All strict orders on 1..n contained in the natural order (i < j).
 
     Every finite poset admits such a labelling via a linear extension, so the
-    family covers all posets on n elements up to isomorphism.
+    family covers all posets on n elements up to isomorphism.  TooLarge,
+    before any is walked, when its 2^C(n,2) masks exceed NATURAL_POSET_BOUND.
     """
     pair_list = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    masks = 1 << len(pair_list)
+    if masks > NATURAL_POSET_BOUND:
+        raise TooLarge("%d relation masks exceed %d" % (masks, NATURAL_POSET_BOUND))
     index = {pq: k for k, pq in enumerate(pair_list)}
     triples = [
         (index[(i, j)], index[(j, k)], index[(i, k)])
@@ -371,7 +377,7 @@ def enumerate_posets_natural(n):
         for k in range(j + 1, n + 1)
     ]
     out = []
-    for mask in range(1 << len(pair_list)):
+    for mask in range(masks):
         ok = True
         for ij, jk, ik in triples:
             if mask >> ij & 1 and mask >> jk & 1 and not mask >> ik & 1:
@@ -417,16 +423,9 @@ class Graph:
             if self.adjacent(i, j)
         )
 
-    def edge_count(self):
-        return len(self.edges())
-
     @classmethod
     def complete(cls, n):
         return cls(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-
-    @classmethod
-    def edgeless(cls, n):
-        return cls(n)
 
     @classmethod
     def path(cls, n):
@@ -454,12 +453,6 @@ def inc_graph(p):
         if p.incomparable(i, j)
     ]
     return Graph(p.n, edges)
-
-
-def disjoint_union(g1, g2):
-    """Disjoint union, vertices of g2 shifted past those of g1."""
-    edges = list(g1.edges()) + [(i + g1.n, j + g1.n) for i, j in g2.edges()]
-    return Graph(g1.n + g2.n, edges)
 
 
 def all_graphs(n):

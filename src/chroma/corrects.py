@@ -72,32 +72,6 @@ def is_correct(u, seq):
     return True
 
 
-def is_correct_via_connectivity(u, seq):
-    """Cross-check form: condition (1) plus connectivity of every prefix in
-    the incomparability graph."""
-    seq = tuple(seq)
-    for i in range(len(seq) - 1):
-        if u.succ(seq[i], seq[i + 1]):
-            return False
-    g = u.inc_graph()
-    for j in range(1, len(seq) + 1):
-        support = set(seq[:j])
-        if len(support) == 1:
-            continue
-        start = next(iter(support))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in support:
-                if w not in seen and g.adjacent(v, w):
-                    seen.add(w)
-                    frontier.append(w)
-        if seen != support:
-            return False
-    return True
-
-
 def _extension_bounds(u):
     """The tables that bound the next entry of a correct sequence.
 

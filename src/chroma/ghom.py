@@ -98,22 +98,6 @@ def monomial_g(ctx, lam):
     return apply_ghom(SymFunc.m(lam), ctx)
 
 
-def kernel_slice_symmetric(ctx, d):
-    """Both expansions of the degree-d kernel slice as one polynomial in
-    v_1..v_n, x_1..x_d; used to check they agree."""
-    from .symfunc import expand_concrete
-
-    total = ctx.n + d
-    left = Polynomial.zero(total)
-    right = Polynomial.zero(total)
-    for lam in partitions_of(d):
-        mx = expand_concrete("m", lam, d).embed(total, ctx.n)
-        ex = expand_concrete("e", lam, d).embed(total, ctx.n)
-        left = left + mx * ctx.elementary_product(lam).embed(total, 0)
-        right = right + ex * monomial_g(ctx, lam).embed(total, 0)
-    return left, right
-
-
 def coefficient_of_alpha(poly, alpha):
     """[v^alpha] of a vertex polynomial, alpha a tuple of exponents."""
     return poly.coeff(enumerate(alpha, 1))

@@ -36,7 +36,7 @@ DEFAULT_MULTIPATH_BUDGET = 2_000_000
 class GridSpec:
     """The grid of a semiorder with base/destination rows for one partition."""
 
-    __slots__ = ("uio", "k", "lam", "bases", "dests", "columns")
+    __slots__ = ("uio", "k", "lam", "bases", "dests", "columns", "_paths")
 
     def __init__(self, uio, k, lam, bases, dests, columns):
         self.uio = uio
@@ -45,6 +45,17 @@ class GridSpec:
         self.bases = bases
         self.dests = dests
         self.columns = columns
+        self._paths = None
+
+    def paths(self):
+        """Paths from base i to destination j, keyed by (i, j), listed once."""
+        if self._paths is None:
+            self._paths = {
+                (i, j): paths_between(self.uio, self.bases[i], self.dests[j])
+                for i in range(self.k)
+                for j in range(self.k)
+            }
+        return self._paths
 
     def __repr__(self):
         return "GridSpec(uio=%s, k=%d, lam=%r)" % (self.uio, self.k, self.lam)
@@ -156,9 +167,13 @@ def paths_between(u, a, b):
     return out
 
 
+def _weight_sum(n, paths):
+    return Polynomial(n, Counter(p.weight for p in paths))
+
+
 def path_sum(u, a, b):
     """Exact sum of path weights from a to b (the matrix entries below)."""
-    return Polynomial(u.n, Counter(p.weight for p in paths_between(u, a, b)))
+    return _weight_sum(u.n, paths_between(u, a, b))
 
 
 class Multipath:
@@ -251,15 +266,6 @@ class Multipath:
         }
 
 
-def _path_table(g):
-    """All paths from base i to destination j, keyed by (i, j)."""
-    return {
-        (i, j): paths_between(g.uio, g.bases[i], g.dests[j])
-        for i in range(g.k)
-        for j in range(g.k)
-    }
-
-
 def enumerate_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
     """All multipaths of a grid, over all destination permutations.
 
@@ -267,7 +273,7 @@ def enumerate_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
     choices per base in enumeration order.  Guarded by a global budget.
     """
     k = g.k
-    path_table = _path_table(g)
+    path_table = g.paths()
     total = 0
     feasible = []
     for perm in permutations(range(k)):
@@ -293,8 +299,9 @@ def enumerate_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
 
 
 def path_sum_matrix(g):
+    table = g.paths()
     return [
-        [path_sum(g.uio, g.bases[i], g.dests[j]) for j in range(g.k)]
+        [_weight_sum(g.uio.n, table[(i, j)]) for j in range(g.k)]
         for i in range(g.k)
     ]
 
@@ -306,7 +313,7 @@ def nonintersecting_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
     are one mask, and a path fits when its mask misses it.  The budget
     bounds the number of paths tried."""
     k = g.k
-    path_table = _path_table(g)
+    path_table = g.paths()
     out = []
     nodes = 0
 
@@ -357,15 +364,3 @@ def schur_via_lgv(u, lam):
         raise ValueError("not a partition: %r" % (lam,))
     return _disjoint_family_sum(build_grid(u, len(lam), lam))
 
-
-def grid_edges(g):
-    """All edges of the grid window as ((c1,r1),(c2,r2),weight_row_or_None)."""
-    n = g.uio.n
-    nxt = g.uio.next
-    edges = []
-    for c in range(1, g.columns + 1):
-        for r in range(1, n + 1):
-            edges.append(((c, r), (c, r + 1), None))
-            if c + 1 <= g.columns:
-                edges.append(((c, r), (c + 1, nxt[r - 1]), r))
-    return edges

@@ -1,0 +1,107 @@
+"""Independent routes that the tests compare the package against.
+
+Each function here recomputes something chroma computes, by a route that
+shares nothing with the production code it checks: literal enumeration,
+the defining property, or the geometry itself.  No chroma module imports
+this file, so a production route can never fall back on its own oracle;
+tests/test_oracles.py keeps it that way.  Oracles that the benchmark or the
+demos call (chromatic_symmetric_brute, enumerate_corrects, newton_p) stay
+in the package.
+"""
+
+from chroma.combinat import Graph, partitions_of
+from chroma.ghom import monomial_g
+from chroma.polyring import Polynomial
+from chroma.symfunc import expand_concrete
+
+
+def acyclic_orientation_sinks_brute(g):
+    """j -> number of acyclic orientations of g with exactly j sinks, from
+    all 2^|E| orientations, each tested for a cycle by peeling sources;
+    the oracle for chromatic.acyclic_orientation_sinks."""
+    edges = g.edges()
+    n = g.n
+    result = {}
+    for mask in range(1 << len(edges)):
+        out_adj = [[] for _ in range(n + 1)]
+        indeg = [0] * (n + 1)
+        for k, (i, j) in enumerate(edges):
+            a, b = (i, j) if mask >> k & 1 else (j, i)
+            out_adj[a].append(b)
+            indeg[b] += 1
+        order = [v for v in range(1, n + 1) if indeg[v] == 0]
+        seen = 0
+        queue = list(order)
+        while queue:
+            v = queue.pop()
+            seen += 1
+            for w in out_adj[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    queue.append(w)
+        if seen != n:
+            continue
+        sinks = sum(1 for v in range(1, n + 1) if not out_adj[v])
+        result[sinks] = result.get(sinks, 0) + 1
+    return result
+
+
+def is_correct_via_connectivity(u, seq):
+    """Condition (1) of a correct sequence plus connectivity of every prefix
+    in the incomparability graph; the oracle for corrects.is_correct."""
+    seq = tuple(seq)
+    for i in range(len(seq) - 1):
+        if u.succ(seq[i], seq[i + 1]):
+            return False
+    g = u.inc_graph()
+    for j in range(1, len(seq) + 1):
+        support = set(seq[:j])
+        if len(support) == 1:
+            continue
+        start = next(iter(support))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in support:
+                if w not in seen and g.adjacent(v, w):
+                    seen.add(w)
+                    frontier.append(w)
+        if seen != support:
+            return False
+    return True
+
+
+def kernel_slice_symmetric(ctx, d):
+    """Both expansions of the degree-d kernel slice, sum m_lam(x) e^G_lam
+    and sum e_lam(x) m^G_lam, as polynomials in v_1..v_n, x_1..x_d."""
+    total = ctx.n + d
+    left = Polynomial.zero(total)
+    right = Polynomial.zero(total)
+    for lam in partitions_of(d):
+        mx = expand_concrete("m", lam, d).embed(total, ctx.n)
+        ex = expand_concrete("e", lam, d).embed(total, ctx.n)
+        left = left + mx * ctx.elementary_product(lam).embed(total, 0)
+        right = right + ex * monomial_g(ctx, lam).embed(total, 0)
+    return left, right
+
+
+def disjoint_union(g1, g2):
+    """Disjoint union, vertices of g2 shifted past those of g1."""
+    edges = list(g1.edges()) + [(i + g1.n, j + g1.n) for i, j in g2.edges()]
+    return Graph(g1.n + g2.n, edges)
+
+
+def grid_edges(g):
+    """Every edge of the window of grid g as ((c1, r1), (c2, r2), row), row
+    the diagonal's weight variable or None for a vertical edge; read off the
+    threshold vector, not off the paths of lgvgrid."""
+    n = g.uio.n
+    nxt = g.uio.next
+    edges = []
+    for c in range(1, g.columns + 1):
+        for r in range(1, n + 1):
+            edges.append(((c, r), (c, r + 1), None))
+            if c + 1 <= g.columns:
+                edges.append(((c, r), (c + 1, nxt[r - 1]), r))
+    return edges

@@ -377,6 +377,13 @@ def test_verify_budget_flag_propagates(capsys):
     assert code == 0
 
 
+def test_scottsuppes_past_its_bound_is_a_budget_outcome(capsys):
+    # n = 8 has 2^28 relation masks to walk; the guard refuses before the first
+    code, out, _ = run(capsys, "verify", "scottsuppes", "--instance", '{"n": 8}')
+    assert code == 3
+    assert [f["outcome"] for f in json.loads(out)["failures"]] == ["budget"]
+
+
 # ---------------------------------------------------------------------------
 # scan
 

@@ -14,7 +14,6 @@ from chroma.corrects import (
     delta_switch,
     enumerate_corrects,
     is_correct,
-    is_correct_via_connectivity,
     leftmost_lowest_intersection,
     m_l1_via_corrects,
     power_via_corrects,
@@ -31,6 +30,7 @@ from chroma.lgvgrid import (
 )
 from chroma.chromatic import e_coefficients
 from chroma.polyring import Polynomial, monomial_from_elements, pack
+from oracles import is_correct_via_connectivity
 
 TWO_CHAIN = UnitIntervalOrder([2, 3])
 ANTI2 = UnitIntervalOrder([3, 3])

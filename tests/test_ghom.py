@@ -19,13 +19,13 @@ from chroma.ghom import (
     apply_ghom,
     coefficient_of_alpha,
     gnechrom_check,
-    kernel_slice_symmetric,
     monomial_g,
     power_g,
     schur_g,
 )
 from chroma.polyring import Polynomial, det, unpack
 from chroma.symfunc import BASES, SymFunc, convert, newton_p, transition_matrix
+from oracles import kernel_slice_symmetric
 
 TWO_CHAIN = UnitIntervalOrder([2, 3])
 ANTI2 = UnitIntervalOrder([3, 3])

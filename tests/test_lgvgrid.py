@@ -11,7 +11,6 @@ from chroma.lgvgrid import (
     Multipath,
     build_grid,
     enumerate_multipaths,
-    grid_edges,
     grid_path_from_vertices,
     lgv_check,
     nonintersecting_multipaths,
@@ -21,6 +20,7 @@ from chroma.lgvgrid import (
     schur_via_lgv,
 )
 from chroma.polyring import Polynomial, det, monomial_from_elements, pack
+from oracles import grid_edges
 
 U8 = UnitIntervalOrder([3, 4, 5, 6, 7, 8, 9, 9])
 U5 = UnitIntervalOrder([3, 4, 5, 6, 6])

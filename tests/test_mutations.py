@@ -4,10 +4,12 @@ the instance as a failure (exit 1, "outcome": "fail").
 
 The gasharov suite compares schur_g with schur_via_lgv; the lgv suite
 compares det(path_sum_matrix(g)) with the sum over the disjoint families
-that nonintersecting_multipaths finds.  Both sides of the lgv check share
-build_grid and paths_between, so a defect there moves both sides together
-and no case here plants one.  Unplanted, the instance passes both suites
-(criteria 04 and 05 run it).
+that nonintersecting_multipaths finds.  Both sides of the lgv check read
+the one table of paths that the grid lists (GridSpec.paths, through
+build_grid and paths_between), so a defect there moves both sides together
+and no case here plants one; a path-sum matrix entry that gains a monomial
+moves only the determinant side.  Unplanted, the instance passes both
+suites (criteria 04 and 05 run it).
 
 The eposn suite compares the top e-coefficient of X_G with the covering
 correct sequences, and the sink suite compares the e-coefficient sums of
@@ -91,7 +93,7 @@ import chroma.corrects as corrects
 import chroma.ghom as ghom
 import chroma.lgvgrid as lgvgrid
 import chroma.symfunc as symfunc
-from chroma.combinat import Graph, UnitIntervalOrder
+from chroma.combinat import Graph
 from chroma.polyring import Polynomial
 
 U3 = "3,4,4"
@@ -120,18 +122,15 @@ def plant_dropped_family(monkeypatch):
     monkeypatch.setattr(lgvgrid, "nonintersecting_multipaths", planted)
 
 
-def plant_path_sum_entry(monkeypatch):
-    original = lgvgrid.path_sum
-    g = lgvgrid.build_grid(UnitIntervalOrder.parse(U3), 2, (2, 1))
-    entry = (g.bases[0], g.dests[0])
+def plant_path_sum_matrix_entry(monkeypatch):
+    original = lgvgrid.path_sum_matrix
 
-    def planted(u, a, b):
-        total = original(u, a, b)
-        if (a, b) == entry:
-            total = total + extra_monomial(u.n)
-        return total
+    def planted(g):
+        matrix = original(g)
+        matrix[0][0] = matrix[0][0] + extra_monomial(g.uio.n)
+        return matrix
 
-    monkeypatch.setattr(lgvgrid, "path_sum", planted)
+    monkeypatch.setattr(lgvgrid, "path_sum_matrix", planted)
 
 
 def plant_singleton_blocks(monkeypatch):
@@ -316,7 +315,7 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_schur_g, "gasharov", INSTANCE),
         (plant_dropped_family, "lgv", INSTANCE),
         (plant_dropped_family, "gasharov", INSTANCE),
-        (plant_path_sum_entry, "lgv", INSTANCE),
+        (plant_path_sum_matrix_entry, "lgv", INSTANCE),
         (plant_dropped_sequence, "ppos", {"uio": U3, "k": 3}),
         (plant_dropped_sequence, "thn1", {"uio": U3, "l": 2}),
         (plant_dropped_sequence, "eposn", {"uio": U3}),
@@ -338,7 +337,7 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         "schur_g-extra-monomial-gasharov",
         "dropped-family-lgv",
         "dropped-family-gasharov",
-        "path_sum-extra-monomial-lgv",
+        "path_sum_matrix-extra-monomial-lgv",
         "dropped-sequence-ppos",
         "dropped-sequence-thn1",
         "dropped-sequence-eposn",

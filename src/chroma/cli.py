@@ -1,13 +1,12 @@
 """Command-line harness.
 
     chroma csf    --uio 3,4,4 [--basis e|m|p|s] [--partition S] [--format ..]
-    chroma verify <suite> [--max-n N] [--max-k K] [--jobs J] [--budget B]
-                  [--instance JSON]
+    chroma verify <suite> [--max-n N] [--max-k K] [--jobs J] [--instance JSON]
     chroma scan   [--max-n N] [--jobs J]      (the same as verify scan)
 
 Exit codes: 0 all checks passed, 1 a verification failure or counterexample,
 2 usage or parse error, including a malformed --instance, 3 no failure but
-an instance exceeded its enumeration budget.  Each entry of a report's
+an instance exceeded an enumeration guard.  Each entry of a report's
 failures carries "outcome": "fail" or "budget".  JSON output is canonical
 and byte-identical across runs and worker counts; the text format adds the
 run time.
@@ -60,7 +59,7 @@ from .corrects import (
 )
 from .errors import BadParameter, ChromaError, TooLarge
 from .ghom import GAnalogueContext, gnechrom_check, monomial_g, power_g, schur_g
-from .lgvgrid import DEFAULT_MULTIPATH_BUDGET, build_grid, lgv_check, schur_via_lgv
+from .lgvgrid import build_grid, lgv_check, schur_via_lgv
 from .symfunc import cauchy_check, convert
 
 # ---------------------------------------------------------------------------
@@ -150,9 +149,9 @@ def _check_eposn(uio):
     return False, {"covering_corrects": count, "c_n": cn}
 
 
-def _check_lgv(uio, partition, budget=DEFAULT_MULTIPATH_BUDGET):
+def _check_lgv(uio, partition):
     g = build_grid(uio, max(len(partition), 1), partition)
-    if lgv_check(g, budget):
+    if lgv_check(g):
         return True, None
     return False, {"reason": "determinant mismatch"}
 
@@ -186,8 +185,8 @@ def _check_cauchy(d):
     return False, {"reason": "three-way product identity failed"}
 
 
-def _check_involutions(uio, k, budget=DEFAULT_MULTIPATH_BUDGET):
-    rep = verify_cancellations(uio, k, budget=budget)
+def _check_involutions(uio, k):
+    rep = verify_cancellations(uio, k)
     if rep.ok:
         return True, None
     return False, {"cancellations": rep.to_json(), "bijection_ok": rep.bijection.ok}
@@ -428,7 +427,6 @@ class Suite(NamedTuple):
     check: object  # keyword arguments as parsed -> (ok, detail)
     schemas: tuple  # alternative {key: parser} maps; the first match counts
     fits: object = None  # cross-key check of the parsed arguments, ValueError
-    budgeted: bool = False  # the check reads a budget (multipath guard)
     # runs every default instance at once: (max_n, jobs) -> (instances,
     # [(inst, outcome, detail)] for those that did not pass, in input order)
     run_all: object = None
@@ -442,9 +440,7 @@ _ALL = object()  # run_suite's default instance: every instance of the suite
 SUITES = {
     "ppos": Suite((6, 6), _per_uio("k", 1), _check_ppos, (_UIO_K,)),
     "eposn": Suite((6,), _instances_eposn, _check_eposn, ({"uio": _UIO},)),
-    "lgv": Suite(
-        (4, 4), _instances_partitions, _check_lgv, (_UIO_LAM,), budgeted=True
-    ),
+    "lgv": Suite((4, 4), _instances_partitions, _check_lgv, (_UIO_LAM,)),
     "gasharov": Suite((5, 5), _instances_partitions, _check_gasharov, (_UIO_LAM,)),
     "sink": Suite(
         (5,), _instances_sink, _check_sink, ({"uio": _UIO}, {"graph": _graph})
@@ -453,9 +449,7 @@ SUITES = {
         (4, 6), _instances_gnechrom, _check_gnechrom, (_UIO_ALPHA,), _alpha_fits
     ),
     "cauchy": Suite((5,), _per_n("d"), _check_cauchy, ({"d": _at_least(1)},)),
-    "involutions": Suite(
-        (4, 4), _per_uio("k", 1), _check_involutions, (_UIO_K,), budgeted=True
-    ),
+    "involutions": Suite((4, 4), _per_uio("k", 1), _check_involutions, (_UIO_K,)),
     "thn1": Suite(
         (6, 5), _per_uio("l", 2), _check_thn1, ({"uio": _UIO, "l": _at_least(2)},)
     ),
@@ -476,18 +470,13 @@ SUITES = {
 
 def _parse(name, inst):
     """The check's keyword arguments for inst: every key of the first of the
-    suite's schemas that inst carries, each value parsed, and a budget if
-    inst has one and the suite reads one; other keys (detail, outcome) are
-    ignored.  BadParameter if no schema matches, a value is bad, or the
-    arguments do not fit together."""
+    suite's schemas that inst carries, each value parsed; any other key (a
+    report's detail or outcome) is ignored.  BadParameter if no schema
+    matches, a value is bad, or the arguments do not fit together."""
     suite = SUITES[name]
     if isinstance(inst, dict):
         for schema in suite.schemas:
             if all(key in inst for key in schema):
-                if "budget" in inst:
-                    if not suite.budgeted:
-                        raise BadParameter("%s instance takes no 'budget'" % name)
-                    schema = dict(schema, budget=_at_least(1))
                 args = {}
                 for key, parse in schema.items():
                     try:
@@ -524,16 +513,14 @@ def _verify_one(packed):
     return inst, "pass" if ok else "fail", detail
 
 
-def run_suite(name, max_n=None, max_k=None, instance=_ALL, jobs=1, budget=None):
+def run_suite(name, max_n=None, max_k=None, instance=_ALL, jobs=1):
     """Run a suite over its default instances, or over one given instance,
-    which must match the suite's schema, with bounds and a budget the suite
-    has (else BadParameter).  Every instance that does not pass is recorded
-    with its outcome, in input order, so the report does not depend on jobs."""
+    which must match the suite's schema, with bounds the suite has (else
+    BadParameter).  Every instance that does not pass is recorded with its
+    outcome, in input order, so the report does not depend on jobs."""
     suite = SUITES[name]
     if max_k is not None and len(suite.defaults) < 2:
         raise BadParameter("suite %r takes no --max-k" % name)
-    if budget is not None and not suite.budgeted:
-        raise BadParameter("suite %r takes no --budget" % name)
     given = zip(("max_n", "max_k"), suite.defaults, (max_n, max_k))
     bounds = {key: default if value is None else value for key, default, value in given}
     start = time.monotonic()
@@ -547,11 +534,6 @@ def run_suite(name, max_n=None, max_k=None, instance=_ALL, jobs=1, budget=None):
             else suite.make_instances(*bounds.values())
         )
         work = [(name, inst, _parse(name, inst)) for inst in instances]
-        if budget is not None:  # the flag overrides an instance's own budget
-            work = [
-                (name, dict(inst, budget=budget), dict(args, budget=budget))
-                for _, inst, args in work
-            ]
         workers = min(jobs, len(work))  # never more processes than instances
         if workers > 1:
             with multiprocessing.Pool(workers) as pool:
@@ -627,7 +609,6 @@ def _cmd_verify(args):
             max_k=args.max_k,
             instance=instance,
             jobs=args.jobs,
-            budget=args.budget,
         )
     except json.JSONDecodeError as exc:
         print("error: bad instance payload: %s" % exc, file=sys.stderr)
@@ -681,20 +662,12 @@ def make_parser():
     p_scan = sub.add_parser(
         "scan", help="scan for negative e-coefficients (verify scan)"
     )
-    p_scan.set_defaults(suite="scan", max_k=None, budget=None, instance=None)
+    p_scan.set_defaults(suite="scan", max_k=None, instance=None)
     for p in (p_verify, p_scan):
         p.add_argument("--max-n", type=_int_from(1), default=None)
         p.add_argument("--jobs", type=_int_from(1), default=1)
         common(p)
     p_verify.add_argument("--max-k", type=_int_from(0), default=None)
-    p_verify.add_argument(
-        "--budget",
-        type=_int_from(1),
-        default=None,
-        help="enumeration guard per instance: paths tried by lgv's "
-        "disjoint-family search, multipaths listed by involutions (other "
-        "suites refuse it)",
-    )
     p_verify.add_argument("--instance", help="single JSON instance to replay")
 
     return parser

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .ghom import GAnalogueContext, power_g
 from .lgvgrid import (
-    DEFAULT_MULTIPATH_BUDGET,
     Multipath,
     build_grid,
     enumerate_multipaths,
@@ -118,10 +117,10 @@ def _states(u, k):
     return states
 
 
-def enumerate_corrects(u, k, budget=DEFAULT_SEQUENCE_BUDGET):
+def enumerate_corrects(u, k):
     """All correct sequences of length k, lexicographic: the n^k candidates
     filtered by is_correct, the oracle that _grow is tested against."""
-    if u.n ** k > budget:
+    if u.n ** k > DEFAULT_SEQUENCE_BUDGET:
         raise TooLarge("n^k = %d exceeds the sequence budget" % (u.n ** k,))
     return [seq for seq in product(range(1, u.n + 1), repeat=k) if is_correct(u, seq)]
 
@@ -400,7 +399,7 @@ class CancellationReport:
         }
 
 
-def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
+def verify_cancellations(u, k):
     """Enumerate every multipath of the all-ones grid once and check:
 
       (a) the signed multiplier sum over class I vanishes,
@@ -417,7 +416,7 @@ def verify_cancellations(u, k, budget=DEFAULT_MULTIPATH_BUDGET):
     counts = {"P": 0, "I": 0, "J": 0, "L": 0, "other": 0}
     i_class = []
     forms = []
-    for mp in enumerate_multipaths(grid, budget):
+    for mp in enumerate_multipaths(grid):
         cls = classify_multipath(mp, u, grid)
         counts[cls.tag] += 1
         weight = mp.weight_monomial()

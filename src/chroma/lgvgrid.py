@@ -266,11 +266,11 @@ class Multipath:
         }
 
 
-def enumerate_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
+def enumerate_multipaths(g):
     """All multipaths of a grid, over all destination permutations.
 
     Deterministic order: permutations lexicographically, then the path
-    choices per base in enumeration order.  Guarded by a global budget.
+    choices per base in enumeration order.  Guarded by DEFAULT_MULTIPATH_BUDGET.
     """
     k = g.k
     path_table = g.paths()
@@ -285,8 +285,10 @@ def enumerate_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
         if count:
             feasible.append(perm)
             total += count
-    if total > budget:
-        raise TooLarge("%d multipaths exceed the budget of %d" % (total, budget))
+    if total > DEFAULT_MULTIPATH_BUDGET:
+        raise TooLarge(
+            "%d multipaths exceed the budget of %d" % (total, DEFAULT_MULTIPATH_BUDGET)
+        )
     out = []
     for perm in feasible:
         choices = [path_table[(i, j)] for i, j in enumerate(perm)]
@@ -306,7 +308,7 @@ def path_sum_matrix(g):
     ]
 
 
-def nonintersecting_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
+def nonintersecting_multipaths(g):
     """Only the pairwise-disjoint multipaths, found by assigning paths base
     by base with disjointness pruning (destinations may permute; planarity
     is verified by the caller, not assumed here).  The vertices taken so far
@@ -327,8 +329,11 @@ def nonintersecting_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
                 continue
             for p in path_table[(i, j - 1)]:
                 nodes += 1
-                if nodes > budget:
-                    raise TooLarge("disjoint-family search exceeded budget %d" % budget)
+                if nodes > DEFAULT_MULTIPATH_BUDGET:
+                    raise TooLarge(
+                        "disjoint-family search exceeded budget %d"
+                        % DEFAULT_MULTIPATH_BUDGET
+                    )
                 if occupied & p.mask:
                     continue
                 rec(i + 1, sigma + (j,), chosen + [p], occupied | p.mask)
@@ -337,21 +342,21 @@ def nonintersecting_multipaths(g, budget=DEFAULT_MULTIPATH_BUDGET):
     return out
 
 
-def _disjoint_family_sum(g, budget=DEFAULT_MULTIPATH_BUDGET):
+def _disjoint_family_sum(g):
     """Sum of the weights of the disjoint multipaths of g.  Each must connect
     base i to destination i (require_identity), so every sign is +1."""
     counts = Counter()
-    for mp in nonintersecting_multipaths(g, budget):
+    for mp in nonintersecting_multipaths(g):
         mp.require_identity()
         counts[mp.weight_monomial()] += 1
     return Polynomial(g.uio.n, counts)
 
 
-def lgv_check(g, budget=DEFAULT_MULTIPATH_BUDGET):
+def lgv_check(g):
     """det(path-sum matrix) equals the sum over non-intersecting multipaths,
     each of which connects base i to destination i; exact polynomial
     identity."""
-    return det(path_sum_matrix(g)) == _disjoint_family_sum(g, budget)
+    return det(path_sum_matrix(g)) == _disjoint_family_sum(g)
 
 
 def schur_via_lgv(u, lam):

@@ -32,10 +32,11 @@ from .combinat import (
     parse_partition,
     partitions_of,
 )
-from .errors import SingularSystem
+from .errors import SingularSystem, TooLarge
 from .polyring import Polynomial, det, monomial_from_elements, pack
 
 BASES = ("e", "m", "p", "s")
+CAUCHY_DEGREE_BOUND = 7  # cauchy_check's largest degree: d = 7 takes over 20 s
 
 
 def _as_partition(lam):
@@ -499,6 +500,8 @@ def cauchy_check(d, N):
     """
     if not 1 <= d <= N:
         raise ValueError("requires 1 <= d <= N")
+    if d > CAUCHY_DEGREE_BOUND:
+        raise TooLarge("degree %d exceeds %d" % (d, CAUCHY_DEGREE_BOUND))
     total = 2 * N
 
     def pair(bx, by, star=False):

@@ -267,7 +267,7 @@ def test_verify_lgv_names_a_non_identity_multipath(capsys, monkeypatch):
     p2 = grid_path_from_vertices([(2, 1), (2, 2), (3, 4)], 5)
     swapped = Multipath([p2, p1], (2, 1))
 
-    def lgv_check(g, budget):
+    def lgv_check(g):
         swapped.require_identity()
 
     monkeypatch.setattr(cli, "lgv_check", lgv_check)
@@ -308,13 +308,13 @@ def test_thn1_refuses_l_below_two_before_the_check(capsys, monkeypatch):
         ("ppos", [1]),  # not an object
         ("ppos", {"uio": "3,9,4", "k": 2}),  # malformed threshold vector
         ("gnechrom", {"uio": "3,4,4", "alpha": [1]}),  # alpha shorter than uio
-        ("involutions", {"uio": "3,4,4", "k": 2, "budget": "x"}),
-        ("lgv", {"uio": "3,4,4", "partition": "1", "budget": 0}),
-        ("lgv", {"uio": "3,4,4", "partition": "1", "budget": True}),
+        ("involutions", {"uio": "3,4,4", "k": "x"}),
+        ("lgv", {"uio": "3,4,4", "partition": "1,2"}),  # not weakly decreasing
+        ("lgv", {"uio": "3,4,4", "partition": True}),
         ("scan", {"uio": 344}),
         ("ppos", None),  # null must not fall back to the default instances
         ("ppos", ""),
-        ("ppos", {"uio": "3,4,4", "k": 2, "budget": 5}),  # ppos reads no budget
+        ("ppos", {"uio": "3,4,4", "k": True}),  # a bool is not an integer
         ("thn1", {"uio": "3,4,4", "l": 1}),  # m_(l,1) needs l >= 2
     ],
 )
@@ -358,28 +358,52 @@ def test_verify_flag_ranges_exit_two(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_verify_budget_flag_propagates(capsys):
-    # an absurdly small budget turns instances into budget outcomes; the run
-    # goes on and counts every instance
-    code, out, _ = run(
-        capsys, "verify", "lgv", "--max-n", "3", "--max-k", "3", "--budget", "1"
-    )
+def test_verify_multipath_guard_is_a_budget_outcome(capsys, monkeypatch):
+    # a guard of one path turns instances into budget outcomes; the run goes
+    # on and counts every instance
+    import chroma.lgvgrid as lgvgrid
+
+    monkeypatch.setattr(lgvgrid, "DEFAULT_MULTIPATH_BUDGET", 1)
+    code, out, _ = run(capsys, "verify", "lgv", "--max-n", "3", "--max-k", "3")
     assert code == 3
     data = json.loads(out)
     assert data["instances"] == (1 + 2 + 5) * (1 + 2 + 3)
     assert data["failures"]
     assert {f["outcome"] for f in data["failures"]} == {"budget"}
-    assert all(f["budget"] == 1 for f in data["failures"])
-    code, out, _ = run(
-        capsys, "verify", "lgv", "--max-n", "2", "--max-k", "2",
-        "--budget", "1000000",
-    )
-    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "suite, inst",
+    [
+        ("lgv", {"uio": "3,4,4", "partition": "1", "budget": 0}),
+        ("ppos", {"uio": "3,4,4", "k": 2, "budget": "x"}),
+    ],
+)
+def test_verify_ignores_an_instance_budget_key(capsys, suite, inst):
+    plain = {key: value for key, value in inst.items() if key != "budget"}
+    want = run(capsys, "verify", suite, "--instance", json.dumps(plain))
+    assert want[0] == 0
+    assert run(capsys, "verify", suite, "--instance", json.dumps(inst)) == want
 
 
 def test_scottsuppes_past_its_bound_is_a_budget_outcome(capsys):
     # n = 8 has 2^28 relation masks to walk; the guard refuses before the first
     code, out, _ = run(capsys, "verify", "scottsuppes", "--instance", '{"n": 8}')
+    assert code == 3
+    assert [f["outcome"] for f in json.loads(out)["failures"]] == ["budget"]
+
+
+@pytest.mark.parametrize(
+    "suite, inst",
+    [
+        # d = 7 takes over 20 s; d = 8 would expand for minutes
+        ("cauchy", {"d": 8}),
+        # 5,722,956 multipaths, refused before the first is listed
+        ("involutions", {"uio": "2,3,4,5,6,7,8", "k": 7}),
+    ],
+)
+def test_past_its_guard_is_a_budget_outcome(capsys, suite, inst):
+    code, out, _ = run(capsys, "verify", suite, "--instance", json.dumps(inst))
     assert code == 3
     assert [f["outcome"] for f in json.loads(out)["failures"]] == ["budget"]
 
@@ -568,6 +592,7 @@ _PLAUSIBLE = {
 
 
 def _instances(suite):
+    # a budget key means nothing to any suite; a replay ignores it
     keys = {key for schema in SUITES[suite].schemas for key in schema} | {"budget"}
     values = {key: st.one_of(_PLAUSIBLE.get(key, _INTS), _JUNK) for key in keys}
     return st.one_of(st.fixed_dictionaries({}, optional=values), _JUNK)

@@ -84,9 +84,10 @@ def test_enumeration_examples():
     assert enumerate_corrects(TWO_CHAIN, 2) == [(1, 1), (2, 2)]
 
 
-def test_sequence_budget():
+def test_sequence_budget(monkeypatch):
+    monkeypatch.setattr(corrects, "DEFAULT_SEQUENCE_BUDGET", 10)
     with pytest.raises(TooLarge):
-        enumerate_corrects(U3, 3, budget=10)
+        enumerate_corrects(U3, 3)
 
 
 # ---------------------------------------------------------------------------

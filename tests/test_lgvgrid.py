@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import chroma.lgvgrid as lgvgrid
 from chroma.combinat import UnitIntervalOrder, conjugate, enumerate_uios, partitions_of
 from chroma.errors import BadShape, TooLarge
 from chroma.ghom import GAnalogueContext, schur_g
@@ -128,12 +129,13 @@ def test_multipath_sign_bookkeeping():
     assert Multipath([p2, p1], (1, 2)).sign == 1
 
 
-def test_multipath_budget_guard():
+def test_multipath_budget_guard(monkeypatch):
+    monkeypatch.setattr(lgvgrid, "DEFAULT_MULTIPATH_BUDGET", 3)
     g = build_grid(UnitIntervalOrder([2, 3, 4, 5]), 4, (1, 1, 1, 1))
     with pytest.raises(TooLarge):
-        enumerate_multipaths(g, budget=3)
+        enumerate_multipaths(g)
     with pytest.raises(TooLarge):
-        nonintersecting_multipaths(g, budget=3)
+        nonintersecting_multipaths(g)
 
 
 def test_lgv_identity_exhaustive_small():

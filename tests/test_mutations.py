@@ -116,8 +116,8 @@ def plant_schur_g(monkeypatch):
 def plant_dropped_family(monkeypatch):
     original = lgvgrid.nonintersecting_multipaths
 
-    def planted(g, budget=lgvgrid.DEFAULT_MULTIPATH_BUDGET):
-        return original(g, budget)[:-1]
+    def planted(g):
+        return original(g)[:-1]
 
     monkeypatch.setattr(lgvgrid, "nonintersecting_multipaths", planted)
 
@@ -211,8 +211,8 @@ def plant_mask_loses_lowest_bit(monkeypatch):
 def plant_dropped_multipath(monkeypatch):
     original = corrects.enumerate_multipaths
 
-    def planted(g, budget=lgvgrid.DEFAULT_MULTIPATH_BUDGET):
-        return original(g, budget)[:-1]
+    def planted(g):
+        return original(g)[:-1]
 
     monkeypatch.setattr(corrects, "enumerate_multipaths", planted)
 

@@ -157,9 +157,10 @@ def _check_lgv(uio, partition):
 
 
 def _check_gasharov(uio, partition):
+    # the guarded grid side first: past its budget, schur_g is not expanded
+    via_grid = schur_via_lgv(uio, conjugate(partition))
     ctx = GAnalogueContext(uio.inc_graph())
     via_det = schur_g(ctx, partition)
-    via_grid = schur_via_lgv(uio, conjugate(partition))
     if via_det == via_grid and via_det.is_monomial_positive():
         return True, None
     return False, {"via_det": str(via_det), "via_grid": str(via_grid)}

@@ -505,13 +505,18 @@ def cauchy_check(d, N):
     total = 2 * N
 
     def pair(bx, by, star=False):
-        acc = Polynomial.zero(total)
+        counts = {}
         for lam in partitions_of(d):
             mu = conjugate(lam) if star else lam
             fx = expand_concrete(bx, lam, N).embed(total, 0)
             fy = expand_concrete(by, mu, N).embed(total, N)
-            acc = acc + fx * fy
-        return acc
+            # x and y share no variable: the product of two terms adds
+            # exponents in no common field, so no sum can overflow one
+            for mx, cx in fx.terms.items():
+                for my, cy in fy.terms.items():
+                    mono = mx + my
+                    counts[mono] = counts.get(mono, 0) + cx * cy
+        return Polynomial(total, counts)
 
     side_me = pair("m", "e")
     side_ss = pair("s", "s", star=True)

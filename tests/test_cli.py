@@ -400,6 +400,11 @@ def test_scottsuppes_past_its_bound_is_a_budget_outcome(capsys):
         ("cauchy", {"d": 8}),
         # 5,722,956 multipaths, refused before the first is listed
         ("involutions", {"uio": "2,3,4,5,6,7,8", "k": 7}),
+        # the disjoint-family transfer of this grid runs past its budget;
+        # both suites run it first, so the unguarded side (the determinant,
+        # schur_g), each over a minute of work, is never expanded
+        ("lgv", {"uio": "2,3,4,5,6,7,8,9,10,11", "partition": "5,5,5,5"}),
+        ("gasharov", {"uio": "2,3,4,5,6,7,8,9,10,11", "partition": "4,4,4,4,4"}),
     ],
 )
 def test_past_its_guard_is_a_budget_outcome(capsys, suite, inst):

@@ -1,9 +1,13 @@
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chroma.cli as cli
 import chroma.lgvgrid as lgvgrid
 from chroma.combinat import UnitIntervalOrder, conjugate, enumerate_uios, partitions_of
 from chroma.errors import BadShape, TooLarge
@@ -11,6 +15,7 @@ from chroma.ghom import GAnalogueContext, schur_g
 from chroma.lgvgrid import (
     Multipath,
     build_grid,
+    disjoint_family_sum,
     enumerate_multipaths,
     grid_path_from_vertices,
     lgv_check,
@@ -136,6 +141,8 @@ def test_multipath_budget_guard(monkeypatch):
         enumerate_multipaths(g)
     with pytest.raises(TooLarge):
         nonintersecting_multipaths(g)
+    with pytest.raises(TooLarge):
+        disjoint_family_sum(g)
 
 
 def test_lgv_identity_exhaustive_small():
@@ -166,9 +173,20 @@ def test_nonintersecting_families_have_identity_permutation():
                             assert mp.sigma == identity(g.k)
 
 
+def listed_family_sum(g):
+    """The disjoint-family sum read off the listing oracle, whose families
+    must each connect base i to destination i."""
+    counts = Counter()
+    for mp in nonintersecting_multipaths(g):
+        mp.require_identity()
+        counts[mp.weight_monomial()] += 1
+    return Polynomial(g.uio.n, counts)
+
+
 def test_nonintersecting_enumeration_matches_filter():
     # every gasharov instance at its default bounds (n <= 5, weight <= 5):
-    # the pruned search finds exactly the disjoint members of the full list
+    # the pruned search finds exactly the disjoint members of the full list,
+    # and the column transfer sums exactly their weights
     for n in range(1, 6):
         for u in enumerate_uios(n):
             for w in range(1, 6):
@@ -182,6 +200,40 @@ def test_nonintersecting_enumeration_matches_filter():
                     }
                     assert {mp.key() for mp in direct} == filtered, (str(u), lam)
                     assert len(direct) == len(filtered)
+                    assert disjoint_family_sum(g) == listed_family_sum(g), (str(u), lam)
+
+
+@st.composite
+def grids(draw, max_n=7, max_weight=5):
+    """A grid of a random order on up to max_n points, for a partition of
+    weight up to max_weight, with up to one zero part (a destination in its
+    base's column)."""
+    n = draw(st.integers(1, max_n))
+    nxt = []
+    for i in range(1, n + 1):
+        nxt.append(draw(st.integers(max(nxt[-1:] + [i + 1]), n + 1)))
+    w = draw(st.integers(0, max_weight))
+    lam = draw(st.sampled_from(partitions_of(w)))
+    k = len(lam) + draw(st.integers(0, 1))
+    return build_grid(UnitIntervalOrder(nxt), k, lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids())
+def test_transfer_matches_listing_property(g):
+    assert disjoint_family_sum(g) == listed_family_sum(g)
+
+
+def test_gasharov_lists_no_paths(capsys, monkeypatch):
+    # the grid side of gasharov is the column transfer alone
+    def refuse(u, a, b):
+        raise AssertionError("paths_between called")
+
+    monkeypatch.setattr(lgvgrid, "paths_between", refuse)
+    inst = {"uio": "3,4,4", "partition": "2,1"}
+    code = cli.main(["verify", "gasharov", "--instance", json.dumps(inst)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == []
 
 
 def assert_masks_match_vertex_tuples(mp):

@@ -3,13 +3,18 @@ one `chroma verify <suite> --instance` and asserts that the suite reports
 the instance as a failure (exit 1, "outcome": "fail").
 
 The gasharov suite compares schur_g with schur_via_lgv; the lgv suite
-compares det(path_sum_matrix(g)) with the sum over the disjoint families
-that nonintersecting_multipaths finds.  Both sides of the lgv check read
-the one table of paths that the grid lists (GridSpec.paths, through
-build_grid and paths_between), so a defect there moves both sides together
-and no case here plants one; a path-sum matrix entry that gains a monomial
-moves only the determinant side.  Unplanted, the instance passes both
-suites (criteria 04 and 05 run it).
+compares det(path_sum_matrix(g)) with the sum over the disjoint families of
+the grid.  Both read that sum from the column transfer
+lgvgrid.disjoint_family_sum, which lists no path.  A transfer that loses
+the top exit row of every path loses families of INSTANCE; one that lets a
+path leave from the row where the path above it enters counts families
+that meet there, which uio 2,3,4 with partition 2,2 has and INSTANCE does
+not.  Only the determinant side reads the table of paths that the grid
+lists (GridSpec.paths, through paths_between), so a list that loses a path
+fails lgv and leaves gasharov, which takes no determinant of paths, alone;
+a path-sum matrix entry that gains a monomial also moves only that side.
+Unplanted, the instances pass both suites (criteria 04 and 05 run
+INSTANCE).
 
 The eposn suite compares the top e-coefficient of X_G with the covering
 correct sequences, and the sink suite compares the e-coefficient sums of
@@ -42,17 +47,14 @@ e^G_lam fails both too.  The involutions suite checks the signed
 sums over every multipath of the all-ones grid against power_g; one lost
 multipath breaks the cancellation.
 
-The lgv, gasharov and involutions suites share the path masks of
-lgvgrid.GridPath, one bit per grid vertex.  The disjoint-family search that
-lgv and gasharov sum over tests each path's mask against the vertices taken
-so far; involutions reads disjointness and the leftmost lowest crossing off
-the shared bits of each multipath (Multipath.crossing).  No two paths of
-INSTANCE ever meet, so a mask that loses a vertex cannot fail it; a mask
-that also claims the base left of its source can.  Then every family of
-INSTANCE meets, and the involutions check sees tail switches at vertices
-that the switched paths do not pass (NotIntersecting).
+The involutions suite reads the path masks of lgvgrid.GridPath, one bit
+per grid vertex: disjointness and the leftmost lowest crossing come off
+the shared bits of each multipath (Multipath.crossing).  A mask that also
+claims the base left of its source makes every family of INSTANCE's
+all-ones grid meet, and the involutions check sees tail switches at
+vertices that the switched paths do not pass (NotIntersecting).
 
-A mask that loses one of its own vertices also makes the involutions check
+A mask that loses one of its own vertices makes the involutions check
 raise instead of compare.  With each path's second vertex gone, a crossing
 family of INSTANCE's all-ones grid passes for disjoint, and
 classify_multipath finds its destinations permuted (NonIdentityPermutation).
@@ -98,6 +100,8 @@ from chroma.polyring import Polynomial
 
 U3 = "3,4,4"
 INSTANCE = {"uio": U3, "partition": "2,1"}
+# its grid has paths that meet if one may exit where the next one enters
+TOUCHING = {"uio": "2,3,4", "partition": "2,2"}
 
 
 def extra_monomial(n):
@@ -113,13 +117,36 @@ def plant_schur_g(monkeypatch):
     monkeypatch.setattr(cli, "schur_g", planted)
 
 
-def plant_dropped_family(monkeypatch):
-    original = lgvgrid.nonintersecting_multipaths
+def plant_dropped_exit(monkeypatch):
+    # the column transfer loses the top exit row of every path
+    original = lgvgrid._exit_rows
 
-    def planted(g):
-        return original(g)[:-1]
+    def planted(entries, stop):
+        return [range(r.start, r.stop - 1) for r in original(entries, stop)]
 
-    monkeypatch.setattr(lgvgrid, "nonintersecting_multipaths", planted)
+    monkeypatch.setattr(lgvgrid, "_exit_rows", planted)
+
+
+def plant_exit_reaches_next_entry(monkeypatch):
+    # a path of the column transfer may also leave from the row where the
+    # path above it enters, so two paths share that vertex
+    original = lgvgrid._exit_rows
+
+    def planted(entries, stop):
+        ranges = original(entries, stop)
+        return [range(r.start, r.stop + 1) for r in ranges[:-1]] + ranges[-1:]
+
+    monkeypatch.setattr(lgvgrid, "_exit_rows", planted)
+
+
+def plant_dropped_path(monkeypatch):
+    # every list of paths between a base and a destination loses its last
+    original = lgvgrid.paths_between
+
+    def planted(u, a, b):
+        return original(u, a, b)[:-1]
+
+    monkeypatch.setattr(lgvgrid, "paths_between", planted)
 
 
 def plant_path_sum_matrix_entry(monkeypatch):
@@ -313,16 +340,17 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
     "plant, suite, inst",
     [
         (plant_schur_g, "gasharov", INSTANCE),
-        (plant_dropped_family, "lgv", INSTANCE),
-        (plant_dropped_family, "gasharov", INSTANCE),
+        (plant_dropped_exit, "lgv", INSTANCE),
+        (plant_dropped_exit, "gasharov", INSTANCE),
         (plant_path_sum_matrix_entry, "lgv", INSTANCE),
+        (plant_dropped_path, "lgv", INSTANCE),
         (plant_dropped_sequence, "ppos", {"uio": U3, "k": 3}),
         (plant_dropped_sequence, "thn1", {"uio": U3, "l": 2}),
         (plant_dropped_sequence, "eposn", {"uio": U3}),
         (plant_dropped_multipath, "involutions", {"uio": U3, "k": 3}),
         (plant_mask_claims_left_base, "involutions", {"uio": U3, "k": 3}),
-        (plant_mask_claims_left_base, "lgv", INSTANCE),
-        (plant_mask_claims_left_base, "gasharov", INSTANCE),
+        (plant_exit_reaches_next_entry, "lgv", TOUCHING),
+        (plant_exit_reaches_next_entry, "gasharov", TOUCHING),
         (plant_elementary_product, "ppos", {"uio": U3, "k": 3}),
         (plant_elementary_product, "thn1", {"uio": U3, "l": 2}),
         (plant_clan_edge, "gnechrom", {"uio": "2,3,4", "alpha": [2, 1, 1]}),
@@ -338,13 +366,14 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         "dropped-family-lgv",
         "dropped-family-gasharov",
         "path_sum_matrix-extra-monomial-lgv",
+        "paths_between-dropped-path-lgv",
         "dropped-sequence-ppos",
         "dropped-sequence-thn1",
         "dropped-sequence-eposn",
         "dropped-multipath-involutions",
         "mask-left-base-involutions",
-        "mask-left-base-lgv",
-        "mask-left-base-gasharov",
+        "exit-reaches-next-entry-lgv",
+        "exit-reaches-next-entry-gasharov",
         "elementary_product-extra-monomial-ppos",
         "elementary_product-extra-monomial-thn1",
         "clan-dropped-edge-gnechrom",

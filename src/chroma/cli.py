@@ -135,25 +135,22 @@ def _check_ppos(uio, k):
     ctx = GAnalogueContext(uio.inc_graph())
     lhs = power_via_corrects(uio, k)
     rhs = power_g(ctx, k)
-    if lhs == rhs:
-        return True, None
-    return False, {"lhs": str(lhs), "rhs": str(rhs)}
+    if lhs != rhs:
+        return {"lhs": str(lhs), "rhs": str(rhs)}
 
 
 def _check_eposn(uio):
     count = covering_corrects_count(uio)
     coeffs = e_coefficients(uio.inc_graph())
     cn = coeffs.get((uio.n,), 0)
-    if count == cn and cn >= 0:
-        return True, None
-    return False, {"covering_corrects": count, "c_n": cn}
+    if count != cn or cn < 0:
+        return {"covering_corrects": count, "c_n": cn}
 
 
 def _check_lgv(uio, partition):
     g = build_grid(uio, max(len(partition), 1), partition)
-    if lgv_check(g):
-        return True, None
-    return False, {"reason": "determinant mismatch"}
+    if not lgv_check(g):
+        return {"reason": "determinant mismatch"}
 
 
 def _check_gasharov(uio, partition):
@@ -161,36 +158,31 @@ def _check_gasharov(uio, partition):
     via_grid = schur_via_lgv(uio, conjugate(partition))
     ctx = GAnalogueContext(uio.inc_graph())
     via_det = schur_g(ctx, partition)
-    if via_det == via_grid and via_det.is_monomial_positive():
-        return True, None
-    return False, {"via_det": str(via_det), "via_grid": str(via_grid)}
+    if via_det != via_grid or not via_det.is_monomial_positive():
+        return {"via_det": str(via_det), "via_grid": str(via_grid)}
 
 
 def _check_sink(uio=None, graph=None):
     g = uio.inc_graph() if graph is None else graph
-    if check_sink_theorem(g, e_coefficients(g)):
-        return True, None
-    return False, {"reason": "sink counts disagree with e-coefficient sums"}
+    if not check_sink_theorem(g, e_coefficients(g)):
+        return {"reason": "sink counts disagree with e-coefficient sums"}
 
 
 def _check_gnechrom(uio, alpha):
     ctx = GAnalogueContext(uio.inc_graph())
-    if gnechrom_check(ctx, alpha):
-        return True, None
-    return False, {"reason": "clan-graph identity failed"}
+    if not gnechrom_check(ctx, alpha):
+        return {"reason": "clan-graph identity failed"}
 
 
 def _check_cauchy(d):
-    if cauchy_check(d, d):
-        return True, None
-    return False, {"reason": "three-way product identity failed"}
+    if not cauchy_check(d, d):
+        return {"reason": "three-way product identity failed"}
 
 
 def _check_involutions(uio, k):
     rep = verify_cancellations(uio, k)
-    if rep.ok:
-        return True, None
-    return False, {"cancellations": rep.to_json(), "bijection_ok": rep.bijection.ok}
+    if not rep.ok:
+        return {"cancellations": rep.to_json(), "bijection_ok": rep.bijection.ok}
 
 
 def _check_thn1(uio, l):
@@ -199,13 +191,12 @@ def _check_thn1(uio, l):
     via_powers = power_g(ctx, l) * power_g(ctx, 1) - power_g(ctx, l + 1)
     via_matrix = monomial_g(ctx, (l, 1))
     agree = via_pairs == via_powers and via_powers == via_matrix
-    if agree and via_pairs.is_monomial_positive():
-        return True, None
-    return False, {
-        "via_pairs": str(via_pairs),
-        "via_powers": str(via_powers),
-        "via_matrix": str(via_matrix),
-    }
+    if not agree or not via_pairs.is_monomial_positive():
+        return {
+            "via_pairs": str(via_pairs),
+            "via_powers": str(via_powers),
+            "via_matrix": str(via_matrix),
+        }
 
 
 def _check_scott_suppes(n):
@@ -213,12 +204,11 @@ def _check_scott_suppes(n):
         free = is_ab_free(p, 2, 2) and is_ab_free(p, 3, 1)
         recognized = uio_recognize(p) is not None
         if free != recognized:
-            return False, {
+            return {
                 "poset": list(p.pairs()),
                 "free": free,
                 "recognized": recognized,
             }
-    return True, None
 
 
 _FIELD = 64  # bits per k when the values at k = 1..n are packed into one int
@@ -254,8 +244,9 @@ def _chromatic_values(degrees):
 
 def _scan_verdict(nxt, coeffs):
     """The scan's verdict on the order with threshold vector nxt, given the
-    e-coefficients of its X_G: none is negative, and two identities that
-    need neither stable partitions nor the m-to-e matrix hold.
+    e-coefficients of its X_G: the failure detail, or None when none is
+    negative and two identities that need neither stable partitions nor
+    the m-to-e matrix hold.
 
     The earlier neighbours of i, d_i = #{j < i : next[j] > i} of them, are
     pairwise adjacent, so chi_G(k) = prod_i (k - d_i), and X_G(1^k) =
@@ -285,11 +276,11 @@ def _scan_verdict(nxt, coeffs):
     if coeffs.get((n,), 0) != top:
         detail["top"] = {"c_n": coeffs.get((n,), 0), "sinks": top}
     if not detail:
-        return True, None
+        return None
     detail["expansion"] = {
         format_partition(lam): c for lam, c in sorted(coeffs.items())
     }
-    return False, detail
+    return detail
 
 
 def _scan_one(uio):
@@ -306,12 +297,22 @@ def _scan_subtree(job):
     first, max_n = job
     count, failures = 0, []
     for nxt, sigs in _threshold_walk(first, max_n):
-        ok, detail = _scan_verdict(nxt, _signature_e(sigs))
+        detail = _scan_verdict(nxt, _signature_e(sigs))
         count += 1
-        if not ok:
+        if detail is not None:
             uio = ",".join(map(str, nxt))
             failures.append((nxt, {"uio": uio}, "fail", detail))
     return count, failures
+
+
+def _fan_out(fn, work, jobs):
+    """[fn(w) for w in work], on min(jobs, len(work)) processes when that is
+    at least 2, in chunks of len(work) // (4 * processes), at least 1."""
+    workers = min(jobs, len(work))  # never more processes than items
+    if workers < 2:
+        return [fn(w) for w in work]
+    with multiprocessing.Pool(workers) as pool:
+        return pool.map(fn, work, chunksize=max(1, len(work) // (4 * workers)))
 
 
 def _scan_all(max_n, jobs):
@@ -319,12 +320,7 @@ def _scan_all(max_n, jobs):
     walk per first threshold, on up to jobs workers; failures in the order
     of the suite's instances (by size, then threshold vector)."""
     work = [(first, max_n) for first in range(2, max_n + 2)]
-    workers = min(jobs, len(work))
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_scan_subtree, work, chunksize=1)
-    else:
-        parts = [_scan_subtree(w) for w in work]
+    parts = _fan_out(_scan_subtree, work, jobs)
     failures = sorted(
         (f for _, found in parts for f in found), key=lambda f: (len(f[0]), f[0])
     )
@@ -425,7 +421,7 @@ _PARTITION = _text(parse_partition)
 class Suite(NamedTuple):
     defaults: tuple  # (max_n,) or (max_n, max_k)
     make_instances: object
-    check: object  # keyword arguments as parsed -> (ok, detail)
+    check: object  # keyword arguments as parsed -> failure detail, or None
     schemas: tuple  # alternative {key: parser} maps; the first match counts
     fits: object = None  # cross-key check of the parsed arguments, ValueError
     # runs every default instance at once: (max_n, jobs) -> (instances,
@@ -505,13 +501,13 @@ def _verify_one(packed):
     is a failure whose detail names it."""
     name, inst, args = packed
     try:
-        ok, detail = SUITES[name].check(**args)
+        detail = SUITES[name].check(**args)
     except TooLarge as exc:
         return inst, "budget", {"reason": str(exc)}
     except ChromaError as exc:
         error = {"error": type(exc).__name__, "reason": str(exc)}
         return inst, "fail", dict(error, **exc.detail)
-    return inst, "pass" if ok else "fail", detail
+    return inst, "pass" if detail is None else "fail", detail
 
 
 def run_suite(name, max_n=None, max_k=None, instance=_ALL, jobs=1):
@@ -535,12 +531,7 @@ def run_suite(name, max_n=None, max_k=None, instance=_ALL, jobs=1):
             else suite.make_instances(*bounds.values())
         )
         work = [(name, inst, _parse(name, inst)) for inst in instances]
-        workers = min(jobs, len(work))  # never more processes than instances
-        if workers > 1:
-            with multiprocessing.Pool(workers) as pool:
-                results = pool.map(_verify_one, work)
-        else:
-            results = [_verify_one(w) for w in work]
+        results = _fan_out(_verify_one, work, jobs)
         report.instances = len(results)
     for inst, outcome, detail in results:
         if outcome != "pass":

@@ -8,9 +8,10 @@ Ground-set conventions used throughout the package:
 * arithmetic is exact (int / Fraction); no floating point anywhere.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import MalformedNext, TooLarge
 
@@ -491,14 +492,4 @@ def clan_graph(g, alpha):
 
 def multiplicity_factor(lam):
     """Product of factorials of part multiplicities: (2,2,1) -> 2!*1! = 2."""
-    result = 1
-    run = 1
-    for i in range(1, len(lam)):
-        if lam[i] == lam[i - 1]:
-            run += 1
-        else:
-            result *= factorial(run)
-            run = 1
-    if lam:
-        result *= factorial(run)
-    return result
+    return prod(factorial(m) for m in Counter(lam).values())

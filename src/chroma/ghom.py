@@ -98,11 +98,6 @@ def monomial_g(ctx, lam):
     return apply_ghom(SymFunc.m(lam), ctx)
 
 
-def coefficient_of_alpha(poly, alpha):
-    """[v^alpha] of a vertex polynomial, alpha a tuple of exponents."""
-    return poly.coeff(enumerate(alpha, 1))
-
-
 def gnechrom_check(ctx, alpha):
     """The clan-graph identity: extracting v^alpha from the kernel and
     scaling by the product of alpha! gives the chromatic function of the
@@ -116,7 +111,7 @@ def gnechrom_check(ctx, alpha):
         scale *= factorial(a)
     coeffs = {}
     for lam in partitions_of(weight):
-        c = coefficient_of_alpha(ctx.elementary_product(lam), alpha)
+        c = ctx.elementary_product(lam).coeff(enumerate(alpha, 1))
         if c:
             coeffs[lam] = c * scale
     lhs = SymFunc("m", coeffs)

@@ -27,6 +27,7 @@ the lowest shared bit of a multipath is its leftmost lowest crossing.
 
 from collections import Counter
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .combinat import is_partition
 from .errors import BadShape, NonIdentityPermutation, NotIntersecting, TooLarge
@@ -35,32 +36,24 @@ from .polyring import Polynomial, _parity, det, monomial_from_elements
 DEFAULT_MULTIPATH_BUDGET = 2_000_000
 
 
-class GridSpec:
+class GridSpec(NamedTuple):
     """The grid of a semiorder with base/destination rows for one partition."""
 
-    __slots__ = ("uio", "k", "lam", "bases", "dests", "columns", "_paths")
+    uio: object
+    k: int
+    lam: tuple
+    bases: tuple
+    dests: tuple
+    columns: int
 
-    def __init__(self, uio, k, lam, bases, dests, columns):
-        self.uio = uio
-        self.k = k
-        self.lam = lam
-        self.bases = bases
-        self.dests = dests
-        self.columns = columns
-        self._paths = None
 
-    def paths(self):
-        """Paths from base i to destination j, keyed by (i, j), listed once."""
-        if self._paths is None:
-            self._paths = {
-                (i, j): paths_between(self.uio, self.bases[i], self.dests[j])
-                for i in range(self.k)
-                for j in range(self.k)
-            }
-        return self._paths
-
-    def __repr__(self):
-        return "GridSpec(uio=%s, k=%d, lam=%r)" % (self.uio, self.k, self.lam)
+def _path_table(g):
+    """Paths from base i to destination j of g, keyed by (i, j)."""
+    return {
+        (i, j): paths_between(g.uio, g.bases[i], g.dests[j])
+        for i in range(g.k)
+        for j in range(g.k)
+    }
 
 
 def build_grid(u, k, lam):
@@ -95,14 +88,6 @@ class GridPath:
             mask |= 1 << c * stride + stride - 1 - r
         self.mask = mask
         self.weight = monomial_from_elements(self.diag_rows)
-
-    @property
-    def source(self):
-        return self.vertices[0]
-
-    @property
-    def target(self):
-        return self.vertices[-1]
 
     def __eq__(self, other):
         return isinstance(other, GridPath) and self.vertices == other.vertices
@@ -221,11 +206,6 @@ class Multipath:
         c, offset = divmod(index, stride)
         return c, stride - 1 - offset
 
-    def intersection_vertices(self):
-        """Vertices shared by at least two paths."""
-        shared = self.shared_mask()
-        return {self._vertex(b) for b in range(shared.bit_length()) if shared >> b & 1}
-
     def crossing(self):
         """(z, through): the leftmost lowest shared vertex z, read off the
         lowest shared bit, and the indices of the paths through it."""
@@ -241,9 +221,6 @@ class Multipath:
     def multiplier(self):
         """Index of the base whose path reaches destination 1."""
         return self.sigma.index(1) + 1
-
-    def weight_vector(self):
-        return tuple(p.weight for p in self.paths)
 
     def weight_monomial(self):
         """The product of the path weights, as one monomial."""
@@ -275,7 +252,7 @@ def enumerate_multipaths(g):
     choices per base in enumeration order.  Guarded by DEFAULT_MULTIPATH_BUDGET.
     """
     k = g.k
-    path_table = g.paths()
+    path_table = _path_table(g)
     total = 0
     feasible = []
     for perm in permutations(range(k)):
@@ -295,15 +272,12 @@ def enumerate_multipaths(g):
     for perm in feasible:
         choices = [path_table[(i, j)] for i, j in enumerate(perm)]
         sigma = tuple(j + 1 for j in perm)
-        stack = [[]]
-        for options in choices:
-            stack = [partial + [p] for partial in stack for p in options]
-        out.extend(Multipath(chosen, sigma) for chosen in stack)
+        out.extend(Multipath(chosen, sigma) for chosen in product(*choices))
     return out
 
 
 def path_sum_matrix(g):
-    table = g.paths()
+    table = _path_table(g)
     return [
         [_weight_sum(g.uio.n, table[(i, j)]) for j in range(g.k)]
         for i in range(g.k)
@@ -321,7 +295,7 @@ def nonintersecting_multipaths(g):
     disjoint_family_sum only counts.  It stays in this module because the
     benchmark harness traces it under this name."""
     k = g.k
-    path_table = g.paths()
+    path_table = _path_table(g)
     out = []
     nodes = 0
 

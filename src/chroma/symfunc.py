@@ -23,7 +23,7 @@ collects e^G products.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .combinat import (
     conjugate,
@@ -70,35 +70,13 @@ def power_concrete(m, N):
     return Polynomial(N, terms)
 
 
-def _distinct_permutations(values):
-    values = sorted(values, reverse=True)
-    n = len(values)
-
-    def rec(remaining, prefix):
-        if not remaining:
-            yield tuple(prefix)
-            return
-        seen = set()
-        for idx, v in enumerate(remaining):
-            if v in seen:
-                continue
-            seen.add(v)
-            prefix.append(v)
-            yield from rec(remaining[:idx] + remaining[idx + 1:], prefix)
-            prefix.pop()
-
-    yield from rec(values, [])
-
-
 def monomial_concrete(lam, N):
     """m_lam truncated to x_1..x_N (zero when N < len(lam))."""
     lam = _as_partition(lam)
     if len(lam) > N:
         return Polynomial.zero(N)
     padded = list(lam) + [0] * (N - len(lam))
-    terms = {}
-    for vec in _distinct_permutations(padded):
-        terms[pack(enumerate(vec, 1))] = 1
+    terms = {pack(enumerate(vec, 1)): 1 for vec in set(permutations(padded))}
     return Polynomial(N, terms)
 
 

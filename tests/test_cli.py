@@ -5,7 +5,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chroma.chromatic as chromatic
-from chroma.cli import SUITES, _scan_verdict, main, run_suite, scan_epositivity
+from chroma.cli import (
+    SUITES,
+    _fan_out,
+    _parse,
+    _scan_verdict,
+    main,
+    run_suite,
+    scan_epositivity,
+)
 from chroma.errors import BadParameter, NonIdentityPermutation, TooLarge
 
 
@@ -172,9 +180,7 @@ def test_verify_suites_small_bounds(capsys, suite, bounds):
 def test_verify_failure_exits_one(capsys, monkeypatch):
     import chroma.cli as cli
 
-    forced = cli.SUITES["cauchy"]._replace(
-        check=lambda d: (False, {"reason": "forced"})
-    )
+    forced = cli.SUITES["cauchy"]._replace(check=lambda d: {"reason": "forced"})
     monkeypatch.setitem(cli.SUITES, "cauchy", forced)
     code, out, _ = run(capsys, "verify", "cauchy", "--max-n", "1")
     assert code == 1
@@ -183,13 +189,21 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert data["failures"][0]["outcome"] == "fail"
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_a_passing_check_returns_none(name):
+    # a check returns its failure detail, or None when the instance passes
+    suite = SUITES[name]
+    inst = suite.make_instances(*suite.defaults)[0]
+    assert suite.check(**_parse(name, inst)) is None
+
+
 def test_verify_fail_outranks_budget(capsys, monkeypatch):
     import chroma.cli as cli
 
     def check(d):
         if d == 1:
             raise TooLarge("forced")
-        return False, {"reason": "forced"}
+        return {"reason": "forced"}
 
     forced = cli.SUITES["cauchy"]._replace(check=check)
     monkeypatch.setitem(cli.SUITES, "cauchy", forced)
@@ -448,13 +462,18 @@ def test_scan_deterministic_across_workers(capsys):
 
 
 def test_scan_json_is_the_same_for_any_jobs(capsys):
-    outs = set()
-    for jobs in ("1", "2", "3"):
-        code, out, _ = run(capsys, "scan", "--max-n", "6", "--format", "json", "--jobs", jobs)
-        assert code == 0
-        outs.add(out)
-    assert len(outs) == 1
-    assert json.loads(outs.pop())["instances"] == 196
+    # the scan's subtrees and an instance suite go through one fan-out
+    for argv, instances in [
+        (("scan", "--max-n", "6"), 196),
+        (("verify", "lgv", "--max-n", "3", "--max-k", "3"), 48),
+    ]:
+        outs = set()
+        for jobs in ("1", "2", "3"):
+            code, out, _ = run(capsys, *argv, "--format", "json", "--jobs", jobs)
+            assert code == 0
+            outs.add(out)
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["instances"] == instances
 
 
 def test_scan_walk_reports_what_the_per_order_route_reports(monkeypatch):
@@ -484,17 +503,16 @@ def test_scan_verdict_checks_both_identities():
     # 3,4,4 is the path 1-2-3: X = 3 e_3 + e_21, chi(k) = k (k-1)^2
     path = (3, 4, 4)
     good = {(3,): 3, (2, 1): 1}
-    assert _scan_verdict(path, good) == (True, None)
+    assert _scan_verdict(path, good) is None
     # e_111(1^k) = k^3
-    ok, detail = _scan_verdict(path, {**good, (1, 1, 1): 1})
-    assert not ok
+    detail = _scan_verdict(path, {**good, (1, 1, 1): 1})
     assert detail["chromatic"] == {"k": 1, "x_g": 1, "chi_g": 0}
     assert "top" not in detail and "negatives" not in detail
-    ok, detail = _scan_verdict(path, {(3,): 2, (2, 1): 1})
+    detail = _scan_verdict(path, {(3,): 2, (2, 1): 1})
     assert detail["top"] == {"c_n": 2, "sinks": 3}
     assert detail["chromatic"] == {"k": 3, "x_g": 11, "chi_g": 12}
     assert detail["expansion"] == {"2,1": 1, "3": 2}
-    ok, detail = _scan_verdict(path, {(3,): 3, (2, 1): -1})
+    detail = _scan_verdict(path, {(3,): 3, (2, 1): -1})
     assert detail["negatives"] == {"2,1": -1}
 
 
@@ -502,9 +520,33 @@ def test_scan_verdict_does_not_trust_a_wrapped_packed_sum():
     # on the edge 3,3, chi(k) = k (k-1); these coefficients make x_g(1) =
     # chi(1) + 2^64 and x_g(2) = chi(2) - 1, whose packed sums agree
     big = 1 << 64
-    ok, detail = _scan_verdict((3, 3), {(2,): 1 - 4 * big, (1, 1): big})
-    assert not ok
+    detail = _scan_verdict((3, 3), {(2,): 1 - 4 * big, (1, 1): big})
     assert detail["chromatic"] == {"k": 1, "x_g": big, "chi_g": 0}
+
+
+def in_process_pools(monkeypatch):
+    """Replace multiprocessing.Pool by one that maps in this process; the
+    returned list gets (processes, chunksize) for each pool that maps."""
+    import multiprocessing
+
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=None):
+            pools.append((self.processes, chunksize))
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return pools
 
 
 @pytest.mark.parametrize(
@@ -526,27 +568,19 @@ def test_scan_verdict_does_not_trust_a_wrapped_packed_sum():
     ],
 )
 def test_jobs_never_exceed_instances(capsys, monkeypatch, argv, pool_sizes):
-    import multiprocessing
-
-    asked = []
-
-    class InProcessPool:
-        def __init__(self, processes):
-            asked.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=None):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    pools = in_process_pools(monkeypatch)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["ok"]
-    assert asked == pool_sizes
+    assert [processes for processes, _ in pools] == pool_sizes
+
+
+def test_fan_out_chunks(monkeypatch):
+    # the scan's few subtrees go one per task, and an instance suite gets
+    # the chunk size pool.map picks by default (144 for gasharov, --jobs 2)
+    pools = in_process_pools(monkeypatch)
+    for size, jobs in ((7, 2), (10, 2), (10, 10), (1152, 2)):
+        assert _fan_out(str, range(size), jobs) == [str(i) for i in range(size)]
+    assert [chunksize for _, chunksize in pools] == [1, 1, 1, 144]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from chroma.combinat import (
     format_partition,
     inc_graph,
     is_ab_free,
+    multiplicity_factor,
     parse_partition,
     partitions_of,
     realize,
@@ -262,3 +264,11 @@ def test_clan_graph_vertex_count_and_degrees():
 def test_all_graphs_count():
     assert sum(1 for _ in all_graphs(3)) == 8
     assert sum(1 for _ in all_graphs(4)) == 64
+
+
+def test_multiplicity_factor_counts_the_rearrangements():
+    # the rearrangements of lam are l! / prod m_i!, as an orbit count
+    for d in range(9):
+        for lam in partitions_of(d):
+            distinct = len(set(permutations(lam)))
+            assert multiplicity_factor(lam) * distinct == factorial(len(lam)), lam

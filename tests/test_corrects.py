@@ -272,10 +272,10 @@ def test_fig4_multipath_is_valid_and_in_enumeration_frame():
     grid = build_grid(U5, 7, (1,) * 7)
     mp = fig4_multipath()
     for path, base in zip(mp.paths, grid.bases):
-        assert path.source == base
+        assert path.vertices[0] == base
     for path, dest_index in zip(mp.paths, mp.sigma):
-        assert path.target == grid.dests[dest_index - 1]
-    assert mp.weight_vector() == tuple(
+        assert path.vertices[-1] == grid.dests[dest_index - 1]
+    assert tuple(p.weight for p in mp.paths) == tuple(
         pack(m)
         for m in (
             (),
@@ -291,7 +291,8 @@ def test_fig4_multipath_is_valid_and_in_enumeration_frame():
 
 def test_fig4_leftmost_lowest_point():
     mp = fig4_multipath()
-    assert sorted(mp.intersection_vertices()) == [(4, 4), (6, 3), (7, 5)]
+    counts = Counter(v for p in mp.paths for v in p.vertices)
+    assert sorted(v for v, c in counts.items() if c >= 2) == [(4, 4), (6, 3), (7, 5)]
     assert leftmost_lowest_intersection(mp) == (4, 4)
 
 
@@ -330,7 +331,7 @@ def test_fig7_multipath_classifies_as_residue_with_chain_two():
     cls = classify_multipath(mp, U5, grid)
     assert cls.tag == "J"
     assert cls.chain_length == 2
-    assert mp.weight_vector()[1] == pack(((1, 1), (3, 1)))
+    assert mp.paths[1].weight == pack(((1, 1), (3, 1)))
 
 
 def test_wrong_shape_rejected():
@@ -425,7 +426,7 @@ def test_weight_vector_injectivity():
             for k in range(1, 5):
                 grid = build_grid(u, k, (1,) * k)
                 mps = enumerate_multipaths(grid)
-                vectors = {mp.weight_vector() for mp in mps}
+                vectors = {tuple(p.weight for p in mp.paths) for mp in mps}
                 assert len(vectors) == len(mps), (str(u), k)
 
 

@@ -237,14 +237,16 @@ def test_gasharov_lists_no_paths(capsys, monkeypatch):
 
 
 def assert_masks_match_vertex_tuples(mp):
-    """Shared vertices, disjointness, the crossing and the weight of mp,
-    recomputed from its paths' vertex tuples rather than from the masks."""
+    """The shared mask, disjointness, the crossing and the weight of mp
+    against what its paths' vertex tuples give: with the stride S, vertex
+    (c, r) is bit c*S + (S-1-r) of a mask."""
     counts = Counter(v for p in mp.paths for v in p.vertices)
     shared = {v for v, c in counts.items() if c >= 2}
     sets = [set(p.vertices) for p in mp.paths]
     disjoint = all(not a & b for a, b in combinations(sets, 2))
     assert mp.is_nonintersecting() == disjoint == (not shared)
-    assert mp.intersection_vertices() == shared
+    stride = mp.paths[0].stride
+    assert mp.shared_mask() == sum(1 << c * stride + stride - 1 - r for c, r in shared)
     rows = [
         r1
         for p in mp.paths

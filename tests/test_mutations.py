@@ -9,8 +9,8 @@ lgvgrid.disjoint_family_sum, which lists no path.  A transfer that loses
 the top exit row of every path loses families of INSTANCE; one that lets a
 path leave from the row where the path above it enters counts families
 that meet there, which uio 2,3,4 with partition 2,2 has and INSTANCE does
-not.  Only the determinant side reads the table of paths that the grid
-lists (GridSpec.paths, through paths_between), so a list that loses a path
+not.  Only the determinant side reads the table of the grid's paths
+(lgvgrid._path_table, through paths_between), so a list that loses a path
 fails lgv and leaves gasharov, which takes no determinant of paths, alone;
 a path-sum matrix entry that gains a monomial also moves only that side.
 Unplanted, the instances pass both suites (criteria 04 and 05 run

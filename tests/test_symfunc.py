@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 import chroma.symfunc as symfunc
 from chroma.combinat import partitions_of
 from chroma.errors import SingularSystem
-from chroma.polyring import Polynomial, pack
+from chroma.polyring import Polynomial, pack, unpack
 from chroma.symfunc import (
     BASES,
     SymFunc,
@@ -17,6 +19,7 @@ from chroma.symfunc import (
     convert,
     expand_concrete,
     jacobi_trudi_e,
+    monomial_concrete,
     newton_p,
     transition_matrix,
 )
@@ -50,6 +53,21 @@ def test_expand_monomial():
     assert m21.coeff(((1, 1), (2, 2))) == 1
     # too few variables truncates to zero
     assert expand_concrete("m", (1, 1, 1), 2).is_zero()
+
+
+def test_monomial_concrete_lists_each_rearrangement_once():
+    # m_lam in N variables: N! / ((N - l)! prod m_i!) distinct rearrangements
+    # of lam padded with zeros, each with coefficient 1
+    for d in range(7):
+        for lam in partitions_of(d):
+            mult = prod(factorial(m) for m in Counter(lam).values())
+            for N in range(len(lam), 8):
+                poly = monomial_concrete(lam, N)
+                count = factorial(N) // (factorial(N - len(lam)) * mult)
+                assert len(poly.terms) == count, (lam, N)
+                for mono, c in poly.terms.items():
+                    exponents = sorted((e for _, e in unpack(mono)), reverse=True)
+                    assert c == 1 and exponents == list(lam)
 
 
 def test_expand_schur_21_frozen():

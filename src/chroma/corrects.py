@@ -24,9 +24,12 @@ kill everything except the correct sequences:
 Sums over correct sequences are counted by one state DP (_grow), never
 listed; enumerate_corrects, the filtered exhaustive search, is its oracle.
 Multipaths are enumerated at desk scale and each cancellation is verified
-as an exact polynomial identity.
+as an exact polynomial identity.  Each crossing family of class I is
+switched once, and its partner is read from the listing, not classified
+again.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, product
@@ -39,12 +42,7 @@ from .errors import (
     WrongShape,
 )
 from .ghom import GAnalogueContext, power_g
-from .lgvgrid import (
-    Multipath,
-    build_grid,
-    enumerate_multipaths,
-    grid_path_from_vertices,
-)
+from .lgvgrid import GridPath, Multipath, build_grid, enumerate_multipaths
 from .polyring import FIELD, Polynomial, monomial_from_elements
 
 DEFAULT_SEQUENCE_BUDGET = 10_000_000
@@ -179,6 +177,17 @@ def leftmost_lowest_intersection(mp):
     return z
 
 
+def _splice(head, cut_head, tail, cut_tail, row):
+    """head up to the crossing, then tail from it.  Rows strictly increase
+    along a path: head's diagonal rows below the crossing row, then tail's."""
+    return GridPath(
+        head.vertices[:cut_head] + tail.vertices[cut_tail:],
+        head.diag_rows[: bisect_left(head.diag_rows, row)]
+        + tail.diag_rows[bisect_left(tail.diag_rows, row):],
+        head.stride,
+    )
+
+
 def delta_switch(mp):
     """Swap the two tails at the leftmost lowest crossing.
 
@@ -196,11 +205,9 @@ def delta_switch(mp):
         cut_j = pj.vertices.index(z)
     except ValueError:
         raise NotIntersecting("a crossing path misses %r" % (z,)) from None
-    new_i = pi.vertices[:cut_i] + pj.vertices[cut_j:]
-    new_j = pj.vertices[:cut_j] + pi.vertices[cut_i:]
     paths = list(mp.paths)
-    paths[i] = grid_path_from_vertices(new_i, pi.stride)
-    paths[j] = grid_path_from_vertices(new_j, pi.stride)
+    paths[i] = _splice(pi, cut_i, pj, cut_j, z[1])
+    paths[j] = _splice(pj, cut_j, pi, cut_i, z[1])
     sigma = list(mp.sigma)
     sigma[i], sigma[j] = sigma[j], sigma[i]
     return Multipath(paths, sigma)
@@ -408,23 +415,25 @@ def verify_cancellations(u, k):
       (c) the grand total equals the sum over P, equals the power-sum
           analogue,
       (d) the tail switch is a sign-reversing, multiplier- and
-          weight-preserving involution on I,
+          weight-preserving involution on I: each crossing family is
+          switched once, and its partner is read from the listing,
       (e) the chain moves pair off the J and L weight forms (chi_psi_check).
     """
     grid = build_grid(u, k, (1,) * k)
     sums = {key: Counter() for key in ("I", "rest", "P", "total", "JL_plain")}
     counts = {"P": 0, "I": 0, "J": 0, "L": 0, "other": 0}
-    i_class = []
+    i_class = {}
     forms = []
     for mp in enumerate_multipaths(grid):
         cls = classify_multipath(mp, u, grid)
         counts[cls.tag] += 1
         weight = mp.weight_monomial()
-        contrib = mp.sign * mp.multiplier()
+        multiplier = mp.multiplier()
+        contrib = mp.sign * multiplier
         sums["total"][weight] += contrib
         if cls.tag == "I":
             sums["I"][weight] += contrib
-            i_class.append(mp)
+            i_class[mp.key()] = (mp, weight, multiplier, cls.z)
         elif cls.tag == "P":
             sums["P"][weight] += 1
         else:
@@ -446,30 +455,30 @@ def verify_cancellations(u, k):
         sum_P=poly["P"],
         pk=power_g(GAnalogueContext(u.inc_graph()), k),
         sum_JL_plain=poly["JL_plain"],
-        involution_ok=_check_involution_on_I(i_class, u, grid),
+        involution_ok=_check_involution_on_I(i_class),
         bijection=chi_psi_check(forms, u),
     )
 
 
-def _check_involution_on_I(i_class, u, grid):
-    keys = {mp.key() for mp in i_class}
-    for mp in i_class:
+def _check_involution_on_I(i_class):
+    """Switch each class-I multipath once.  i_class maps its key to (mp,
+    weight, multiplier, crossing) as listed; its image must be listed in I
+    with the opposite sign and the same multiplier, weight and crossing, and
+    the image of the image must be mp."""
+    image_of = {}
+    for key, (mp, weight, multiplier, z) in i_class.items():
         image = delta_switch(mp)
-        if image.key() not in keys:
+        image_key = image.key()
+        if (
+            image_key not in i_class
+            or image.sign != -mp.sign
+            or image.multiplier() != multiplier
+            or image.weight_monomial() != weight
+            or leftmost_lowest_intersection(image) != z
+        ):
             return False
-        if classify_multipath(image, u, grid).tag != "I":
-            return False
-        if delta_switch(image) != mp:
-            return False
-        if image.sign != -mp.sign:
-            return False
-        if image.multiplier() != mp.multiplier():
-            return False
-        if image.weight_monomial() != mp.weight_monomial():
-            return False
-        if leftmost_lowest_intersection(image) != leftmost_lowest_intersection(mp):
-            return False
-    return True
+        image_of[key] = image_key
+    return all(image_of[image] == key for key, image in image_of.items())
 
 
 def chi_psi_check(forms, u):
@@ -477,8 +486,9 @@ def chi_psi_check(forms, u):
     dominator-carrying and dominator-free halves, and verify the chain moves
     are mutually inverse, sign-reversing, weight-preserving, and kill the
     signed sum."""
-    with_dominator = [f for f in forms if _dominating_single_positions(f, u)]
-    dominator_free = [f for f in forms if not _dominating_single_positions(f, u)]
+    dominates = [bool(_dominating_single_positions(f, u)) for f in forms]
+    with_dominator = [f for f, d in zip(forms, dominates) if d]
+    dominator_free = [f for f, d in zip(forms, dominates) if not d]
     free_set = set(dominator_free)
     with_set = set(with_dominator)
     mutually_inverse = True

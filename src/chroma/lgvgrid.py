@@ -89,29 +89,8 @@ class GridPath:
         self.mask = mask
         self.weight = monomial_from_elements(self.diag_rows)
 
-    def __eq__(self, other):
-        return isinstance(other, GridPath) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
-
     def __repr__(self):
         return "GridPath(%r)" % (list(self.vertices),)
-
-
-def grid_path_from_vertices(vertices, stride):
-    """Rebuild a GridPath from an explicit vertex sequence on a grid of the
-    given stride; diagonal steps are the column increments and contribute
-    their source row.  A vertex outside columns >= 0 and rows 0..stride-1
-    would share its bit with another, so it is refused."""
-    vertices = tuple(tuple(v) for v in vertices)
-    for c, r in vertices:
-        if c < 0 or not 0 <= r < stride:
-            raise BadShape("vertex %r outside a grid of stride %d" % ((c, r), stride))
-    rows = tuple(
-        r1 for (c1, r1), (c2, _) in zip(vertices, vertices[1:]) if c2 == c1 + 1
-    )
-    return GridPath(vertices, rows, stride)
 
 
 def _vertical_run(col, row_from, row_to):
@@ -228,12 +207,6 @@ class Multipath:
 
     def key(self):
         return (self.sigma, tuple(p.vertices for p in self.paths))
-
-    def __eq__(self, other):
-        return isinstance(other, Multipath) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return "Multipath(sigma=%r)" % (list(self.sigma),)
@@ -379,15 +352,32 @@ def disjoint_family_sum(g):
     return Polynomial(u.n, states.get((), {}))
 
 
+def _leibniz_cost(matrix):
+    """A bound on the term pairs det(matrix) multiplies: over the
+    permutations, the term-count products of each partial product."""
+    sizes = [[len(entry.terms) for entry in row] for row in matrix]
+    cost = 0
+    for perm in permutations(range(len(sizes))):
+        partial = sizes[0][perm[0]]
+        for row, j in zip(sizes[1:], perm[1:]):
+            partial *= row[j]
+            cost += partial
+    return cost
+
+
 def lgv_check(g):
     """det(path-sum matrix) equals the sum over non-intersecting multipaths,
     each of which connects base i to destination i; exact polynomial
     identity.  The two sides share no code: the matrix sums the listed
-    paths, the families come from the column transfer.  The guarded
-    transfer runs first, so a grid past its budget is refused before the
-    determinant is expanded."""
+    paths, the families come from the column transfer.  The transfer counts
+    its updates against the budget first, then the determinant's cost bound
+    is held to it before the Leibniz expansion."""
     families = disjoint_family_sum(g)
-    return det(path_sum_matrix(g)) == families
+    matrix = path_sum_matrix(g)
+    cost = _leibniz_cost(matrix)
+    if cost > DEFAULT_MULTIPATH_BUDGET:
+        raise TooLarge("a determinant of %d term pairs exceeds the budget" % cost)
+    return det(matrix) == families
 
 
 def schur_via_lgv(u, lam):

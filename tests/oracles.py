@@ -9,8 +9,12 @@ demos call (chromatic_symmetric_brute, enumerate_corrects, newton_p) stay
 in the package.
 """
 
+import chroma.corrects as corrects
 from chroma.combinat import Graph, partitions_of
+from chroma.corrects import classify_multipath, leftmost_lowest_intersection
+from chroma.errors import BadShape
 from chroma.ghom import monomial_g
+from chroma.lgvgrid import GridPath
 from chroma.polyring import Polynomial
 from chroma.symfunc import expand_concrete
 
@@ -105,3 +109,43 @@ def grid_edges(g):
             if c + 1 <= g.columns:
                 edges.append(((c, r), (c + 1, nxt[r - 1]), r))
     return edges
+
+
+def grid_path_from_vertices(vertices, stride):
+    """Rebuild a GridPath from an explicit vertex sequence on a grid of the
+    given stride; diagonal steps are the column increments and contribute
+    their source row.  A vertex outside columns >= 0 and rows 0..stride-1
+    would share its bit with another, so it is refused."""
+    vertices = tuple(tuple(v) for v in vertices)
+    for c, r in vertices:
+        if c < 0 or not 0 <= r < stride:
+            raise BadShape("vertex %r outside a grid of stride %d" % ((c, r), stride))
+    rows = tuple(
+        r1 for (c1, r1), (c2, _) in zip(vertices, vertices[1:]) if c2 == c1 + 1
+    )
+    return GridPath(vertices, rows, stride)
+
+
+def involution_by_two_switches(i_class, u, grid):
+    """The tail switch checked on the list i_class of class-I multipaths by
+    switching twice: each image is classified again and switched back onto
+    its source; the oracle for corrects._check_involution_on_I, which
+    switches each multipath once and reads its image from the listing."""
+    keys = {mp.key() for mp in i_class}
+    for mp in i_class:
+        image = corrects.delta_switch(mp)
+        if image.key() not in keys:
+            return False
+        if classify_multipath(image, u, grid).tag != "I":
+            return False
+        if corrects.delta_switch(image).key() != mp.key():
+            return False
+        if image.sign != -mp.sign:
+            return False
+        if image.multiplier() != mp.multiplier():
+            return False
+        if image.weight_monomial() != mp.weight_monomial():
+            return False
+        if leftmost_lowest_intersection(image) != leftmost_lowest_intersection(mp):
+            return False
+    return True

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -275,7 +276,8 @@ def test_grid_sums_build_no_one_term_polynomials(capsys, monkeypatch, suite, ins
 
 def test_verify_lgv_names_a_non_identity_multipath(capsys, monkeypatch):
     import chroma.cli as cli
-    from chroma.lgvgrid import Multipath, grid_path_from_vertices
+    from chroma.lgvgrid import Multipath
+    from oracles import grid_path_from_vertices
 
     p1 = grid_path_from_vertices([(1, 1), (2, 3), (2, 4)], 5)
     p2 = grid_path_from_vertices([(2, 1), (2, 2), (3, 4)], 5)
@@ -425,6 +427,20 @@ def test_past_its_guard_is_a_budget_outcome(capsys, suite, inst):
     code, out, _ = run(capsys, "verify", suite, "--instance", json.dumps(inst))
     assert code == 3
     assert [f["outcome"] for f in json.loads(out)["failures"]] == ["budget"]
+
+
+def test_lgv_determinant_past_its_guard_is_a_budget_outcome(capsys):
+    # the transfer of this grid stays within its budget, but the Leibniz
+    # expansion of its 4x4 path-sum matrix would multiply up to 1.45e9 term
+    # pairs (about 20 s); it is refused before it is expanded
+    inst = {"uio": "2,3,4,5,6,7,8,9,10", "partition": "4,4,4,4"}
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "lgv", "--instance", json.dumps(inst))
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    [failure] = json.loads(out)["failures"]
+    assert failure["outcome"] == "budget"
+    assert "determinant" in failure["detail"]["reason"]
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,14 @@ from chroma.corrects import (
 )
 from chroma.errors import BadParameter, NotIntersecting, TooLarge, WrongShape
 from chroma.ghom import GAnalogueContext, monomial_g, power_g
-from chroma.lgvgrid import (
-    Multipath,
-    build_grid,
-    enumerate_multipaths,
-    grid_path_from_vertices,
-)
+from chroma.lgvgrid import Multipath, build_grid, enumerate_multipaths
 from chroma.chromatic import e_coefficients
 from chroma.polyring import Polynomial, monomial_from_elements, pack
-from oracles import is_correct_via_connectivity
+from oracles import (
+    grid_path_from_vertices,
+    involution_by_two_switches,
+    is_correct_via_connectivity,
+)
 
 TWO_CHAIN = UnitIntervalOrder([2, 3])
 ANTI2 = UnitIntervalOrder([3, 3])
@@ -299,8 +298,8 @@ def test_fig4_leftmost_lowest_point():
 def test_fig4_switch_gives_fig5():
     mp = fig4_multipath()
     switched = delta_switch(mp)
-    assert switched == fig5_multipath()
-    assert delta_switch(switched) == mp
+    assert switched.key() == fig5_multipath().key()
+    assert delta_switch(switched).key() == mp.key()
     assert switched.sign == -mp.sign
     assert switched.multiplier() == mp.multiplier() == 3
 
@@ -409,6 +408,59 @@ def test_cancellations_exhaustive_small():
             for k in range(1, 4):
                 rep = verify_cancellations(u, k)
                 assert rep.ok, (str(u), k)
+
+
+def test_cancellation_class_counts():
+    # the chain, where most families cross away from the rightmost
+    # destination, and an order with as many disjoint correct families as
+    # crossing ones
+    for uio, counts in (
+        ([2, 3, 4, 5], {"P": 4, "I": 456, "J": 61, "L": 31, "other": 61}),
+        ([3, 5, 5, 5], {"P": 136, "I": 136, "J": 28, "L": 28, "other": 28}),
+    ):
+        rep = verify_cancellations(UnitIntervalOrder(uio), 4)
+        assert rep.ok
+        assert rep.counts == counts
+
+
+def listed_class_I(u, k):
+    """The grid, and the class-I multipaths keyed as the listing pass of
+    verify_cancellations keys them."""
+    grid = build_grid(u, k, (1,) * k)
+    listed = {}
+    for mp in enumerate_multipaths(grid):
+        cls = classify_multipath(mp, u, grid)
+        if cls.tag == "I":
+            listed[mp.key()] = (mp, mp.weight_monomial(), mp.multiplier(), cls.z)
+    return grid, listed
+
+
+def swap_destinations_only(mp):
+    # the destinations of the two crossing paths swap, their paths stay
+    i, j = mp.crossing()[1]
+    sigma = list(mp.sigma)
+    sigma[i], sigma[j] = sigma[j], sigma[i]
+    return Multipath(mp.paths, sigma)
+
+
+def test_one_switch_check_agrees_with_two_switches(monkeypatch):
+    cases = [
+        (u, k) + listed_class_I(u, k)
+        for n in range(1, 5)
+        for u in enumerate_uios(n)
+        for k in range(1, 5)
+    ]
+    for u, k, grid, listed in cases:
+        assert corrects._check_involution_on_I(listed), (str(u), k)
+        assert involution_by_two_switches([v[0] for v in listed.values()], u, grid)
+    monkeypatch.setattr(corrects, "delta_switch", swap_destinations_only)
+    crossing = [case for case in cases if case[3]]
+    assert crossing
+    for u, k, grid, listed in crossing:
+        assert not corrects._check_involution_on_I(listed), (str(u), k)
+        assert not involution_by_two_switches(
+            [v[0] for v in listed.values()], u, grid
+        )
 
 
 def test_cancellation_report_schema():

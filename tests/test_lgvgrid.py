@@ -17,7 +17,6 @@ from chroma.lgvgrid import (
     build_grid,
     disjoint_family_sum,
     enumerate_multipaths,
-    grid_path_from_vertices,
     lgv_check,
     nonintersecting_multipaths,
     path_sum,
@@ -26,7 +25,7 @@ from chroma.lgvgrid import (
     schur_via_lgv,
 )
 from chroma.polyring import Polynomial, det, monomial_from_elements, pack
-from oracles import grid_edges
+from oracles import grid_edges, grid_path_from_vertices
 
 U8 = UnitIntervalOrder([3, 4, 5, 6, 7, 8, 9, 9])
 U5 = UnitIntervalOrder([3, 4, 5, 6, 6])
@@ -143,6 +142,29 @@ def test_multipath_budget_guard(monkeypatch):
         nonintersecting_multipaths(g)
     with pytest.raises(TooLarge):
         disjoint_family_sum(g)
+
+
+def test_leibniz_cost_bounds_the_term_pairs_det_multiplies(monkeypatch):
+    # every lgv grid at the default bounds (n <= 4, weight <= 4): the term
+    # pairs that det's products actually multiply never exceed the bound
+    # lgv_check guards with
+    pairs = []
+    original = Polynomial.__mul__
+
+    def counted(a, b):
+        if isinstance(b, Polynomial):
+            pairs.append(len(a.terms) * len(b.terms))
+        return original(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    for n in range(1, 5):
+        for u in enumerate_uios(n):
+            for w in range(1, 5):
+                for lam in partitions_of(w):
+                    matrix = path_sum_matrix(build_grid(u, len(lam), lam))
+                    pairs.clear()
+                    det(matrix)
+                    assert sum(pairs) <= lgvgrid._leibniz_cost(matrix)
 
 
 def test_lgv_identity_exhaustive_small():

@@ -45,7 +45,11 @@ one count lost there fails all three.  Only the G-analogue side of ppos and
 thn1 reads GAnalogueContext.elementary_product, so an extra monomial in
 e^G_lam fails both too.  The involutions suite checks the signed
 sums over every multipath of the all-ones grid against power_g; one lost
-multipath breaks the cancellation.
+multipath breaks the cancellation.  It switches each crossing family of
+class I once (corrects.delta_switch) and looks the image up among the
+listed class-I families.  A switch that swaps the destinations of the two
+crossing paths but keeps their paths has the sign and the multiplier
+right, but its image ends where no listed family ends, so the check fails.
 
 The involutions suite reads the path masks of lgvgrid.GridPath, one bit
 per grid vertex: disjointness and the leftmost lowest crossing come off
@@ -235,6 +239,18 @@ def plant_mask_loses_lowest_bit(monkeypatch):
     monkeypatch.setattr(lgvgrid.GridPath, "__init__", planted)
 
 
+def plant_sigma_only_switch(monkeypatch):
+    # the tail switch swaps the destinations of the two crossing paths and
+    # keeps their paths
+    def planted(mp):
+        i, j = mp.crossing()[1]
+        sigma = list(mp.sigma)
+        sigma[i], sigma[j] = sigma[j], sigma[i]
+        return lgvgrid.Multipath(mp.paths, sigma)
+
+    monkeypatch.setattr(corrects, "delta_switch", planted)
+
+
 def plant_dropped_multipath(monkeypatch):
     original = corrects.enumerate_multipaths
 
@@ -349,6 +365,7 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_dropped_sequence, "eposn", {"uio": U3}),
         (plant_dropped_multipath, "involutions", {"uio": U3, "k": 3}),
         (plant_mask_claims_left_base, "involutions", {"uio": U3, "k": 3}),
+        (plant_sigma_only_switch, "involutions", {"uio": U3, "k": 3}),
         (plant_exit_reaches_next_entry, "lgv", TOUCHING),
         (plant_exit_reaches_next_entry, "gasharov", TOUCHING),
         (plant_elementary_product, "ppos", {"uio": U3, "k": 3}),
@@ -372,6 +389,7 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         "dropped-sequence-eposn",
         "dropped-multipath-involutions",
         "mask-left-base-involutions",
+        "sigma-only-switch-involutions",
         "exit-reaches-next-entry-lgv",
         "exit-reaches-next-entry-gasharov",
         "elementary_product-extra-monomial-ppos",

@@ -5,7 +5,9 @@ Ground-set conventions used throughout the package:
 * partitions are plain tuples of weakly decreasing positive integers,
 * poset and graph elements are labelled 1..n,
 * all values are immutable after construction and every function is pure,
-* arithmetic is exact (int / Fraction); no floating point anywhere.
+* arithmetic is exact (int / Fraction); no floating point anywhere,
+* a poset keeps its relation as up- and down-masks; its generation from
+  order ideals, pattern freeness and recognition read them, listing no chain.
 """
 
 from collections import Counter
@@ -15,7 +17,7 @@ from math import comb, factorial, prod
 
 from .errors import MalformedNext, TooLarge
 
-NATURAL_POSET_BOUND = 1 << 21  # relation masks enumerate_posets_natural walks
+NATURAL_POSET_BOUND = 1 << 21  # cap on the 2^C(n,2) relation masks: n <= 7
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -229,59 +231,44 @@ def enumerate_uios(n):
 
 
 class Poset:
-    """Finite strict partial order on 1..n, given by its full relation."""
+    """Finite strict partial order on 1..n, given by its full relation:
+    down[j] has bit i-1 set and up[i] bit j-1 when i < j (entry 0 unused)."""
 
-    __slots__ = ("n", "up")
+    __slots__ = ("n", "up", "down")
 
     def __init__(self, n, pairs):
-        up = [0] * (n + 1)  # up[i] has bit j-1 set when i < j in the order
+        down = [0] * (n + 1)
         for i, j in pairs:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError("element out of range")
             if i == j:
                 raise ValueError("strict order must be irreflexive")
-            up[i] |= 1 << (j - 1)
-        for i in range(1, n + 1):
-            if up[i] >> (i - 1) & 1:
-                raise ValueError("strict order must be irreflexive")
-        for i in range(1, n + 1):
-            reach = up[i]
-            j = 1
-            m = reach
-            while m:
-                if m & 1 and (up[j] & ~up[i]):
+            down[j] |= 1 << (i - 1)
+        # a 2-cycle i < j < i would need i < i, which the loop above never
+        # sets, so transitivity gives antisymmetry too
+        for j in range(1, n + 1):
+            for i in _elements(down[j]):
+                if down[i] & ~down[j]:
                     raise ValueError("relation is not transitive")
-                m >>= 1
-                j += 1
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if up[i] >> (j - 1) & 1 and up[j] >> (i - 1) & 1:
-                    raise ValueError("relation is not antisymmetric")
-        self.n = n
+        self._set(down)
+
+    def _set(self, down):
+        up = [0] * len(down)
+        for j, below in enumerate(down):
+            for i in _elements(below):
+                up[i] |= 1 << (j - 1)
+        self.n = len(down) - 1
         self.up = tuple(up)
+        self.down = tuple(down)
+        return self
 
     def less(self, i, j):
         return self.up[i] >> (j - 1) & 1 == 1
 
-    def comparable(self, i, j):
-        return self.less(i, j) or self.less(j, i)
-
-    def incomparable(self, i, j):
-        return i != j and not self.comparable(i, j)
-
     def pairs(self):
         return tuple(
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-            if self.less(i, j)
+            (i, j) for i in range(1, self.n + 1) for j in _elements(self.up[i])
         )
-
-    def down_size(self, j):
-        return sum(1 for i in range(1, self.n + 1) if self.less(i, j))
-
-    def up_size(self, i):
-        return bin(self.up[i]).count("1")
 
     @classmethod
     def chain(cls, n):
@@ -301,29 +288,34 @@ class Poset:
         return "Poset(%d, %r)" % (self.n, list(self.pairs()))
 
 
-def chains_of_length(p, m):
-    """All m-element chains of p as tuples increasing in the order."""
-    if m < 1:
-        raise ValueError("chain length must be positive")
-    chains = [(i,) for i in range(1, p.n + 1)]
-    for _ in range(m - 1):
-        chains = [
-            c + (j,) for c in chains for j in range(1, p.n + 1) if p.less(c[-1], j)
-        ]
-    return chains
+def _elements(mask):
+    """The elements whose bits are set in mask (x is bit x-1), ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
 
 
 def is_ab_free(p, a, b):
-    """No pair of an a-chain and a b-chain, mutually incomparable across."""
-    a_chains = chains_of_length(p, a)
-    b_chains = chains_of_length(p, b)
-    for ca in a_chains:
-        sa = set(ca)
-        for cb in b_chains:
-            if sa & set(cb):
-                continue
-            if all(p.incomparable(x, y) for x in ca for y in cb):
-                return False
+    """No pair of an a-chain and a b-chain, mutually incomparable across.
+
+    Each a-chain grows upwards as (top element, the union of cmp[x] =
+    up[x] | down[x] | bit(x) over its elements); the pattern is there when
+    the elements outside some such union hold a b-chain.
+    """
+    if a < 1 or b < 1:
+        raise ValueError("chain length must be positive")
+    cmp = [0] + [p.up[x] | p.down[x] | 1 << (x - 1) for x in range(1, p.n + 1)]
+    chains = [(x, cmp[x]) for x in range(1, p.n + 1)]
+    for _ in range(a - 1):
+        chains = [(y, seen | cmp[y]) for x, seen in chains for y in _elements(p.up[x])]
+    for _, seen in chains:
+        # after t rounds: the elements outside that start a (t+1)-chain there
+        level = ((1 << p.n) - 1) & ~seen
+        for _ in range(b - 1):
+            level = sum(1 << (x - 1) for x in _elements(level) if p.up[x] & level)
+        if level:
+            return False
     return True
 
 
@@ -331,63 +323,54 @@ def uio_recognize(p):
     """Return a UnitIntervalOrder isomorphic to p, or None.
 
     Elements are sorted by (|downset| ascending, |upset| descending); for a
-    (2+2)- and (3+1)-free poset this makes every upset a suffix with
-    nondecreasing thresholds, and the full relation is re-verified before
-    returning, so a successful result is always genuinely isomorphic to p.
+    (2+2)- and (3+1)-free poset this makes each upset, of c elements say,
+    the last c elements of the sorted order, with c never growing along
+    it.  That one check makes the thresholds n+1-c give p's relation
+    exactly, so a successful result is always genuinely isomorphic to p.
     """
     n = p.n
     order = sorted(
-        range(1, n + 1), key=lambda x: (p.down_size(x), -p.up_size(x), x)
+        range(1, n + 1),
+        key=lambda x: (p.down[x].bit_count(), -p.up[x].bit_count(), x),
     )
-    nxt = []
-    for i in range(n):
-        t = n + 1
-        for j in range(n):
-            if p.less(order[i], order[j]):
-                t = j + 1
-                break
-        nxt.append(t)
-    for i in range(n):
-        if not (i + 1 < nxt[i] <= n + 1):
-            return None
-        if i and nxt[i] < nxt[i - 1]:
-            return None
-    for i in range(n):
-        for j in range(n):
-            if p.less(order[i], order[j]) != (j + 1 >= nxt[i]):
-                return None
-    return UnitIntervalOrder(nxt)
+    last = [0]  # last[c]: the mask of the last c elements of order
+    for x in reversed(order):
+        last.append(last[-1] | 1 << (x - 1))
+    sizes = [p.up[x].bit_count() for x in order]
+    if any(p.up[x] != last[c] for x, c in zip(order, sizes)):
+        return None
+    if sizes != sorted(sizes, reverse=True):
+        return None
+    return UnitIntervalOrder(n + 1 - c for c in sizes)
+
+
+def _ideals(down):
+    """Every order ideal of the order with down-masks down[1:], grown element
+    by element: i joins an ideal once its own down-set is in it."""
+    ideals = [0]
+    for i in range(1, len(down)):
+        ideals += [s | 1 << (i - 1) for s in ideals if not down[i] & ~s]
+    return ideals
 
 
 def enumerate_posets_natural(n):
     """All strict orders on 1..n contained in the natural order (i < j).
 
     Every finite poset admits such a labelling via a linear extension, so the
-    family covers all posets on n elements up to isomorphism.  TooLarge,
-    before any is walked, when its 2^C(n,2) masks exceed NATURAL_POSET_BOUND.
+    family covers all posets on n elements up to isomorphism.  An order on
+    1..j is one on 1..j-1 plus a down-set for j, which can be any order
+    ideal of it, so each order is built once from its down-masks.
+    NATURAL_POSET_BOUND caps the size: TooLarge, before any order is built,
+    when the 2^C(n,2) relation masks on n elements exceed it.
     """
-    pair_list = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    masks = 1 << len(pair_list)
+    masks = 1 << (n * (n - 1) // 2)
     if masks > NATURAL_POSET_BOUND:
         raise TooLarge("%d relation masks exceed %d" % (masks, NATURAL_POSET_BOUND))
-    index = {pq: k for k, pq in enumerate(pair_list)}
-    triples = [
-        (index[(i, j)], index[(j, k)], index[(i, k)])
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        for k in range(j + 1, n + 1)
-    ]
-    out = []
-    for mask in range(masks):
-        ok = True
-        for ij, jk, ik in triples:
-            if mask >> ij & 1 and mask >> jk & 1 and not mask >> ik & 1:
-                ok = False
-                break
-        if ok:
-            pairs = [pair_list[k] for k in range(len(pair_list)) if mask >> k & 1]
-            out.append(Poset(n, pairs))
-    return out
+    orders = [(0,)]
+    for _ in range(n):
+        orders = [down + (ideal,) for down in orders for ideal in _ideals(down)]
+    # each order is valid by construction, so __init__'s checks are skipped
+    return [Poset.__new__(Poset)._set(down) for down in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +434,7 @@ def inc_graph(p):
         (i, j)
         for i in range(1, p.n + 1)
         for j in range(i + 1, p.n + 1)
-        if p.incomparable(i, j)
+        if not (p.up[i] | p.down[i]) >> (j - 1) & 1
     ]
     return Graph(p.n, edges)
 

@@ -16,7 +16,9 @@ collapses onto non-intersecting multipaths (which planarity forces to
 connect base i to destination i), giving the Schur analogue of the
 conjugate partition as a manifestly monomial-positive sum.  That sum is
 taken column by column (disjoint_family_sum), and no family is listed;
-nonintersecting_multipaths lists the families for the tests.
+nonintersecting_multipaths lists the families for the tests.  lgv_check
+bounds the determinant's term pairs over column subsets, as det's minors
+are taken, before expanding it.
 
 Each path also carries its vertices as one int mask.  With the stride
 S = n + 2, vertex (c, r) is bit c*S + (S-1-r): rows 0..n+1 fit in a
@@ -26,12 +28,13 @@ the lowest shared bit of a multipath is its leftmost lowest crossing.
 """
 
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations, product
 from typing import NamedTuple
 
 from .combinat import is_partition
 from .errors import BadShape, NonIdentityPermutation, NotIntersecting, TooLarge
-from .polyring import Polynomial, _parity, det, monomial_from_elements
+from .polyring import Polynomial, det, monomial_from_elements
 
 DEFAULT_MULTIPATH_BUDGET = 2_000_000
 
@@ -140,6 +143,16 @@ def _weight_sum(n, paths):
 def path_sum(u, a, b):
     """Exact sum of path weights from a to b (the matrix entries below)."""
     return _weight_sum(u.n, paths_between(u, a, b))
+
+
+@lru_cache(maxsize=4096)
+def _parity(perm):
+    inv = 0
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                inv += 1
+    return -1 if inv & 1 else 1
 
 
 class Multipath:
@@ -352,16 +365,22 @@ def disjoint_family_sum(g):
     return Polynomial(u.n, states.get((), {}))
 
 
-def _leibniz_cost(matrix):
-    """A bound on the term pairs det(matrix) multiplies: over the
-    permutations, the term-count products of each partial product."""
+def _minor_cost(matrix):
+    """A bound on the term pairs det(matrix) multiplies.  Row by row as in
+    det: T(S), the sum over j in S of |a_ij|*T(S - j) with i = |S| - 1 and
+    T({j}) = |a_0j|, bounds the terms of the minor on columns S, and so the
+    pairs multiplied to build it; the cost is the sum of T(S) over |S| >= 2."""
     sizes = [[len(entry.terms) for entry in row] for row in matrix]
+    bounds = {1 << j: size for j, size in enumerate(sizes[0])}
     cost = 0
-    for perm in permutations(range(len(sizes))):
-        partial = sizes[0][perm[0]]
-        for row, j in zip(sizes[1:], perm[1:]):
-            partial *= row[j]
-            cost += partial
+    for row in sizes[1:]:
+        grown = Counter()
+        for cols, bound in bounds.items():
+            for j, size in enumerate(row):
+                if not cols >> j & 1:
+                    grown[cols | 1 << j] += size * bound
+        bounds = grown
+        cost += sum(bounds.values())
     return cost
 
 
@@ -371,10 +390,10 @@ def lgv_check(g):
     identity.  The two sides share no code: the matrix sums the listed
     paths, the families come from the column transfer.  The transfer counts
     its updates against the budget first, then the determinant's cost bound
-    is held to it before the Leibniz expansion."""
+    is held to it before the expansion by minors."""
     families = disjoint_family_sum(g)
     matrix = path_sum_matrix(g)
-    cost = _leibniz_cost(matrix)
+    cost = _minor_cost(matrix)
     if cost > DEFAULT_MULTIPATH_BUDGET:
         raise TooLarge("a determinant of %d term pairs exceeds the budget" % cost)
     return det(matrix) == families

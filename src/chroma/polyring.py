@@ -21,8 +21,6 @@ canonical_terms.  Terms with coefficient zero are never stored.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
 
 from .errors import VariableMismatch
 
@@ -289,32 +287,30 @@ def _parse_coeff(text):
 
 
 def det(matrix):
-    """Leibniz determinant of a square matrix of ring elements.
+    """Determinant of a square matrix of ring elements, expanded row by row.
 
-    Entries only need +, * and scaling by ints, so this serves vertex
-    polynomials and abstract symmetric functions alike.
+    The minor on the first i rows and a column set S is kept once, keyed by
+    S as a bit mask.  Adding row i at a column j outside S multiplies it by
+    that entry, with sign (-1)^(columns of S after j): k*2^(k-1) products
+    for a k x k matrix.  Entries only need +, - and *, so this serves
+    vertex polynomials and abstract symmetric functions alike.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    total = None
-    for perm in permutations(range(n)):
-        sign = _parity(perm)
-        prod = matrix[0][perm[0]]
-        for i in range(1, n):
-            prod = prod * matrix[i][perm[i]]
-        term = sign * prod if sign < 0 else prod
-        total = term if total is None else total + term
-    return total
-
-
-@lru_cache(maxsize=4096)  # det and the multipath signs share one memo
-def _parity(perm):
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+    minors = {1 << j: entry for j, entry in enumerate(matrix[0])}
+    for row in matrix[1:]:
+        grown = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1:
+                    continue
+                term = minor * entry
+                if (cols >> j).bit_count() & 1:
+                    term = -term
+                key = cols | 1 << j
+                grown[key] = grown[key] + term if key in grown else term
+        minors = grown
+    return minors[(1 << n) - 1]

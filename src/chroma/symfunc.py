@@ -296,8 +296,8 @@ def jacobi_trudi_e(lam):
 
 def newton_p(k):
     """p_k as an e-basis expansion via the k x k determinant with first
-    column i*e_i and banded columns e_{i-j+1} elsewhere: k! terms, kept only
-    as the test oracle for the p-to-e matrix that power_g goes through."""
+    column i*e_i and banded columns e_{i-j+1} elsewhere, kept only as the
+    test oracle for the p-to-e matrix that power_g goes through."""
     if k < 1:
         raise ValueError("k must be >= 1")
     mat = []

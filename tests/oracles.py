@@ -9,8 +9,10 @@ demos call (chromatic_symmetric_brute, enumerate_corrects, newton_p) stay
 in the package.
 """
 
+from itertools import combinations, permutations
+
 import chroma.corrects as corrects
-from chroma.combinat import Graph, partitions_of
+from chroma.combinat import Graph, Poset, partitions_of
 from chroma.corrects import classify_multipath, leftmost_lowest_intersection
 from chroma.errors import BadShape
 from chroma.ghom import monomial_g
@@ -88,6 +90,78 @@ def kernel_slice_symmetric(ctx, d):
         left = left + mx * ctx.elementary_product(lam).embed(total, 0)
         right = right + ex * monomial_g(ctx, lam).embed(total, 0)
     return left, right
+
+
+def posets_by_relation_masks(n):
+    """Every strict order on 1..n contained in the natural order, by walking
+    all 2^C(n,2) relation masks and keeping the transitive ones; the oracle
+    for combinat.enumerate_posets_natural, which grows them from order
+    ideals."""
+    pair_list = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    masks = 1 << len(pair_list)
+    index = {pq: k for k, pq in enumerate(pair_list)}
+    triples = [
+        (index[(i, j)], index[(j, k)], index[(i, k)])
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        for k in range(j + 1, n + 1)
+    ]
+    out = []
+    for mask in range(masks):
+        ok = True
+        for ij, jk, ik in triples:
+            if mask >> ij & 1 and mask >> jk & 1 and not mask >> ik & 1:
+                ok = False
+                break
+        if ok:
+            pairs = [pair_list[k] for k in range(len(pair_list)) if mask >> k & 1]
+            out.append(Poset(n, pairs))
+    return out
+
+
+def chains_of_length(p, m):
+    """All m-element chains of p as tuples increasing in the order."""
+    if m < 1:
+        raise ValueError("chain length must be positive")
+    chains = [(i,) for i in range(1, p.n + 1)]
+    for _ in range(m - 1):
+        chains = [
+            c + (j,) for c in chains for j in range(1, p.n + 1) if p.less(c[-1], j)
+        ]
+    return chains
+
+
+def is_ab_free_by_chains(p, a, b):
+    """No pair of an a-chain and a b-chain, mutually incomparable across,
+    from the listed chains and Poset.less; the oracle for
+    combinat.is_ab_free, which reads masks."""
+    a_chains = chains_of_length(p, a)
+    b_chains = chains_of_length(p, b)
+    for ca in a_chains:
+        sa = set(ca)
+        for cb in b_chains:
+            if sa & set(cb):
+                continue
+            if not any(p.less(x, y) or p.less(y, x) for x in ca for y in cb):
+                return False
+    return True
+
+
+def det_by_permutations(matrix):
+    """Leibniz determinant: the signed sum over all k! permutations of the
+    products of their entries; the oracle for polyring.det, which expands
+    by minors."""
+    k = len(matrix)
+    total = None
+    for perm in permutations(range(k)):
+        inversions = sum(1 for i, j in combinations(range(k), 2) if perm[i] > perm[j])
+        term = matrix[0][perm[0]]
+        for i in range(1, k):
+            term = term * matrix[i][perm[i]]
+        if inversions & 1:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 def disjoint_union(g1, g2):

@@ -430,9 +430,9 @@ def test_past_its_guard_is_a_budget_outcome(capsys, suite, inst):
 
 
 def test_lgv_determinant_past_its_guard_is_a_budget_outcome(capsys):
-    # the transfer of this grid stays within its budget, but the Leibniz
-    # expansion of its 4x4 path-sum matrix would multiply up to 1.45e9 term
-    # pairs (about 20 s); it is refused before it is expanded
+    # the transfer of this grid stays within its budget, but the expansion
+    # of its 4x4 path-sum matrix by minors would multiply up to 1.45e9 term
+    # pairs; it is refused before it is expanded
     inst = {"uio": "2,3,4,5,6,7,8,9,10", "partition": "4,4,4,4"}
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", "lgv", "--instance", json.dumps(inst))

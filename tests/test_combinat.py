@@ -12,7 +12,6 @@ from chroma.combinat import (
     UnitIntervalOrder,
     all_graphs,
     catalan,
-    chains_of_length,
     clan_graph,
     conjugate,
     enumerate_posets_natural,
@@ -27,7 +26,8 @@ from chroma.combinat import (
     uio_from_points,
     uio_recognize,
 )
-from chroma.errors import MalformedNext
+from chroma.errors import MalformedNext, TooLarge
+from oracles import chains_of_length, is_ab_free_by_chains, posets_by_relation_masks
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +225,62 @@ def test_scott_suppes_equivalence_small(n):
     for p in enumerate_posets_natural(n):
         free = is_ab_free(p, 2, 2) and is_ab_free(p, 3, 1)
         assert (uio_recognize(p) is not None) == free
+
+
+@pytest.mark.parametrize(
+    "pairs, reason",
+    [
+        ([(1, 4)], "element out of range"),
+        ([(2, 2)], "strict order must be irreflexive"),
+        ([(1, 2), (2, 3)], "relation is not transitive"),
+        ([(1, 2), (2, 1)], "relation is not transitive"),
+    ],
+    ids=["out-of-range", "reflexive", "missing-transitive-pair", "two-cycle"],
+)
+def test_poset_refuses_a_malformed_relation(pairs, reason):
+    with pytest.raises(ValueError, match=reason):
+        Poset(3, pairs)
+
+
+def test_poset_keeps_both_masks():
+    p = Poset(3, [(1, 2), (1, 3)])
+    assert p.up == (0, 0b110, 0, 0)
+    assert p.down == (0, 0, 0b001, 0b001)
+
+
+def test_natural_posets_match_the_relation_mask_walk():
+    # the same orders, down-masks included, as the walk over 2^C(n,2) masks
+    for n in range(1, 7):
+        grown = [(p.up, p.down) for p in enumerate_posets_natural(n)]
+        walked = {(q.up, q.down) for q in posets_by_relation_masks(n)}
+        assert len(grown) == len(set(grown)) == len(walked)
+        assert set(grown) == walked
+
+
+def test_natural_poset_counts():
+    # OEIS A006455: naturally labelled posets on n elements
+    counts = [len(enumerate_posets_natural(n)) for n in range(1, 8)]
+    assert counts == [1, 2, 7, 40, 357, 4824, 96428]
+
+
+def test_natural_posets_past_the_cap_are_refused():
+    with pytest.raises(TooLarge, match="^268435456 relation masks exceed 2097152$"):
+        enumerate_posets_natural(8)
+
+
+def test_is_ab_free_matches_the_chain_listing():
+    for n in range(1, 6):
+        for p in enumerate_posets_natural(n):
+            for a in range(1, 4):
+                for b in range(1, 4):
+                    assert is_ab_free(p, a, b) == is_ab_free_by_chains(p, a, b)
+
+
+def test_is_ab_free_refuses_an_empty_chain():
+    with pytest.raises(ValueError):
+        is_ab_free(Poset.chain(2), 0, 1)
+    with pytest.raises(ValueError):
+        is_ab_free(Poset.chain(2), 1, 0)
 
 
 # ---------------------------------------------------------------------------

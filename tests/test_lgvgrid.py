@@ -144,10 +144,10 @@ def test_multipath_budget_guard(monkeypatch):
         disjoint_family_sum(g)
 
 
-def test_leibniz_cost_bounds_the_term_pairs_det_multiplies(monkeypatch):
+def test_minor_cost_bounds_the_term_pairs_det_multiplies(monkeypatch):
     # every lgv grid at the default bounds (n <= 4, weight <= 4): the term
-    # pairs that det's products actually multiply never exceed the bound
-    # lgv_check guards with
+    # pairs that det's products by minors actually multiply never exceed
+    # the bound lgv_check guards with
     pairs = []
     original = Polynomial.__mul__
 
@@ -164,7 +164,17 @@ def test_leibniz_cost_bounds_the_term_pairs_det_multiplies(monkeypatch):
                     matrix = path_sum_matrix(build_grid(u, len(lam), lam))
                     pairs.clear()
                     det(matrix)
-                    assert sum(pairs) <= lgvgrid._leibniz_cost(matrix)
+                    assert sum(pairs) <= lgvgrid._minor_cost(matrix)
+
+
+def test_minor_cost_of_the_admitted_and_refused_grids():
+    # the all-ones grid of 9 parts is admitted; the 4,4,4,4 grid of the
+    # 9-chain is refused though its transfer fits the budget
+    ones = path_sum_matrix(build_grid(UnitIntervalOrder.parse("3,3"), 9, (1,) * 9))
+    assert lgvgrid._minor_cost(ones) == 1521
+    chain = UnitIntervalOrder.parse("2,3,4,5,6,7,8,9,10")
+    big = path_sum_matrix(build_grid(chain, 4, (4, 4, 4, 4)))
+    assert lgvgrid._minor_cost(big) > lgvgrid.DEFAULT_MULTIPATH_BUDGET
 
 
 def test_lgv_identity_exhaustive_small():

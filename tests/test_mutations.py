@@ -14,7 +14,8 @@ not.  Only the determinant side reads the table of the grid's paths
 fails lgv and leaves gasharov, which takes no determinant of paths, alone;
 a path-sum matrix entry that gains a monomial also moves only that side.
 Unplanted, the instances pass both suites (criteria 04 and 05 run
-INSTANCE).
+INSTANCE).  The determinant grows its minors one row at a time; a minor
+that enters with the wrong sign moves only the determinant side of lgv.
 
 The eposn suite compares the top e-coefficient of X_G with the covering
 correct sequences, and the sink suite compares the e-coefficient sums of
@@ -75,9 +76,13 @@ All three sides read elementary_concrete (the Schur side through its
 e-determinant), but only the m-e and e-m sides read monomial_concrete, so a
 monomial expansion that lost a term breaks the identity.  The scottsuppes
 suite compares (2+2)/(3+1)-freeness with uio_recognize over the posets of
-enumerate_posets_natural; both sides read that list and Poset's relation,
-so a defect there moves both together and no case plants one, but a
-recogniser that misses one order fails the suite.
+enumerate_posets_natural; both sides read that list and the up/down masks
+of each poset, so a defect there moves both together and no case plants
+one.  Freeness alone grows the a-chains, each with the mask of what it is
+comparable to: an is_ab_free that never tests its last a-chain misses the
+one 3-chain of a (3+1) poset, which n = 4 has, and calls the poset free.
+Recognition alone sorts the elements and matches each up-mask with a
+suffix, so a recogniser that misses one order fails the suite too.
 
 SymFunc.collect is the one loop behind every linear map out of a basis:
 convert, SymFunc.expand and apply_ghom.  Each of ppos and cauchy reads it
@@ -95,6 +100,7 @@ import pytest
 
 import chroma.chromatic as chromatic
 import chroma.cli as cli
+import chroma.combinat as combinat
 import chroma.corrects as corrects
 import chroma.ghom as ghom
 import chroma.lgvgrid as lgvgrid
@@ -317,6 +323,48 @@ def plant_missed_order(monkeypatch):
     monkeypatch.setattr(cli, "uio_recognize", planted)
 
 
+def plant_skipped_last_chain(monkeypatch):
+    # combinat.is_ab_free with its last a-chain never tested
+    elements = combinat._elements
+
+    def planted(p, a, b):
+        cmp = [0] + [p.up[x] | p.down[x] | 1 << (x - 1) for x in range(1, p.n + 1)]
+        chains = [(x, cmp[x]) for x in range(1, p.n + 1)]
+        for _ in range(a - 1):
+            chains = [(y, s | cmp[y]) for x, s in chains for y in elements(p.up[x])]
+        for _, seen in chains[:-1]:
+            level = ((1 << p.n) - 1) & ~seen
+            for _ in range(b - 1):
+                level = sum(1 << (x - 1) for x in elements(level) if p.up[x] & level)
+            if level:
+                return False
+        return True
+
+    monkeypatch.setattr(cli, "is_ab_free", planted)
+
+
+def plant_flipped_minor(monkeypatch):
+    # polyring.det with the first minor of each added row negated
+    def planted(matrix):
+        minors = {1 << j: entry for j, entry in enumerate(matrix[0])}
+        for row in matrix[1:]:
+            grown = {}
+            for cols, minor in minors.items():
+                for j, entry in enumerate(row):
+                    if not cols >> j & 1:
+                        term = minor * entry
+                        if (cols >> j).bit_count() & 1:
+                            term = -term
+                        key = cols | 1 << j
+                        grown[key] = grown[key] + term if key in grown else term
+            first = next(iter(grown))
+            grown[first] = -grown[first]
+            minors = grown
+        return minors[(1 << len(matrix)) - 1]
+
+    monkeypatch.setattr(lgvgrid, "det", planted)
+
+
 def replay(capsys, suite, inst):
     code = cli.main(["verify", suite, "--instance", json.dumps(inst)])
     out = capsys.readouterr().out
@@ -373,6 +421,8 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_clan_edge, "gnechrom", {"uio": "2,3,4", "alpha": [2, 1, 1]}),
         (plant_dropped_monomial_term, "cauchy", {"d": 2}),
         (plant_missed_order, "scottsuppes", {"n": 3}),
+        (plant_skipped_last_chain, "scottsuppes", {"n": 4}),
+        (plant_flipped_minor, "lgv", INSTANCE),
         (plant_collect_first_key, "ppos", {"uio": U3, "k": 3}),
         (plant_collect_first_key, "cauchy", {"d": 2}),
         (plant_e_readout_first_key, "eposn", {"uio": U3}),
@@ -397,6 +447,8 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         "clan-dropped-edge-gnechrom",
         "monomial_concrete-dropped-term-cauchy",
         "uio_recognize-missed-order-scottsuppes",
+        "is_ab_free-skipped-last-chain-scottsuppes",
+        "det-flipped-minor-lgv",
         "collect-first-key-ppos",
         "collect-first-key-cauchy",
         "e-readout-first-key-eposn",

@@ -15,6 +15,7 @@ from chroma.polyring import (
     pack,
     unpack,
 )
+from oracles import det_by_permutations
 
 
 def v(i, n=3):
@@ -169,6 +170,18 @@ def test_det_polynomial_matrix():
     # det [[v1, 1], [v2, v1]] = v1^2 - v2
     mat = [[v(1), Polynomial.one(3)], [v(2), v(1)]]
     assert det(mat) == v(1) * v(1) - v(2)
+
+
+def test_det_by_minors_matches_the_leibniz_sum():
+    # random polynomial matrices up to 5 x 5, zero entries included
+    rng = random.Random(7)
+    for size in range(1, 6):
+        for _ in range(4):
+            mat = [
+                [random_poly(rng, nterms=rng.randint(0, 3)) for _ in range(size)]
+                for _ in range(size)
+            ]
+            assert det(mat) == det_by_permutations(mat)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Ground truth is the definition itself: sum x^c over proper colourings,
 enumerated with n colours (enough to determine a degree-n symmetric
 function).  The production route computes the same m-expansion by counting
 partitions of the vertex set into independent blocks by block sizes, with
-a dynamic programme over the vertex order; the test suite cross-validates
-the two routes before anything else relies on the fast one.  The scan runs
+a dynamic programme over the vertex order whose state is the multiset of
+blocks so far, each block its size and the mask of its later neighbours
+(none once it is closed); the test suite cross-validates the two routes
+before anything else relies on the fast one.  The scan runs
 the same DP step down the tree of threshold prefixes (_threshold_walk), and
 the per-order DP is its oracle; the two share one memo of moves and one
 read-out of signatures into the e-basis (_signature_e).  Coefficients are
@@ -71,63 +73,40 @@ def chromatic_symmetric_brute(g):
     return SymFunc("m", coeffs)
 
 
-def _with_block(closed, opened, mask, size):
-    """The state of the sorted lists closed and opened (consumed) with one
-    more block of the given size and later-neighbour mask."""
-    if mask:
-        insort(opened, (mask, size))
-    else:
-        insort(closed, size)
-    return tuple(closed), tuple(opened)
+# A DP block is one int, size | mask << _SIZE: mask holds its neighbours
+# after the last placed vertex, so a closed block is the int of its size.  A
+# size is at most n, far below 2**_SIZE, so it never carries into the mask.
+_SIZE = 64
 
 
 def _moves(state, v, own):
     """The states that placing vertex v, whose later neighbours are the bits
     of own, leads to from one state, each with its multiplicity.
 
-    A state records the sizes of the closed blocks (no neighbour after the
-    last placed vertex) and the (later-neighbour mask, size) pairs of the
-    open ones, both sorted; what the later vertices can do depends on
-    nothing else.  An open block adjacent to v loses v's bit and closes if
-    nothing else is left; the others keep their masks.  Vertex v starts a
-    block, joins a closed block, or joins an open block not adjacent to it;
-    joining one of k alike blocks counts k times.
+    A state is the sorted tuple of its blocks; what the later vertices can
+    do depends on nothing else.  Every block loses v's bit.  Vertex v starts
+    a block or joins one that lacks v's bit; joining one of k alike blocks
+    counts k times.
     """
-    closed, opened = state
-    bit = 1 << (v - 1)
-    done = list(closed)
-    kept = []
-    free = []  # the open blocks v may join
-    for block in opened:
-        mask, size = block
-        if not mask & bit:
-            free.append(block)
-        elif mask == bit:
-            done.append(size)
-        else:
-            kept.append((mask ^ bit, size))
-    done.sort()
-    kept += free
-    kept.sort()
-    out = [(_with_block(done.copy(), kept.copy(), own, 1), 1)]
-    for i, size in enumerate(closed):
-        if not i or closed[i - 1] != size:
-            rest = done.copy()
-            rest.remove(size)
-            joined = _with_block(rest, kept.copy(), own, size + 1)
-            out.append((joined, closed.count(size)))
-    for i, block in enumerate(free):
-        if not i or free[i - 1] != block:
-            rest = kept.copy()
+    bit = 1 << (v - 1 + _SIZE)
+    own <<= _SIZE
+    blocks = sorted(block & ~bit for block in state)
+    start = blocks.copy()
+    insort(start, 1 | own)
+    out = [(tuple(start), 1)]
+    for i, block in enumerate(state):
+        if not block & bit and (not i or state[i - 1] != block):
+            rest = blocks.copy()
             rest.remove(block)
-            joined = _with_block(done.copy(), rest, block[0] | own, block[1] + 1)
-            out.append((joined, free.count(block)))
+            insort(rest, block + 1 | own)
+            out.append((tuple(rest), state.count(block)))
     return out
 
 
 # One memo of moves, (v, own) -> {state: moves}, for the life of the process,
-# and one object per state met, so the moves it holds share their states.  The
-# walk to n <= 10 meets 9,029 distinct (state, v, own) in 886,025 visits.
+# and one object per state met (a sorted tuple of block ints), so the moves
+# it holds share their states.  The walk to n <= 10 meets 9,029 distinct
+# (state, v, own) in 886,025 visits.
 _MOVES = {}
 _STATES = {}
 
@@ -152,7 +131,7 @@ def _stable_step(states, v, own):
 def _signatures(states):
     """Read the block-size types off the states after the last vertex, where
     every block is closed; in the order of partitions_of, (n) first."""
-    sigs = {tuple(reversed(closed)): count for (closed, _), count in states.items()}
+    sigs = {tuple(reversed(state)): count for state, count in states.items()}
     return dict(sorted(sigs.items(), reverse=True))
 
 
@@ -163,7 +142,7 @@ def _stable_partition_signatures(g):
     vertex.  For a unit interval order in its natural order an open block's
     mask is an interval, so the states stay few.
     """
-    states = {((), ()): 1}
+    states = {(): 1}
     for v in range(1, g.n + 1):
         states = _stable_step(states, v, g.adj[v] & -(1 << v))
     return _signatures(states)
@@ -192,7 +171,7 @@ def _threshold_walk(first, max_n):
             yield from grow(prefix, states)
             prefix.pop()
 
-    return grow([first], {((), ()): 1})
+    return grow([first], {(): 1})
 
 
 def chromatic_symmetric_stable(g):

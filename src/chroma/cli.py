@@ -406,7 +406,9 @@ def _alpha(value):
 
 
 def _graph(payload):
-    return Graph(payload["n"], [tuple(e) for e in payload["edges"]])
+    vertex = _at_least(1)
+    edges = [tuple(map(vertex, e)) for e in payload["edges"]]
+    return Graph(_at_least(0)(payload["n"]), edges)
 
 
 def _alpha_fits(uio, alpha):

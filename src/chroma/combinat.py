@@ -359,18 +359,21 @@ def enumerate_posets_natural(n):
     Every finite poset admits such a labelling via a linear extension, so the
     family covers all posets on n elements up to isomorphism.  An order on
     1..j is one on 1..j-1 plus a down-set for j, which can be any order
-    ideal of it, so each order is built once from its down-masks.
-    NATURAL_POSET_BOUND caps the size: TooLarge, before any order is built,
-    when the 2^C(n,2) relation masks on n elements exceed it.
+    ideal of it, so each order is built once from its down-masks.  The
+    orders on n elements come one at a time, from a generator; only the
+    orders on n - 1 elements are held.  NATURAL_POSET_BOUND caps the size:
+    TooLarge, at the call, when the 2^C(n,2) relation masks on n elements
+    exceed it.
     """
     masks = 1 << (n * (n - 1) // 2)
     if masks > NATURAL_POSET_BOUND:
         raise TooLarge("%d relation masks exceed %d" % (masks, NATURAL_POSET_BOUND))
     orders = [(0,)]
-    for _ in range(n):
-        orders = [down + (ideal,) for down in orders for ideal in _ideals(down)]
+    for size in range(1, n + 1):
+        grown = (down + (ideal,) for down in orders for ideal in _ideals(down))
+        orders = grown if size == n else list(grown)
     # each order is valid by construction, so __init__'s checks are skipped
-    return [Poset.__new__(Poset)._set(down) for down in orders]
+    return (Poset.__new__(Poset)._set(down) for down in orders)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,19 @@ def test_shared_move_memo_keeps_every_count(monkeypatch):
     assert len(chromatic._STATES) == met
 
 
+def test_walk_to_eight_meets_a_fixed_state_space(monkeypatch):
+    # every order with n <= 8, walked with an empty memo, meets 936 distinct
+    # DP states in 1,546 memo entries; an encoding of the state that merges
+    # or splits states changes these figures
+    monkeypatch.setattr(chromatic, "_MOVES", {})
+    monkeypatch.setattr(chromatic, "_STATES", {})
+    for first in range(2, 10):
+        for _ in chromatic._threshold_walk(first, 8):
+            pass
+    assert len(chromatic._STATES) == 936
+    assert sum(len(known) for known in chromatic._MOVES.values()) == 1546
+
+
 def test_rational_spacing_families_are_e_positive():
     # points i/(k+1): the denser the spacing, the wider the graph; all
     # sampled members expand with nonnegative e-coefficients

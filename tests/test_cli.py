@@ -332,6 +332,8 @@ def test_thn1_refuses_l_below_two_before_the_check(capsys, monkeypatch):
         ("ppos", ""),
         ("ppos", {"uio": "3,4,4", "k": True}),  # a bool is not an integer
         ("thn1", {"uio": "3,4,4", "l": 1}),  # m_(l,1) needs l >= 2
+        ("sink", {"graph": {"n": True, "edges": []}}),
+        ("sink", {"graph": {"n": 2, "edges": [[True, 2]]}}),
     ],
 )
 def test_verify_malformed_instance_exits_two(capsys, suite, payload):

@@ -36,7 +36,12 @@ into the e-basis through the one read-out chromatic._signature_e (cli
 imports it for the walk, so the plant replaces both names); gnechrom
 compares m-expansions and does not read it.  So an e-coefficient that
 gains 1 there fails eposn, sink and the scan, and the replay of the scan's
-first failure agrees.
+first failure agrees.  The DP has one move rule, chromatic._moves: vertex v
+starts a block or joins one not adjacent to it, and a join into one of k
+alike blocks counts k times.  The 3-chain 2,3,4 has an edgeless
+incomparability graph, so its third vertex meets two alike singletons; a
+rule that counts that join once loses a partition, which eposn, sink and the
+scan replay each report.
 
 The ppos suite compares power_via_corrects with power_g, the thn1 suite
 compares m_l1_via_corrects with two power_g routes and monomial_g, and the
@@ -182,6 +187,18 @@ def plant_singleton_blocks(monkeypatch):
         return sigs
 
     monkeypatch.setattr(chromatic, "_signatures", planted)
+
+
+def plant_alike_join_counted_once(monkeypatch):
+    # joining one of k alike blocks counts once, not k times; the memo is
+    # emptied so that no move made by the right rule is read back
+    original = chromatic._moves
+
+    def planted(state, v, own):
+        return [(new, 1) for new, _ in original(state, v, own)]
+
+    monkeypatch.setattr(chromatic, "_moves", planted)
+    monkeypatch.setattr(chromatic, "_MOVES", {})
 
 
 def plant_e_readout_first_key(monkeypatch):
@@ -427,6 +444,9 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_collect_first_key, "cauchy", {"d": 2}),
         (plant_e_readout_first_key, "eposn", {"uio": U3}),
         (plant_e_readout_first_key, "sink", {"uio": U3}),
+        (plant_alike_join_counted_once, "eposn", {"uio": "2,3,4"}),
+        (plant_alike_join_counted_once, "sink", {"uio": "2,3,4"}),
+        (plant_alike_join_counted_once, "scan", {"uio": "2,3,4"}),
     ],
     ids=[
         "schur_g-extra-monomial-gasharov",
@@ -453,6 +473,9 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         "collect-first-key-cauchy",
         "e-readout-first-key-eposn",
         "e-readout-first-key-sink",
+        "alike-join-once-eposn",
+        "alike-join-once-sink",
+        "alike-join-once-scan",
     ],
 )
 def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite, inst):

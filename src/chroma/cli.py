@@ -62,6 +62,8 @@ from .ghom import GAnalogueContext, gnechrom_check, monomial_g, power_g, schur_g
 from .lgvgrid import build_grid, lgv_check, schur_via_lgv
 from .symfunc import cauchy_check, convert
 
+ANALOGUE_DEGREE_BOUND = 12  # ppos's k and thn1's l + 1: cold m->e takes 0.6 s at 12
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -131,10 +133,15 @@ def _uios_up_to(max_n):
         yield from enumerate_uios(n)
 
 
+def _degree_fits(d):  # ppos and thn1 read it before expanding anything
+    if d > ANALOGUE_DEGREE_BOUND:
+        raise TooLarge("degree %d exceeds %d" % (d, ANALOGUE_DEGREE_BOUND))
+
+
 def _check_ppos(uio, k):
-    ctx = GAnalogueContext(uio.inc_graph())
+    _degree_fits(k)
     lhs = power_via_corrects(uio, k)
-    rhs = power_g(ctx, k)
+    rhs = power_g(GAnalogueContext(uio.inc_graph()), k)
     if lhs != rhs:
         return {"lhs": str(lhs), "rhs": str(rhs)}
 
@@ -186,6 +193,7 @@ def _check_involutions(uio, k):
 
 
 def _check_thn1(uio, l):
+    _degree_fits(l + 1)
     ctx = GAnalogueContext(uio.inc_graph())
     via_pairs = m_l1_via_corrects(uio, l)
     via_powers = power_g(ctx, l) * power_g(ctx, 1) - power_g(ctx, l + 1)

@@ -17,8 +17,7 @@ route.
 
 SymFunc.collect is the one loop that applies a linear map out of a basis,
 sum_lam c_lam * image(lam), into a single dict: convert collects matrix
-rows, SymFunc.expand collects concrete expansions, and ghom.apply_ghom
-collects e^G products.
+rows, and SymFunc.expand collects concrete expansions.
 """
 
 from fractions import Fraction
@@ -297,7 +296,7 @@ def jacobi_trudi_e(lam):
 def newton_p(k):
     """p_k as an e-basis expansion via the k x k determinant with first
     column i*e_i and banded columns e_{i-j+1} elsewhere, kept only as the
-    test oracle for the p-to-e matrix that power_g goes through."""
+    test oracle for the p-to-e matrix and for power_g's Newton recurrence."""
     if k < 1:
         raise ValueError("k must be >= 1")
     mat = []

@@ -18,7 +18,7 @@ from chroma.errors import BadShape
 from chroma.ghom import monomial_g
 from chroma.lgvgrid import GridPath
 from chroma.polyring import Polynomial
-from chroma.symfunc import expand_concrete
+from chroma.symfunc import convert, expand_concrete
 
 
 def acyclic_orientation_sinks_brute(g):
@@ -90,6 +90,15 @@ def kernel_slice_symmetric(ctx, d):
         left = left + mx * ctx.elementary_product(lam).embed(total, 0)
         right = right + ex * monomial_g(ctx, lam).embed(total, 0)
     return left, right
+
+
+def apply_ghom_by_products(f, ctx):
+    """sum_lam c_lam e^G_lam over the e-coordinates of f, one memoised
+    product e^G_lam per lam, collected into one dict; the oracle for
+    ghom.apply_ghom, which nests the sum by the smallest part, and, on p_k,
+    for ghom.power_g, which runs Newton's identity."""
+    fe = convert(f, "e")
+    return Polynomial(ctx.n, fe.collect(lambda lam: ctx.elementary_product(lam).terms))
 
 
 def posets_by_relation_masks(n):

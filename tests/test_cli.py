@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import chroma.chromatic as chromatic
 from chroma.cli import (
+    ANALOGUE_DEGREE_BOUND,
     SUITES,
     _fan_out,
     _parse,
@@ -429,6 +430,39 @@ def test_past_its_guard_is_a_budget_outcome(capsys, suite, inst):
     code, out, _ = run(capsys, "verify", suite, "--instance", json.dumps(inst))
     assert code == 3
     assert [f["outcome"] for f in json.loads(out)["failures"]] == ["budget"]
+
+
+@pytest.mark.parametrize(
+    "suite, inst",
+    [
+        # n^k stays within the sequence budget at n <= 2, so only the degree
+        # guard holds these back; unguarded they took 21 s to minutes
+        ("ppos", {"uio": "2", "k": 16}),
+        ("ppos", {"uio": "2", "k": 20}),
+        ("ppos", {"uio": "2", "k": 40000}),
+        ("thn1", {"uio": "2", "l": 16}),
+        ("thn1", {"uio": "3,3", "l": 14}),
+        ("ppos", {"uio": "2", "k": ANALOGUE_DEGREE_BOUND + 1}),
+        ("thn1", {"uio": "2", "l": ANALOGUE_DEGREE_BOUND}),
+    ],
+)
+def test_past_the_degree_bound_is_a_budget_outcome(capsys, suite, inst):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", suite, "--instance", json.dumps(inst))
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    [failure] = json.loads(out)["failures"]
+    assert failure["outcome"] == "budget"
+    assert failure["detail"]["reason"].startswith("degree ")
+
+
+def test_the_degree_bound_admits_its_largest_degree(capsys):
+    for suite, inst in (
+        ("ppos", {"uio": "2", "k": ANALOGUE_DEGREE_BOUND}),
+        ("thn1", {"uio": "3,3", "l": ANALOGUE_DEGREE_BOUND - 1}),
+    ):
+        code, out, _ = run(capsys, "verify", suite, "--instance", json.dumps(inst))
+        assert code == 0, out
 
 
 def test_lgv_determinant_past_its_guard_is_a_budget_outcome(capsys):

@@ -24,7 +24,7 @@ from chroma.ghom import (
 )
 from chroma.polyring import Polynomial, det, unpack
 from chroma.symfunc import BASES, SymFunc, convert, newton_p, transition_matrix
-from oracles import kernel_slice_symmetric
+from oracles import apply_ghom_by_products, kernel_slice_symmetric
 
 TWO_CHAIN = UnitIntervalOrder([2, 3])
 ANTI2 = UnitIntervalOrder([3, 3])
@@ -116,6 +116,41 @@ def test_power_examples():
     e1 = anti.elementary(1)
     assert power_g(anti, 2) == e1 * e1
     assert power_g(anti, 1) == e1
+
+
+def test_power_g_matches_the_matrix_route():
+    # Newton's identity against the p-to-e row summed over e^G products
+    contexts = [ctx_of(u) for n in range(1, 6) for u in enumerate_uios(n)]
+    chain3 = UnitIntervalOrder([2, 3, 4]).inc_graph()
+    contexts.append(GAnalogueContext(clan_graph(chain3, (2, 2, 2))))
+    for ctx in contexts:
+        for k in range(1, 8):
+            oracle = apply_ghom_by_products(SymFunc.p((k,)), ctx)
+            assert power_g(ctx, k) == oracle, (ctx.graph, k)
+            assert apply_ghom(SymFunc.p((k,)), ctx) == oracle
+
+
+def test_power_g_memo_is_order_independent():
+    u = UnitIntervalOrder.parse("2,4,5,5")
+    ctx = ctx_of(u)
+    top = power_g(ctx, 6)
+    assert power_g(ctx, 2) == power_g(ctx_of(u), 2)
+    assert power_g(ctx, 6) is top
+    assert power_g(ctx, 2) is power_g(ctx, 2)
+    with pytest.raises(ValueError):
+        power_g(ctx, 0)
+
+
+def test_apply_ghom_nested_matches_the_product_sum():
+    for n in range(1, 6):
+        for u in enumerate_uios(n):
+            ctx = ctx_of(u)
+            for d in range(7):
+                for lam in partitions_of(d):
+                    for basis in BASES:
+                        f = SymFunc.unit(basis, lam)
+                        got = apply_ghom(f, ctx)
+                        assert got == apply_ghom_by_products(f, ctx), (str(u), f)
 
 
 def test_monomial_examples():

@@ -48,8 +48,12 @@ compares m_l1_via_corrects with two power_g routes and monomial_g, and the
 eposn suite compares covering_corrects_count with the top e-coefficient;
 all three count correct sequences through the one step corrects._grow, so
 one count lost there fails all three.  Only the G-analogue side of ppos and
-thn1 reads GAnalogueContext.elementary_product, so an extra monomial in
-e^G_lam fails both too.  The involutions suite checks the signed
+thn1 reads GAnalogueContext.elementary, so an extra monomial in e^G_i fails
+both too.  power_g runs Newton's identity, which ppos and the involutions
+suite read: a slipped sign on its last term fails both.  monomial_g and
+schur_g sum over the e-coordinates by nested substitution (ghom._nested),
+grouped by the smallest part; a dropped group fails thn1 and gasharov,
+whose other sides read no _nested.  The involutions suite checks the signed
 sums over every multipath of the all-ones grid against power_g; one lost
 multipath breaks the cancellation.  It switches each crossing family of
 class I once (corrects.delta_switch) and looks the image up among the
@@ -74,7 +78,9 @@ cli._verify_one reports either as that instance's "fail", with the error's
 class name in its detail, and the other instances of the run go on.
 
 The gnechrom suite compares a coefficient of the e^G products with X of the
-clan graph; a clan graph that lost one edge has a different X.
+clan graph; a clan graph that lost one edge has a different X, and so does
+a product e^G_lam that gained v_1, at alpha = (1, 0, 0).  No other suite
+reads GAnalogueContext.elementary_product.
 
 The cauchy suite compares three sums of products of concrete expansions.
 All three sides read elementary_concrete (the Schur side through its
@@ -90,11 +96,13 @@ Recognition alone sorts the elements and matches each up-mask with a
 suffix, so a recogniser that misses one order fails the suite too.
 
 SymFunc.collect is the one loop behind every linear map out of a basis:
-convert, SymFunc.expand and apply_ghom.  Each of ppos and cauchy reads it
-on one side only: ppos through power_g (its corrects side holds no
-SymFunc), and cauchy through the Schur side, whose schur_concrete expands
-the e-determinant (the m-e and e-m sides expand products and monomials
-directly).  So a collected coefficient that gains 1 fails both.  eposn
+convert and SymFunc.expand.  Each of thn1 and cauchy reads it on one side
+only: thn1 through monomial_g, whose convert collects a row of the m-to-e
+matrix (its corrects side holds no SymFunc, and power_g none either), and
+cauchy through the Schur side, whose schur_concrete expands the
+e-determinant (the m-e and e-m sides expand products and monomials
+directly).  So a collected coefficient that gains 1 fails both; on the
+3-chain, whose e^G_3 is not 0, the first key of m_(2,1) counts.  eposn
 does not read it: its e-coefficients come from chromatic._signature_e.
 """
 
@@ -283,6 +291,47 @@ def plant_dropped_multipath(monkeypatch):
     monkeypatch.setattr(corrects, "enumerate_multipaths", planted)
 
 
+def plant_elementary(monkeypatch):
+    # every nonzero e^G_i gains the monomial v_1
+    original = ghom.GAnalogueContext.elementary
+
+    def planted(ctx, i):
+        out = original(ctx, i)
+        return out + extra_monomial(ctx.n) if out else out
+
+    monkeypatch.setattr(ghom.GAnalogueContext, "elementary", planted)
+
+
+def plant_newton_sign_slip(monkeypatch):
+    # ghom.power_g with the sign of its last term, (-1)^(m-1) m e^G_m, slipped
+    def planted(ctx, k):
+        powers = ctx._powers
+        for m in range(len(powers) + 1, k + 1):
+            acc = {}
+            for i in range(1, min(m, ctx.n) + 1):
+                term = ctx.elementary(i) * (powers[m - i - 1] if i < m else m)
+                plus = i % 2 if i < m else not i % 2
+                for mono, c in term.terms.items():
+                    acc[mono] = acc.get(mono, 0) + (c if plus else -c)
+            powers.append(Polynomial(ctx.n, acc))
+        return powers[k - 1]
+
+    monkeypatch.setattr(cli, "power_g", planted)
+    monkeypatch.setattr(corrects, "power_g", planted)
+
+
+def plant_dropped_group(monkeypatch):
+    # ghom._nested loses the group of the largest smallest part at each level
+    original = ghom._nested
+
+    def planted(ctx, coeffs):
+        last = max((lam[-1] for lam in coeffs if lam), default=None)
+        kept = {lam: c for lam, c in coeffs.items() if not lam or lam[-1] != last}
+        return original(ctx, kept)
+
+    monkeypatch.setattr(ghom, "_nested", planted)
+
+
 def plant_elementary_product(monkeypatch):
     original = ghom.GAnalogueContext.elementary_product
 
@@ -433,14 +482,19 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_sigma_only_switch, "involutions", {"uio": U3, "k": 3}),
         (plant_exit_reaches_next_entry, "lgv", TOUCHING),
         (plant_exit_reaches_next_entry, "gasharov", TOUCHING),
-        (plant_elementary_product, "ppos", {"uio": U3, "k": 3}),
-        (plant_elementary_product, "thn1", {"uio": U3, "l": 2}),
+        (plant_elementary, "ppos", {"uio": U3, "k": 3}),
+        (plant_elementary, "thn1", {"uio": U3, "l": 2}),
+        (plant_newton_sign_slip, "ppos", {"uio": U3, "k": 3}),
+        (plant_newton_sign_slip, "involutions", {"uio": U3, "k": 3}),
+        (plant_dropped_group, "thn1", {"uio": U3, "l": 2}),
+        (plant_dropped_group, "gasharov", INSTANCE),
+        (plant_elementary_product, "gnechrom", {"uio": "2,3,4", "alpha": [1, 0, 0]}),
         (plant_clan_edge, "gnechrom", {"uio": "2,3,4", "alpha": [2, 1, 1]}),
         (plant_dropped_monomial_term, "cauchy", {"d": 2}),
         (plant_missed_order, "scottsuppes", {"n": 3}),
         (plant_skipped_last_chain, "scottsuppes", {"n": 4}),
         (plant_flipped_minor, "lgv", INSTANCE),
-        (plant_collect_first_key, "ppos", {"uio": U3, "k": 3}),
+        (plant_collect_first_key, "thn1", {"uio": "2,3,4", "l": 2}),
         (plant_collect_first_key, "cauchy", {"d": 2}),
         (plant_e_readout_first_key, "eposn", {"uio": U3}),
         (plant_e_readout_first_key, "sink", {"uio": U3}),
@@ -462,14 +516,19 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         "sigma-only-switch-involutions",
         "exit-reaches-next-entry-lgv",
         "exit-reaches-next-entry-gasharov",
-        "elementary_product-extra-monomial-ppos",
-        "elementary_product-extra-monomial-thn1",
+        "elementary-extra-monomial-ppos",
+        "elementary-extra-monomial-thn1",
+        "newton-sign-slip-ppos",
+        "newton-sign-slip-involutions",
+        "nested-dropped-group-thn1",
+        "nested-dropped-group-gasharov",
+        "elementary_product-extra-monomial-gnechrom",
         "clan-dropped-edge-gnechrom",
         "monomial_concrete-dropped-term-cauchy",
         "uio_recognize-missed-order-scottsuppes",
         "is_ab_free-skipped-last-chain-scottsuppes",
         "det-flipped-minor-lgv",
-        "collect-first-key-ppos",
+        "collect-first-key-thn1",
         "collect-first-key-cauchy",
         "e-readout-first-key-eposn",
         "e-readout-first-key-sink",

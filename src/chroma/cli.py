@@ -62,7 +62,9 @@ from .ghom import GAnalogueContext, gnechrom_check, monomial_g, power_g, schur_g
 from .lgvgrid import build_grid, lgv_check, schur_via_lgv
 from .symfunc import cauchy_check, convert
 
-ANALOGUE_DEGREE_BOUND = 12  # ppos's k and thn1's l + 1: cold m->e takes 0.6 s at 12
+# ppos's k, thn1's l + 1 and the vertex count of a sink graph, each the
+# degree of a cold m->e build, which takes 0.6 s at 12
+ANALOGUE_DEGREE_BOUND = 12
 
 # ---------------------------------------------------------------------------
 # reports
@@ -133,7 +135,7 @@ def _uios_up_to(max_n):
         yield from enumerate_uios(n)
 
 
-def _degree_fits(d):  # ppos and thn1 read it before expanding anything
+def _degree_fits(d):  # read before anything is expanded
     if d > ANALOGUE_DEGREE_BOUND:
         raise TooLarge("degree %d exceeds %d" % (d, ANALOGUE_DEGREE_BOUND))
 
@@ -170,6 +172,8 @@ def _check_gasharov(uio, partition):
 
 
 def _check_sink(uio=None, graph=None):
+    if graph is not None:
+        _degree_fits(graph.n)
     g = uio.inc_graph() if graph is None else graph
     if not check_sink_theorem(g, e_coefficients(g)):
         return {"reason": "sink counts disagree with e-coefficient sums"}
@@ -189,7 +193,11 @@ def _check_cauchy(d):
 def _check_involutions(uio, k):
     rep = verify_cancellations(uio, k)
     if not rep.ok:
-        return {"cancellations": rep.to_json(), "bijection_ok": rep.bijection.ok}
+        return {
+            "cancellations": rep.to_json(),
+            "involution_ok": rep.involution_ok,
+            "bijection_ok": rep.bijection.ok,
+        }
 
 
 def _check_thn1(uio, l):

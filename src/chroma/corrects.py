@@ -23,27 +23,22 @@ kill everything except the correct sequences:
 
 Sums over correct sequences are counted by one state DP (_grow), never
 listed; enumerate_corrects, the filtered exhaustive search, is its oracle.
-Multipaths are enumerated at desk scale and each cancellation is verified
-as an exact polynomial identity.  Each crossing family of class I is
-switched once, and its partner is read from the listing, not classified
-again.
+The multipaths are walked once at desk scale, each as a tuple of paths of
+the grid's path table, and none is kept: every cancellation is verified as
+an exact polynomial identity.  A crossing family of class I is switched by
+two splices of its path masks at the lowest shared bit, and its partner is
+looked up in an index of the table's masks by (base, destination); the
+listing of every multipath, classified one by one, is the tests' oracle.
 """
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, product
 
-from .errors import (
-    BadParameter,
-    NotIntersecting,
-    TooLarge,
-    TriplePoint,
-    WrongShape,
-)
+from .errors import BadParameter, TooLarge, TriplePoint
 from .ghom import GAnalogueContext, power_g
-from .lgvgrid import GridPath, Multipath, build_grid, enumerate_multipaths
-from .polyring import FIELD, Polynomial, monomial_from_elements
+from .lgvgrid import Multipath, _feasible, _parity, _path_table, _vertex, build_grid
+from .polyring import EXP_LIMIT, FIELD, Polynomial, monomial_from_elements
 
 DEFAULT_SEQUENCE_BUDGET = 10_000_000
 
@@ -103,10 +98,18 @@ def _grow(u, states):
     return out
 
 
+def _exponents_fit(d):
+    """Refuse sums of degree d, whose monomials may hold an exponent d, from
+    EXP_LIMIT on, as a product in the ring would: packed, it would carry."""
+    if d >= EXP_LIMIT:
+        raise OverflowError("an exponent reaches %d" % EXP_LIMIT)
+
+
 def _states(u, k):
     """The states of the correct sequences of length k."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    _exponents_fit(k)
     if u.n ** k > DEFAULT_SEQUENCE_BUDGET:
         raise TooLarge("n^k = %d exceeds the sequence budget" % (u.n ** k,))
     states = {(0, 0, 0): 1}
@@ -153,6 +156,7 @@ def m_l1_via_corrects(u, l):
     """
     if l < 2:
         raise BadParameter("the pair expansion needs l >= 2")
+    _exponents_fit(l + 1)
     n = u.n
     lo, nxt = _extension_bounds(u)
     counts = Counter()
@@ -163,109 +167,81 @@ def m_l1_via_corrects(u, l):
 
 
 # ---------------------------------------------------------------------------
-# crossing geometry
+# the tail switch and the residue pattern on the all-ones geometry
 
 
-def leftmost_lowest_intersection(mp):
-    """The crossing vertex with minimal column, ties broken by maximal row
-    (rows grow downwards, so this is the leftmost lowest point), as
-    Multipath.crossing reads it off the lowest shared bit.  Exactly two
-    paths may pass through it."""
-    z, through = mp.crossing()
-    if len(through) != 2:
-        raise TriplePoint("%d paths through %r" % (len(through), z))
-    return z
+def _tail_switch(mask_i, mask_j, low, stride):
+    """Swap the tails of two path masks at their shared vertex z, the bit
+    `low`.  A path passes z after the columns left of z and the vertices of
+    z's column above it, so the head is those bits and z's column from z up
+    (rows <= z's row); the union of the two masks, and so every shared bit,
+    is unchanged, which makes the switch an involution."""
+    column = (low.bit_length() - 1) // stride
+    head = (1 << (column + 1) * stride) - low | (1 << column * stride) - 1
+    return mask_i & head | mask_j & ~head, mask_j & head | mask_i & ~head
 
 
-def _splice(head, cut_head, tail, cut_tail, row):
-    """head up to the crossing, then tail from it.  Rows strictly increase
-    along a path: head's diagonal rows below the crossing row, then tail's."""
-    return GridPath(
-        head.vertices[:cut_head] + tail.vertices[cut_tail:],
-        head.diag_rows[: bisect_left(head.diag_rows, row)]
-        + tail.diag_rows[bisect_left(tail.diag_rows, row):],
-        head.stride,
+def _shared_mask(paths):
+    """The mask of the vertices shared by at least two of the paths."""
+    seen = shared = 0
+    for p in paths:
+        shared |= seen & p.mask
+        seen |= p.mask
+    return shared
+
+
+def _switch_holds(paths, perm, pair, low, index, perms, stride):
+    """The tail switch of a class-I family, paths[i] to destination perm[i],
+    at its crossing bit `low` through the pair (i, j) of paths.  Both
+    switched masks must be paths of the table, looked up in index[(base,
+    new destination)]; the image must cross at the same bit through the same
+    pair, stay in class I, carry the opposite sign and the same multiplier
+    (perms maps each feasible permutation to its sign and multiplier) and
+    weight, and switch back onto this family."""
+    i, j = pair
+    mask_i, mask_j = _tail_switch(paths[i].mask, paths[j].mask, low, stride)
+    image_i = index[(i, perm[j])].get(mask_i)
+    image_j = index[(j, perm[i])].get(mask_j)
+    if image_i is None or image_j is None:
+        return False  # no listed family is the image
+    image = list(paths)
+    image[i], image[j] = image_i, image_j
+    swapped = list(perm)
+    swapped[i], swapped[j] = perm[j], perm[i]
+    shared = _shared_mask(image)
+    sign, multiplier = perms[perm]
+    return (
+        shared & -shared == low
+        and [t for t, p in enumerate(image) if p.mask & low] == [i, j]
+        and swapped[i] != 0 != swapped[j]
+        and perms.get(tuple(swapped)) == (-sign, multiplier)
+        and image_i.weight + image_j.weight == paths[i].weight + paths[j].weight
+        and _tail_switch(mask_i, mask_j, low, stride) == (paths[i].mask, paths[j].mask)
     )
 
 
-def delta_switch(mp):
-    """Swap the two tails at the leftmost lowest crossing.
-
-    The union of the two affected vertex sets is unchanged, so the crossing
-    set -- and with it the distinguished point -- is preserved, which makes
-    the operation an involution; the two destination indices swap, so the
-    sign flips.  A path whose mask holds z but whose vertices do not is
-    refused with NotIntersecting.
-    """
-    z = leftmost_lowest_intersection(mp)
-    i, j = mp.crossing()[1]
-    pi, pj = mp.paths[i], mp.paths[j]
-    try:
-        cut_i = pi.vertices.index(z)
-        cut_j = pj.vertices.index(z)
-    except ValueError:
-        raise NotIntersecting("a crossing path misses %r" % (z,)) from None
-    paths = list(mp.paths)
-    paths[i] = _splice(pi, cut_i, pj, cut_j, z[1])
-    paths[j] = _splice(pj, cut_j, pi, cut_i, z[1])
-    sigma = list(mp.sigma)
-    sigma[i], sigma[j] = sigma[j], sigma[i]
-    return Multipath(paths, sigma)
-
-
-# ---------------------------------------------------------------------------
-# classification on the all-ones geometry
-
-
-@dataclass(frozen=True)
-class MultipathClass:
-    tag: str  # P, I, J, L or other
-    z: tuple = None
-    chain_length: int = 0  # chain of the J/L weight form; 1 for L (one step per path)
-
-
-def _j_form(mp, u):
-    """Match the residue pattern: l-1 empty weights, one chain of length l
-    ending on the rightmost destination, then singles; the chain bottom must
-    not dominate the first single, nor any single its successor.  Returns the
-    chain length, or None."""
-    k = mp.k
-    degrees = [len(p.diag_rows) for p in mp.paths]
-    l = mp.multiplier()
+def _j_form(paths, l, u):
+    """Match the residue pattern of the family `paths` whose path l ends on
+    the rightmost destination: l-1 empty weights, one chain of length l on
+    path l, then singles; the chain bottom must not dominate the first
+    single, nor any single its successor.  Returns the chain length, or
+    None."""
+    k = len(paths)
+    degrees = [len(p.diag_rows) for p in paths]
     if l < 2 or degrees[l - 1] != l:
         return None
     if any(degrees[i] != 0 for i in range(l - 1)):
         return None
     if any(degrees[i] != 1 for i in range(l, k)):
         return None
-    chain = mp.paths[l - 1].diag_rows
-    singles = [mp.paths[i].diag_rows[0] for i in range(l, k)]
+    chain = paths[l - 1].diag_rows
+    singles = [paths[i].diag_rows[0] for i in range(l, k)]
     if singles and u.succ(chain[0], singles[0]):
         return None
     for a, b in zip(singles, singles[1:]):
         if u.succ(a, b):
             return None
     return l
-
-
-def classify_multipath(mp, u, grid):
-    """One of P (disjoint, correct), L (disjoint, incorrect), I (crossing
-    away from the rightmost destination), J (the residue pattern), or other."""
-    if grid.lam != (1,) * grid.k:
-        raise WrongShape("classification needs the all-ones geometry")
-    if mp.is_nonintersecting():
-        mp.require_identity()
-        seq = tuple(p.diag_rows[0] for p in mp.paths)
-        if is_correct(u, seq):
-            return MultipathClass("P")
-        return MultipathClass("L", chain_length=1)
-    z = leftmost_lowest_intersection(mp)
-    if all(mp.sigma[i] != 1 for i in mp.crossing()[1]):
-        return MultipathClass("I", z=z)
-    l = _j_form(mp, u)
-    if l is not None:
-        return MultipathClass("J", z=z, chain_length=l)
-    return MultipathClass("other", z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +383,7 @@ class CancellationReport:
 
 
 def verify_cancellations(u, k):
-    """Enumerate every multipath of the all-ones grid once and check:
+    """Walk every multipath of the all-ones grid once and check:
 
       (a) the signed multiplier sum over class I vanishes,
       (b) the signed multiplier sum over the rest minus P vanishes, and it
@@ -416,34 +392,62 @@ def verify_cancellations(u, k):
           analogue,
       (d) the tail switch is a sign-reversing, multiplier- and
           weight-preserving involution on I: each crossing family is
-          switched once, and its partner is read from the listing,
+          switched once on its masks (_switch_holds),
       (e) the chain moves pair off the J and L weight forms (chi_psi_check).
-    """
+
+    A family is a tuple of paths of the path table, for each feasible
+    destination permutation in turn.  The classes: P (disjoint, correct), L
+    (disjoint, incorrect), I (crossing away from the rightmost destination),
+    J (the residue pattern of _j_form), or other.  No family is kept, and
+    only the J and L weight forms are stored."""
     grid = build_grid(u, k, (1,) * k)
+    table = _path_table(grid)
+    perms = {perm: (_parity(perm), perm.index(0) + 1) for perm in _feasible(table, k)}
+    index = {key: {p.mask: p for p in paths} for key, paths in table.items()}
+    stride = u.n + 2
+    identity = tuple(range(k))
     sums = {key: Counter() for key in ("I", "rest", "P", "total", "JL_plain")}
     counts = {"P": 0, "I": 0, "J": 0, "L": 0, "other": 0}
-    i_class = {}
     forms = []
-    for mp in enumerate_multipaths(grid):
-        cls = classify_multipath(mp, u, grid)
-        counts[cls.tag] += 1
-        weight = mp.weight_monomial()
-        multiplier = mp.multiplier()
-        contrib = mp.sign * multiplier
-        sums["total"][weight] += contrib
-        if cls.tag == "I":
-            sums["I"][weight] += contrib
-            i_class[mp.key()] = (mp, weight, multiplier, cls.z)
-        elif cls.tag == "P":
-            sums["P"][weight] += 1
-        else:
+    involution_ok = True
+    for perm, (sign, multiplier) in perms.items():
+        contrib = sign * multiplier
+        for paths in product(*[table[(i, j)] for i, j in enumerate(perm)]):
+            seen = shared = weight = 0
+            for p in paths:
+                shared |= seen & p.mask
+                seen |= p.mask
+                weight += p.weight
+            sums["total"][weight] += contrib
+            if not shared:
+                if perm != identity:
+                    Multipath(paths, [j + 1 for j in perm]).require_identity()
+                if is_correct(u, [p.diag_rows[0] for p in paths]):
+                    counts["P"] += 1
+                    sums["P"][weight] += 1
+                    continue
+                tag, l = "L", 1
+            else:
+                low = shared & -shared
+                pair = [t for t, p in enumerate(paths) if p.mask & low]
+                if len(pair) != 2:
+                    z = _vertex(low.bit_length() - 1, stride)
+                    raise TriplePoint("%d paths through %r" % (len(pair), z))
+                if perm[pair[0]] and perm[pair[1]]:
+                    counts["I"] += 1
+                    sums["I"][weight] += contrib
+                    involution_ok = involution_ok and _switch_holds(
+                        paths, perm, pair, low, index, perms, stride
+                    )
+                    continue
+                l = _j_form(paths, multiplier, u)
+                tag = "other" if l is None else "J"
+            counts[tag] += 1
             sums["rest"][weight] += contrib
-            if cls.tag in ("J", "L"):
-                l = cls.chain_length
-                chain = mp.paths[l - 1].diag_rows
-                singles = tuple(p.diag_rows[0] for p in mp.paths[l:])
-                forms.append(WeightForm(chain=chain, singles=singles))
-                sums["JL_plain"][weight] += mp.sign
+            if l is not None:
+                singles = tuple(p.diag_rows[0] for p in paths[l:])
+                forms.append(WeightForm(chain=paths[l - 1].diag_rows, singles=singles))
+                sums["JL_plain"][weight] += sign
     poly = {key: Polynomial(u.n, c) for key, c in sums.items()}
     return CancellationReport(
         uio=str(u),
@@ -455,30 +459,9 @@ def verify_cancellations(u, k):
         sum_P=poly["P"],
         pk=power_g(GAnalogueContext(u.inc_graph()), k),
         sum_JL_plain=poly["JL_plain"],
-        involution_ok=_check_involution_on_I(i_class),
+        involution_ok=involution_ok,
         bijection=chi_psi_check(forms, u),
     )
-
-
-def _check_involution_on_I(i_class):
-    """Switch each class-I multipath once.  i_class maps its key to (mp,
-    weight, multiplier, crossing) as listed; its image must be listed in I
-    with the opposite sign and the same multiplier, weight and crossing, and
-    the image of the image must be mp."""
-    image_of = {}
-    for key, (mp, weight, multiplier, z) in i_class.items():
-        image = delta_switch(mp)
-        image_key = image.key()
-        if (
-            image_key not in i_class
-            or image.sign != -mp.sign
-            or image.multiplier() != multiplier
-            or image.weight_monomial() != weight
-            or leftmost_lowest_intersection(image) != z
-        ):
-            return False
-        image_of[key] = image_key
-    return all(image_of[image] == key for key, image in image_of.items())
 
 
 def chi_psi_check(forms, u):

@@ -37,15 +37,6 @@ class NonIdentityPermutation(ChromaError):
     which contradicts planarity and signals a grid-construction bug."""
 
 
-class NotIntersecting(ChromaError):
-    """A crossing-point operation was applied to a disjoint multipath."""
-
-
 class TriplePoint(ChromaError):
     """Three paths meet in one grid vertex (impossible for single-column
     destinations; signals corrupted input)."""
-
-
-class WrongShape(ChromaError):
-    """A multipath classification was requested outside the all-ones
-    destination geometry where the classes are defined."""

@@ -33,7 +33,7 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 from .combinat import is_partition
-from .errors import BadShape, NonIdentityPermutation, NotIntersecting, TooLarge
+from .errors import BadShape, NonIdentityPermutation, TooLarge
 from .polyring import Polynomial, det, monomial_from_elements
 
 DEFAULT_MULTIPATH_BUDGET = 2_000_000
@@ -158,13 +158,13 @@ def _parity(perm):
 class Multipath:
     """A tuple of paths on one grid, path i from base i to destination sigma(i)."""
 
-    __slots__ = ("paths", "sigma", "sign", "_shared", "_crossing")
+    __slots__ = ("paths", "sigma", "sign", "_shared")
 
     def __init__(self, paths, sigma):
         self.paths = tuple(paths)
         self.sigma = tuple(sigma)  # 1-based destination index per path
         self.sign = _parity(self.sigma)
-        self._shared = self._crossing = None
+        self._shared = None
 
     @property
     def k(self):
@@ -193,23 +193,6 @@ class Multipath:
     def is_nonintersecting(self):
         return not self.shared_mask()
 
-    def _vertex(self, index):
-        stride = self.paths[0].stride
-        c, offset = divmod(index, stride)
-        return c, stride - 1 - offset
-
-    def crossing(self):
-        """(z, through): the leftmost lowest shared vertex z, read off the
-        lowest shared bit, and the indices of the paths through it."""
-        if self._crossing is None:
-            shared = self.shared_mask()
-            if not shared:
-                raise NotIntersecting("multipath is disjoint")
-            low = shared & -shared
-            through = tuple(i for i, p in enumerate(self.paths) if p.mask & low)
-            self._crossing = (self._vertex(low.bit_length() - 1), through)
-        return self._crossing
-
     def multiplier(self):
         """Index of the base whose path reaches destination 1."""
         return self.sigma.index(1) + 1
@@ -217,9 +200,6 @@ class Multipath:
     def weight_monomial(self):
         """The product of the path weights, as one monomial."""
         return sum(p.weight for p in self.paths)
-
-    def key(self):
-        return (self.sigma, tuple(p.vertices for p in self.paths))
 
     def __repr__(self):
         return "Multipath(sigma=%r)" % (list(self.sigma),)
@@ -231,20 +211,22 @@ class Multipath:
         }
 
 
-def enumerate_multipaths(g):
-    """All multipaths of a grid, over all destination permutations.
+def _vertex(bit, stride):
+    """The vertex (c, r) whose mask bit is `bit` on a grid of the stride."""
+    c, offset = divmod(bit, stride)
+    return c, stride - 1 - offset
 
-    Deterministic order: permutations lexicographically, then the path
-    choices per base in enumeration order.  Guarded by DEFAULT_MULTIPATH_BUDGET.
-    """
-    k = g.k
-    path_table = _path_table(g)
+
+def _feasible(table, k):
+    """The destination permutations perm (0-based, path i to destination
+    perm[i]) whose every path list is nonempty, in lexicographic order, once
+    their families are counted against DEFAULT_MULTIPATH_BUDGET."""
     total = 0
     feasible = []
     for perm in permutations(range(k)):
         count = 1
         for i, j in enumerate(perm):
-            count *= len(path_table[(i, j)])
+            count *= len(table[(i, j)])
             if not count:
                 break
         if count:
@@ -254,8 +236,19 @@ def enumerate_multipaths(g):
         raise TooLarge(
             "%d multipaths exceed the budget of %d" % (total, DEFAULT_MULTIPATH_BUDGET)
         )
+    return feasible
+
+
+def enumerate_multipaths(g):
+    """All multipaths of a grid, over all destination permutations.
+
+    Deterministic order: permutations lexicographically, then the path
+    choices per base in enumeration order.  Guarded by DEFAULT_MULTIPATH_BUDGET.
+    No production route lists them: the involutions check walks the same
+    families in the same order and keeps none."""
+    path_table = _path_table(g)
     out = []
-    for perm in feasible:
+    for perm in _feasible(path_table, g.k):
         choices = [path_table[(i, j)] for i, j in enumerate(perm)]
         sigma = tuple(j + 1 for j in perm)
         out.extend(Multipath(chosen, sigma) for chosen in product(*choices))

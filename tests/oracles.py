@@ -5,18 +5,32 @@ shares nothing with the production code it checks: literal enumeration,
 the defining property, or the geometry itself.  No chroma module imports
 this file, so a production route can never fall back on its own oracle;
 tests/test_oracles.py keeps it that way.  Oracles that the benchmark or the
-demos call (chromatic_symmetric_brute, enumerate_corrects, newton_p) stay
-in the package.
+demos call (chromatic_symmetric_brute, enumerate_corrects, newton_p,
+enumerate_multipaths) stay in the package.
 """
 
+from bisect import bisect_left
+from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
-import chroma.corrects as corrects
 from chroma.combinat import Graph, Poset, partitions_of
-from chroma.corrects import classify_multipath, leftmost_lowest_intersection
-from chroma.errors import BadShape
-from chroma.ghom import monomial_g
-from chroma.lgvgrid import GridPath
+from chroma.corrects import (
+    CancellationReport,
+    WeightForm,
+    _j_form,
+    chi_psi_check,
+    is_correct,
+)
+from chroma.errors import BadShape, ChromaError, TriplePoint
+from chroma.ghom import GAnalogueContext, monomial_g, power_g
+from chroma.lgvgrid import (
+    GridPath,
+    Multipath,
+    _vertex,
+    build_grid,
+    enumerate_multipaths,
+)
 from chroma.polyring import Polynomial
 from chroma.symfunc import convert, expand_concrete
 
@@ -209,19 +223,186 @@ def grid_path_from_vertices(vertices, stride):
     return GridPath(vertices, rows, stride)
 
 
+# ---------------------------------------------------------------------------
+# the cancellations by listing every multipath: the oracle for
+# corrects.verify_cancellations, which walks the families on path masks
+
+
+class NotIntersecting(ChromaError):
+    """A crossing-point operation was applied to a disjoint multipath."""
+
+
+class WrongShape(ChromaError):
+    """A multipath classification was requested outside the all-ones
+    destination geometry where the classes are defined."""
+
+
+def crossing(mp):
+    """(z, through): the leftmost lowest shared vertex z of a multipath,
+    read off the lowest shared bit of its path masks, and the indices of the
+    paths through it."""
+    shared = mp.shared_mask()
+    if not shared:
+        raise NotIntersecting("multipath is disjoint")
+    low = shared & -shared
+    through = tuple(i for i, p in enumerate(mp.paths) if p.mask & low)
+    return _vertex(low.bit_length() - 1, mp.paths[0].stride), through
+
+
+def multipath_key(mp):
+    return (mp.sigma, tuple(p.vertices for p in mp.paths))
+
+
+def leftmost_lowest_intersection(mp):
+    """The crossing vertex with minimal column, ties broken by maximal row
+    (rows grow downwards, so this is the leftmost lowest point).  Exactly
+    two paths may pass through it."""
+    z, through = crossing(mp)
+    if len(through) != 2:
+        raise TriplePoint("%d paths through %r" % (len(through), z))
+    return z
+
+
+def _splice(head, cut_head, tail, cut_tail, row):
+    """head up to the crossing, then tail from it.  Rows strictly increase
+    along a path: head's diagonal rows below the crossing row, then tail's."""
+    return GridPath(
+        head.vertices[:cut_head] + tail.vertices[cut_tail:],
+        head.diag_rows[: bisect_left(head.diag_rows, row)]
+        + tail.diag_rows[bisect_left(tail.diag_rows, row):],
+        head.stride,
+    )
+
+
+def delta_switch(mp):
+    """Swap the two tails at the leftmost lowest crossing, on the paths'
+    vertex tuples; the two destination indices swap, so the sign flips.  A
+    path whose mask holds z but whose vertices do not is refused with
+    NotIntersecting."""
+    z = leftmost_lowest_intersection(mp)
+    i, j = crossing(mp)[1]
+    pi, pj = mp.paths[i], mp.paths[j]
+    try:
+        cut_i = pi.vertices.index(z)
+        cut_j = pj.vertices.index(z)
+    except ValueError:
+        raise NotIntersecting("a crossing path misses %r" % (z,)) from None
+    paths = list(mp.paths)
+    paths[i] = _splice(pi, cut_i, pj, cut_j, z[1])
+    paths[j] = _splice(pj, cut_j, pi, cut_i, z[1])
+    sigma = list(mp.sigma)
+    sigma[i], sigma[j] = sigma[j], sigma[i]
+    return Multipath(paths, sigma)
+
+
+@dataclass(frozen=True)
+class MultipathClass:
+    tag: str  # P, I, J, L or other
+    z: tuple = None
+    chain_length: int = 0  # chain of the J/L weight form; 1 for L (one step per path)
+
+
+def classify_multipath(mp, u, grid):
+    """One of P (disjoint, correct), L (disjoint, incorrect), I (crossing
+    away from the rightmost destination), J (the residue pattern), or other."""
+    if grid.lam != (1,) * grid.k:
+        raise WrongShape("classification needs the all-ones geometry")
+    if mp.is_nonintersecting():
+        mp.require_identity()
+        seq = tuple(p.diag_rows[0] for p in mp.paths)
+        if is_correct(u, seq):
+            return MultipathClass("P")
+        return MultipathClass("L", chain_length=1)
+    z = leftmost_lowest_intersection(mp)
+    if all(mp.sigma[i] != 1 for i in crossing(mp)[1]):
+        return MultipathClass("I", z=z)
+    l = _j_form(mp.paths, mp.multiplier(), u)
+    if l is not None:
+        return MultipathClass("J", z=z, chain_length=l)
+    return MultipathClass("other", z=z)
+
+
+def involution_on_listed_I(i_class):
+    """Switch each class-I multipath once.  i_class maps its key to (mp,
+    weight, multiplier, crossing) as listed; its image must be listed in I
+    with the opposite sign and the same multiplier, weight and crossing, and
+    the image of the image must be mp."""
+    image_of = {}
+    for key, (mp, weight, multiplier, z) in i_class.items():
+        image = delta_switch(mp)
+        image_key = multipath_key(image)
+        if (
+            image_key not in i_class
+            or image.sign != -mp.sign
+            or image.multiplier() != multiplier
+            or image.weight_monomial() != weight
+            or leftmost_lowest_intersection(image) != z
+        ):
+            return False
+        image_of[key] = image_key
+    return all(image_of[image] == key for key, image in image_of.items())
+
+
+def cancellations_by_listing(u, k):
+    """The CancellationReport of corrects.verify_cancellations from the
+    listing of every multipath of the all-ones grid: each is classified one
+    by one, the class-I families are kept by their vertex tuples, and each
+    is switched on its vertex tuples and looked up among them.  It shares
+    with the walk only is_correct, _j_form, chi_psi_check and power_g."""
+    grid = build_grid(u, k, (1,) * k)
+    sums = {key: Counter() for key in ("I", "rest", "P", "total", "JL_plain")}
+    counts = {"P": 0, "I": 0, "J": 0, "L": 0, "other": 0}
+    i_class = {}
+    forms = []
+    for mp in enumerate_multipaths(grid):
+        cls = classify_multipath(mp, u, grid)
+        counts[cls.tag] += 1
+        weight = mp.weight_monomial()
+        multiplier = mp.multiplier()
+        contrib = mp.sign * multiplier
+        sums["total"][weight] += contrib
+        if cls.tag == "I":
+            sums["I"][weight] += contrib
+            i_class[multipath_key(mp)] = (mp, weight, multiplier, cls.z)
+        elif cls.tag == "P":
+            sums["P"][weight] += 1
+        else:
+            sums["rest"][weight] += contrib
+            if cls.tag in ("J", "L"):
+                l = cls.chain_length
+                chain = mp.paths[l - 1].diag_rows
+                singles = tuple(p.diag_rows[0] for p in mp.paths[l:])
+                forms.append(WeightForm(chain=chain, singles=singles))
+                sums["JL_plain"][weight] += mp.sign
+    poly = {key: Polynomial(u.n, c) for key, c in sums.items()}
+    return CancellationReport(
+        uio=str(u),
+        k=k,
+        counts=counts,
+        sum_I=poly["I"],
+        sum_JL=poly["rest"],
+        total=poly["total"],
+        sum_P=poly["P"],
+        pk=power_g(GAnalogueContext(u.inc_graph()), k),
+        sum_JL_plain=poly["JL_plain"],
+        involution_ok=involution_on_listed_I(i_class),
+        bijection=chi_psi_check(forms, u),
+    )
+
+
 def involution_by_two_switches(i_class, u, grid):
     """The tail switch checked on the list i_class of class-I multipaths by
     switching twice: each image is classified again and switched back onto
-    its source; the oracle for corrects._check_involution_on_I, which
-    switches each multipath once and reads its image from the listing."""
-    keys = {mp.key() for mp in i_class}
+    its source; the oracle for involution_on_listed_I, which switches each
+    multipath once and reads its image from the listing."""
+    keys = {multipath_key(mp) for mp in i_class}
     for mp in i_class:
-        image = corrects.delta_switch(mp)
-        if image.key() not in keys:
+        image = delta_switch(mp)
+        if multipath_key(image) not in keys:
             return False
         if classify_multipath(image, u, grid).tag != "I":
             return False
-        if corrects.delta_switch(image).key() != mp.key():
+        if multipath_key(delta_switch(image)) != multipath_key(mp):
             return False
         if image.sign != -mp.sign:
             return False

@@ -226,20 +226,19 @@ def test_gnechrom_replays_a_fifteen_vertex_clan_graph(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_involutions_enumerate_the_grid_once(monkeypatch):
-    import chroma.corrects as corrects
+def test_involutions_never_list_every_multipath(monkeypatch):
+    # the check walks the families on their path masks: it lists none and
+    # builds no Multipath, whose listing stays the tests' oracle
+    import chroma.lgvgrid as lgvgrid
 
-    calls = []
-    original = corrects.enumerate_multipaths
+    def refuse(*args, **kwargs):
+        raise AssertionError("involutions listed or built a multipath")
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(corrects, "enumerate_multipaths", counted)
-    rep = run_suite("involutions", instance={"uio": "3,4,4", "k": 3})
-    assert rep.ok, rep.failures
-    assert len(calls) == 1
+    monkeypatch.setattr(lgvgrid, "enumerate_multipaths", refuse)
+    monkeypatch.setattr(lgvgrid.Multipath, "__init__", refuse)
+    for k in range(1, 5):
+        rep = run_suite("involutions", instance={"uio": "2,3,4,5", "k": k})
+        assert rep.ok, rep.failures
 
 
 def test_lgv_never_lists_every_multipath(monkeypatch):
@@ -432,6 +431,11 @@ def test_past_its_guard_is_a_budget_outcome(capsys, suite, inst):
     assert [f["outcome"] for f in json.loads(out)["failures"]] == ["budget"]
 
 
+def path_graph(n):
+    """The path on n vertices as a sink instance's graph payload."""
+    return {"n": n, "edges": [[i, i + 1] for i in range(1, n)]}
+
+
 @pytest.mark.parametrize(
     "suite, inst",
     [
@@ -444,6 +448,10 @@ def test_past_its_guard_is_a_budget_outcome(capsys, suite, inst):
         ("thn1", {"uio": "3,3", "l": 14}),
         ("ppos", {"uio": "2", "k": ANALOGUE_DEGREE_BOUND + 1}),
         ("thn1", {"uio": "2", "l": ANALOGUE_DEGREE_BOUND}),
+        # a sink graph's e-coefficients take m->e at the degree of its
+        # vertex count: the 14-vertex path took 3.4 s unguarded
+        ("sink", {"graph": path_graph(ANALOGUE_DEGREE_BOUND + 1)}),
+        ("sink", {"graph": path_graph(14)}),
     ],
 )
 def test_past_the_degree_bound_is_a_budget_outcome(capsys, suite, inst):
@@ -460,6 +468,7 @@ def test_the_degree_bound_admits_its_largest_degree(capsys):
     for suite, inst in (
         ("ppos", {"uio": "2", "k": ANALOGUE_DEGREE_BOUND}),
         ("thn1", {"uio": "3,3", "l": ANALOGUE_DEGREE_BOUND - 1}),
+        ("sink", {"graph": path_graph(ANALOGUE_DEGREE_BOUND)}),
     ):
         code, out, _ = run(capsys, "verify", suite, "--instance", json.dumps(inst))
         assert code == 0, out

@@ -4,31 +4,38 @@ from itertools import permutations, product
 import pytest
 
 import chroma.corrects as corrects
+import oracles
 
 from chroma.combinat import UnitIntervalOrder, enumerate_uios
 from chroma.corrects import (
     WeightForm,
     absorb_dominating_single,
-    classify_multipath,
     covering_corrects_count,
-    delta_switch,
     enumerate_corrects,
     is_correct,
-    leftmost_lowest_intersection,
     m_l1_via_corrects,
     power_via_corrects,
     split_chain_top,
     verify_cancellations,
 )
-from chroma.errors import BadParameter, NotIntersecting, TooLarge, WrongShape
+from chroma.errors import BadParameter, TooLarge
 from chroma.ghom import GAnalogueContext, monomial_g, power_g
 from chroma.lgvgrid import Multipath, build_grid, enumerate_multipaths
 from chroma.chromatic import e_coefficients
-from chroma.polyring import Polynomial, monomial_from_elements, pack
+from chroma.polyring import EXP_LIMIT, Polynomial, monomial_from_elements, pack
 from oracles import (
+    NotIntersecting,
+    WrongShape,
+    cancellations_by_listing,
+    classify_multipath,
+    crossing,
+    delta_switch,
     grid_path_from_vertices,
     involution_by_two_switches,
+    involution_on_listed_I,
     is_correct_via_connectivity,
+    leftmost_lowest_intersection,
+    multipath_key,
 )
 
 TWO_CHAIN = UnitIntervalOrder([2, 3])
@@ -298,8 +305,8 @@ def test_fig4_leftmost_lowest_point():
 def test_fig4_switch_gives_fig5():
     mp = fig4_multipath()
     switched = delta_switch(mp)
-    assert switched.key() == fig5_multipath().key()
-    assert delta_switch(switched).key() == mp.key()
+    assert multipath_key(switched) == multipath_key(fig5_multipath())
+    assert multipath_key(delta_switch(switched)) == multipath_key(mp)
     assert switched.sign == -mp.sign
     assert switched.multiplier() == mp.multiplier() == 3
 
@@ -364,6 +371,24 @@ def test_triple_point_rejected():
         leftmost_lowest_intersection(mp)
 
 
+def test_walk_refuses_three_paths_through_the_crossing(monkeypatch):
+    # every path's mask also claims bit 0, vertex (0, n + 1) left of the
+    # grid, so all three paths of a family meet in its lowest shared bit
+    import chroma.lgvgrid as lgvgrid
+    from chroma.errors import TriplePoint
+
+    original = lgvgrid.GridPath.__init__
+
+    def planted(self, vertices, diag_rows, stride):
+        original(self, vertices, diag_rows, stride)
+        self.mask |= 1
+
+    monkeypatch.setattr(lgvgrid.GridPath, "__init__", planted)
+    with pytest.raises(TriplePoint) as info:
+        verify_cancellations(U3, 3)
+    assert str(info.value) == "3 paths through (0, 4)"
+
+
 def test_leftmost_lowest_matches_brute_scan():
     # every all-ones grid with n <= 5 and k <= 4: the shared vertices and the
     # crossing come from the paths' vertex tuples, not from the masks
@@ -381,7 +406,7 @@ def test_leftmost_lowest_matches_brute_scan():
                     through = tuple(
                         i for i, p in enumerate(mp.paths) if z in p.vertices
                     )
-                    assert mp.crossing() == (z, through), (str(u), k)
+                    assert crossing(mp) == (z, through), (str(u), k)
                     assert leftmost_lowest_intersection(mp) == z
 
 
@@ -423,27 +448,54 @@ def test_cancellation_class_counts():
         assert rep.counts == counts
 
 
+def test_streamed_cancellations_match_the_listing():
+    # every order with n <= 5 and every k <= 4, all inside the budget: the
+    # walk on path masks against the listing of every multipath
+    for n in range(1, 6):
+        for u in enumerate_uios(n):
+            for k in range(1, 5):
+                got = verify_cancellations(u, k)
+                want = cancellations_by_listing(u, k)
+                case = (str(u), k)
+                assert got.counts == want.counts, case
+                for name in ("sum_I", "sum_JL", "total", "sum_P", "sum_JL_plain"):
+                    assert getattr(got, name) == getattr(want, name), (case, name)
+                assert got.pk == want.pk, case
+                assert got.involution_ok is want.involution_ok is True, case
+                assert got.bijection == want.bijection, case
+                assert got.to_json() == want.to_json(), case
+
+
 def listed_class_I(u, k):
-    """The grid, and the class-I multipaths keyed as the listing pass of
-    verify_cancellations keys them."""
+    """The grid, and the class-I multipaths of its listing, keyed by their
+    vertex tuples."""
     grid = build_grid(u, k, (1,) * k)
     listed = {}
     for mp in enumerate_multipaths(grid):
         cls = classify_multipath(mp, u, grid)
         if cls.tag == "I":
-            listed[mp.key()] = (mp, mp.weight_monomial(), mp.multiplier(), cls.z)
+            key = multipath_key(mp)
+            listed[key] = (mp, mp.weight_monomial(), mp.multiplier(), cls.z)
     return grid, listed
 
 
 def swap_destinations_only(mp):
     # the destinations of the two crossing paths swap, their paths stay
-    i, j = mp.crossing()[1]
+    i, j = crossing(mp)[1]
     sigma = list(mp.sigma)
     sigma[i], sigma[j] = sigma[j], sigma[i]
     return Multipath(mp.paths, sigma)
 
 
+def keep_masks(mask_i, mask_j, low, stride):
+    # the same defect on masks: both paths stay
+    return mask_i, mask_j
+
+
 def test_one_switch_check_agrees_with_two_switches(monkeypatch):
+    # the walk switches each class-I family once on its masks, the listing
+    # once on its vertex tuples, and the second oracle twice, classifying
+    # each image again
     cases = [
         (u, k) + listed_class_I(u, k)
         for n in range(1, 5)
@@ -451,16 +503,35 @@ def test_one_switch_check_agrees_with_two_switches(monkeypatch):
         for k in range(1, 5)
     ]
     for u, k, grid, listed in cases:
-        assert corrects._check_involution_on_I(listed), (str(u), k)
+        assert verify_cancellations(u, k).involution_ok, (str(u), k)
+        assert involution_on_listed_I(listed), (str(u), k)
         assert involution_by_two_switches([v[0] for v in listed.values()], u, grid)
-    monkeypatch.setattr(corrects, "delta_switch", swap_destinations_only)
-    crossing = [case for case in cases if case[3]]
-    assert crossing
-    for u, k, grid, listed in crossing:
-        assert not corrects._check_involution_on_I(listed), (str(u), k)
+    monkeypatch.setattr(corrects, "_tail_switch", keep_masks)
+    monkeypatch.setattr(oracles, "delta_switch", swap_destinations_only)
+    crossing_cases = [case for case in cases if case[3]]
+    assert crossing_cases
+    for u, k, grid, listed in crossing_cases:
+        assert not verify_cancellations(u, k).involution_ok, (str(u), k)
+        assert not involution_on_listed_I(listed), (str(u), k)
         assert not involution_by_two_switches(
             [v[0] for v in listed.values()], u, grid
         )
+
+
+def test_tail_switch_on_masks_matches_the_vertex_splice():
+    # every class-I family with n <= 4 and k <= 4: the two mask splices give
+    # the masks of the paths that the splice of vertex tuples builds
+    for n in range(1, 5):
+        for u in enumerate_uios(n):
+            for k in range(1, 5):
+                for mp, *_ in listed_class_I(u, k)[1].values():
+                    i, j = crossing(mp)[1]
+                    low = mp.shared_mask() & -mp.shared_mask()
+                    image = delta_switch(mp)
+                    switched = corrects._tail_switch(
+                        mp.paths[i].mask, mp.paths[j].mask, low, u.n + 2
+                    )
+                    assert switched == (image.paths[i].mask, image.paths[j].mask)
 
 
 def test_cancellation_report_schema():
@@ -508,3 +579,21 @@ def test_switch_on_rightmost_crossings_changes_multiplier_by_one():
                     assert image.sign == -mp.sign
                     tag = classify_multipath(image, u, grid).tag
                     assert tag in ("J", "L", "other"), (str(u), k, tag)
+
+
+def test_sums_past_the_exponent_limit_raise():
+    # on one element n^k = 1 passes the sequence budget at any k, and from
+    # EXP_LIMIT on an exponent would carry into a variable the ring lacks
+    u = UnitIntervalOrder.parse("2")
+    ctx = GAnalogueContext(u.inc_graph())
+    below = EXP_LIMIT - 1
+    assert power_via_corrects(u, below) == power_g(ctx, below)
+    for k in (EXP_LIMIT, 70000):
+        with pytest.raises(OverflowError):
+            power_via_corrects(u, k)
+    with pytest.raises(OverflowError):
+        power_g(ctx, EXP_LIMIT)
+    # m_(l,1) has degree l + 1
+    for l in (below, EXP_LIMIT):
+        with pytest.raises(OverflowError):
+            m_l1_via_corrects(u, l)

@@ -25,7 +25,7 @@ from chroma.lgvgrid import (
     schur_via_lgv,
 )
 from chroma.polyring import Polynomial, det, monomial_from_elements, pack
-from oracles import grid_edges, grid_path_from_vertices
+from oracles import crossing, grid_edges, grid_path_from_vertices, multipath_key
 
 U8 = UnitIntervalOrder([3, 4, 5, 6, 7, 8, 9, 9])
 U5 = UnitIntervalOrder([3, 4, 5, 6, 6])
@@ -226,11 +226,14 @@ def test_nonintersecting_enumeration_matches_filter():
                     g = build_grid(u, len(lam), lam)
                     direct = nonintersecting_multipaths(g)
                     filtered = {
-                        mp.key()
+                        multipath_key(mp)
                         for mp in enumerate_multipaths(g)
                         if mp.is_nonintersecting()
                     }
-                    assert {mp.key() for mp in direct} == filtered, (str(u), lam)
+                    assert {multipath_key(mp) for mp in direct} == filtered, (
+                        str(u),
+                        lam,
+                    )
                     assert len(direct) == len(filtered)
                     assert disjoint_family_sum(g) == listed_family_sum(g), (str(u), lam)
 
@@ -289,7 +292,7 @@ def assert_masks_match_vertex_tuples(mp):
     if shared:
         z = min(shared, key=lambda cr: (cr[0], -cr[1]))
         through = tuple(i for i, p in enumerate(mp.paths) if z in p.vertices)
-        assert mp.crossing() == (z, through)
+        assert crossing(mp) == (z, through)
 
 
 def test_masks_match_vertex_tuples():

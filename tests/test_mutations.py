@@ -50,28 +50,36 @@ all three count correct sequences through the one step corrects._grow, so
 one count lost there fails all three.  Only the G-analogue side of ppos and
 thn1 reads GAnalogueContext.elementary, so an extra monomial in e^G_i fails
 both too.  power_g runs Newton's identity, which ppos and the involutions
-suite read: a slipped sign on its last term fails both.  monomial_g and
+suite read: a slipped sign on its last term fails both (for involutions,
+the total misses p^G_k while the class sums still cancel).  monomial_g and
 schur_g sum over the e-coordinates by nested substitution (ghom._nested),
 grouped by the smallest part; a dropped group fails thn1 and gasharov,
-whose other sides read no _nested.  The involutions suite checks the signed
-sums over every multipath of the all-ones grid against power_g; one lost
-multipath breaks the cancellation.  It switches each crossing family of
-class I once (corrects.delta_switch) and looks the image up among the
-listed class-I families.  A switch that swaps the destinations of the two
-crossing paths but keeps their paths has the sign and the multiplier
-right, but its image ends where no listed family ends, so the check fails.
+whose other sides read no _nested.
 
-The involutions suite reads the path masks of lgvgrid.GridPath, one bit
-per grid vertex: disjointness and the leftmost lowest crossing come off
-the shared bits of each multipath (Multipath.crossing).  A mask that also
+The involutions suite walks every multipath of the all-ones grid once and
+keeps none: each destination permutation's families come from
+itertools.product as corrects binds it.  A walk that loses one family
+leaves the total short of p^G_k, while the class sums still cancel.  Each
+crossing family of class I is switched once on its path masks
+(corrects._tail_switch, two splices at the lowest shared bit), and each
+switched mask is looked up in the index of the path table by (base, new
+destination).  A switch that keeps both masks swaps only the destinations
+of the two crossing paths: the sign and the multiplier come out right, but
+a mask that ends on one destination is in no index entry of the other, so
+the lookup misses and only the switch check fails (involution_ok in the
+detail).  INVOLUTIONS_REASONS names the check each involutions row breaks.
+
+The walk reads the path masks of lgvgrid.GridPath, one bit per grid
+vertex: disjointness and the leftmost lowest crossing come off the shared
+bits of each family, and the switch splices the masks.  A mask that also
 claims the base left of its source makes every family of INSTANCE's
-all-ones grid meet, and the involutions check sees tail switches at
-vertices that the switched paths do not pass (NotIntersecting).
+all-ones grid meet: none is disjoint, so P and L are empty and the
+class-I sum no longer cancels.
 
 A mask that loses one of its own vertices makes the involutions check
 raise instead of compare.  With each path's second vertex gone, a crossing
-family of INSTANCE's all-ones grid passes for disjoint, and
-classify_multipath finds its destinations permuted (NonIdentityPermutation).
+family of INSTANCE's all-ones grid passes for disjoint, and the walk finds
+its destinations permuted (NonIdentityPermutation).
 With each mask's lowest bit gone, chi_psi_check meets a dominator-free form
 whose chain has length 1, and split_chain_top refuses it (BadParameter).
 cli._verify_one reports either as that instance's "fail", with the error's
@@ -106,6 +114,7 @@ directly).  So a collected coefficient that gains 1 fails both; on the
 does not read it: its e-coefficients come from chromatic._signature_e.
 """
 
+import itertools
 import json
 import multiprocessing
 
@@ -271,24 +280,25 @@ def plant_mask_loses_lowest_bit(monkeypatch):
 
 
 def plant_sigma_only_switch(monkeypatch):
-    # the tail switch swaps the destinations of the two crossing paths and
-    # keeps their paths
-    def planted(mp):
-        i, j = mp.crossing()[1]
-        sigma = list(mp.sigma)
-        sigma[i], sigma[j] = sigma[j], sigma[i]
-        return lgvgrid.Multipath(mp.paths, sigma)
+    # the tail switch keeps both path masks, so only the destinations of the
+    # two crossing paths swap
+    def planted(mask_i, mask_j, low, stride):
+        return mask_i, mask_j
 
-    monkeypatch.setattr(corrects, "delta_switch", planted)
+    monkeypatch.setattr(corrects, "_tail_switch", planted)
 
 
 def plant_dropped_multipath(monkeypatch):
-    original = corrects.enumerate_multipaths
+    # the walk loses the last family of its first destination permutation
+    dropped = []
 
-    def planted(g):
-        return original(g)[:-1]
+    def planted(*choices):
+        families = list(itertools.product(*choices))
+        if not dropped:
+            dropped.append(families.pop())
+        return families
 
-    monkeypatch.setattr(corrects, "enumerate_multipaths", planted)
+    monkeypatch.setattr(corrects, "product", planted)
 
 
 def plant_elementary(monkeypatch):
@@ -431,6 +441,35 @@ def plant_flipped_minor(monkeypatch):
     monkeypatch.setattr(lgvgrid, "det", planted)
 
 
+def _switch_alone_fails(detail):
+    sums = detail["cancellations"]
+    return (
+        detail["involution_ok"] is False
+        and detail["bijection_ok"] is True
+        and sums["sumI"] == sums["sumJL"] == "0"
+        and sums["total"] == sums["pk"]
+    )
+
+
+def _total_misses_pk(detail):
+    sums = detail["cancellations"]
+    return sums["total"] != sums["pk"] and sums["sumI"] == sums["sumJL"] == "0"
+
+
+def _no_family_disjoint(detail):
+    counts = detail["cancellations"]["counts"]
+    return counts["P"] == counts["L"] == 0 and detail["involution_ok"] is False
+
+
+# the check an involutions row breaks, read off its failure detail
+INVOLUTIONS_REASONS = {
+    plant_sigma_only_switch: _switch_alone_fails,
+    plant_dropped_multipath: _total_misses_pk,
+    plant_newton_sign_slip: _total_misses_pk,
+    plant_mask_claims_left_base: _no_family_disjoint,
+}
+
+
 def replay(capsys, suite, inst):
     code = cli.main(["verify", suite, "--instance", json.dumps(inst)])
     out = capsys.readouterr().out
@@ -542,6 +581,8 @@ def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite, inst)
     code, report = replay(capsys, suite, inst)
     assert code == 1
     assert [f["outcome"] for f in report["failures"]] == ["fail"]
+    if suite == "involutions":
+        assert INVOLUTIONS_REASONS[plant](report["failures"][0]["detail"])
 
 
 @pytest.mark.parametrize(

@@ -62,8 +62,9 @@ from .ghom import GAnalogueContext, gnechrom_check, monomial_g, power_g, schur_g
 from .lgvgrid import build_grid, lgv_check, schur_via_lgv
 from .symfunc import cauchy_check, convert
 
-# ppos's k, thn1's l + 1 and the vertex count of a sink graph, each the
-# degree of a cold m->e build, which takes 0.6 s at 12
+# ppos's k, thn1's l + 1, and the vertex count of an order or graph whose X
+# is read into the e-basis (eposn, sink, a scan replay): each the degree of
+# a cold m->e build, which takes 0.6 s at 12
 ANALOGUE_DEGREE_BOUND = 12
 
 # ---------------------------------------------------------------------------
@@ -149,6 +150,7 @@ def _check_ppos(uio, k):
 
 
 def _check_eposn(uio):
+    _degree_fits(uio.n)
     count = covering_corrects_count(uio)
     coeffs = e_coefficients(uio.inc_graph())
     cn = coeffs.get((uio.n,), 0)
@@ -172,9 +174,8 @@ def _check_gasharov(uio, partition):
 
 
 def _check_sink(uio=None, graph=None):
-    if graph is not None:
-        _degree_fits(graph.n)
     g = uio.inc_graph() if graph is None else graph
+    _degree_fits(g.n)
     if not check_sink_theorem(g, e_coefficients(g)):
         return {"reason": "sink counts disagree with e-coefficient sums"}
 
@@ -193,10 +194,12 @@ def _check_cauchy(d):
 def _check_involutions(uio, k):
     rep = verify_cancellations(uio, k)
     if not rep.ok:
+        classified = sum(rep.counts.values())
         return {
             "cancellations": rep.to_json(),
             "involution_ok": rep.involution_ok,
             "bijection_ok": rep.bijection.ok,
+            "families": {"classified": classified, "feasible": rep.families},
         }
 
 
@@ -302,6 +305,7 @@ def _scan_verdict(nxt, coeffs):
 def _scan_one(uio):
     """One order of the scan through the per-order DP: the --instance
     replay, and the oracle for the prefix walk."""
+    _degree_fits(uio.n)
     return _scan_verdict(uio.next, e_coefficients(uio.inc_graph()))
 
 

@@ -23,21 +23,23 @@ kill everything except the correct sequences:
 
 Sums over correct sequences are counted by one state DP (_grow), never
 listed; enumerate_corrects, the filtered exhaustive search, is its oracle.
-The multipaths are walked once at desk scale, each as a tuple of paths of
-the grid's path table, and none is kept: every cancellation is verified as
-an exact polynomial identity.  A crossing family of class I is switched by
-two splices of its path masks at the lowest shared bit, and its partner is
-looked up in an index of the table's masks by (base, destination); the
-listing of every multipath, classified one by one, is the tests' oracle.
+Each multipath is reached once at desk scale, through the pair of paths at
+its lowest crossing, and none is kept: every cancellation is verified as an
+exact polynomial identity.  Class I is counted per crossing pair and its
+tail switch, two splices of the pair's path masks, checked once per pair;
+the disjoint families and the rest are walked one by one.  The walk of
+every family and the listing of every multipath are the tests' oracles.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, product
+from functools import lru_cache
+from itertools import chain, combinations, product
 
 from .errors import BadParameter, TooLarge, TriplePoint
 from .ghom import GAnalogueContext, power_g
-from .lgvgrid import Multipath, _feasible, _parity, _path_table, _vertex, build_grid
+from .lgvgrid import Multipath, _feasible, _parity, _path_table, _vertex, _walk
+from .lgvgrid import build_grid
 from .polyring import EXP_LIMIT, FIELD, Polynomial, monomial_from_elements
 
 DEFAULT_SEQUENCE_BUDGET = 10_000_000
@@ -181,42 +183,54 @@ def _tail_switch(mask_i, mask_j, low, stride):
     return mask_i & head | mask_j & ~head, mask_j & head | mask_i & ~head
 
 
-def _shared_mask(paths):
-    """The mask of the vertices shared by at least two of the paths."""
-    seen = shared = 0
-    for p in paths:
-        shared |= seen & p.mask
-        seen |= p.mask
-    return shared
+def _count(columns, held):
+    """Each way to take one item (bits, hit, weight) of each column, no bit
+    in two items or in `held`, counted by its state (bits held, hits,
+    weight sum): the partial choices of one state go on as one."""
+    states = {(held, 0, 0): 1}
+    for column in columns:
+        items = {}
+        for item in column:
+            items[item] = items.get(item, 0) + 1
+        grown = {}
+        for (taken, hits, weight), ways in states.items():
+            for (bits, hit, step), count in items.items():
+                if not bits & taken:
+                    key = taken | bits, hits + hit, weight + step
+                    grown[key] = grown.get(key, 0) + ways * count
+        states = grown
+    return states
 
 
-def _switch_holds(paths, perm, pair, low, index, perms, stride):
-    """The tail switch of a class-I family, paths[i] to destination perm[i],
-    at its crossing bit `low` through the pair (i, j) of paths.  Both
-    switched masks must be paths of the table, looked up in index[(base,
-    new destination)]; the image must cross at the same bit through the same
-    pair, stay in class I, carry the opposite sign and the same multiplier
-    (perms maps each feasible permutation to its sign and multiplier) and
-    weight, and switch back onto this family."""
+def _triple_point(paths, low, stride):
+    """The error for more than two paths through the crossing bit `low`."""
+    z = _vertex(low.bit_length() - 1, stride)
+    return TriplePoint("%d paths through %r" % (paths, z))
+
+
+def _switch_pair_holds(perm, pair, p, q, low, index, perms, stride):
+    """The tail switch of the class-I pair p, q (paths i -> perm[i] and
+    j -> perm[j]) at their lowest shared bit `low`.  The images must be
+    paths of the table, found in index, that keep the union and the
+    intersection of p and q: then every completion of the pair completes the
+    image pair too.  The swapped permutation must carry the opposite sign
+    and the same multiplier (perms), the weight must stay, and the switch
+    must go back onto (p, q)."""
     i, j = pair
-    mask_i, mask_j = _tail_switch(paths[i].mask, paths[j].mask, low, stride)
+    mask_i, mask_j = _tail_switch(p.mask, q.mask, low, stride)
     image_i = index[(i, perm[j])].get(mask_i)
     image_j = index[(j, perm[i])].get(mask_j)
     if image_i is None or image_j is None:
-        return False  # no listed family is the image
-    image = list(paths)
-    image[i], image[j] = image_i, image_j
+        return False  # no path of the table is the image
     swapped = list(perm)
     swapped[i], swapped[j] = perm[j], perm[i]
-    shared = _shared_mask(image)
     sign, multiplier = perms[perm]
     return (
-        shared & -shared == low
-        and [t for t, p in enumerate(image) if p.mask & low] == [i, j]
-        and swapped[i] != 0 != swapped[j]
+        mask_i | mask_j == p.mask | q.mask
+        and mask_i & mask_j == p.mask & q.mask
         and perms.get(tuple(swapped)) == (-sign, multiplier)
-        and image_i.weight + image_j.weight == paths[i].weight + paths[j].weight
-        and _tail_switch(mask_i, mask_j, low, stride) == (paths[i].mask, paths[j].mask)
+        and image_i.weight + image_j.weight == p.weight + q.weight
+        and _tail_switch(mask_i, mask_j, low, stride) == (p.mask, q.mask)
     )
 
 
@@ -348,6 +362,7 @@ class CancellationReport:
     uio: str
     k: int
     counts: dict
+    families: int  # the families _feasible counts, which the classes share
     sum_I: Polynomial
     sum_JL: Polynomial
     total: Polynomial
@@ -360,7 +375,8 @@ class CancellationReport:
 
     def __post_init__(self):
         self.ok = (
-            self.sum_I.is_zero()
+            sum(self.counts.values()) == self.families
+            and self.sum_I.is_zero()
             and self.sum_JL.is_zero()
             and self.total == self.sum_P
             and self.total == self.pk
@@ -383,79 +399,121 @@ class CancellationReport:
 
 
 def verify_cancellations(u, k):
-    """Walk every multipath of the all-ones grid once and check:
+    """Reach every multipath of the all-ones grid once and check:
 
       (a) the signed multiplier sum over class I vanishes,
       (b) the signed multiplier sum over the rest minus P vanishes, and it
           rewrites as the plain signed sum over J and L,
-      (c) the grand total equals the sum over P, equals the power-sum
-          analogue,
+      (c) the grand total, the sum of the three class sums, equals the sum
+          over P, equals the power-sum analogue,
       (d) the tail switch is a sign-reversing, multiplier- and
-          weight-preserving involution on I: each crossing family is
-          switched once on its masks (_switch_holds),
-      (e) the chain moves pair off the J and L weight forms (chi_psi_check).
+          weight-preserving involution on I, checked once per crossing
+          pair (_switch_pair_holds),
+      (e) the chain moves pair off the J and L weight forms (chi_psi_check),
+      (f) the classes hold as many families as _feasible counts.
 
-    A family is a tuple of paths of the path table, for each feasible
-    destination permutation in turn.  The classes: P (disjoint, correct), L
-    (disjoint, incorrect), I (crossing away from the rightmost destination),
-    J (the residue pattern of _j_form), or other.  No family is kept, and
-    only the J and L weight forms are stored."""
+    The classes: P (disjoint, correct), L (disjoint, incorrect), I (crossing
+    away from the rightmost destination), J (the residue pattern of
+    _j_form), or other.  A crossing family is reached from the pair (p, q)
+    of its paths through its lowest shared bit; its other paths, its
+    completion, share no bit below that one with p | q or each other.
+    Class I is counted per pair (_count), and the pairs of one weight and
+    one completion set enter its sum together.  The rest is walked (_walk)."""
     grid = build_grid(u, k, (1,) * k)
     table = _path_table(grid)
-    perms = {perm: (_parity(perm), perm.index(0) + 1) for perm in _feasible(table, k)}
+    sizes = _feasible(table, k)
+    perms = {perm: (_parity(perm), perm.index(0) + 1) for perm in sizes}
     index = {key: {p.mask: p for p in paths} for key, paths in table.items()}
     stride = u.n + 2
     identity = tuple(range(k))
-    sums = {key: Counter() for key in ("I", "rest", "P", "total", "JL_plain")}
+    counted = {}  # (others, held, low) -> (completion count, {pair weight: contrib})
+
+    @lru_cache(maxsize=None)
+    def meetings(i, a, j, b):
+        """(p, q, lowest shared bit) for the paths i -> a, j -> b that meet."""
+        meet = [(p, q, p.mask & q.mask) for p in table[(i, a)] for q in table[(j, b)]]
+        return [(p, q, shared & -shared) for p, q, shared in meet if shared]
+
+    def completions(others, held, low, weighed):
+        """{weight: ways} of the completions, weight 0 unless weighed."""
+        columns = [
+            [(p.mask & low - 1, p.mask & low > 0, p.weight * weighed) for p in table[t]]
+            for t in others
+        ]
+        found = {}
+        for (_, hits, weight), ways in _count(columns, held).items():
+            if hits:
+                raise _triple_point(hits + 2, low, stride)
+            found[weight] = found.get(weight, 0) + ways
+        return found
+
+    sums = {key: {} for key in ("rest", "P", "JL_plain", "I")}
     counts = {"P": 0, "I": 0, "J": 0, "L": 0, "other": 0}
     forms = []
+
+    def add(key, weight, value):
+        sums[key][weight] = sums[key].get(weight, 0) + value
+
+    def record(paths, tag, l, sign, multiplier):
+        """Count a family of L, J or other, l the chain length of its form."""
+        weight = sum(p.weight for p in paths)
+        counts[tag] += 1
+        add("rest", weight, sign * multiplier)
+        if l is not None:
+            singles = tuple(p.diag_rows[0] for p in paths[l:])
+            forms.append(WeightForm(chain=paths[l - 1].diag_rows, singles=singles))
+            add("JL_plain", weight, sign)
+
     involution_ok = True
     for perm, (sign, multiplier) in perms.items():
-        contrib = sign * multiplier
-        for paths in product(*[table[(i, j)] for i, j in enumerate(perm)]):
-            seen = shared = weight = 0
-            for p in paths:
-                shared |= seen & p.mask
-                seen |= p.mask
-                weight += p.weight
-            sums["total"][weight] += contrib
-            if not shared:
-                if perm != identity:
-                    Multipath(paths, [j + 1 for j in perm]).require_identity()
-                if is_correct(u, [p.diag_rows[0] for p in paths]):
-                    counts["P"] += 1
-                    sums["P"][weight] += 1
-                    continue
-                tag, l = "L", 1
+        columns = [table[(t, dest)] for t, dest in enumerate(perm)]
+        for paths, _ in _walk(columns, 0):
+            if perm != identity:
+                Multipath(paths, [j + 1 for j in perm]).require_identity()
+            if is_correct(u, [p.diag_rows[0] for p in paths]):
+                counts["P"] += 1
+                add("P", sum(p.weight for p in paths), 1)
             else:
-                low = shared & -shared
-                pair = [t for t, p in enumerate(paths) if p.mask & low]
-                if len(pair) != 2:
-                    z = _vertex(low.bit_length() - 1, stride)
-                    raise TriplePoint("%d paths through %r" % (len(pair), z))
-                if perm[pair[0]] and perm[pair[1]]:
-                    counts["I"] += 1
-                    sums["I"][weight] += contrib
-                    involution_ok = involution_ok and _switch_holds(
-                        paths, perm, pair, low, index, perms, stride
-                    )
+                record(paths, "L", 1, sign, multiplier)
+        for pair in combinations(range(k), 2):
+            i, j = pair
+            others = tuple((t, perm[t]) for t in range(k) if t not in pair)
+            for p, q, low in meetings(i, perm[i], j, perm[j]):
+                if not perm[i] or not perm[j]:  # through the rightmost destination
+                    fixed = list(columns)
+                    fixed[i], fixed[j] = [p], [q]
+                    for paths, hits in _walk(fixed, low):
+                        if hits > 2:
+                            raise _triple_point(hits, low, stride)
+                        l = _j_form(paths, multiplier, u)
+                        tag = "other" if l is None else "J"
+                        record(paths, tag, l, sign, multiplier)
                     continue
-                l = _j_form(paths, multiplier, u)
-                tag = "other" if l is None else "J"
-            counts[tag] += 1
-            sums["rest"][weight] += contrib
-            if l is not None:
-                singles = tuple(p.diag_rows[0] for p in paths[l:])
-                forms.append(WeightForm(chain=paths[l - 1].diag_rows, singles=singles))
-                sums["JL_plain"][weight] += sign
+                key = (others, (p.mask | q.mask) & low - 1, low)
+                if key not in counted:
+                    counted[key] = completions(*key, False).get(0, 0), {}
+                ways, pairs = counted[key]
+                if ways:
+                    counts["I"] += ways
+                    weight = p.weight + q.weight
+                    pairs[weight] = pairs.get(weight, 0) + sign * multiplier
+                    involution_ok = involution_ok and _switch_pair_holds(
+                        perm, pair, p, q, low, index, perms, stride
+                    )
+    for key, (_, pairs) in counted.items():
+        for shift, contrib in pairs.items():
+            if contrib:  # else the pairs of one weight and completion set cancel
+                for weight, ways in completions(*key, True).items():
+                    add("I", weight + shift, contrib * ways)
     poly = {key: Polynomial(u.n, c) for key, c in sums.items()}
     return CancellationReport(
         uio=str(u),
         k=k,
         counts=counts,
+        families=sum(sizes.values()),
         sum_I=poly["I"],
         sum_JL=poly["rest"],
-        total=poly["total"],
+        total=poly["P"] + poly["rest"] + poly["I"],  # every family is in one class
         sum_P=poly["P"],
         pk=power_g(GAnalogueContext(u.inc_graph()), k),
         sum_JL_plain=poly["JL_plain"],

@@ -218,11 +218,10 @@ def _vertex(bit, stride):
 
 
 def _feasible(table, k):
-    """The destination permutations perm (0-based, path i to destination
-    perm[i]) whose every path list is nonempty, in lexicographic order, once
-    their families are counted against DEFAULT_MULTIPATH_BUDGET."""
-    total = 0
-    feasible = []
+    """{perm: family count} of the destination permutations (path i to perm[i])
+    whose every path list is nonempty, in lexicographic order, once their
+    families are counted against DEFAULT_MULTIPATH_BUDGET."""
+    feasible = {}
     for perm in permutations(range(k)):
         count = 1
         for i, j in enumerate(perm):
@@ -230,8 +229,8 @@ def _feasible(table, k):
             if not count:
                 break
         if count:
-            feasible.append(perm)
-            total += count
+            feasible[perm] = count
+    total = sum(feasible.values())
     if total > DEFAULT_MULTIPATH_BUDGET:
         raise TooLarge(
             "%d multipaths exceed the budget of %d" % (total, DEFAULT_MULTIPATH_BUDGET)
@@ -244,8 +243,8 @@ def enumerate_multipaths(g):
 
     Deterministic order: permutations lexicographically, then the path
     choices per base in enumeration order.  Guarded by DEFAULT_MULTIPATH_BUDGET.
-    No production route lists them: the involutions check walks the same
-    families in the same order and keeps none."""
+    No production route lists them: the involutions check reaches the same
+    families and keeps none."""
     path_table = _path_table(g)
     out = []
     for perm in _feasible(path_table, g.k):
@@ -263,42 +262,38 @@ def path_sum_matrix(g):
     ]
 
 
+def _walk(columns, low, family=(), held=0, hits=0):
+    """Depth first, each way to extend `family` by one path of each further
+    column with no bit below `low` (any bit, for low = 0) in two of them:
+    (family, the number of its paths through low)."""
+    if not columns:  # a grid of no paths has one family, the empty one
+        yield family, hits
+        return
+    below, last = low - 1, len(family) + 1 == len(columns)
+    for path in columns[len(family)]:
+        if not path.mask & held:
+            grown, crossed = family + (path,), hits + (path.mask & low and 1)
+            if last:
+                yield grown, crossed
+            else:
+                yield from _walk(columns, low, grown, held | path.mask & below, crossed)
+
+
 def nonintersecting_multipaths(g):
-    """Only the pairwise-disjoint multipaths, found by assigning paths base
-    by base with disjointness pruning (destinations may permute; planarity
-    is verified by the caller, not assumed here).  The vertices taken so far
-    are one mask, and a path fits when its mask misses it.  The budget
-    bounds the number of paths tried.
+    """Only the pairwise-disjoint multipaths, found by _walk for each
+    feasible destination permutation (planarity is verified by the caller,
+    not assumed here).  The vertices taken so far are one mask, and a path
+    fits when its mask misses it.
 
     No production route calls this: it is the oracle that lists what
     disjoint_family_sum only counts.  It stays in this module because the
     benchmark harness traces it under this name."""
-    k = g.k
-    path_table = _path_table(g)
-    out = []
-    nodes = 0
-
-    def rec(i, sigma, chosen, occupied):
-        nonlocal nodes
-        if i == k:
-            out.append(Multipath(chosen, sigma))
-            return
-        for j in range(1, k + 1):
-            if j in sigma:
-                continue
-            for p in path_table[(i, j - 1)]:
-                nodes += 1
-                if nodes > DEFAULT_MULTIPATH_BUDGET:
-                    raise TooLarge(
-                        "disjoint-family search exceeded budget %d"
-                        % DEFAULT_MULTIPATH_BUDGET
-                    )
-                if occupied & p.mask:
-                    continue
-                rec(i + 1, sigma + (j,), chosen + [p], occupied | p.mask)
-
-    rec(0, (), [], 0)
-    return out
+    table = _path_table(g)
+    return [
+        Multipath(paths, [j + 1 for j in perm])
+        for perm in _feasible(table, g.k)
+        for paths, _ in _walk([table[(i, j)] for i, j in enumerate(perm)], 0)
+    ]
 
 
 def _exit_rows(entries, stop):

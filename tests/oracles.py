@@ -12,13 +12,14 @@ enumerate_multipaths) stay in the package.
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from chroma.combinat import Graph, Poset, partitions_of
 from chroma.corrects import (
     CancellationReport,
     WeightForm,
     _j_form,
+    _tail_switch,
     chi_psi_check,
     is_correct,
 )
@@ -27,6 +28,9 @@ from chroma.ghom import GAnalogueContext, monomial_g, power_g
 from chroma.lgvgrid import (
     GridPath,
     Multipath,
+    _feasible,
+    _parity,
+    _path_table,
     _vertex,
     build_grid,
     enumerate_multipaths,
@@ -224,8 +228,9 @@ def grid_path_from_vertices(vertices, stride):
 
 
 # ---------------------------------------------------------------------------
-# the cancellations by listing every multipath: the oracle for
-# corrects.verify_cancellations, which walks the families on path masks
+# the cancellations by listing every multipath, and by walking every family
+# on its path masks: the oracles for corrects.verify_cancellations, which
+# reaches each family through the pair of paths at its lowest crossing
 
 
 class NotIntersecting(ChromaError):
@@ -379,6 +384,7 @@ def cancellations_by_listing(u, k):
         uio=str(u),
         k=k,
         counts=counts,
+        families=sum(counts.values()),
         sum_I=poly["I"],
         sum_JL=poly["rest"],
         total=poly["total"],
@@ -413,3 +419,115 @@ def involution_by_two_switches(i_class, u, grid):
         if leftmost_lowest_intersection(image) != leftmost_lowest_intersection(mp):
             return False
     return True
+
+
+def _shared_mask(paths):
+    """The mask of the vertices shared by at least two of the paths."""
+    seen = shared = 0
+    for p in paths:
+        shared |= seen & p.mask
+        seen |= p.mask
+    return shared
+
+
+def _switch_holds(paths, perm, pair, low, index, perms, stride):
+    """The tail switch of a class-I family, paths[i] to destination perm[i],
+    at its crossing bit `low` through the pair (i, j) of paths.  Both
+    switched masks must be paths of the table, looked up in index[(base,
+    new destination)]; the image must cross at the same bit through the same
+    pair, stay in class I, carry the opposite sign and the same multiplier
+    (perms maps each feasible permutation to its sign and multiplier) and
+    weight, and switch back onto this family."""
+    i, j = pair
+    mask_i, mask_j = _tail_switch(paths[i].mask, paths[j].mask, low, stride)
+    image_i = index[(i, perm[j])].get(mask_i)
+    image_j = index[(j, perm[i])].get(mask_j)
+    if image_i is None or image_j is None:
+        return False  # no listed family is the image
+    image = list(paths)
+    image[i], image[j] = image_i, image_j
+    swapped = list(perm)
+    swapped[i], swapped[j] = perm[j], perm[i]
+    shared = _shared_mask(image)
+    sign, multiplier = perms[perm]
+    return (
+        shared & -shared == low
+        and [t for t, p in enumerate(image) if p.mask & low] == [i, j]
+        and swapped[i] != 0 != swapped[j]
+        and perms.get(tuple(swapped)) == (-sign, multiplier)
+        and image_i.weight + image_j.weight == paths[i].weight + paths[j].weight
+        and _tail_switch(mask_i, mask_j, low, stride) == (paths[i].mask, paths[j].mask)
+    )
+
+
+def cancellations_by_walk(u, k):
+    """The CancellationReport of corrects.verify_cancellations from a walk
+    of every multipath of the all-ones grid, each a tuple of paths of the
+    path table for each feasible permutation in turn, classified one by one
+    on its path masks; each class-I family is switched on its own masks and
+    its image looked up in an index of the table's masks.  It keeps no
+    family, and reaches class I one family at a time, not per crossing
+    pair."""
+    grid = build_grid(u, k, (1,) * k)
+    table = _path_table(grid)
+    perms = {perm: (_parity(perm), perm.index(0) + 1) for perm in _feasible(table, k)}
+    index = {key: {p.mask: p for p in paths} for key, paths in table.items()}
+    stride = u.n + 2
+    identity = tuple(range(k))
+    sums = {key: Counter() for key in ("I", "rest", "P", "total", "JL_plain")}
+    counts = {"P": 0, "I": 0, "J": 0, "L": 0, "other": 0}
+    forms = []
+    involution_ok = True
+    for perm, (sign, multiplier) in perms.items():
+        contrib = sign * multiplier
+        for paths in product(*[table[(i, j)] for i, j in enumerate(perm)]):
+            seen = shared = weight = 0
+            for p in paths:
+                shared |= seen & p.mask
+                seen |= p.mask
+                weight += p.weight
+            sums["total"][weight] += contrib
+            if not shared:
+                if perm != identity:
+                    Multipath(paths, [j + 1 for j in perm]).require_identity()
+                if is_correct(u, [p.diag_rows[0] for p in paths]):
+                    counts["P"] += 1
+                    sums["P"][weight] += 1
+                    continue
+                tag, l = "L", 1
+            else:
+                low = shared & -shared
+                pair = [t for t, p in enumerate(paths) if p.mask & low]
+                if len(pair) != 2:
+                    z = _vertex(low.bit_length() - 1, stride)
+                    raise TriplePoint("%d paths through %r" % (len(pair), z))
+                if perm[pair[0]] and perm[pair[1]]:
+                    counts["I"] += 1
+                    sums["I"][weight] += contrib
+                    involution_ok = involution_ok and _switch_holds(
+                        paths, perm, pair, low, index, perms, stride
+                    )
+                    continue
+                l = _j_form(paths, multiplier, u)
+                tag = "other" if l is None else "J"
+            counts[tag] += 1
+            sums["rest"][weight] += contrib
+            if l is not None:
+                singles = tuple(p.diag_rows[0] for p in paths[l:])
+                forms.append(WeightForm(chain=paths[l - 1].diag_rows, singles=singles))
+                sums["JL_plain"][weight] += sign
+    poly = {key: Polynomial(u.n, c) for key, c in sums.items()}
+    return CancellationReport(
+        uio=str(u),
+        k=k,
+        counts=counts,
+        families=sum(counts.values()),
+        sum_I=poly["I"],
+        sum_JL=poly["rest"],
+        total=poly["total"],
+        sum_P=poly["P"],
+        pk=power_g(GAnalogueContext(u.inc_graph()), k),
+        sum_JL_plain=poly["JL_plain"],
+        involution_ok=involution_ok,
+        bijection=chi_psi_check(forms, u),
+    )

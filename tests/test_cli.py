@@ -431,6 +431,11 @@ def test_past_its_guard_is_a_budget_outcome(capsys, suite, inst):
     assert [f["outcome"] for f in json.loads(out)["failures"]] == ["budget"]
 
 
+def chain_uio(n):
+    """The n-element chain as an instance's threshold vector."""
+    return ",".join(str(i) for i in range(2, n + 2))
+
+
 def path_graph(n):
     """The path on n vertices as a sink instance's graph payload."""
     return {"n": n, "edges": [[i, i + 1] for i in range(1, n)]}
@@ -452,6 +457,11 @@ def path_graph(n):
         # vertex count: the 14-vertex path took 3.4 s unguarded
         ("sink", {"graph": path_graph(ANALOGUE_DEGREE_BOUND + 1)}),
         ("sink", {"graph": path_graph(14)}),
+        # an order is read into the e-basis at the degree of its size: the
+        # 13-chain took 2-5 s in each of these unguarded
+        ("eposn", {"uio": chain_uio(ANALOGUE_DEGREE_BOUND + 1)}),
+        ("sink", {"uio": chain_uio(ANALOGUE_DEGREE_BOUND + 1)}),
+        ("scan", {"uio": chain_uio(ANALOGUE_DEGREE_BOUND + 1)}),
     ],
 )
 def test_past_the_degree_bound_is_a_budget_outcome(capsys, suite, inst):
@@ -469,6 +479,7 @@ def test_the_degree_bound_admits_its_largest_degree(capsys):
         ("ppos", {"uio": "2", "k": ANALOGUE_DEGREE_BOUND}),
         ("thn1", {"uio": "3,3", "l": ANALOGUE_DEGREE_BOUND - 1}),
         ("sink", {"graph": path_graph(ANALOGUE_DEGREE_BOUND)}),
+        ("eposn", {"uio": chain_uio(ANALOGUE_DEGREE_BOUND)}),
     ):
         code, out, _ = run(capsys, "verify", suite, "--instance", json.dumps(inst))
         assert code == 0, out

@@ -27,6 +27,7 @@ from oracles import (
     NotIntersecting,
     WrongShape,
     cancellations_by_listing,
+    cancellations_by_walk,
     classify_multipath,
     crossing,
     delta_switch,
@@ -448,22 +449,86 @@ def test_cancellation_class_counts():
         assert rep.counts == counts
 
 
+def assert_same_report(got, want, case):
+    assert got.counts == want.counts, case
+    assert got.families == want.families == sum(got.counts.values()), case
+    for name in ("sum_I", "sum_JL", "total", "sum_P", "sum_JL_plain"):
+        assert getattr(got, name) == getattr(want, name), (case, name)
+    assert got.pk == want.pk, case
+    assert got.involution_ok is want.involution_ok is True, case
+    assert got.bijection == want.bijection, case
+    assert got.to_json() == want.to_json(), case
+
+
 def test_streamed_cancellations_match_the_listing():
     # every order with n <= 5 and every k <= 4, all inside the budget: the
-    # walk on path masks against the listing of every multipath
+    # check by crossing pairs against the walk of every family on its path
+    # masks, and the walk against the listing of every multipath
     for n in range(1, 6):
         for u in enumerate_uios(n):
             for k in range(1, 5):
-                got = verify_cancellations(u, k)
-                want = cancellations_by_listing(u, k)
-                case = (str(u), k)
-                assert got.counts == want.counts, case
-                for name in ("sum_I", "sum_JL", "total", "sum_P", "sum_JL_plain"):
-                    assert getattr(got, name) == getattr(want, name), (case, name)
-                assert got.pk == want.pk, case
-                assert got.involution_ok is want.involution_ok is True, case
-                assert got.bijection == want.bijection, case
-                assert got.to_json() == want.to_json(), case
+                walked = cancellations_by_walk(u, k)
+                assert_same_report(verify_cancellations(u, k), walked, (str(u), k))
+                assert_same_report(walked, cancellations_by_listing(u, k), (str(u), k))
+
+
+def test_crossing_pairs_match_the_walk_on_six_points():
+    # k = 5 on orders of 6 points: every 13th order from the chain, and the
+    # antichain (all 132 orders agree, in about 40 s)
+    orders = enumerate_uios(6)
+    for u in orders[::13] + orders[-1:]:
+        case = (str(u), 5)
+        got = verify_cancellations(u, 5)
+        assert_same_report(got, cancellations_by_walk(u, 5), case)
+
+
+def test_class_one_is_counted_not_walked(monkeypatch):
+    # every family built as a tuple is disjoint or crosses first through the
+    # path to the rightmost destination, and the switch is checked once per
+    # class-I crossing pair: 44 pairs for 456 class-I families on the
+    # 4-chain at k = 4
+    walked = []
+    checked = []
+    original_walk = corrects._walk
+    original_switch = corrects._switch_pair_holds
+
+    def walk(columns, low):
+        for family, hits in original_walk(columns, low):
+            walked.append(family)
+            yield family, hits
+
+    def switch(perm, pair, p, q, *args):
+        checked.append((perm, pair, p.mask, q.mask))
+        return original_switch(perm, pair, p, q, *args)
+
+    monkeypatch.setattr(corrects, "_walk", walk)
+    monkeypatch.setattr(corrects, "_switch_pair_holds", switch)
+    u = UnitIntervalOrder.parse("2,3,4,5")
+    rep = verify_cancellations(u, 4)
+    assert rep.ok and rep.counts["I"] == 456
+    assert len(walked) == rep.families - rep.counts["I"]
+    for family in walked:
+        # destination j (0-based) sits in column k + 1 - j of the grid
+        perm = [5 - path.vertices[-1][0] for path in family]
+        mp = Multipath(family, [j + 1 for j in perm])
+        if not mp.is_nonintersecting():
+            assert 0 in [perm[t] for t in crossing(mp)[1]]
+    pairs = set()
+    for mp, *_ in listed_class_I(u, 4)[1].values():
+        i, j = crossing(mp)[1]
+        perm = tuple(d - 1 for d in mp.sigma)
+        pairs.add((perm, (i, j), mp.paths[i].mask, mp.paths[j].mask))
+    assert len(checked) == len(set(checked)) == len(pairs) == 44
+    assert set(checked) == pairs
+
+
+def test_a_family_count_mismatch_fails_the_report():
+    rep = verify_cancellations(U3, 3)
+    assert rep.ok
+    fields = dict(vars(rep))
+    del fields["ok"]
+    fields["families"] += 1
+    assert not type(rep)(**fields).ok
 
 
 def listed_class_I(u, k):

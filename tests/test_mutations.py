@@ -56,23 +56,34 @@ schur_g sum over the e-coordinates by nested substitution (ghom._nested),
 grouped by the smallest part; a dropped group fails thn1 and gasharov,
 whose other sides read no _nested.
 
-The involutions suite walks every multipath of the all-ones grid once and
-keeps none: each destination permutation's families come from
-itertools.product as corrects binds it.  A walk that loses one family
-leaves the total short of p^G_k, while the class sums still cancel.  Each
-crossing family of class I is switched once on its path masks
-(corrects._tail_switch, two splices at the lowest shared bit), and each
-switched mask is looked up in the index of the path table by (base, new
-destination).  A switch that keeps both masks swaps only the destinations
-of the two crossing paths: the sign and the multiplier come out right, but
-a mask that ends on one destination is in no index entry of the other, so
-the lookup misses and only the switch check fails (involution_ok in the
-detail).  INVOLUTIONS_REASONS names the check each involutions row breaks.
+The involutions suite reaches every multipath of the all-ones grid once,
+through the pair of paths at its lowest crossing, and keeps none.  Class I
+is counted per crossing pair (corrects._count, over the other paths grouped
+by their bits below the crossing), and no family of it is built; the
+disjoint families and those that cross through the path to the rightmost
+destination are walked one by one (corrects._walk, from lgvgrid).  The classes
+must hold as many families as lgvgrid._feasible counts.  A walk that loses
+one family leaves the total short of p^G_k and the classes one family
+short, while the class sums still cancel.  A completion count that forgets
+the pair's own bits below the crossing reaches a family again from a pair
+that is not its lowest crossing; those families come in switched pairs, so
+every sum still cancels and only the family count fails (uio 2,3,4 at
+k = 4 has them).  The tail switch is checked once per class-I crossing pair
+on its path masks (corrects._tail_switch, two splices at the lowest shared
+bit), and each switched mask is looked up in the index of the path table by
+(base, new destination).  A switch that keeps both masks swaps only the
+destinations of the two crossing paths: the sign and the multiplier come
+out right, but a mask that ends on one destination is in no index entry of
+the other.  A splice whose head leaves out the crossing's column joins the
+columns of one path left of it to the other path's column, which it enters
+at another row, and that is no path.  Either way the lookup misses and
+only the switch check fails (involution_ok in the detail).
+INVOLUTIONS_REASONS names the check each involutions row breaks.
 
-The walk reads the path masks of lgvgrid.GridPath, one bit per grid
-vertex: disjointness and the leftmost lowest crossing come off the shared
-bits of each family, and the switch splices the masks.  A mask that also
-claims the base left of its source makes every family of INSTANCE's
+The check reads the path masks of lgvgrid.GridPath, one bit per grid
+vertex: the crossing pairs, their completions and the disjoint families
+come off the shared bits, and the switch splices the masks.  A mask that
+also claims the base left of its source makes every family of INSTANCE's
 all-ones grid meet: none is disjoint, so P and L are empty and the
 class-I sum no longer cancels.
 
@@ -114,7 +125,6 @@ directly).  So a collected coefficient that gains 1 fails both; on the
 does not read it: its e-coefficients come from chromatic._signature_e.
 """
 
-import itertools
 import json
 import multiprocessing
 
@@ -288,17 +298,42 @@ def plant_sigma_only_switch(monkeypatch):
     monkeypatch.setattr(corrects, "_tail_switch", planted)
 
 
+def plant_head_without_column(monkeypatch):
+    # the head of the tail switch is the columns left of the crossing only:
+    # the crossing's column comes whole from the other path
+    def planted(mask_i, mask_j, low, stride):
+        column = (low.bit_length() - 1) // stride
+        head = (1 << column * stride) - 1
+        return mask_i & head | mask_j & ~head, mask_j & head | mask_i & ~head
+
+    monkeypatch.setattr(corrects, "_tail_switch", planted)
+
+
 def plant_dropped_multipath(monkeypatch):
-    # the walk loses the last family of its first destination permutation
+    # the first family walked one by one, a disjoint family of the identity
+    # permutation, is lost
+    original = corrects._walk
     dropped = []
 
-    def planted(*choices):
-        families = list(itertools.product(*choices))
-        if not dropped:
-            dropped.append(families.pop())
-        return families
+    def planted(columns, low):
+        for found in original(columns, low):
+            if dropped:
+                yield found
+            else:
+                dropped.append(found)
 
-    monkeypatch.setattr(corrects, "product", planted)
+    monkeypatch.setattr(corrects, "_walk", planted)
+
+
+def plant_completion_ignores_pair(monkeypatch):
+    # the class-I completions may share bits below the crossing with the
+    # crossing pair itself
+    original = corrects._count
+
+    def planted(columns, held):
+        return original(columns, 0)
+
+    monkeypatch.setattr(corrects, "_count", planted)
 
 
 def plant_elementary(monkeypatch):
@@ -456,6 +491,25 @@ def _total_misses_pk(detail):
     return sums["total"] != sums["pk"] and sums["sumI"] == sums["sumJL"] == "0"
 
 
+def _family_lost(detail):
+    families = detail.get("families", {})
+    return _total_misses_pk(detail) and families.get("classified") == families.get(
+        "feasible", 0
+    ) - 1
+
+
+def _families_alone_miscounted(detail):
+    sums = detail["cancellations"]
+    families = detail.get("families", {})
+    return (
+        families.get("classified", 0) > families.get("feasible", 0)
+        and detail["involution_ok"] is True
+        and detail["bijection_ok"] is True
+        and sums["sumI"] == sums["sumJL"] == "0"
+        and sums["total"] == sums["pk"]
+    )
+
+
 def _no_family_disjoint(detail):
     counts = detail["cancellations"]["counts"]
     return counts["P"] == counts["L"] == 0 and detail["involution_ok"] is False
@@ -464,7 +518,9 @@ def _no_family_disjoint(detail):
 # the check an involutions row breaks, read off its failure detail
 INVOLUTIONS_REASONS = {
     plant_sigma_only_switch: _switch_alone_fails,
-    plant_dropped_multipath: _total_misses_pk,
+    plant_head_without_column: _switch_alone_fails,
+    plant_dropped_multipath: _family_lost,
+    plant_completion_ignores_pair: _families_alone_miscounted,
     plant_newton_sign_slip: _total_misses_pk,
     plant_mask_claims_left_base: _no_family_disjoint,
 }
@@ -519,6 +575,8 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_dropped_multipath, "involutions", {"uio": U3, "k": 3}),
         (plant_mask_claims_left_base, "involutions", {"uio": U3, "k": 3}),
         (plant_sigma_only_switch, "involutions", {"uio": U3, "k": 3}),
+        (plant_head_without_column, "involutions", {"uio": U3, "k": 3}),
+        (plant_completion_ignores_pair, "involutions", {"uio": "2,3,4", "k": 4}),
         (plant_exit_reaches_next_entry, "lgv", TOUCHING),
         (plant_exit_reaches_next_entry, "gasharov", TOUCHING),
         (plant_elementary, "ppos", {"uio": U3, "k": 3}),
@@ -553,6 +611,8 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         "dropped-multipath-involutions",
         "mask-left-base-involutions",
         "sigma-only-switch-involutions",
+        "head-without-column-involutions",
+        "completion-ignores-pair-involutions",
         "exit-reaches-next-entry-lgv",
         "exit-reaches-next-entry-gasharov",
         "elementary-extra-monomial-ppos",

@@ -22,7 +22,9 @@ kill everything except the correct sequences:
     (class L) through a chain-shrinking/growing bijection.
 
 Sums over correct sequences are counted by one state DP (_grow), never
-listed; enumerate_corrects, the filtered exhaustive search, is its oracle.
+listed: a state is a packed monomial with the numbers of its prefixes by
+lo[last entry], the least entry that may follow the last one.
+enumerate_corrects, the filtered exhaustive search, is its oracle.
 Each multipath is reached once at desk scale, through the pair of paths at
 its lowest crossing, and none is kept: every cancellation is verified as an
 exact polynomial identity.  Class I is counted per crossing pair and its
@@ -34,7 +36,7 @@ every family and the listing of every multipath are the tests' oracles.
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 from .errors import BadParameter, TooLarge, TriplePoint
 from .ghom import GAnalogueContext, power_g
@@ -88,15 +90,33 @@ def _extension_bounds(u):
     return lo, nxt
 
 
+def _top(mono):
+    """The highest variable of a packed monomial, 0 for the empty one."""
+    return (mono.bit_length() + FIELD - 1) // FIELD
+
+
 def _grow(u, states):
-    """One more entry for each state (last entry, running maximum, packed
-    monomial) -> number of correct prefixes; the empty prefix is (0, 0, 0)."""
+    """One more entry for each state: packed monomial -> list of the numbers
+    of correct prefixes of that monomial, indexed by lo[last entry].
+
+    A prefix's future depends on its last entry only through lo[last], and
+    its running maximum is the monomial's top variable, so entry c may follow
+    the prefixes whose lo is at most c (a prefix sum of the list) for c below
+    nxt[top].  The empty prefix counts at lo = 1."""
     lo, nxt = _extension_bounds(u)
+    n = u.n
+    units = [0] + [1 << FIELD * (c - 1) for c in range(1, n + 1)]
     out = {}
-    for (last, top, mono), count in states.items():
-        for c in range(lo[last], nxt[top]):
-            key = (c, c if c > top else top, mono + (1 << FIELD * (c - 1)))
-            out[key] = out.get(key, 0) + count
+    for mono, counts in states.items():
+        ways = 0
+        for c in range(1, nxt[_top(mono)]):
+            ways += counts[c]
+            if ways:
+                key = mono + units[c]
+                row = out.get(key)
+                if row is None:
+                    row = out[key] = [0] * (n + 1)
+                row[lo[c]] += ways
     return out
 
 
@@ -107,6 +127,11 @@ def _exponents_fit(d):
         raise OverflowError("an exponent reaches %d" % EXP_LIMIT)
 
 
+def _empty(u):
+    """The one state before any entry: the empty prefix, counted at lo = 1."""
+    return {0: [0, 1] + [0] * (u.n - 1)}
+
+
 def _states(u, k):
     """The states of the correct sequences of length k."""
     if k < 1:
@@ -114,7 +139,7 @@ def _states(u, k):
     _exponents_fit(k)
     if u.n ** k > DEFAULT_SEQUENCE_BUDGET:
         raise TooLarge("n^k = %d exceeds the sequence budget" % (u.n ** k,))
-    states = {(0, 0, 0): 1}
+    states = _empty(u)
     for _ in range(k):
         states = _grow(u, states)
     return states
@@ -130,21 +155,19 @@ def enumerate_corrects(u, k):
 
 def power_via_corrects(u, k):
     """Sum of w_1 * .. * w_k over correct sequences; the power-sum analogue."""
-    counts = Counter()
-    for (_, _, mono), count in _states(u, k).items():
-        counts[mono] += count
-    return Polynomial(u.n, counts)
+    states = _states(u, k)
+    return Polynomial(u.n, {mono: sum(counts) for mono, counts in states.items()})
 
 
 def covering_corrects_count(u):
     """Correct sequences of length n using every element exactly once: only
-    squarefree states are kept after each step, and only the new entry's
-    field can reach 2, so the antichain costs subsets rather than n^n."""
-    states = {(0, 0, 0): 1}
+    squarefree states are kept after each step (no field at 2), so the
+    antichain costs subsets rather than n^n."""
+    twos = monomial_from_elements(range(1, u.n + 1)) << 1
+    states = _empty(u)
     for _ in range(u.n):
-        grown = _grow(u, states)
-        states = {s: grown[s] for s in grown if not s[2] >> FIELD * (s[0] - 1) & 2}
-    return sum(states.values())
+        states = {m: c for m, c in _grow(u, states).items() if not m & twos}
+    return sum(sum(counts) for counts in states.values())
 
 
 def m_l1_via_corrects(u, l):
@@ -153,18 +176,28 @@ def m_l1_via_corrects(u, l):
     dominating the whole sequence or z below the last entry.
 
     Restricted to l >= 2: at l = 1 the same recipe double-counts.  In the
-    tables of _extension_bounds, the z below the last entry are those
-    before lo[last], and the z dominating the maximum those from nxt[max].
+    tables of _extension_bounds, z is below the last entry when lo[last] > z,
+    a suffix sum of a state's list, and z dominates the maximum from
+    nxt[top] on; no z is both.
     """
     if l < 2:
         raise BadParameter("the pair expansion needs l >= 2")
     _exponents_fit(l + 1)
     n = u.n
-    lo, nxt = _extension_bounds(u)
+    _, nxt = _extension_bounds(u)
+    units = [0] + [1 << FIELD * (z - 1) for z in range(1, n + 1)]
     counts = Counter()
-    for (last, top, mono), count in _states(u, l).items():
-        for z in chain(range(1, lo[last]), range(nxt[top], n + 1)):
-            counts[mono + (1 << FIELD * (z - 1))] += count
+    for mono, row in _states(u, l).items():
+        top = nxt[_top(mono)]
+        total = sum(row)
+        for z in range(top, n + 1):
+            counts[mono + units[z]] += total
+        above = total  # prefixes with lo > z
+        for z in range(1, top):
+            above -= row[z]
+            if not above:
+                break
+            counts[mono + units[z]] += above
     return Polynomial(n, counts)
 
 

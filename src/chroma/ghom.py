@@ -7,7 +7,10 @@ vertex polynomial; for incomparability graphs of semiorders the stable
 subsets are exactly the chains, which is what ties this layer to the grid
 and to correct sequences.  No dense product is built only to cancel:
 apply_ghom nests its sum by the smallest part, and power_g runs Newton's
-identity, memoised on the context.
+identity, memoised on the context.  Each level of the nested sum, and each
+Newton step, adds its products into one dict through polyring's one
+multiply-accumulate loop (_addmul), so no term is built as a polynomial of
+its own; a scalar factor enters as that loop's scale.
 """
 
 from itertools import combinations
@@ -17,8 +20,10 @@ from .chromatic import chromatic_symmetric
 from .combinat import clan_graph, partitions_of
 # det is unused here; it stays bound because perfbench's tracer test checks
 # that its wrapper replaces ghom.det
-from .polyring import ONE, Polynomial, det, monomial_from_elements
+from .polyring import ONE, Polynomial, _addmul, _read_sum, det, monomial_from_elements
 from .symfunc import SymFunc, convert
+
+_UNIT = {ONE: 1}  # the one-term dict that a scalar factor multiplies
 
 
 class GAnalogueContext:
@@ -68,7 +73,8 @@ class GAnalogueContext:
 
 def _nested(ctx, coeffs):
     """sum_lam c_lam e^G_lam as sum_j e^G_j * (the same sum over the lam with
-    smallest part j, j removed); a group that is a bare constant is a scalar."""
+    smallest part j, j removed), accumulated into one dict through _addmul; a
+    group that is a bare constant enters as the scale of e^G_j."""
     groups, acc = {}, {}
     for lam, c in coeffs.items():
         if lam:
@@ -78,10 +84,11 @@ def _nested(ctx, coeffs):
     for j, inner in groups.items():
         e = ctx.elementary(j)
         if e:
-            rest = inner[()] if len(inner) == 1 and () in inner else _nested(ctx, inner)
-            for mono, c in (e * rest).terms.items():
-                acc[mono] = acc.get(mono, 0) + c
-    return Polynomial(ctx.n, acc)
+            if len(inner) == 1 and () in inner:
+                _addmul(acc, e.terms, _UNIT, inner[()])
+            else:
+                _addmul(acc, e.terms, _nested(ctx, inner).terms)
+    return _read_sum(ctx.n, acc)
 
 
 def apply_ghom(f, ctx):
@@ -107,18 +114,22 @@ def schur_g(ctx, lam):
 
 def power_g(ctx, k):
     """Power-sum analogue p^G_k by Newton's identity (Macdonald I.2, (2.11)),
-    P_m = sum_{i<m} (-1)^(i-1) e^G_i P_{m-i} + (-1)^(m-1) m e^G_m, with
-    P_1..P_k memoised on the context; the result is shared."""
+    P_m = sum_{i<m} (-1)^(i-1) e^G_i P_{m-i} + (-1)^(m-1) m e^G_m, each P_m
+    accumulated into one dict through _addmul with the sign and m as scales;
+    P_1..P_k are memoised on the context, and the result is shared."""
     if k < 1:
         raise ValueError("k must be >= 1")
     powers = ctx._powers
     for m in range(len(powers) + 1, k + 1):
         acc = {}
         for i in range(1, min(m, ctx.n) + 1):  # e^G_i = 0 past n
-            term = ctx.elementary(i) * (powers[m - i - 1] if i < m else m)
-            for mono, c in term.terms.items():
-                acc[mono] = acc.get(mono, 0) + (c if i % 2 else -c)
-        powers.append(Polynomial(ctx.n, acc))
+            sign = 1 if i % 2 else -1
+            e = ctx.elementary(i).terms
+            if i < m:
+                _addmul(acc, e, powers[m - i - 1].terms, sign)
+            else:
+                _addmul(acc, e, _UNIT, sign * m)
+        powers.append(_read_sum(ctx.n, acc))
     return powers[k - 1]
 
 

@@ -11,16 +11,23 @@ There is no variable-name prefix: every polynomial prints as v1, v2, ...
 A monomial is one packed int (Kronecker substitution): the exponent of v_i
 sits in the FIELD-bit field at bit FIELD*(i-1), so the product of two
 monomials is their integer sum and the empty monomial is 0.  Exponents stay
-below EXP_LIMIT = 2^(FIELD-1): pack refuses larger ones, and __mul__ tests
-every result monomial against the ring's mask of field top bits, so a
-product is either exact or raises OverflowError; a carry never reaches the
-next variable.  The sparse form, sorted (variable index, exponent) pairs
-with positive exponents, appears only where polynomials are read or
-written: pack/unpack, coeff, to_json/from_json, __str__ and
-canonical_terms.  Terms with coefficient zero are never stored.
+below EXP_LIMIT = 2^(FIELD-1): pack refuses larger ones, and every product
+sum is read through _read_sum, which tests the OR of its monomials against
+the ring's mask of field top bits, so a product is either exact or raises
+OverflowError; a carry never reaches the next variable.  There is one
+product loop, _addmul (acc += scale * a * b in place): __mul__ runs it once,
+and ghom runs Newton's identity and the nested e^G sum through it into one
+dict each, so no term product is built as a Polynomial of its own.
+
+The sparse form, sorted (variable index, exponent) pairs with positive
+exponents, appears only where polynomials are read or written: pack/unpack,
+coeff, to_json/from_json, __str__ and canonical_terms.  Terms with
+coefficient zero are never stored.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .errors import VariableMismatch
 
@@ -65,6 +72,29 @@ def monomial_from_elements(elements):
     for v in elements:
         mono += 1 << FIELD * (v - 1)
     return mono
+
+
+def _addmul(acc, a_terms, b_terms, scale=1):
+    """acc += scale * a * b, in place, for term dicts a and b; the one product
+    loop.  Keys whose coefficients cancel stay in with 0, for _read_sum."""
+    get = acc.get
+    for m1, c1 in a_terms.items():
+        c1 *= scale
+        for m2, c2 in b_terms.items():
+            mono = m1 + m2
+            acc[mono] = get(mono, 0) + c1 * c2
+
+
+def _read_sum(nvars, acc):
+    """The polynomial of a dict that _addmul accumulated, zeros dropped.  The
+    factors' exponents are below EXP_LIMIT, so a sum never carries out of its
+    field, and a set top bit in any key, cancelled or not, is an exponent of
+    some product >= EXP_LIMIT: that raises OverflowError."""
+    if reduce(or_, acc, 0) & _top_bits(nvars):
+        raise OverflowError("an exponent reaches %d" % EXP_LIMIT)
+    out = Polynomial(nvars)
+    out.terms = {m: c for m, c in acc.items() if c}
+    return out
 
 
 class Polynomial:
@@ -147,22 +177,8 @@ class Polynomial:
             return out
         self._check(other)
         acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1 + m2
-                c = acc.get(mono, 0) + c1 * c2
-                if c:
-                    acc[mono] = c
-                else:
-                    del acc[mono]
-        # the factors' exponents are below EXP_LIMIT, so a sum never carries
-        # out of its field, and a set top bit is an exponent >= EXP_LIMIT
-        top = _top_bits(self.nvars)
-        if any(mono & top for mono in acc):
-            raise OverflowError("an exponent reaches %d" % EXP_LIMIT)
-        out = Polynomial(self.nvars)
-        out.terms = acc
-        return out
+        _addmul(acc, self.terms, other.terms)
+        return _read_sum(self.nvars, acc)
 
     __rmul__ = __mul__
 

@@ -32,7 +32,7 @@ from .combinat import (
     partitions_of,
 )
 from .errors import SingularSystem, TooLarge
-from .polyring import Polynomial, det, monomial_from_elements, pack
+from .polyring import Polynomial, _addmul, det, monomial_from_elements, pack
 
 BASES = ("e", "m", "p", "s")
 CAUCHY_DEGREE_BOUND = 7  # cauchy_check's largest degree: d = 7 takes over 20 s
@@ -104,6 +104,20 @@ def expand_concrete(basis, lam, N):
 # the SymFunc container
 
 
+def _clean(items):
+    """The nonzero coefficients of (partition, coefficient) pairs, an integral
+    one as an int and any other as a Fraction."""
+    clean = {}
+    for lam, c in items:
+        if type(c) is not int:
+            c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
+        if c:
+            clean[lam] = c
+    return clean
+
+
 class SymFunc:
     """A symmetric function stored as basis-tagged partition coefficients."""
 
@@ -112,18 +126,20 @@ class SymFunc:
     def __init__(self, basis, coeffs=None):
         if basis not in BASES:
             raise ValueError("unknown basis %r" % (basis,))
-        clean = {}
-        if coeffs:
-            for lam, c in coeffs.items():
-                lam = _as_partition(lam)
-                if type(c) is not int:
-                    c = Fraction(c)
-                    if c.denominator == 1:
-                        c = c.numerator
-                if c:
-                    clean[lam] = c
         self.basis = basis
-        self.coeffs = clean
+        self.coeffs = _clean(
+            ((_as_partition(lam), c) for lam, c in coeffs.items()) if coeffs else ()
+        )
+
+    @classmethod
+    def _of_partitions(cls, basis, coeffs):
+        """A SymFunc of coefficients keyed by partitions by construction, such
+        as the sums convert collects from matrix rows: the keys are taken as
+        they are, the coefficients normalised as __init__ does."""
+        out = cls.__new__(cls)
+        out.basis = basis
+        out.coeffs = _clean(coeffs.items())
+        return out
 
     @classmethod
     def unit(cls, basis, lam):
@@ -450,7 +466,8 @@ class TransitionMatrixCache:
         """Re-express a SymFunc in another basis; exact."""
         if to not in BASES:
             raise ValueError("unknown basis")
-        return SymFunc(to, f.collect(lambda lam: self.get(f.basis, to, sum(lam))[lam]))
+        coeffs = f.collect(lambda lam: self.get(f.basis, to, sum(lam))[lam])
+        return SymFunc._of_partitions(to, coeffs)
 
 
 default_cache = TransitionMatrixCache()
@@ -489,10 +506,7 @@ def cauchy_check(d, N):
             fy = expand_concrete(by, mu, N).embed(total, N)
             # x and y share no variable: the product of two terms adds
             # exponents in no common field, so no sum can overflow one
-            for mx, cx in fx.terms.items():
-                for my, cy in fy.terms.items():
-                    mono = mx + my
-                    counts[mono] = counts.get(mono, 0) + cx * cy
+            _addmul(counts, fx.terms, fy.terms)
         return Polynomial(total, counts)
 
     side_me = pair("m", "e")

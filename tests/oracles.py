@@ -12,12 +12,13 @@ enumerate_multipaths) stay in the package.
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 from chroma.combinat import Graph, Poset, partitions_of
 from chroma.corrects import (
     CancellationReport,
     WeightForm,
+    _extension_bounds,
     _j_form,
     _tail_switch,
     chi_psi_check,
@@ -35,7 +36,7 @@ from chroma.lgvgrid import (
     build_grid,
     enumerate_multipaths,
 )
-from chroma.polyring import Polynomial
+from chroma.polyring import FIELD, Polynomial
 from chroma.symfunc import convert, expand_concrete
 
 
@@ -94,6 +95,58 @@ def is_correct_via_connectivity(u, seq):
         if seen != support:
             return False
     return True
+
+
+def _grow_by_last(u, states):
+    """One more entry for each state (last entry, running maximum, packed
+    monomial) -> number of correct prefixes; the empty prefix is (0, 0, 0).
+    The correct-sequence DP before its states were keyed by the monomial and
+    counted by lo[last entry]; the oracle for corrects._grow."""
+    lo, nxt = _extension_bounds(u)
+    out = {}
+    for (last, top, mono), count in states.items():
+        for c in range(lo[last], nxt[top]):
+            key = (c, c if c > top else top, mono + (1 << FIELD * (c - 1)))
+            out[key] = out.get(key, 0) + count
+    return out
+
+
+def _states_by_last(u, k):
+    states = {(0, 0, 0): 1}
+    for _ in range(k):
+        states = _grow_by_last(u, states)
+    return states
+
+
+def power_via_corrects_by_last(u, k):
+    """corrects.power_via_corrects from the (last, maximum, monomial) DP."""
+    counts = Counter()
+    for (_, _, mono), count in _states_by_last(u, k).items():
+        counts[mono] += count
+    return Polynomial(u.n, counts)
+
+
+def covering_corrects_count_by_last(u):
+    """corrects.covering_corrects_count from the (last, maximum, monomial)
+    DP: only the new entry's field can reach 2."""
+    states = {(0, 0, 0): 1}
+    for _ in range(u.n):
+        grown = _grow_by_last(u, states)
+        states = {s: grown[s] for s in grown if not s[2] >> FIELD * (s[0] - 1) & 2}
+    return sum(states.values())
+
+
+def m_l1_via_corrects_by_last(u, l):
+    """corrects.m_l1_via_corrects from the (last, maximum, monomial) DP: z
+    below the last entry is before lo[last], z dominating the maximum from
+    nxt[max] on."""
+    n = u.n
+    lo, nxt = _extension_bounds(u)
+    counts = Counter()
+    for (last, top, mono), count in _states_by_last(u, l).items():
+        for z in chain(range(1, lo[last]), range(nxt[top], n + 1)):
+            counts[mono + (1 << FIELD * (z - 1))] += count
+    return Polynomial(n, counts)
 
 
 def kernel_slice_symmetric(ctx, d):

@@ -29,6 +29,7 @@ from oracles import (
     cancellations_by_listing,
     cancellations_by_walk,
     classify_multipath,
+    covering_corrects_count_by_last,
     crossing,
     delta_switch,
     grid_path_from_vertices,
@@ -36,7 +37,9 @@ from oracles import (
     involution_on_listed_I,
     is_correct_via_connectivity,
     leftmost_lowest_intersection,
+    m_l1_via_corrects_by_last,
     multipath_key,
+    power_via_corrects_by_last,
 )
 
 TWO_CHAIN = UnitIntervalOrder([2, 3])
@@ -137,6 +140,19 @@ def test_covering_dp_matches_oracle():
                 1 for seq in permutations(range(1, n + 1)) if is_correct(u, seq)
             )
             assert covering_corrects_count(u) == want, str(u)
+
+
+def test_states_by_monomial_match_the_dp_by_last_entry():
+    # every order with n <= 6, at k <= 5 (m_(l,1) for 2 <= l <= 5), against
+    # the DP keyed by (last entry, running maximum, monomial)
+    orders = [u for n in range(1, 7) for u in enumerate_uios(n)]
+    assert len(orders) == 196
+    for u in orders:
+        for k in range(1, 6):
+            assert power_via_corrects(u, k) == power_via_corrects_by_last(u, k)
+        for l in range(2, 6):
+            assert m_l1_via_corrects(u, l) == m_l1_via_corrects_by_last(u, l)
+        assert covering_corrects_count(u) == covering_corrects_count_by_last(u)
 
 
 def test_power_budget_refuses_before_counting(monkeypatch):

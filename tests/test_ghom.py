@@ -22,7 +22,7 @@ from chroma.ghom import (
     power_g,
     schur_g,
 )
-from chroma.polyring import Polynomial, det, unpack
+from chroma.polyring import EXP_LIMIT, Polynomial, det, unpack
 from chroma.symfunc import BASES, SymFunc, convert, newton_p, transition_matrix
 from oracles import apply_ghom_by_products, kernel_slice_symmetric
 
@@ -139,6 +139,20 @@ def test_power_g_memo_is_order_independent():
     assert power_g(ctx, 2) is power_g(ctx, 2)
     with pytest.raises(ValueError):
         power_g(ctx, 0)
+
+
+def test_power_g_raises_once_an_exponent_reaches_the_limit():
+    # on one element p^G_k = v1^k: the Newton sum is exact below EXP_LIMIT and
+    # raises at it, and the memo keeps only what was exact
+    ctx = ctx_of(UnitIntervalOrder.parse("2"))
+    below = power_g(ctx, EXP_LIMIT - 1)
+    assert below == Polynomial.variable(1, 1) ** (EXP_LIMIT - 1)
+    with pytest.raises(OverflowError):
+        power_g(ctx, EXP_LIMIT)
+    assert len(ctx._powers) == EXP_LIMIT - 1
+    assert power_g(ctx, EXP_LIMIT - 1) is below
+    with pytest.raises(OverflowError):
+        below * Polynomial.variable(1, 1)
 
 
 def test_apply_ghom_nested_matches_the_product_sum():

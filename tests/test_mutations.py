@@ -46,15 +46,22 @@ scan replay each report.
 The ppos suite compares power_via_corrects with power_g, the thn1 suite
 compares m_l1_via_corrects with two power_g routes and monomial_g, and the
 eposn suite compares covering_corrects_count with the top e-coefficient;
-all three count correct sequences through the one step corrects._grow, so
-one count lost there fails all three.  Only the G-analogue side of ppos and
-thn1 reads GAnalogueContext.elementary, so an extra monomial in e^G_i fails
-both too.  power_g runs Newton's identity, which ppos and the involutions
-suite read: a slipped sign on its last term fails both (for involutions,
-the total misses p^G_k while the class sums still cancel).  monomial_g and
-schur_g sum over the e-coordinates by nested substitution (ghom._nested),
-grouped by the smallest part; a dropped group fails thn1 and gasharov,
-whose other sides read no _nested.
+all three count correct sequences through the one step corrects._grow,
+whose states keep, for each monomial, the numbers of its prefixes by
+lo[last entry], so one count lost there fails all three.  Only the
+G-analogue side of ppos and thn1 reads GAnalogueContext.elementary, so an
+extra monomial in e^G_i fails both too.  power_g runs Newton's identity,
+which ppos and the involutions suite read: a slipped sign on its last term
+fails both (for involutions, the total misses p^G_k while the class sums
+still cancel).  monomial_g and schur_g sum over the e-coordinates by nested
+substitution (ghom._nested), grouped by the smallest part; a dropped group
+fails thn1 and gasharov, whose other sides read no _nested.  Both sums add
+their products through polyring's one multiply-accumulate loop, _addmul,
+whose scale carries Newton's signs and the bare constants of the nested
+sum.  A scale whose sign is dropped fails ppos and gasharov: on the
+3-chain, whose e^G_3 is not 0, s_(2,1) = e_(2,1) - e_(3) has the bare
+constant -1.  Products through * pass the scale 1, which the plant leaves
+alone, so the corrects and grid sides do not move.
 
 The involutions suite reaches every multipath of the all-ones grid once,
 through the pair of paths at its lowest crossing, and keeps none.  Class I
@@ -136,6 +143,7 @@ import chroma.combinat as combinat
 import chroma.corrects as corrects
 import chroma.ghom as ghom
 import chroma.lgvgrid as lgvgrid
+import chroma.polyring as polyring
 import chroma.symfunc as symfunc
 from chroma.combinat import Graph
 from chroma.polyring import Polynomial
@@ -242,12 +250,14 @@ def plant_e_readout_first_key(monkeypatch):
 
 
 def plant_dropped_sequence(monkeypatch):
-    # every step loses one count from the first state it reaches
+    # every step loses one count from the first state it reaches, at the
+    # first lo[last] that holds a prefix of it
     original = corrects._grow
 
     def planted(u, states):
         grown = original(u, states)
-        grown[next(iter(grown))] -= 1
+        counts = grown[next(iter(grown))]
+        counts[next(i for i, c in enumerate(counts) if c)] -= 1
         return grown
 
     monkeypatch.setattr(corrects, "_grow", planted)
@@ -363,6 +373,18 @@ def plant_newton_sign_slip(monkeypatch):
 
     monkeypatch.setattr(cli, "power_g", planted)
     monkeypatch.setattr(corrects, "power_g", planted)
+
+
+def plant_unsigned_scale(monkeypatch):
+    # the multiply-accumulate loop drops the sign of its scale, which carries
+    # the signs of Newton's identity and the bare constants of the nested sum
+    original = polyring._addmul
+
+    def planted(acc, a_terms, b_terms, scale=1):
+        original(acc, a_terms, b_terms, abs(scale))
+
+    monkeypatch.setattr(polyring, "_addmul", planted)
+    monkeypatch.setattr(ghom, "_addmul", planted)
 
 
 def plant_dropped_group(monkeypatch):
@@ -583,6 +605,8 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_elementary, "thn1", {"uio": U3, "l": 2}),
         (plant_newton_sign_slip, "ppos", {"uio": U3, "k": 3}),
         (plant_newton_sign_slip, "involutions", {"uio": U3, "k": 3}),
+        (plant_unsigned_scale, "ppos", {"uio": U3, "k": 3}),
+        (plant_unsigned_scale, "gasharov", {"uio": "2,3,4", "partition": "2,1"}),
         (plant_dropped_group, "thn1", {"uio": U3, "l": 2}),
         (plant_dropped_group, "gasharov", INSTANCE),
         (plant_elementary_product, "gnechrom", {"uio": "2,3,4", "alpha": [1, 0, 0]}),
@@ -619,6 +643,8 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         "elementary-extra-monomial-thn1",
         "newton-sign-slip-ppos",
         "newton-sign-slip-involutions",
+        "addmul-unsigned-scale-ppos",
+        "addmul-unsigned-scale-gasharov",
         "nested-dropped-group-thn1",
         "nested-dropped-group-gasharov",
         "elementary_product-extra-monomial-gnechrom",

@@ -12,6 +12,8 @@ from chroma.polyring import (
     Polynomial,
     det,
     monomial_from_elements,
+    _addmul,
+    _read_sum,
     pack,
     unpack,
 )
@@ -247,8 +249,31 @@ def test_json_round_trip_property(p):
 @settings(max_examples=80, deadline=None)
 @given(_polys(_ints), _polys(_ints), _ints)
 def test_int_inputs_give_int_coefficients(a, b, k):
-    for poly in (a + b, a - b, -a, a * b, k * a, a * k, a + k, a - k, k - a):
+    acc = {}
+    _addmul(acc, a.terms, b.terms, k)
+    scaled = _read_sum(3, acc)
+    for poly in (a + b, a - b, -a, a * b, k * a, a * k, a + k, a - k, k - a, scaled):
         assert all(type(c) is int for c in poly.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(_polys(_mixed), _polys(_mixed), _mixed), max_size=4),
+    st.booleans(),
+)
+def test_addmul_sum_matches_separate_products(triples, cancel):
+    if cancel:  # every product also enters with the opposite scale
+        triples += [(a, b, -k) for a, b, k in triples]
+    acc = {}
+    expected = Polynomial.zero(3)
+    for a, b, k in triples:
+        _addmul(acc, a.terms, b.terms, k)
+        expected = expected + k * (a * b)
+    got = _read_sum(3, acc)
+    assert got == expected
+    assert all(c != 0 for c in got.terms.values())
+    if cancel:
+        assert got.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +330,19 @@ def test_exponent_guard():
         top * v1
     with pytest.raises(OverflowError):
         pack(((1, 2**15),))
+
+
+def test_exponent_guard_sees_a_cancelled_product():
+    # a product that reaches EXP_LIMIT raises even when the sum it enters
+    # cancels it: the top bits are read off every accumulated key
+    v1 = Polynomial.variable(1, 1)
+    top = v1 ** (EXP_LIMIT - 1)
+    acc = {}
+    _addmul(acc, top.terms, v1.terms, 1)
+    _addmul(acc, top.terms, v1.terms, -1)
+    assert not any(acc.values())
+    with pytest.raises(OverflowError):
+        _read_sum(1, acc)
+    acc = {}
+    _addmul(acc, top.terms, Polynomial.one(1).terms, 2)
+    assert _read_sum(1, acc) == 2 * top

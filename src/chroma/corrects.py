@@ -29,8 +29,10 @@ Each multipath is reached once at desk scale, through the pair of paths at
 its lowest crossing, and none is kept: every cancellation is verified as an
 exact polynomial identity.  Class I is counted per crossing pair and its
 tail switch, two splices of the pair's path masks, checked once per pair;
-the disjoint families and the rest are walked one by one.  The walk of
-every family and the listing of every multipath are the tests' oracles.
+the rest is walked on the paths' ints, correctness and the J pattern
+carried down each prefix, and the chain moves act on (chain, singles) int
+tuples.  Walking every family, listing every multipath and WeightForm
+moves are the tests' oracles.
 """
 
 from collections import Counter
@@ -202,7 +204,7 @@ def m_l1_via_corrects(u, l):
 
 
 # ---------------------------------------------------------------------------
-# the tail switch and the residue pattern on the all-ones geometry
+# the tail switch and the walks on the all-ones geometry
 
 
 def _tail_switch(mask_i, mask_j, low, stride):
@@ -250,7 +252,7 @@ def _switch_pair_holds(perm, pair, p, q, low, index, perms, stride):
     and the same multiplier (perms), the weight must stay, and the switch
     must go back onto (p, q)."""
     i, j = pair
-    mask_i, mask_j = _tail_switch(p.mask, q.mask, low, stride)
+    mask_i, mask_j = _tail_switch(p[0], q[0], low, stride)
     image_i = index[(i, perm[j])].get(mask_i)
     image_j = index[(j, perm[i])].get(mask_j)
     if image_i is None or image_j is None:
@@ -259,110 +261,116 @@ def _switch_pair_holds(perm, pair, p, q, low, index, perms, stride):
     swapped[i], swapped[j] = perm[j], perm[i]
     sign, multiplier = perms[perm]
     return (
-        mask_i | mask_j == p.mask | q.mask
-        and mask_i & mask_j == p.mask & q.mask
+        mask_i | mask_j == p[0] | q[0]
+        and mask_i & mask_j == p[0] & q[0]
         and perms.get(tuple(swapped)) == (-sign, multiplier)
-        and image_i.weight + image_j.weight == p.weight + q.weight
-        and _tail_switch(mask_i, mask_j, low, stride) == (p.mask, q.mask)
+        and image_i[1] + image_j[1] == p[1] + q[1]
+        and _tail_switch(mask_i, mask_j, low, stride) == (p[0], q[0])
     )
 
 
-def _j_form(paths, l, u):
-    """Match the residue pattern of the family `paths` whose path l ends on
-    the rightmost destination: l-1 empty weights, one chain of length l on
-    path l, then singles; the chain bottom must not dominate the first
-    single, nor any single its successor.  Returns the chain length, or
-    None."""
-    k = len(paths)
-    degrees = [len(p.diag_rows) for p in paths]
-    if l < 2 or degrees[l - 1] != l:
-        return None
-    if any(degrees[i] != 0 for i in range(l - 1)):
-        return None
-    if any(degrees[i] != 1 for i in range(l, k)):
-        return None
-    chain = paths[l - 1].diag_rows
-    singles = [paths[i].diag_rows[0] for i in range(l, k)]
-    if singles and u.succ(chain[0], singles[0]):
-        return None
-    for a, b in zip(singles, singles[1:]):
-        if u.succ(a, b):
-            return None
-    return l
+def _path_ints(path):
+    """(mask, weight, first diagonal row or 0, degree, diagonal rows)."""
+    rows = path.diag_rows
+    return path.mask, path.weight, rows[0] if rows else 0, len(rows), rows
+
+
+def _disjoint_walk(columns, lo, nxt):
+    """The identity's disjoint families, depth first: each path's diagonal
+    row c extends the sequence, correct while c >= lo[last] (condition (1))
+    and c < nxt[max] (condition (2)), so correctness is carried down the
+    prefix.  Returns {weight: families} of the correct and the incorrect
+    ones, and the incorrect ones' (first entry, later entries) forms."""
+    correct, incorrect, forms = {}, {}, []
+    last = len(columns) - 1
+    prefixes = [(0, 0, 0, None, lo[0], 0, True)]
+    while prefixes:  # (t, held, weight, form, lo[last], max, correct)
+        t, held, weight, form, least, top, ok = prefixes.pop()
+        for mask, w, c, _, rows in columns[t]:
+            if mask & held:
+                continue
+            good = ok and least <= c < nxt[top]
+            grown = (form[0], form[1] + (c,)) if t else (rows, ())
+            if t < last:
+                state = t + 1, held | mask, weight + w, grown, lo[c], max(c, top), good
+                prefixes.append(state)
+            elif good:
+                correct[weight + w] = correct.get(weight + w, 0) + 1
+            else:
+                incorrect[weight + w] = incorrect.get(weight + w, 0) + 1
+                forms.append(grown)
+    return correct, incorrect, forms
+
+
+def _rightmost_walk(columns, low, l, nxt, stride):
+    """The families with no bit below `low` in two paths, the crossing pair
+    as one-path columns and path l (1-based) on the rightmost destination.
+    A J residue has degree 0 before path l, l >= 2 on it (the chain), then
+    singles, none dominating the next (a >= nxt[b]), the chain bottom first;
+    its form is carried down the prefix, None once the pattern fails.
+    Returns {weight: families} of all and of the residues, and their forms."""
+    walked, residues, forms = {}, {}, []
+    want = [0] * (l - 1) + [l] + [1] * (len(columns) - l)
+    below, last = low - 1, len(columns) - 1
+    prefixes = [(0, 0, 0, 0, 0, ((), ()) if l >= 2 else None)]
+    while prefixes:  # (t, held, hits, weight, first row of path t - 1, form)
+        t, held, hits, weight, prev, form = prefixes.pop()
+        for mask, w, first, degree, rows in columns[t]:
+            if mask & held:
+                continue
+            through = hits + (mask & low > 0)
+            grown = None
+            if form and degree == want[t] and (t < l or prev < nxt[first]):
+                grown = (rows, ()) if t == l - 1 else (form[0], form[1] + rows)
+            if t < last:
+                state = t + 1, held | mask & below, through, weight + w, first, grown
+                prefixes.append(state)
+                continue
+            if through > 2:
+                raise _triple_point(through, low, stride)
+            walked[weight + w] = walked.get(weight + w, 0) + 1
+            if grown:
+                residues[weight + w] = residues.get(weight + w, 0) + 1
+                forms.append(grown)
+    return walked, residues, forms
 
 
 # ---------------------------------------------------------------------------
-# weight-vector forms and the chain bijection
+# the chain moves on (chain, singles) forms
 
 
-@dataclass(frozen=True)
-class WeightForm:
-    """A residue (J) or disjoint-incorrect (L) weight vector, split as the
-    leading chain plus the trailing singles; sign is (-1)^(chain length - 1)."""
-
-    chain: tuple
-    singles: tuple
-
-    @property
-    def flattened(self):
-        return self.chain + self.singles
-
-    @property
-    def sign(self):
-        return -1 if (len(self.chain) - 1) & 1 else 1
-
-    def weight_monomial(self):
-        return monomial_from_elements(self.flattened)
+def _last_dominator(form, nxt):
+    """The index of the last single that dominates everything before it in
+    chain + singles (that is, its running maximum), or -1."""
+    chain, singles = form
+    top, found = max(chain), -1
+    for idx, s in enumerate(singles):
+        if s >= nxt[top]:
+            found = idx
+        top = max(top, s)
+    return found
 
 
-def _dominating_single_positions(form, u):
-    """Indices into `singles` whose element dominates everything before it
-    in the flattened sequence."""
-    flat = form.flattened
-    offset = len(form.chain)
-    out = []
-    running_max = max(flat[:offset])
-    for idx in range(offset, len(flat)):
-        if u.succ(flat[idx], running_max):
-            out.append(idx - offset)
-        running_max = max(running_max, flat[idx])
-    return out
-
-
-def absorb_dominating_single(form, u):
-    """Move the last dominating single onto the top of the chain.
-
-    Dominating everything before it includes the current chain top, so the
-    extended chain is again a chain; the chosen single is the last dominating
-    one, which makes the result dominator-free.
-    """
-    positions = _dominating_single_positions(form, u)
-    if not positions:
+def _absorb(form, nxt):
+    """Move the last dominating single onto the top of the chain: it
+    dominates the chain top, and no single after it dominates."""
+    m = _last_dominator(form, nxt)
+    if m < 0:
         raise BadParameter("no dominating single to absorb")
-    m = positions[-1]
-    return WeightForm(
-        chain=form.chain + (form.singles[m],),
-        singles=form.singles[:m] + form.singles[m + 1:],
-    )
+    chain, singles = form
+    return chain + (singles[m],), singles[:m] + singles[m + 1:]
 
 
-def split_chain_top(form, u):
-    """Inverse move: drop the chain top back among the singles, right after
-    the longest prefix of singles it dominates.  (Past that prefix would sit
-    an element it does not dominate, so the reinsertion point is forced.)"""
-    if len(form.chain) < 2:
+def _split(form, nxt):
+    """Inverse move: drop the chain top back among the singles right after
+    the longest prefix of singles it dominates, the one forced place."""
+    chain, singles = form
+    if len(chain) < 2:
         raise BadParameter("nothing to split off a length-1 chain")
-    top = form.chain[-1]
-    cut = 0
-    for s in form.singles:
-        if u.succ(top, s):
-            cut += 1
-        else:
-            break
-    return WeightForm(
-        chain=form.chain[:-1],
-        singles=form.singles[:cut] + (top,) + form.singles[cut:],
-    )
+    top, cut = chain[-1], 0
+    while cut < len(singles) and top >= nxt[singles[cut]]:
+        cut += 1
+    return chain[:-1], singles[:cut] + (top,) + singles[cut:]
 
 
 # ---------------------------------------------------------------------------
@@ -440,23 +448,26 @@ def verify_cancellations(u, k):
       (c) the grand total, the sum of the three class sums, equals the sum
           over P, equals the power-sum analogue,
       (d) the tail switch is a sign-reversing, multiplier- and
-          weight-preserving involution on I, checked once per crossing
-          pair (_switch_pair_holds),
+          weight-preserving involution on I, checked once per crossing pair,
       (e) the chain moves pair off the J and L weight forms (chi_psi_check),
       (f) the classes hold as many families as _feasible counts.
 
     The classes: P (disjoint, correct), L (disjoint, incorrect), I (crossing
-    away from the rightmost destination), J (the residue pattern of
-    _j_form), or other.  A crossing family is reached from the pair (p, q)
-    of its paths through its lowest shared bit; its other paths, its
-    completion, share no bit below that one with p | q or each other.
-    Class I is counted per pair (_count), and the pairs of one weight and
-    one completion set enter its sum together.  The rest is walked (_walk)."""
+    away from the rightmost destination), J (the residue pattern), or other.
+    A crossing family is reached from the pair (p, q) of its paths through
+    its lowest shared bit; its completion, its other paths, shares no bit
+    below that one with p | q or within itself.  Class I is counted per pair
+    (_count); the rest is walked on the paths' ints (_path_ints): the
+    identity's disjoint families by _disjoint_walk, the crossings through
+    the rightmost destination by _rightmost_walk.  A disjoint family of any
+    other permutation is an error (_walk)."""
     grid = build_grid(u, k, (1,) * k)
     table = _path_table(grid)
     sizes = _feasible(table, k)
     perms = {perm: (_parity(perm), perm.index(0) + 1) for perm in sizes}
-    index = {key: {p.mask: p for p in paths} for key, paths in table.items()}
+    ints = {key: [_path_ints(p) for p in paths] for key, paths in table.items()}
+    index = {key: {p[0]: p for p in paths} for key, paths in ints.items()}
+    lo, nxt = _extension_bounds(u)
     stride = u.n + 2
     identity = tuple(range(k))
     counted = {}  # (others, held, low) -> (completion count, {pair weight: contrib})
@@ -464,13 +475,13 @@ def verify_cancellations(u, k):
     @lru_cache(maxsize=None)
     def meetings(i, a, j, b):
         """(p, q, lowest shared bit) for the paths i -> a, j -> b that meet."""
-        meet = [(p, q, p.mask & q.mask) for p in table[(i, a)] for q in table[(j, b)]]
+        meet = [(p, q, p[0] & q[0]) for p in ints[(i, a)] for q in ints[(j, b)]]
         return [(p, q, shared & -shared) for p, q, shared in meet if shared]
 
     def completions(others, held, low, weighed):
         """{weight: ways} of the completions, weight 0 unless weighed."""
         columns = [
-            [(p.mask & low - 1, p.mask & low > 0, p.weight * weighed) for p in table[t]]
+            [(p[0] & low - 1, p[0] & low > 0, p[1] * weighed) for p in ints[t]]
             for t in others
         ]
         found = {}
@@ -484,30 +495,23 @@ def verify_cancellations(u, k):
     counts = {"P": 0, "I": 0, "J": 0, "L": 0, "other": 0}
     forms = []
 
-    def add(key, weight, value):
-        sums[key][weight] = sums[key].get(weight, 0) + value
-
-    def record(paths, tag, l, sign, multiplier):
-        """Count a family of L, J or other, l the chain length of its form."""
-        weight = sum(p.weight for p in paths)
-        counts[tag] += 1
-        add("rest", weight, sign * multiplier)
-        if l is not None:
-            singles = tuple(p.diag_rows[0] for p in paths[l:])
-            forms.append(WeightForm(chain=paths[l - 1].diag_rows, singles=singles))
-            add("JL_plain", weight, sign)
+    def add(key, terms, factor):
+        for weight, count in terms.items():
+            sums[key][weight] = sums[key].get(weight, 0) + factor * count
 
     involution_ok = True
     for perm, (sign, multiplier) in perms.items():
-        columns = [table[(t, dest)] for t, dest in enumerate(perm)]
-        for paths, _ in _walk(columns, 0):
-            if perm != identity:
-                Multipath(paths, [j + 1 for j in perm]).require_identity()
-            if is_correct(u, [p.diag_rows[0] for p in paths]):
-                counts["P"] += 1
-                add("P", sum(p.weight for p in paths), 1)
-            else:
-                record(paths, "L", 1, sign, multiplier)
+        columns = [ints[(t, dest)] for t, dest in enumerate(perm)]
+        if perm == identity:
+            correct, incorrect, found = _disjoint_walk(columns, lo, nxt)
+            counts["P"], counts["L"] = sum(correct.values()), len(found)
+            add("P", correct, 1)
+            add("rest", incorrect, 1)  # sign and multiplier 1
+            add("JL_plain", incorrect, 1)
+            forms += found
+        else:  # planarity: no other permutation has a disjoint family
+            for family in _walk([table[(t, d)] for t, d in enumerate(perm)]):
+                Multipath(family, [j + 1 for j in perm]).require_identity()
         for pair in combinations(range(k), 2):
             i, j = pair
             others = tuple((t, perm[t]) for t in range(k) if t not in pair)
@@ -515,20 +519,22 @@ def verify_cancellations(u, k):
                 if not perm[i] or not perm[j]:  # through the rightmost destination
                     fixed = list(columns)
                     fixed[i], fixed[j] = [p], [q]
-                    for paths, hits in _walk(fixed, low):
-                        if hits > 2:
-                            raise _triple_point(hits, low, stride)
-                        l = _j_form(paths, multiplier, u)
-                        tag = "other" if l is None else "J"
-                        record(paths, tag, l, sign, multiplier)
+                    walked, residues, found = _rightmost_walk(
+                        fixed, low, multiplier, nxt, stride
+                    )
+                    add("rest", walked, sign * multiplier)
+                    add("JL_plain", residues, sign)
+                    counts["J"] += len(found)
+                    counts["other"] += sum(walked.values()) - len(found)
+                    forms += found
                     continue
-                key = (others, (p.mask | q.mask) & low - 1, low)
+                key = (others, (p[0] | q[0]) & low - 1, low)
                 if key not in counted:
                     counted[key] = completions(*key, False).get(0, 0), {}
                 ways, pairs = counted[key]
                 if ways:
                     counts["I"] += ways
-                    weight = p.weight + q.weight
+                    weight = p[1] + q[1]
                     pairs[weight] = pairs.get(weight, 0) + sign * multiplier
                     involution_ok = involution_ok and _switch_pair_holds(
                         perm, pair, p, q, low, index, perms, stride
@@ -536,8 +542,8 @@ def verify_cancellations(u, k):
     for key, (_, pairs) in counted.items():
         for shift, contrib in pairs.items():
             if contrib:  # else the pairs of one weight and completion set cancel
-                for weight, ways in completions(*key, True).items():
-                    add("I", weight + shift, contrib * ways)
+                ways = completions(*key, True)
+                add("I", {shift + weight: w for weight, w in ways.items()}, contrib)
     poly = {key: Polynomial(u.n, c) for key, c in sums.items()}
     return CancellationReport(
         uio=str(u),
@@ -556,37 +562,35 @@ def verify_cancellations(u, k):
 
 
 def chi_psi_check(forms, u):
-    """Split the residue (J) and disjoint-incorrect (L) weight forms into
-    dominator-carrying and dominator-free halves, and verify the chain moves
-    are mutually inverse, sign-reversing, weight-preserving, and kill the
-    signed sum."""
-    dominates = [bool(_dominating_single_positions(f, u)) for f in forms]
-    with_dominator = [f for f, d in zip(forms, dominates) if d]
-    dominator_free = [f for f, d in zip(forms, dominates) if not d]
-    free_set = set(dominator_free)
-    with_set = set(with_dominator)
-    mutually_inverse = True
-    sign_reversing = True
-    weight_preserving = True
+    """Split the residue (J) and disjoint-incorrect (L) weight forms, (chain,
+    singles) int tuples of sign (-1)^(chain length - 1), into halves with and
+    without a dominator (a dominates b when a >= nxt[b]), and verify the chain
+    moves are mutually inverse, sign-reversing, weight-preserving, and kill
+    the signed sum."""
+    _, nxt = _extension_bounds(u)
+    with_dominator, dominator_free = [], []
+    for f in forms:
+        (with_dominator if _last_dominator(f, nxt) >= 0 else dominator_free).append(f)
+    free_set, with_set = set(dominator_free), set(with_dominator)
+    mutually_inverse = sign_reversing = weight_preserving = True
     for f in with_dominator:
-        image = absorb_dominating_single(f, u)
-        if image not in free_set or split_chain_top(image, u) != f:
+        image = _absorb(f, nxt)
+        if image not in free_set or _split(image, nxt) != f:
             mutually_inverse = False
-        if image.sign != -f.sign:
+        if (len(image[0]) - len(f[0])) % 2 == 0:
             sign_reversing = False
-        if sorted(image.flattened) != sorted(f.flattened):
+        if sorted(image[0] + image[1]) != sorted(f[0] + f[1]):
             weight_preserving = False
     for f in dominator_free:
-        image = split_chain_top(f, u)
-        if image not in with_set or absorb_dominating_single(image, u) != f:
+        image = _split(f, nxt)
+        if image not in with_set or _absorb(image, nxt) != f:
             mutually_inverse = False
     signed = Counter()
-    for f in forms:
-        signed[f.weight_monomial()] += f.sign
+    for chain, singles in forms:
+        signed[monomial_from_elements(chain + singles)] += 1 if len(chain) % 2 else -1
     # every dominator-free form must genuinely carry a chain to split
-    forms_ok = all(len(f.chain) >= 2 for f in dominator_free) and len(forms) == len(
-        set(forms)
-    )
+    forms_ok = len(forms) == len(set(forms))
+    forms_ok = forms_ok and all(len(f[0]) >= 2 for f in dominator_free)
     return ChainBijectionReport(
         dominator_count=len(with_dominator),
         dominator_free_count=len(dominator_free),

@@ -13,14 +13,13 @@ multiply-accumulate loop (_addmul), so no term is built as a polynomial of
 its own; a scalar factor enters as that loop's scale.
 """
 
-from itertools import combinations
 from math import factorial
 
 from .chromatic import chromatic_symmetric
 from .combinat import clan_graph, partitions_of
 # det is unused here; it stays bound because perfbench's tracer test checks
 # that its wrapper replaces ghom.det
-from .polyring import ONE, Polynomial, _addmul, _read_sum, det, monomial_from_elements
+from .polyring import FIELD, ONE, Polynomial, _addmul, _read_sum, det
 from .symfunc import SymFunc, convert
 
 _UNIT = {ONE: 1}  # the one-term dict that a scalar factor multiplies
@@ -38,20 +37,21 @@ class GAnalogueContext:
         self._powers = []  # p^G_1, p^G_2, ... as far as power_g has gone
 
     def _compute_elementary(self):
+        """The stable sets of each size, grown on masks: a set extends by each
+        vertex v past its maximum whose adjacency mask misses the set."""
         n = self.n
         adj = self.graph.adj
+        units = [(v, 1 << v - 1, 1 << FIELD * (v - 1)) for v in range(1, n + 1)]
         polys = [Polynomial.one(n)]
-        for size in range(1, n + 1):
-            terms = {}
-            for subset in combinations(range(1, n + 1), size):
-                stable = True
-                for a, b in combinations(subset, 2):
-                    if adj[a] >> (b - 1) & 1:
-                        stable = False
-                        break
-                if stable:
-                    terms[monomial_from_elements(subset)] = 1
-            polys.append(Polynomial(n, terms))
+        level = [(0, 0, ONE)]  # (set mask, maximum, packed monomial)
+        for _ in range(n):
+            level = [
+                (bits | bit, v, mono + unit)
+                for bits, top, mono in level
+                for v, bit, unit in units[top:]
+                if not adj[v] & bits
+            ]
+            polys.append(Polynomial(n, dict.fromkeys([m for _, _, m in level], 1)))
         return polys
 
     def elementary(self, i):

@@ -262,21 +262,15 @@ def path_sum_matrix(g):
     ]
 
 
-def _walk(columns, low, family=(), held=0, hits=0):
+def _walk(columns, family=(), held=0):
     """Depth first, each way to extend `family` by one path of each further
-    column with no bit below `low` (any bit, for low = 0) in two of them:
-    (family, the number of its paths through low)."""
-    if not columns:  # a grid of no paths has one family, the empty one
-        yield family, hits
+    column with no bit in two of them."""
+    if len(family) == len(columns):  # whole; with no columns, the empty family
+        yield family
         return
-    below, last = low - 1, len(family) + 1 == len(columns)
     for path in columns[len(family)]:
         if not path.mask & held:
-            grown, crossed = family + (path,), hits + (path.mask & low and 1)
-            if last:
-                yield grown, crossed
-            else:
-                yield from _walk(columns, low, grown, held | path.mask & below, crossed)
+            yield from _walk(columns, family + (path,), held | path.mask)
 
 
 def nonintersecting_multipaths(g):
@@ -292,7 +286,7 @@ def nonintersecting_multipaths(g):
     return [
         Multipath(paths, [j + 1 for j in perm])
         for perm in _feasible(table, g.k)
-        for paths, _ in _walk([table[(i, j)] for i, j in enumerate(perm)], 0)
+        for paths in _walk([table[(i, j)] for i, j in enumerate(perm)])
     ]
 
 

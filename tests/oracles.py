@@ -17,14 +17,12 @@ from itertools import chain, combinations, permutations, product
 from chroma.combinat import Graph, Poset, partitions_of
 from chroma.corrects import (
     CancellationReport,
-    WeightForm,
+    ChainBijectionReport,
     _extension_bounds,
-    _j_form,
     _tail_switch,
-    chi_psi_check,
     is_correct,
 )
-from chroma.errors import BadShape, ChromaError, TriplePoint
+from chroma.errors import BadParameter, BadShape, ChromaError, TriplePoint
 from chroma.ghom import GAnalogueContext, monomial_g, power_g
 from chroma.lgvgrid import (
     GridPath,
@@ -36,7 +34,7 @@ from chroma.lgvgrid import (
     build_grid,
     enumerate_multipaths,
 )
-from chroma.polyring import FIELD, Polynomial
+from chroma.polyring import FIELD, Polynomial, monomial_from_elements
 from chroma.symfunc import convert, expand_concrete
 
 
@@ -172,6 +170,21 @@ def apply_ghom_by_products(f, ctx):
     return Polynomial(ctx.n, fe.collect(lambda lam: ctx.elementary_product(lam).terms))
 
 
+def stable_set_polynomials_by_pairs(graph):
+    """[e^G_0, .., e^G_n]: every subset of every size tested for stability
+    pair by pair; the oracle for GAnalogueContext._compute_elementary, which
+    grows the stable sets on masks."""
+    n = graph.n
+    polys = [Polynomial.one(n)]
+    for size in range(1, n + 1):
+        terms = {}
+        for subset in combinations(range(1, n + 1), size):
+            if not any(graph.adjacent(a, b) for a, b in combinations(subset, 2)):
+                terms[monomial_from_elements(subset)] = 1
+        polys.append(Polynomial(n, terms))
+    return polys
+
+
 def posets_by_relation_masks(n):
     """Every strict order on 1..n contained in the natural order, by walking
     all 2^C(n,2) relation masks and keeping the transitive ones; the oracle
@@ -278,6 +291,140 @@ def grid_path_from_vertices(vertices, stride):
         r1 for (c1, r1), (c2, _) in zip(vertices, vertices[1:]) if c2 == c1 + 1
     )
     return GridPath(vertices, rows, stride)
+
+
+# ---------------------------------------------------------------------------
+# the residue pattern and the chain moves on whole families and WeightForm
+# objects, read through u.succ: the oracles for the J flag carried by
+# corrects._rightmost_walk and for the (chain, singles) tuple moves
+
+
+def _j_form(paths, l, u):
+    """Match the residue pattern of the family `paths` whose path l ends on
+    the rightmost destination: l-1 empty weights, one chain of length l on
+    path l, then singles; the chain bottom must not dominate the first
+    single, nor any single its successor.  Returns the chain length, or
+    None."""
+    k = len(paths)
+    degrees = [len(p.diag_rows) for p in paths]
+    if l < 2 or degrees[l - 1] != l:
+        return None
+    if any(degrees[i] != 0 for i in range(l - 1)):
+        return None
+    if any(degrees[i] != 1 for i in range(l, k)):
+        return None
+    chain = paths[l - 1].diag_rows
+    singles = [paths[i].diag_rows[0] for i in range(l, k)]
+    if singles and u.succ(chain[0], singles[0]):
+        return None
+    for a, b in zip(singles, singles[1:]):
+        if u.succ(a, b):
+            return None
+    return l
+
+
+@dataclass(frozen=True)
+class WeightForm:
+    """A residue (J) or disjoint-incorrect (L) weight vector, split as the
+    leading chain plus the trailing singles; sign is (-1)^(chain length - 1)."""
+
+    chain: tuple
+    singles: tuple
+
+    @property
+    def flattened(self):
+        return self.chain + self.singles
+
+    @property
+    def sign(self):
+        return -1 if (len(self.chain) - 1) & 1 else 1
+
+    def weight_monomial(self):
+        return monomial_from_elements(self.flattened)
+
+
+def _dominating_single_positions(form, u):
+    """Indices into `singles` whose element dominates everything before it
+    in the flattened sequence."""
+    flat = form.flattened
+    offset = len(form.chain)
+    out = []
+    running_max = max(flat[:offset])
+    for idx in range(offset, len(flat)):
+        if u.succ(flat[idx], running_max):
+            out.append(idx - offset)
+        running_max = max(running_max, flat[idx])
+    return out
+
+
+def absorb_dominating_single(form, u):
+    """Move the last dominating single onto the top of the chain."""
+    positions = _dominating_single_positions(form, u)
+    if not positions:
+        raise BadParameter("no dominating single to absorb")
+    m = positions[-1]
+    return WeightForm(
+        chain=form.chain + (form.singles[m],),
+        singles=form.singles[:m] + form.singles[m + 1:],
+    )
+
+
+def split_chain_top(form, u):
+    """Inverse move: drop the chain top back among the singles, right after
+    the longest prefix of singles it dominates."""
+    if len(form.chain) < 2:
+        raise BadParameter("nothing to split off a length-1 chain")
+    top = form.chain[-1]
+    cut = 0
+    for s in form.singles:
+        if u.succ(top, s):
+            cut += 1
+        else:
+            break
+    return WeightForm(
+        chain=form.chain[:-1],
+        singles=form.singles[:cut] + (top,) + form.singles[cut:],
+    )
+
+
+def chi_psi_check_on_weight_forms(forms, u):
+    """corrects.chi_psi_check on a list of WeightForm objects, moved by
+    absorb_dominating_single and split_chain_top."""
+    dominates = [bool(_dominating_single_positions(f, u)) for f in forms]
+    with_dominator = [f for f, d in zip(forms, dominates) if d]
+    dominator_free = [f for f, d in zip(forms, dominates) if not d]
+    free_set = set(dominator_free)
+    with_set = set(with_dominator)
+    mutually_inverse = True
+    sign_reversing = True
+    weight_preserving = True
+    for f in with_dominator:
+        image = absorb_dominating_single(f, u)
+        if image not in free_set or split_chain_top(image, u) != f:
+            mutually_inverse = False
+        if image.sign != -f.sign:
+            sign_reversing = False
+        if sorted(image.flattened) != sorted(f.flattened):
+            weight_preserving = False
+    for f in dominator_free:
+        image = split_chain_top(f, u)
+        if image not in with_set or absorb_dominating_single(image, u) != f:
+            mutually_inverse = False
+    signed = Counter()
+    for f in forms:
+        signed[f.weight_monomial()] += f.sign
+    forms_ok = all(len(f.chain) >= 2 for f in dominator_free) and len(forms) == len(
+        set(forms)
+    )
+    return ChainBijectionReport(
+        dominator_count=len(with_dominator),
+        dominator_free_count=len(dominator_free),
+        mutually_inverse=mutually_inverse,
+        sign_reversing=sign_reversing,
+        weight_preserving=weight_preserving,
+        signed_sum=Polynomial(u.n, signed),
+        forms_match_multipaths=forms_ok,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +553,8 @@ def cancellations_by_listing(u, k):
     listing of every multipath of the all-ones grid: each is classified one
     by one, the class-I families are kept by their vertex tuples, and each
     is switched on its vertex tuples and looked up among them.  It shares
-    with the walk only is_correct, _j_form, chi_psi_check and power_g."""
+    with cancellations_by_walk is_correct, _j_form, the WeightForm moves
+    and power_g, and with the package only is_correct and power_g."""
     grid = build_grid(u, k, (1,) * k)
     sums = {key: Counter() for key in ("I", "rest", "P", "total", "JL_plain")}
     counts = {"P": 0, "I": 0, "J": 0, "L": 0, "other": 0}
@@ -445,7 +593,7 @@ def cancellations_by_listing(u, k):
         pk=power_g(GAnalogueContext(u.inc_graph()), k),
         sum_JL_plain=poly["JL_plain"],
         involution_ok=involution_on_listed_I(i_class),
-        bijection=chi_psi_check(forms, u),
+        bijection=chi_psi_check_on_weight_forms(forms, u),
     )
 
 
@@ -582,5 +730,5 @@ def cancellations_by_walk(u, k):
         pk=power_g(GAnalogueContext(u.inc_graph()), k),
         sum_JL_plain=poly["JL_plain"],
         involution_ok=involution_ok,
-        bijection=chi_psi_check(forms, u),
+        bijection=chi_psi_check_on_weight_forms(forms, u),
     )

@@ -2,20 +2,19 @@ from collections import Counter
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chroma.corrects as corrects
 import oracles
 
 from chroma.combinat import UnitIntervalOrder, enumerate_uios
 from chroma.corrects import (
-    WeightForm,
-    absorb_dominating_single,
     covering_corrects_count,
     enumerate_corrects,
     is_correct,
     m_l1_via_corrects,
     power_via_corrects,
-    split_chain_top,
     verify_cancellations,
 )
 from chroma.errors import BadParameter, TooLarge
@@ -25,7 +24,10 @@ from chroma.chromatic import e_coefficients
 from chroma.polyring import EXP_LIMIT, Polynomial, monomial_from_elements, pack
 from oracles import (
     NotIntersecting,
+    WeightForm,
     WrongShape,
+    _dominating_single_positions,
+    absorb_dominating_single,
     cancellations_by_listing,
     cancellations_by_walk,
     classify_multipath,
@@ -40,6 +42,7 @@ from oracles import (
     m_l1_via_corrects_by_last,
     multipath_key,
     power_via_corrects_by_last,
+    split_chain_top,
 )
 
 TWO_CHAIN = UnitIntervalOrder([2, 3])
@@ -347,6 +350,28 @@ def test_fig6_fig7_forms_exchange_under_chain_moves():
     assert split_chain_top(fig6_form, U5) == fig7_form
     assert absorb_dominating_single(fig7_form, U5) == fig6_form
     assert fig6_form.sign == -fig7_form.sign
+    # the same moves on (chain, singles) tuples
+    _, nxt = corrects._extension_bounds(U5)
+    assert corrects._split(((1, 3, 5), (2, 2, 4, 5)), nxt) == ((1, 3), (2, 2, 5, 4, 5))
+    assert corrects._absorb(((1, 3), (2, 2, 5, 4, 5)), nxt) == ((1, 3, 5), (2, 2, 4, 5))
+
+
+def test_fig6_fig7_residues_carry_their_forms_down_the_walk():
+    # each figure's family as one-path columns, walked from its crossing: the
+    # carried flag finds the residue and its (chain, singles) form
+    _, nxt = corrects._extension_bounds(U5)
+    for mp, form in (
+        (fig6_multipath(), ((1, 3, 5), (2, 2, 4, 5))),
+        (fig7_grid_and_multipath()[1], ((1, 3), (2, 2, 5, 4, 5))),
+    ):
+        low = mp.shared_mask() & -mp.shared_mask()
+        columns = [[corrects._path_ints(p)] for p in mp.paths]
+        walked, residues, forms = corrects._rightmost_walk(
+            columns, low, mp.multiplier(), nxt, U5.n + 2
+        )
+        weight = mp.weight_monomial()
+        assert walked == residues == {weight: 1}
+        assert forms == [form]
 
 
 def test_fig7_multipath_classifies_as_residue_with_chain_two():
@@ -499,36 +524,40 @@ def test_crossing_pairs_match_the_walk_on_six_points():
 
 
 def test_class_one_is_counted_not_walked(monkeypatch):
-    # every family built as a tuple is disjoint or crosses first through the
-    # path to the rightmost destination, and the switch is checked once per
-    # class-I crossing pair: 44 pairs for 456 class-I families on the
-    # 4-chain at k = 4
+    # the walks reach the disjoint families and the families whose crossing
+    # pair holds the path to the rightmost destination, and no other; the
+    # switch is checked once per class-I crossing pair: 44 pairs for 456
+    # class-I families on the 4-chain at k = 4
     walked = []
     checked = []
-    original_walk = corrects._walk
+    original_disjoint = corrects._disjoint_walk
+    original_rightmost = corrects._rightmost_walk
     original_switch = corrects._switch_pair_holds
 
-    def walk(columns, low):
-        for family, hits in original_walk(columns, low):
-            walked.append(family)
-            yield family, hits
+    def disjoint(columns, lo, nxt):
+        correct, incorrect, forms = original_disjoint(columns, lo, nxt)
+        walked.append(sum(correct.values()) + sum(incorrect.values()))
+        return correct, incorrect, forms
+
+    def rightmost(columns, low, l, nxt, stride):
+        # path l, the one to the rightmost destination, is fixed and crosses
+        [path] = columns[l - 1]
+        assert path[0] & low
+        found = original_rightmost(columns, low, l, nxt, stride)
+        walked.append(sum(found[0].values()))
+        return found
 
     def switch(perm, pair, p, q, *args):
-        checked.append((perm, pair, p.mask, q.mask))
+        checked.append((perm, pair, p[0], q[0]))
         return original_switch(perm, pair, p, q, *args)
 
-    monkeypatch.setattr(corrects, "_walk", walk)
+    monkeypatch.setattr(corrects, "_disjoint_walk", disjoint)
+    monkeypatch.setattr(corrects, "_rightmost_walk", rightmost)
     monkeypatch.setattr(corrects, "_switch_pair_holds", switch)
     u = UnitIntervalOrder.parse("2,3,4,5")
     rep = verify_cancellations(u, 4)
     assert rep.ok and rep.counts["I"] == 456
-    assert len(walked) == rep.families - rep.counts["I"]
-    for family in walked:
-        # destination j (0-based) sits in column k + 1 - j of the grid
-        perm = [5 - path.vertices[-1][0] for path in family]
-        mp = Multipath(family, [j + 1 for j in perm])
-        if not mp.is_nonintersecting():
-            assert 0 in [perm[t] for t in crossing(mp)[1]]
+    assert sum(walked) == rep.families - rep.counts["I"]
     pairs = set()
     for mp, *_ in listed_class_I(u, 4)[1].values():
         i, j = crossing(mp)[1]
@@ -643,6 +672,76 @@ def test_chain_bijection_exhaustive_small():
                 assert rep.dominator_count == rep.dominator_free_count
 
 
+def assert_moves_agree(form, u):
+    """The tuple moves of corrects and the WeightForm moves of the oracle on
+    one (chain, singles) form: the same dominator split, the same images,
+    and BadParameter in the same cases."""
+    _, nxt = corrects._extension_bounds(u)
+    weight_form = WeightForm(*form)
+    dominated = bool(_dominating_single_positions(weight_form, u))
+    assert (corrects._last_dominator(form, nxt) >= 0) == dominated
+    for move, oracle in (
+        (corrects._absorb, absorb_dominating_single),
+        (corrects._split, split_chain_top),
+    ):
+        try:
+            want = oracle(weight_form, u)
+        except BadParameter:
+            with pytest.raises(BadParameter):
+                move(form, nxt)
+        else:
+            assert move(form, nxt) == (want.chain, want.singles)
+
+
+def test_tuple_moves_match_the_weight_forms_on_every_form(monkeypatch):
+    # every J and L form of every order with n <= 5 at k <= 4, as the check
+    # hands them to chi_psi_check; the walk oracle finds the same forms
+    seen = []
+    original_check = corrects.chi_psi_check
+    original_oracle = oracles.chi_psi_check_on_weight_forms
+
+    def check(forms, u):
+        seen.append(sorted(forms))
+        return original_check(forms, u)
+
+    def oracle(forms, u):
+        seen.append(sorted((f.chain, f.singles) for f in forms))
+        return original_oracle(forms, u)
+
+    monkeypatch.setattr(corrects, "chi_psi_check", check)
+    monkeypatch.setattr(oracles, "chi_psi_check_on_weight_forms", oracle)
+    total = 0
+    for n in range(1, 6):
+        for u in enumerate_uios(n):
+            for k in range(1, 5):
+                assert verify_cancellations(u, k).bijection.ok
+                cancellations_by_walk(u, k)
+                forms, walked = seen[-2:]
+                assert forms == walked, (str(u), k)
+                for form in forms:
+                    assert_moves_agree(form, u)
+                total += len(forms)
+    assert total
+
+
+@st.composite
+def orders_and_forms(draw):
+    """A random order on n <= 7 points and a (chain, singles) form of its
+    elements: a chain of 1 to 4 entries and up to 6 singles, in any order."""
+    n = draw(st.integers(1, 7))
+    cuts = sorted(draw(st.lists(st.integers(2, n + 1), min_size=n, max_size=n)))
+    u = UnitIntervalOrder([max(c, i + 2) for i, c in enumerate(cuts)])
+    element = st.integers(1, n)
+    chain = draw(st.lists(element, min_size=1, max_size=4))
+    singles = draw(st.lists(element, max_size=6))
+    return u, (tuple(chain), tuple(singles))
+
+
+@settings(max_examples=300, deadline=None)
+@given(orders_and_forms())
+def test_tuple_moves_match_the_weight_forms_on_random_forms(case):
+    u, form = case
+    assert_moves_agree(form, u)
 def test_switch_on_rightmost_crossings_changes_multiplier_by_one():
     # crossings involving the path to the rightmost destination: switching
     # there moves the rightmost destination to an adjacent base, so the

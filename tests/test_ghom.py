@@ -24,7 +24,11 @@ from chroma.ghom import (
 )
 from chroma.polyring import EXP_LIMIT, Polynomial, det, unpack
 from chroma.symfunc import BASES, SymFunc, convert, newton_p, transition_matrix
-from oracles import apply_ghom_by_products, kernel_slice_symmetric
+from oracles import (
+    apply_ghom_by_products,
+    kernel_slice_symmetric,
+    stable_set_polynomials_by_pairs,
+)
 
 TWO_CHAIN = UnitIntervalOrder([2, 3])
 ANTI2 = UnitIntervalOrder([3, 3])
@@ -77,6 +81,36 @@ def test_elementary_monomials_are_squarefree_stable_sets():
                             if a != b:
                                 assert not g.adjacent(a, b)
                                 assert u.comparable(a, b)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return Graph(n, [e for e in pairs if draw(st.booleans())])
+
+
+def assert_stable_sets_match(g):
+    got = GAnalogueContext(g)._elementary
+    want = stable_set_polynomials_by_pairs(g)
+    assert got == want
+    assert [list(p.terms) for p in got] == [list(p.terms) for p in want]
+
+
+def test_stable_sets_grown_on_masks_match_the_pairwise_test():
+    # every order with n <= 6, and clan graphs, which are no incomparability
+    # graphs of an order on their vertices
+    for n in range(1, 7):
+        for u in enumerate_uios(n):
+            assert_stable_sets_match(u.inc_graph())
+    for alpha in ([2, 1, 1], [1, 2, 3], [3, 0, 2]):
+        assert_stable_sets_match(clan_graph(U3.inc_graph(), alpha))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs())
+def test_stable_sets_of_random_graphs_match_the_pairwise_test(g):
+    assert_stable_sets_match(g)
 
 
 def test_elementary_product_is_memoised_plain_product():

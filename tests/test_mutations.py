@@ -64,21 +64,35 @@ constant -1.  Products through * pass the scale 1, which the plant leaves
 alone, so the corrects and grid sides do not move.
 
 The involutions suite reaches every multipath of the all-ones grid once,
-through the pair of paths at its lowest crossing, and keeps none.  Class I
-is counted per crossing pair (corrects._count, over the other paths grouped
-by their bits below the crossing), and no family of it is built; the
-disjoint families and those that cross through the path to the rightmost
-destination are walked one by one (corrects._walk, from lgvgrid).  The classes
-must hold as many families as lgvgrid._feasible counts.  A walk that loses
-one family leaves the total short of p^G_k and the classes one family
-short, while the class sums still cancel.  A completion count that forgets
-the pair's own bits below the crossing reaches a family again from a pair
-that is not its lowest crossing; those families come in switched pairs, so
-every sum still cancels and only the family count fails (uio 2,3,4 at
-k = 4 has them).  The tail switch is checked once per class-I crossing pair
-on its path masks (corrects._tail_switch, two splices at the lowest shared
-bit), and each switched mask is looked up in the index of the path table by
-(base, new destination).  A switch that keeps both masks swaps only the
+through the pair of paths at its lowest crossing, and keeps none.  Every
+path of the table is read as ints once (corrects._path_ints: mask, weight,
+first diagonal row, degree, diagonal rows).  Class I is counted per
+crossing pair (corrects._count, over the other paths grouped by their bits
+below the crossing), and no family of it is built.  The identity's disjoint
+families are walked by corrects._disjoint_walk, which carries the weight,
+the sequence, lo[last] and the running maximum down each prefix, so P and L
+are told apart with no is_correct call: an entry c keeps the sequence
+correct while c >= lo[last] and c < nxt[max].  The families that cross
+through the path to the rightmost destination are walked by
+corrects._rightmost_walk, which carries the J residue's (chain, singles)
+form as a flag: the degrees the pattern needs, and no single dominated by
+the entry before it (a >= nxt[b]).  The classes must hold as many families
+as lgvgrid._feasible counts.  A disjoint walk that loses one family leaves
+the total short of p^G_k and the classes one family short, while the class
+sums still cancel.  One whose running maximum never moves off the empty
+prefix never fails condition (2), so every disjoint family of uio 3,4,4 at
+k = 3 is filed in P, none in L: the total still meets p^G_k, but the sum
+over P falls short of it and the rest no longer cancels.  A J flag that
+skips the singles' domination test files families of uio 2,3,4 at k = 3
+as residues whose chain moves find no partner, so only the chain
+bijection fails.  A completion count that forgets the pair's own bits
+below the crossing reaches a family again from a pair that is not its
+lowest crossing; those families come in switched pairs, so every sum still
+cancels and only the family count fails (uio 2,3,4 at k = 4 has them).
+The tail switch is checked once per class-I crossing pair on its path
+masks (corrects._tail_switch, two splices at the lowest shared bit), and
+each switched mask is looked up in the index of the path table by (base,
+new destination).  A switch that keeps both masks swaps only the
 destinations of the two crossing paths: the sign and the multiplier come
 out right, but a mask that ends on one destination is in no index entry of
 the other.  A splice whose head leaves out the crossing's column joins the
@@ -96,10 +110,11 @@ class-I sum no longer cancels.
 
 A mask that loses one of its own vertices makes the involutions check
 raise instead of compare.  With each path's second vertex gone, a crossing
-family of INSTANCE's all-ones grid passes for disjoint, and the walk finds
-its destinations permuted (NonIdentityPermutation).
-With each mask's lowest bit gone, chi_psi_check meets a dominator-free form
-whose chain has length 1, and split_chain_top refuses it (BadParameter).
+family of INSTANCE's all-ones grid passes for disjoint, and the walk of a
+permutation other than the identity finds it (NonIdentityPermutation).
+With each mask's lowest bit gone, chi_psi_check meets a dominator-free
+(chain, singles) form whose chain has length 1, and the split of the chain
+top refuses it (BadParameter).
 cli._verify_one reports either as that instance's "fail", with the error's
 class name in its detail, and the other instances of the run go on.
 
@@ -320,19 +335,39 @@ def plant_head_without_column(monkeypatch):
 
 
 def plant_dropped_multipath(monkeypatch):
-    # the first family walked one by one, a disjoint family of the identity
-    # permutation, is lost
-    original = corrects._walk
-    dropped = []
+    # the walk of the identity's disjoint families loses one family, the
+    # first correct one it counted
+    original = corrects._disjoint_walk
 
-    def planted(columns, low):
-        for found in original(columns, low):
-            if dropped:
-                yield found
-            else:
-                dropped.append(found)
+    def planted(columns, lo, nxt):
+        correct, incorrect, forms = original(columns, lo, nxt)
+        correct[next(iter(correct))] -= 1
+        return correct, incorrect, forms
 
-    monkeypatch.setattr(corrects, "_walk", planted)
+    monkeypatch.setattr(corrects, "_disjoint_walk", planted)
+
+
+def plant_running_max_kept(monkeypatch):
+    # the carried correctness never updates the running maximum: it stays
+    # the empty prefix's 0, whose nxt[0] = n + 1 bounds nothing, so
+    # condition (2) never fails
+    original = corrects._disjoint_walk
+
+    def planted(columns, lo, nxt):
+        return original(columns, lo, (nxt[0],) * len(nxt))
+
+    monkeypatch.setattr(corrects, "_disjoint_walk", planted)
+
+
+def plant_j_flag_skips_domination(monkeypatch):
+    # the carried J flag never tests a single against the entry before it:
+    # with every nxt at n + 1, no element dominates another
+    original = corrects._rightmost_walk
+
+    def planted(columns, low, l, nxt, stride):
+        return original(columns, low, l, (nxt[0],) * len(nxt), stride)
+
+    monkeypatch.setattr(corrects, "_rightmost_walk", planted)
 
 
 def plant_completion_ignores_pair(monkeypatch):
@@ -532,6 +567,28 @@ def _families_alone_miscounted(detail):
     )
 
 
+def _p_misses_total(detail):
+    # total = sum_P + sumJL + sumI, so with the total on p^G_k and class I
+    # cancelling, a rest that does not cancel is a sum over P off the total
+    sums = detail["cancellations"]
+    return (
+        sums["total"] == sums["pk"]
+        and sums["sumI"] == "0"
+        and sums["sumJL"] != "0"
+        and detail["involution_ok"] is True
+    )
+
+
+def _bijection_alone_fails(detail):
+    sums = detail["cancellations"]
+    return (
+        detail["bijection_ok"] is False
+        and detail["involution_ok"] is True
+        and sums["sumI"] == sums["sumJL"] == "0"
+        and sums["total"] == sums["pk"]
+    )
+
+
 def _no_family_disjoint(detail):
     counts = detail["cancellations"]["counts"]
     return counts["P"] == counts["L"] == 0 and detail["involution_ok"] is False
@@ -542,6 +599,8 @@ INVOLUTIONS_REASONS = {
     plant_sigma_only_switch: _switch_alone_fails,
     plant_head_without_column: _switch_alone_fails,
     plant_dropped_multipath: _family_lost,
+    plant_running_max_kept: _p_misses_total,
+    plant_j_flag_skips_domination: _bijection_alone_fails,
     plant_completion_ignores_pair: _families_alone_miscounted,
     plant_newton_sign_slip: _total_misses_pk,
     plant_mask_claims_left_base: _no_family_disjoint,
@@ -595,6 +654,8 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_dropped_sequence, "thn1", {"uio": U3, "l": 2}),
         (plant_dropped_sequence, "eposn", {"uio": U3}),
         (plant_dropped_multipath, "involutions", {"uio": U3, "k": 3}),
+        (plant_running_max_kept, "involutions", {"uio": U3, "k": 3}),
+        (plant_j_flag_skips_domination, "involutions", {"uio": "2,3,4", "k": 3}),
         (plant_mask_claims_left_base, "involutions", {"uio": U3, "k": 3}),
         (plant_sigma_only_switch, "involutions", {"uio": U3, "k": 3}),
         (plant_head_without_column, "involutions", {"uio": U3, "k": 3}),
@@ -633,6 +694,8 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         "dropped-sequence-thn1",
         "dropped-sequence-eposn",
         "dropped-multipath-involutions",
+        "running-max-kept-involutions",
+        "j-flag-skips-domination-involutions",
         "mask-left-base-involutions",
         "sigma-only-switch-involutions",
         "head-without-column-involutions",

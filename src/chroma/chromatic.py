@@ -10,12 +10,11 @@ blocks so far, each block its size and the mask of its later neighbours
 before anything else relies on the fast one.  The scan runs
 the same DP step down the tree of threshold prefixes (_threshold_walk), and
 the per-order DP is its oracle; the two share one memo of moves and one
-read-out of signatures into the e-basis (_signature_e).  Coefficients are
-exact: an int when integral, else a Fraction.
+read-out of final states, each its block-size type, into the e-basis
+(_state_e).  Coefficients are exact: an int when integral, else a Fraction.
 """
 
 from bisect import insort
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,7 +114,8 @@ def _stable_step(states, v, own):
     """One step of the stable-partition DP: the {state: count} map after
     placing vertex v, whose later neighbours are the bits of own."""
     known = _MOVES.setdefault((v, own), {})
-    step = defaultdict(int)
+    step = {}
+    get = step.get
     for state, count in states.items():
         moves = known.get(state)
         if moves is None:
@@ -124,33 +124,31 @@ def _stable_step(states, v, own):
                 for new, alike in _moves(state, v, own)
             ]
         for new, alike in moves:
-            step[new] += count * alike
+            step[new] = get(new, 0) + count * alike
     return step
 
 
-def _signatures(states):
-    """Read the block-size types off the states after the last vertex, where
-    every block is closed; in the order of partitions_of, (n) first."""
-    sigs = {tuple(reversed(state)): count for state, count in states.items()}
-    return dict(sorted(sigs.items(), reverse=True))
-
-
-def _stable_partition_signatures(g):
-    """Count partitions of V(g) into independent blocks by block-size type.
-
-    A forward dynamic programme over the vertices 1..n, one _stable_step per
-    vertex.  For a unit interval order in its natural order an open block's
-    mask is an interval, so the states stay few.
-    """
+def _final_states(g):
+    """The DP's {state: count} after the last vertex of g: every block is
+    closed, so a state is its block sizes in ascending order.  One
+    _stable_step per vertex; for a unit interval order in its natural order
+    an open block's mask is an interval, so the states stay few."""
     states = {(): 1}
     for v in range(1, g.n + 1):
         states = _stable_step(states, v, g.adj[v] & -(1 << v))
-    return _signatures(states)
+    return states
+
+
+def _stable_partition_signatures(g):
+    """Count partitions of V(g) into independent blocks by block-size type,
+    read off the final states; in the order of partitions_of, (n) first."""
+    sigs = {state[::-1]: count for state, count in _final_states(g).items()}
+    return dict(sorted(sigs.items(), reverse=True))
 
 
 def _threshold_walk(first, max_n):
-    """Yield (next, signatures) for every threshold vector with next[1] =
-    first and at most max_n entries, depth first.
+    """Yield (next, final states) for every threshold vector with next[1] =
+    first and at most max_n entries, depth first; the walk owns the states.
 
     The DP state after vertex v depends only on next[1..v], so the walk
     takes one _stable_step per prefix of the tree of threshold vectors
@@ -165,7 +163,7 @@ def _threshold_walk(first, max_n):
         v, t = len(prefix), prefix[-1]
         states = _stable_step(states, v, (1 << (t - 1)) - (1 << v))
         if t == v + 1:
-            yield tuple(prefix), _signatures(states)
+            yield tuple(prefix), states
         for child in range(max(v + 2, t), max_n + 2):
             prefix.append(child)
             yield from grow(prefix, states)
@@ -200,31 +198,31 @@ def chromatic_symmetric(g, method="stable"):
 def _stable_e_rows(n):
     """partitions_of(n), and for each lam the e-expansion that one stable
     partition of type lam adds to X_G: row lam of the m-to-e matrix times
-    multiplicity_factor(lam), as (position in partitions_of(n), entry)."""
+    multiplicity_factor(lam), as (position in partitions_of(n), entry).
+    A row is keyed by the final DP state of its type: lam in ascending order."""
     lams = partitions_of(n)
     where = {lam: j for j, lam in enumerate(lams)}
-    rows = {
-        lam: [(where[mu], multiplicity_factor(lam) * c) for mu, c in row.items()]
+    return lams, {
+        lam[::-1]: [(where[mu], multiplicity_factor(lam) * c) for mu, c in row.items()]
         for lam, row in transition_matrix("m", "e", n).items()
     }
-    return lams, rows
 
 
-def _signature_e(sigs):
-    """The e-coefficients of X_G read off its signatures, as e_coefficients
-    returns them: the one read-out of the per-order DP and the prefix walk.
-    The sums run by position in partitions_of(n), with no SymFunc built."""
-    lams, rows = _stable_e_rows(sum(next(iter(sigs))))
+def _state_e(states):
+    """The e-coefficients of X_G read off the DP's final states: the one
+    read-out of the per-order DP and the prefix walk.  The sums run by
+    position in partitions_of(n), with no SymFunc built."""
+    lams, rows = _stable_e_rows(sum(next(iter(states))))
     acc = [0] * len(lams)
-    for lam, c in sigs.items():
-        for j, v in rows[lam]:
-            acc[j] += c * v
+    for state, count in states.items():
+        for j, v in rows[state]:
+            acc[j] += count * v
     return {lams[j]: c for j, c in enumerate(acc) if c}
 
 
 def e_coefficients(g):
     """The integer coefficients of X_g on the e-basis."""
-    return _signature_e(_stable_partition_signatures(g))
+    return _state_e(_final_states(g))
 
 
 # ---------------------------------------------------------------------------

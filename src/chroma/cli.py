@@ -31,7 +31,7 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .chromatic import (
-    _signature_e,
+    _state_e,
     _threshold_walk,
     check_sink_theorem,
     chromatic_symmetric,
@@ -312,12 +312,12 @@ def _scan_one(uio):
 def _scan_subtree(job):
     """The scan of every order with next[1] = first and at most max_n
     elements through the prefix walk: (orders, [(next, inst, "fail",
-    detail)]).  It differs from _scan_one only in where the signatures
+    detail)]).  It differs from _scan_one only in where the final DP states
     come from: the walk, with no order or graph built per order."""
     first, max_n = job
     count, failures = 0, []
-    for nxt, sigs in _threshold_walk(first, max_n):
-        detail = _scan_verdict(nxt, _signature_e(sigs))
+    for nxt, states in _threshold_walk(first, max_n):
+        detail = _scan_verdict(nxt, _state_e(states))
         count += 1
         if detail is not None:
             uio = ",".join(map(str, nxt))

@@ -12,9 +12,10 @@ enumerate_multipaths) stay in the package.
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
-from chroma.combinat import Graph, Poset, partitions_of
+from chroma.combinat import Graph, Poset, multiplicity_factor, partitions_of
 from chroma.corrects import (
     CancellationReport,
     ChainBijectionReport,
@@ -35,7 +36,7 @@ from chroma.lgvgrid import (
     enumerate_multipaths,
 )
 from chroma.polyring import FIELD, Polynomial, monomial_from_elements
-from chroma.symfunc import convert, expand_concrete
+from chroma.symfunc import convert, expand_concrete, transition_matrix
 
 
 def acyclic_orientation_sinks_brute(g):
@@ -67,6 +68,32 @@ def acyclic_orientation_sinks_brute(g):
         sinks = sum(1 for v in range(1, n + 1) if not out_adj[v])
         result[sinks] = result.get(sinks, 0) + 1
     return result
+
+
+@lru_cache(maxsize=None)
+def signature_e_rows(n):
+    """partitions_of(n), and for each lam, row lam of the m-to-e matrix times
+    multiplicity_factor(lam) as (position in partitions_of(n), entry)."""
+    lams = partitions_of(n)
+    where = {lam: j for j, lam in enumerate(lams)}
+    rows = {
+        lam: [(where[mu], multiplicity_factor(lam) * c) for mu, c in row.items()]
+        for lam, row in transition_matrix("m", "e", n).items()
+    }
+    return lams, rows
+
+
+def signature_e(sigs):
+    """The e-coefficients of X_G read off its stable-partition counts by
+    block-size type, {lam: count} with lam a partition, through rows keyed
+    by lam; the oracle for chromatic._state_e, which reads the DP's final
+    states through rows keyed by the states themselves."""
+    lams, rows = signature_e_rows(sum(next(iter(sigs))))
+    acc = [0] * len(lams)
+    for lam, c in sigs.items():
+        for j, v in rows[lam]:
+            acc[j] += c * v
+    return {lams[j]: c for j, c in enumerate(acc) if c}
 
 
 def is_correct_via_connectivity(u, seq):

@@ -14,16 +14,19 @@ from chroma.chromatic import (
     e_coefficients,
     positivity_report,
 )
+from chroma.cli import _scan_verdict
 from chroma.combinat import (
     Graph,
     UnitIntervalOrder,
     all_graphs,
     clan_graph,
     enumerate_uios,
+    partitions_of,
 )
 from chroma.errors import TooLarge
 from chroma.symfunc import SymFunc, convert
-from oracles import acyclic_orientation_sinks_brute, disjoint_union
+from oracles import acyclic_orientation_sinks_brute, disjoint_union, signature_e
+from test_combinat import threshold_vectors
 
 CLAW = Graph(4, [(1, 2), (1, 3), (1, 4)])
 
@@ -105,8 +108,9 @@ def test_stable_count_does_not_depend_on_vertex_order(pair):
 
 def test_threshold_walk_matches_per_order_dp(monkeypatch):
     # the scan's prefix walk against the per-order DP: every order with
-    # n <= 8 exactly once, with the same signatures in the same order, and
-    # one DP step per prefix of the tree (4,861, against 15,521 vertices)
+    # n <= 8 exactly once, with the same final states and counts in the same
+    # order, and one DP step per prefix of the tree (4,861, against 15,521
+    # vertices)
     steps = []
     step = chromatic._stable_step
     monkeypatch.setattr(
@@ -122,8 +126,37 @@ def test_threshold_walk_matches_per_order_dp(monkeypatch):
     assert sum(u.n for u in orders) == 15521
     found = dict(walked)
     for u in orders:
-        expected = chromatic._stable_partition_signatures(u.inc_graph())
+        expected = chromatic._final_states(u.inc_graph())
         assert list(found[u.next].items()) == list(expected.items()), str(u)
+
+
+def test_state_readout_matches_the_signature_readout():
+    # every order with n <= 8 as the walk reaches it: the e-coefficients read
+    # off its final states equal those read off its signatures and the m-to-e
+    # conversion of X_G, key for key, in the order of partitions_of
+    orders = 0
+    for first in range(2, 10):
+        for nxt, states in chromatic._threshold_walk(first, 8):
+            g = UnitIntervalOrder(nxt).inc_graph()
+            coeffs = chromatic._state_e(states)
+            oracle = signature_e(chromatic._stable_partition_signatures(g))
+            assert list(coeffs.items()) == list(oracle.items()), nxt
+            assert coeffs == convert(chromatic_symmetric(g), "e").as_int_dict()
+            ordered = [lam for lam in partitions_of(len(nxt)) if lam in coeffs]
+            assert list(coeffs) == ordered
+            orders += 1
+    assert orders == 2055
+
+
+@settings(max_examples=150, deadline=None)
+@given(threshold_vectors(max_n=8))
+def test_e_coefficients_match_the_conversion_and_pass_the_scan(nxt):
+    # a random order: its e-coefficients are the m-to-e conversion of X_G,
+    # and the scan's chromatic-polynomial and top-coefficient checks pass
+    g = UnitIntervalOrder(nxt).inc_graph()
+    coeffs = e_coefficients(g)
+    assert coeffs == convert(chromatic_symmetric(g), "e").as_int_dict()
+    assert _scan_verdict(nxt, coeffs) is None
 
 
 def _graphs_and_orders(max_graph_n, max_order_n):
@@ -133,7 +166,7 @@ def _graphs_and_orders(max_graph_n, max_order_n):
 
 
 def test_e_readout_matches_the_m_to_e_conversion():
-    # e_coefficients reads the signatures straight into the e-basis; the
+    # e_coefficients reads the final DP states straight into the e-basis; the
     # oracle converts the m-expansion of X_G through the SymFunc route
     clan = clan_graph(UnitIntervalOrder.parse("2,3,4").inc_graph(), (5, 5, 5))
     assert clan.n == 15

@@ -552,15 +552,17 @@ def test_scan_walk_reports_what_the_per_order_route_reports(monkeypatch):
     # with a stable-partition count that is off for every order, the prefix
     # walk and a replay of each order through _scan_one report the same
     # failures, with the same details, in input order
-    original = chromatic._signatures
+    import chroma.cli as cli
+
+    original = chromatic._state_e
 
     def planted(states):
-        sigs = original(states)
-        top = next(iter(sigs))
-        sigs[top] += 1
-        return sigs
+        states = dict(states)
+        states[next(iter(states))] += 1
+        return original(states)
 
-    monkeypatch.setattr(chromatic, "_signatures", planted)
+    monkeypatch.setattr(chromatic, "_state_e", planted)
+    monkeypatch.setattr(cli, "_state_e", planted)
     walked = run_suite("scan", max_n=5)
     replayed = [
         failure

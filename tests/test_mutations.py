@@ -24,24 +24,30 @@ stable-partition count, so one miscounted block type fails both.  The scan
 suite checks the e-coefficients of X_G against chi_G(k) = prod (k - d_i)
 and c_(n) = n * prod d_i, which read only the threshold vector.  Its full
 run (the prefix walk) and its --instance replay (_scan_one, the per-order
-oracle) share the DP step, the signature read-out and the e-basis
-read-out, but not enumerate_uios: the walk generates the threshold vectors
-itself.  So a miscounted block type planted in the signature read-out fails
-the scan, and the replay of its first failure reports the same detail.
+oracle) share the DP step and the read-out of its final states into the
+e-basis, but not enumerate_uios: the walk generates the threshold vectors
+itself.  So a stable partition planted in a copy of the final states that
+the read-out reads fails the scan, and the replay of its first failure
+reports the same detail.
 
 Every stable-partition count goes through chromatic._stable_step and its
 one memo of moves: eposn, sink, gnechrom (X of the clan graph) and both
 routes of the scan.  Of these, eposn, sink and the scan read the counts
-into the e-basis through the one read-out chromatic._signature_e (cli
-imports it for the walk, so the plant replaces both names); gnechrom
-compares m-expansions and does not read it.  So an e-coefficient that
-gains 1 there fails eposn, sink and the scan, and the replay of the scan's
-first failure agrees.  The DP has one move rule, chromatic._moves: vertex v
-starts a block or joins one not adjacent to it, and a join into one of k
-alike blocks counts k times.  The 3-chain 2,3,4 has an edgeless
-incomparability graph, so its third vertex meets two alike singletons; a
-rule that counts that join once loses a partition, which eposn, sink and the
-scan replay each report.
+into the e-basis through the one read-out chromatic._state_e (cli imports
+it for the walk, so the plant replaces both names); gnechrom compares
+m-expansions and does not read it.  So an e-coefficient that gains 1 there
+fails eposn, sink and the scan, and the replay of the scan's first failure
+agrees.  The read-out takes each final state, whose blocks are all closed,
+through its row of chromatic._stable_e_rows: row lam of the m-to-e matrix
+times multiplicity_factor(lam), keyed by lam in ascending order.  Rows
+without that factor count a stable partition once, not once per ordering of
+its equal parts: on the path 3,4,4 the partition into singletons adds e_3
+once instead of 6 times, so c_(3) reads -2, and the same three fail.  The
+DP has one move rule, chromatic._moves: vertex v starts a block or joins
+one not adjacent to it, and a join into one of k alike blocks counts k
+times.  The 3-chain 2,3,4 has an edgeless incomparability graph, so its
+third vertex meets two alike singletons; a rule that counts that join once
+loses a partition, which eposn, sink and the scan replay each report.
 
 The ppos suite compares power_via_corrects with power_g, the thn1 suite
 compares m_l1_via_corrects with two power_g routes and monomial_g, and the
@@ -144,7 +150,7 @@ cauchy through the Schur side, whose schur_concrete expands the
 e-determinant (the m-e and e-m sides expand products and monomials
 directly).  So a collected coefficient that gains 1 fails both; on the
 3-chain, whose e^G_3 is not 0, the first key of m_(2,1) counts.  eposn
-does not read it: its e-coefficients come from chromatic._signature_e.
+does not read it: its e-coefficients come from chromatic._state_e.
 """
 
 import json
@@ -227,16 +233,18 @@ def plant_path_sum_matrix_entry(monkeypatch):
 
 def plant_singleton_blocks(monkeypatch):
     # one more partition into singletons: X_G gains n! * m_(1^n) = n! * e_n;
-    # planted in the read-out that the per-order DP and the prefix walk share
-    original = chromatic._signatures
+    # planted in a copy of the final states that the read-out shared by the
+    # per-order DP and the prefix walk reads
+    original = chromatic._state_e
 
     def planted(states):
-        sigs = original(states)
-        ones = (1,) * sum(next(iter(sigs)))
-        sigs[ones] = sigs.get(ones, 0) + 1
-        return sigs
+        ones = (1,) * sum(next(iter(states)))
+        states = dict(states)
+        states[ones] = states.get(ones, 0) + 1
+        return original(states)
 
-    monkeypatch.setattr(chromatic, "_signatures", planted)
+    monkeypatch.setattr(chromatic, "_state_e", planted)
+    monkeypatch.setattr(cli, "_state_e", planted)
 
 
 def plant_alike_join_counted_once(monkeypatch):
@@ -253,15 +261,29 @@ def plant_alike_join_counted_once(monkeypatch):
 
 def plant_e_readout_first_key(monkeypatch):
     # the first e-coefficient that the shared read-out returns gains 1
-    original = chromatic._signature_e
+    original = chromatic._state_e
 
-    def planted(sigs):
-        coeffs = original(sigs)
+    def planted(states):
+        coeffs = original(states)
         coeffs[next(iter(coeffs))] += 1
         return coeffs
 
-    monkeypatch.setattr(chromatic, "_signature_e", planted)
-    monkeypatch.setattr(cli, "_signature_e", planted)
+    monkeypatch.setattr(chromatic, "_state_e", planted)
+    monkeypatch.setattr(cli, "_state_e", planted)
+
+
+def plant_e_rows_without_multiplicity(monkeypatch):
+    # the read-out's rows are the rows of the m-to-e matrix alone, without
+    # multiplicity_factor(lam)
+    def planted(n):
+        lams = combinat.partitions_of(n)
+        where = {lam: j for j, lam in enumerate(lams)}
+        return lams, {
+            lam[::-1]: [(where[mu], c) for mu, c in row.items()]
+            for lam, row in symfunc.transition_matrix("m", "e", n).items()
+        }
+
+    monkeypatch.setattr(chromatic, "_stable_e_rows", planted)
 
 
 def plant_dropped_sequence(monkeypatch):
@@ -642,6 +664,11 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
     assert_scan_and_replay_fail(capsys)
 
 
+def test_planted_e_rows_fail_the_scan_and_its_replay(capsys, monkeypatch):
+    plant_e_rows_without_multiplicity(monkeypatch)
+    assert_scan_and_replay_fail(capsys)
+
+
 @pytest.mark.parametrize(
     "plant, suite, inst",
     [
@@ -680,6 +707,8 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_collect_first_key, "cauchy", {"d": 2}),
         (plant_e_readout_first_key, "eposn", {"uio": U3}),
         (plant_e_readout_first_key, "sink", {"uio": U3}),
+        (plant_e_rows_without_multiplicity, "eposn", {"uio": U3}),
+        (plant_e_rows_without_multiplicity, "sink", {"uio": U3}),
         (plant_alike_join_counted_once, "eposn", {"uio": "2,3,4"}),
         (plant_alike_join_counted_once, "sink", {"uio": "2,3,4"}),
         (plant_alike_join_counted_once, "scan", {"uio": "2,3,4"}),
@@ -720,6 +749,8 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
         "collect-first-key-cauchy",
         "e-readout-first-key-eposn",
         "e-readout-first-key-sink",
+        "e-rows-no-multiplicity-eposn",
+        "e-rows-no-multiplicity-sink",
         "alike-join-once-eposn",
         "alike-join-once-sink",
         "alike-join-once-scan",

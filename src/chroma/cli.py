@@ -62,9 +62,10 @@ from .ghom import GAnalogueContext, gnechrom_check, monomial_g, power_g, schur_g
 from .lgvgrid import build_grid, lgv_check, schur_via_lgv
 from .symfunc import cauchy_check, convert
 
-# ppos's k, thn1's l + 1, and the vertex count of an order or graph whose X
-# is read into the e-basis (eposn, sink, a scan replay): each the degree of
-# a cold m->e build, which takes 0.6 s at 12
+# ppos's k, thn1's l + 1, gasharov's weight |lam| (its schur_g), and the
+# vertex count of an order or graph whose X is read into the e-basis (eposn,
+# sink, a scan replay): each the degree of a cold m->e or s->e build, which
+# takes 0.6-0.7 s at 12
 ANALOGUE_DEGREE_BOUND = 12
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,8 @@ def _check_lgv(uio, partition):
 
 
 def _check_gasharov(uio, partition):
-    # the guarded grid side first: past its budget, schur_g is not expanded
+    # the degree, then the guarded grid side: past either, schur_g is not expanded
+    _degree_fits(sum(partition))
     via_grid = schur_via_lgv(uio, conjugate(partition))
     ctx = GAnalogueContext(uio.inc_graph())
     via_det = schur_g(ctx, partition)

@@ -29,10 +29,11 @@ Each multipath is reached once at desk scale, through the pair of paths at
 its lowest crossing, and none is kept: every cancellation is verified as an
 exact polynomial identity.  Class I is counted per crossing pair and its
 tail switch, two splices of the pair's path masks, checked once per pair;
-the rest is walked on the paths' ints, correctness and the J pattern
-carried down each prefix, and the chain moves act on (chain, singles) int
-tuples.  Walking every family, listing every multipath and WeightForm
-moves are the tests' oracles.
+the rest is walked on lgvgrid's path records as they are built (mask,
+weight, first diagonal row, degree, diagonal rows), correctness and the J
+pattern carried down each prefix, and the chain moves act on (chain,
+singles) int tuples.  Walking every family, listing every multipath and
+WeightForm moves are the tests' oracles.
 """
 
 from collections import Counter
@@ -252,7 +253,7 @@ def _switch_pair_holds(perm, pair, p, q, low, index, perms, stride):
     and the same multiplier (perms), the weight must stay, and the switch
     must go back onto (p, q)."""
     i, j = pair
-    mask_i, mask_j = _tail_switch(p[0], q[0], low, stride)
+    mask_i, mask_j = _tail_switch(p.mask, q.mask, low, stride)
     image_i = index[(i, perm[j])].get(mask_i)
     image_j = index[(j, perm[i])].get(mask_j)
     if image_i is None or image_j is None:
@@ -261,18 +262,12 @@ def _switch_pair_holds(perm, pair, p, q, low, index, perms, stride):
     swapped[i], swapped[j] = perm[j], perm[i]
     sign, multiplier = perms[perm]
     return (
-        mask_i | mask_j == p[0] | q[0]
-        and mask_i & mask_j == p[0] & q[0]
+        mask_i | mask_j == p.mask | q.mask
+        and mask_i & mask_j == p.mask & q.mask
         and perms.get(tuple(swapped)) == (-sign, multiplier)
-        and image_i[1] + image_j[1] == p[1] + q[1]
-        and _tail_switch(mask_i, mask_j, low, stride) == (p[0], q[0])
+        and image_i.weight + image_j.weight == p.weight + q.weight
+        and _tail_switch(mask_i, mask_j, low, stride) == (p.mask, q.mask)
     )
-
-
-def _path_ints(path):
-    """(mask, weight, first diagonal row or 0, degree, diagonal rows)."""
-    rows = path.diag_rows
-    return path.mask, path.weight, rows[0] if rows else 0, len(rows), rows
 
 
 def _disjoint_walk(columns, lo, nxt):
@@ -286,7 +281,7 @@ def _disjoint_walk(columns, lo, nxt):
     prefixes = [(0, 0, 0, None, lo[0], 0, True)]
     while prefixes:  # (t, held, weight, form, lo[last], max, correct)
         t, held, weight, form, least, top, ok = prefixes.pop()
-        for mask, w, c, _, rows in columns[t]:
+        for mask, w, c, _, rows, _ in columns[t]:
             if mask & held:
                 continue
             good = ok and least <= c < nxt[top]
@@ -315,7 +310,7 @@ def _rightmost_walk(columns, low, l, nxt, stride):
     prefixes = [(0, 0, 0, 0, 0, ((), ()) if l >= 2 else None)]
     while prefixes:  # (t, held, hits, weight, first row of path t - 1, form)
         t, held, hits, weight, prev, form = prefixes.pop()
-        for mask, w, first, degree, rows in columns[t]:
+        for mask, w, first, degree, rows, _ in columns[t]:
             if mask & held:
                 continue
             through = hits + (mask & low > 0)
@@ -457,16 +452,15 @@ def verify_cancellations(u, k):
     A crossing family is reached from the pair (p, q) of its paths through
     its lowest shared bit; its completion, its other paths, shares no bit
     below that one with p | q or within itself.  Class I is counted per pair
-    (_count); the rest is walked on the paths' ints (_path_ints): the
-    identity's disjoint families by _disjoint_walk, the crossings through
-    the rightmost destination by _rightmost_walk.  A disjoint family of any
-    other permutation is an error (_walk)."""
+    (_count); the rest is walked on the path records as _path_table builds
+    them: the identity's disjoint families by _disjoint_walk, the crossings
+    through the rightmost destination by _rightmost_walk, and the disjoint
+    families of any other permutation, each an error, by _walk."""
     grid = build_grid(u, k, (1,) * k)
     table = _path_table(grid)
     sizes = _feasible(table, k)
     perms = {perm: (_parity(perm), perm.index(0) + 1) for perm in sizes}
-    ints = {key: [_path_ints(p) for p in paths] for key, paths in table.items()}
-    index = {key: {p[0]: p for p in paths} for key, paths in ints.items()}
+    index = {key: {p.mask: p for p in paths} for key, paths in table.items()}
     lo, nxt = _extension_bounds(u)
     stride = u.n + 2
     identity = tuple(range(k))
@@ -475,13 +469,13 @@ def verify_cancellations(u, k):
     @lru_cache(maxsize=None)
     def meetings(i, a, j, b):
         """(p, q, lowest shared bit) for the paths i -> a, j -> b that meet."""
-        meet = [(p, q, p[0] & q[0]) for p in ints[(i, a)] for q in ints[(j, b)]]
-        return [(p, q, shared & -shared) for p, q, shared in meet if shared]
+        pairs = product(table[(i, a)], table[(j, b)])
+        return [(p, q, s & -s) for p, q in pairs if (s := p.mask & q.mask)]
 
     def completions(others, held, low, weighed):
         """{weight: ways} of the completions, weight 0 unless weighed."""
         columns = [
-            [(p[0] & low - 1, p[0] & low > 0, p[1] * weighed) for p in ints[t]]
+            [(m & low - 1, m & low > 0, w * weighed) for m, w, *_ in table[t]]
             for t in others
         ]
         found = {}
@@ -501,7 +495,7 @@ def verify_cancellations(u, k):
 
     involution_ok = True
     for perm, (sign, multiplier) in perms.items():
-        columns = [ints[(t, dest)] for t, dest in enumerate(perm)]
+        columns = [table[(t, dest)] for t, dest in enumerate(perm)]
         if perm == identity:
             correct, incorrect, found = _disjoint_walk(columns, lo, nxt)
             counts["P"], counts["L"] = sum(correct.values()), len(found)
@@ -510,7 +504,7 @@ def verify_cancellations(u, k):
             add("JL_plain", incorrect, 1)
             forms += found
         else:  # planarity: no other permutation has a disjoint family
-            for family in _walk([table[(t, d)] for t, d in enumerate(perm)]):
+            for family in _walk(columns):
                 Multipath(family, [j + 1 for j in perm]).require_identity()
         for pair in combinations(range(k), 2):
             i, j = pair
@@ -528,13 +522,13 @@ def verify_cancellations(u, k):
                     counts["other"] += sum(walked.values()) - len(found)
                     forms += found
                     continue
-                key = (others, (p[0] | q[0]) & low - 1, low)
+                key = (others, (p.mask | q.mask) & low - 1, low)
                 if key not in counted:
                     counted[key] = completions(*key, False).get(0, 0), {}
                 ways, pairs = counted[key]
                 if ways:
                     counts["I"] += ways
-                    weight = p[1] + q[1]
+                    weight = p.weight + q.weight
                     pairs[weight] = pairs.get(weight, 0) + sign * multiplier
                     involution_ok = involution_ok and _switch_pair_holds(
                         perm, pair, p, q, low, index, perms, stride

@@ -20,16 +20,17 @@ nonintersecting_multipaths lists the families for the tests.  lgv_check
 bounds the determinant's term pairs over column subsets, as det's minors
 are taken, before expanding it.
 
-Each path also carries its vertices as one int mask.  With the stride
-S = n + 2, vertex (c, r) is bit c*S + (S-1-r): rows 0..n+1 fit in a
-column's S bits, so no two vertices share a bit.  The lowest bit of a mask
-is its vertex of minimal column and, within that column, maximal row, so
-the lowest shared bit of a multipath is its leftmost lowest crossing.
+A path is one record, GridPath, built once from its diagonal rows; its
+vertices are one int mask.  With the stride S = n + 2, vertex (c, r) is bit
+c*S + (S-1-r): rows 0..n+1 fit in a column's S bits, so no two vertices
+share a bit and a vertical run is one block of bits.  The lowest bit of a
+mask is its vertex of minimal column and, within that column, maximal row,
+so the lowest shared bit of a multipath is its leftmost lowest crossing.
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from typing import NamedTuple
 
 from .combinat import is_partition
@@ -77,31 +78,40 @@ def build_grid(u, k, lam):
     return GridSpec(u, k, padded, bases, dests, columns)
 
 
-class GridPath:
-    """A grid path: vertices, diagonal rows, and its vertex mask and weight."""
+class GridPath(NamedTuple):
+    """A grid path as the walks unpack it (its first diagonal row is 0 when
+    it has none), then the stride of its grid."""
 
-    __slots__ = ("vertices", "diag_rows", "stride", "mask", "weight")
+    mask: int
+    weight: int
+    first: int
+    degree: int
+    diag_rows: tuple
+    stride: int
 
-    def __init__(self, vertices, diag_rows, stride):
-        self.vertices = tuple(vertices)
-        self.diag_rows = tuple(diag_rows)
-        self.stride = stride
-        mask = 0
-        for c, r in self.vertices:
-            mask |= 1 << c * stride + stride - 1 - r
-        self.mask = mask
-        self.weight = monomial_from_elements(self.diag_rows)
-
-    def __repr__(self):
-        return "GridPath(%r)" % (list(self.vertices),)
+    @property
+    def vertices(self):
+        """The vertices (c, r) in path order, read off the mask."""
+        bits = [b for b in range(self.mask.bit_length()) if self.mask >> b & 1]
+        return tuple(sorted(_vertex(b, self.stride) for b in bits))
 
 
-def _vertical_run(col, row_from, row_to):
-    return [(col, r) for r in range(row_from, row_to + 1)]
+def _grid_path(u, a, rows, rb):
+    """The path from a that takes its diagonals at `rows` and ends on row rb.
+    Each vertical run is one block of mask bits: rows lo..hi of column c are
+    bits c*S + S-1-hi through c*S + S-1-lo."""
+    stride = u.n + 2
+    starts = (a[1],) + tuple(u.next[r - 1] for r in rows)
+    mask = 0
+    for col, (lo, hi) in enumerate(zip(starts, rows + (rb,)), a[0]):
+        top = (col + 1) * stride
+        mask |= (1 << top - lo) - (1 << top - 1 - hi)
+    weight = monomial_from_elements(rows)
+    return GridPath(mask, weight, rows[0] if rows else 0, len(rows), rows, stride)
 
 
 def paths_between(u, a, b):
-    """All grid paths from a to b, each as an explicit vertex sequence.
+    """All grid paths from a to b, each built once from its diagonal rows.
 
     A path is determined by its diagonal rows r_1 < r_2 < ... with
     next(r_m) <= r_{m+1}; vertical runs fill the gaps.
@@ -113,26 +123,19 @@ def paths_between(u, a, b):
     if cb < ca or ra < 1 or rb < ra or rb > n + 1:
         return out
 
-    def rec(col, row, vertices, diag_rows):
+    def rec(col, row, rows):
         if col == cb:
             if row <= rb:
-                out.append(
-                    GridPath(vertices + _vertical_run(col, row, rb), diag_rows, n + 2)
-                )
+                out.append(_grid_path(u, a, rows, rb))
             return
         # choose the next diagonal row; it must leave room to reach row rb
         for rd in range(row, min(n, rb) + 1):
             target = nxt[rd - 1]
             if target > rb:
                 break  # later rd only grows the target (thresholds nondecreasing)
-            rec(
-                col + 1,
-                target,
-                vertices + _vertical_run(col, row, rd),
-                diag_rows + [rd],
-            )
+            rec(col + 1, target, rows + (rd,))
 
-    rec(ca, ra, [], [])
+    rec(ca, ra, ())
     return out
 
 
@@ -166,15 +169,11 @@ class Multipath:
         self.sign = _parity(self.sigma)
         self._shared = None
 
-    @property
-    def k(self):
-        return len(self.paths)
-
     def require_identity(self):
         """Raise NonIdentityPermutation, whose detail names this multipath,
         unless path i ends on destination i, as planarity forces for a
         disjoint multipath."""
-        if self.sigma != tuple(range(1, self.k + 1)):
+        if self.sigma != tuple(range(1, len(self.paths) + 1)):
             msg = "disjoint multipath with sigma=%r" % (list(self.sigma),)
             exc = NonIdentityPermutation(msg)
             exc.detail = {"multipath": self.to_json()}
@@ -219,22 +218,23 @@ def _vertex(bit, stride):
 
 def _feasible(table, k):
     """{perm: family count} of the destination permutations (path i to perm[i])
-    whose every path list is nonempty, in lexicographic order, once their
-    families are counted against DEFAULT_MULTIPATH_BUDGET."""
-    feasible = {}
-    for perm in permutations(range(k)):
-        count = 1
-        for i, j in enumerate(perm):
-            count *= len(table[(i, j)])
-            if not count:
-                break
-        if count:
+    whose every path list is nonempty, in lexicographic order.  The search
+    goes depth first past the empty lists, so each permutation it completes
+    adds a family, and it refuses once the families pass the budget."""
+    feasible, total = {}, 0
+    stack = [((), 1)]
+    while stack:
+        perm, count = stack.pop()
+        if len(perm) == k:
             feasible[perm] = count
-    total = sum(feasible.values())
-    if total > DEFAULT_MULTIPATH_BUDGET:
-        raise TooLarge(
-            "%d multipaths exceed the budget of %d" % (total, DEFAULT_MULTIPATH_BUDGET)
-        )
+            total += count
+            if total > DEFAULT_MULTIPATH_BUDGET:
+                raise TooLarge("more than %d multipaths" % DEFAULT_MULTIPATH_BUDGET)
+            continue
+        for j in reversed(range(k)):  # popped in increasing order
+            size = len(table[(len(perm), j)])
+            if size and j not in perm:
+                stack.append((perm + (j,), count * size))
     return feasible
 
 
@@ -351,15 +351,16 @@ def _minor_cost(matrix):
     """A bound on the term pairs det(matrix) multiplies.  Row by row as in
     det: T(S), the sum over j in S of |a_ij|*T(S - j) with i = |S| - 1 and
     T({j}) = |a_0j|, bounds the terms of the minor on columns S, and so the
-    pairs multiplied to build it; the cost is the sum of T(S) over |S| >= 2."""
+    pairs multiplied to build it; the cost is the sum of T(S) over |S| >= 2.
+    Zero entries are skipped as in det, so each minor det builds counts."""
     sizes = [[len(entry.terms) for entry in row] for row in matrix]
-    bounds = {1 << j: size for j, size in enumerate(sizes[0])}
+    bounds = {1 << j: size for j, size in enumerate(sizes[0]) if size}
     cost = 0
     for row in sizes[1:]:
         grown = Counter()
         for cols, bound in bounds.items():
             for j, size in enumerate(row):
-                if not cols >> j & 1:
+                if size and not cols >> j & 1:
                     grown[cols | 1 << j] += size * bound
         bounds = grown
         cost += sum(bounds.values())

@@ -308,20 +308,21 @@ def det(matrix):
     The minor on the first i rows and a column set S is kept once, keyed by
     S as a bit mask.  Adding row i at a column j outside S multiplies it by
     that entry, with sign (-1)^(columns of S after j): k*2^(k-1) products
-    for a k x k matrix.  Entries only need +, - and *, so this serves
-    vertex polynomials and abstract symmetric functions alike.
+    at most for a k x k matrix, as zero entries are skipped (the ring's zero
+    when no full minor is reached).  Entries only need +, - and *, so this
+    serves vertex polynomials and abstract symmetric functions alike.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    minors = {1 << j: entry for j, entry in enumerate(matrix[0])}
+    minors = {1 << j: entry for j, entry in enumerate(matrix[0]) if entry}
     for row in matrix[1:]:
         grown = {}
         for cols, minor in minors.items():
             for j, entry in enumerate(row):
-                if cols >> j & 1:
+                if cols >> j & 1 or not entry:
                     continue
                 term = minor * entry
                 if (cols >> j).bit_count() & 1:
@@ -329,4 +330,4 @@ def det(matrix):
                 key = cols | 1 << j
                 grown[key] = grown[key] + term if key in grown else term
         minors = grown
-    return minors[(1 << n) - 1]
+    return minors.get((1 << n) - 1, matrix[0][0] * 0)

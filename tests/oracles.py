@@ -9,12 +9,12 @@ demos call (chromatic_symmetric_brute, enumerate_corrects, newton_p,
 enumerate_multipaths) stay in the package.
 """
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
+import chroma.lgvgrid as lgvgrid
 from chroma.combinat import Graph, Poset, multiplicity_factor, partitions_of
 from chroma.corrects import (
     CancellationReport,
@@ -23,7 +23,7 @@ from chroma.corrects import (
     _tail_switch,
     is_correct,
 )
-from chroma.errors import BadParameter, BadShape, ChromaError, TriplePoint
+from chroma.errors import BadParameter, BadShape, ChromaError, TooLarge, TriplePoint
 from chroma.ghom import GAnalogueContext, monomial_g, power_g
 from chroma.lgvgrid import (
     GridPath,
@@ -307,17 +307,60 @@ def grid_edges(g):
 
 def grid_path_from_vertices(vertices, stride):
     """Rebuild a GridPath from an explicit vertex sequence on a grid of the
-    given stride; diagonal steps are the column increments and contribute
-    their source row.  A vertex outside columns >= 0 and rows 0..stride-1
-    would share its bit with another, so it is refused."""
+    given stride, its mask set vertex by vertex: the oracle for the one
+    block of bits per vertical run that lgvgrid builds.  Diagonal steps are
+    the column increments and contribute their source row.  A vertex
+    outside columns >= 0 and rows 0..stride-1 would share its bit with
+    another, so it is refused."""
     vertices = tuple(tuple(v) for v in vertices)
+    mask = 0
     for c, r in vertices:
         if c < 0 or not 0 <= r < stride:
             raise BadShape("vertex %r outside a grid of stride %d" % ((c, r), stride))
+        mask |= 1 << c * stride + stride - 1 - r
     rows = tuple(
         r1 for (c1, r1), (c2, _) in zip(vertices, vertices[1:]) if c2 == c1 + 1
     )
-    return GridPath(vertices, rows, stride)
+    weight = monomial_from_elements(rows)
+    return GridPath(mask, weight, rows[0] if rows else 0, len(rows), rows, stride)
+
+
+def paths_by_edges(g, a, b):
+    """Every path from vertex a to vertex b of grid g, depth first over the
+    edges of grid_edges (the diagonal out of a vertex before the vertical
+    one), each rebuilt by grid_path_from_vertices: the oracle for
+    lgvgrid.paths_between, which builds each path from its diagonal rows."""
+    out_edges = {}
+    for v, w, _ in grid_edges(g):
+        out_edges.setdefault(v, []).append(w)
+    found = []
+
+    def walk(vertices):
+        if vertices[-1] == tuple(b):
+            found.append(grid_path_from_vertices(vertices, g.uio.n + 2))
+            return
+        # the diagonal's head, in the next column, sorts after the vertical's
+        for w in sorted(out_edges.get(vertices[-1], ()), reverse=True):
+            walk(vertices + [w])
+
+    walk([tuple(a)])
+    return found
+
+
+def feasible_by_filter(table, k):
+    """lgvgrid._feasible by filtering all k! permutations: {perm: family
+    count} of those whose every path list is nonempty, in lexicographic
+    order, refused when the total passes the budget."""
+    feasible = {}
+    for perm in permutations(range(k)):
+        count = 1
+        for i, j in enumerate(perm):
+            count *= len(table[(i, j)])
+        if count:
+            feasible[perm] = count
+    if sum(feasible.values()) > lgvgrid.DEFAULT_MULTIPATH_BUDGET:
+        raise TooLarge("%d multipaths" % sum(feasible.values()))
+    return feasible
 
 
 # ---------------------------------------------------------------------------
@@ -495,33 +538,22 @@ def leftmost_lowest_intersection(mp):
     return z
 
 
-def _splice(head, cut_head, tail, cut_tail, row):
-    """head up to the crossing, then tail from it.  Rows strictly increase
-    along a path: head's diagonal rows below the crossing row, then tail's."""
-    return GridPath(
-        head.vertices[:cut_head] + tail.vertices[cut_tail:],
-        head.diag_rows[: bisect_left(head.diag_rows, row)]
-        + tail.diag_rows[bisect_left(tail.diag_rows, row):],
-        head.stride,
-    )
+def _splice(head, cut_head, tail, cut_tail):
+    """head up to the crossing, then tail from it."""
+    vertices = head.vertices[:cut_head] + tail.vertices[cut_tail:]
+    return grid_path_from_vertices(vertices, head.stride)
 
 
 def delta_switch(mp):
     """Swap the two tails at the leftmost lowest crossing, on the paths'
-    vertex tuples; the two destination indices swap, so the sign flips.  A
-    path whose mask holds z but whose vertices do not is refused with
-    NotIntersecting."""
+    vertex tuples; the two destination indices swap, so the sign flips."""
     z = leftmost_lowest_intersection(mp)
     i, j = crossing(mp)[1]
     pi, pj = mp.paths[i], mp.paths[j]
-    try:
-        cut_i = pi.vertices.index(z)
-        cut_j = pj.vertices.index(z)
-    except ValueError:
-        raise NotIntersecting("a crossing path misses %r" % (z,)) from None
+    cut_i, cut_j = pi.vertices.index(z), pj.vertices.index(z)
     paths = list(mp.paths)
-    paths[i] = _splice(pi, cut_i, pj, cut_j, z[1])
-    paths[j] = _splice(pj, cut_j, pi, cut_i, z[1])
+    paths[i] = _splice(pi, cut_i, pj, cut_j)
+    paths[j] = _splice(pj, cut_j, pi, cut_i)
     sigma = list(mp.sigma)
     sigma[i], sigma[j] = sigma[j], sigma[i]
     return Multipath(paths, sigma)

@@ -416,19 +416,43 @@ def test_scottsuppes_past_its_bound_is_a_budget_outcome(capsys):
     [
         # d = 7 takes over 20 s; d = 8 would expand for minutes
         ("cauchy", {"d": 8}),
-        # 5,722,956 multipaths, refused before the first is listed
+        # over two million multipaths (5,722,956), refused during the
+        # permutation search, before the first is walked
         ("involutions", {"uio": "2,3,4,5,6,7,8", "k": 7}),
-        # the disjoint-family transfer of this grid runs past its budget;
-        # both suites run it first, so the unguarded side (the determinant,
+        # the disjoint-family transfer of these grids runs past its budget;
+        # both suites run it first, so the other side (the determinant,
         # schur_g), each over a minute of work, is never expanded
         ("lgv", {"uio": "2,3,4,5,6,7,8,9,10,11", "partition": "5,5,5,5"}),
+        ("gasharov", {"uio": "2,3,4,5,6,7,8,9,10,11,12,13,14", "partition": "4,4,4"}),
+        # weight 20: past the degree bound, read before the transfer
         ("gasharov", {"uio": "2,3,4,5,6,7,8,9,10,11", "partition": "4,4,4,4,4"}),
+        # schur_g of weight 16 takes the cold s->e build at degree 16 (17 s
+        # unguarded); the degree bound refuses it before either side runs
+        ("gasharov", {"uio": "2", "partition": "16"}),
     ],
 )
 def test_past_its_guard_is_a_budget_outcome(capsys, suite, inst):
     code, out, _ = run(capsys, "verify", suite, "--instance", json.dumps(inst))
     assert code == 3
     assert [f["outcome"] for f in json.loads(out)["failures"]] == ["budget"]
+
+
+@pytest.mark.parametrize(
+    "suite, inst",
+    [
+        # one feasible family among 12! destination permutations: the search
+        # skips the empty path lists (minutes when it filtered all of them)
+        ("involutions", {"uio": "2", "k": 12}),
+        # a banded 30 x 30 path matrix: det and its cost bound skip the zero
+        # entries (minutes when they visited all 2^30 column subsets)
+        ("lgv", {"uio": "2", "partition": ",".join(["1"] * 30)}),
+    ],
+)
+def test_sparse_replays_finish(capsys, suite, inst):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", suite, "--instance", json.dumps(inst))
+    assert time.perf_counter() - start < 5
+    assert code == 0, out
 
 
 def chain_uio(n):

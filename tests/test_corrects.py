@@ -365,7 +365,7 @@ def test_fig6_fig7_residues_carry_their_forms_down_the_walk():
         (fig7_grid_and_multipath()[1], ((1, 3), (2, 2, 5, 4, 5))),
     ):
         low = mp.shared_mask() & -mp.shared_mask()
-        columns = [[corrects._path_ints(p)] for p in mp.paths]
+        columns = [[p] for p in mp.paths]
         walked, residues, forms = corrects._rightmost_walk(
             columns, low, mp.multiplier(), nxt, U5.n + 2
         )
@@ -419,13 +419,13 @@ def test_walk_refuses_three_paths_through_the_crossing(monkeypatch):
     import chroma.lgvgrid as lgvgrid
     from chroma.errors import TriplePoint
 
-    original = lgvgrid.GridPath.__init__
+    original = lgvgrid._grid_path
 
-    def planted(self, vertices, diag_rows, stride):
-        original(self, vertices, diag_rows, stride)
-        self.mask |= 1
+    def planted(u, a, rows, rb):
+        path = original(u, a, rows, rb)
+        return path._replace(mask=path.mask | 1)
 
-    monkeypatch.setattr(lgvgrid.GridPath, "__init__", planted)
+    monkeypatch.setattr(lgvgrid, "_grid_path", planted)
     with pytest.raises(TriplePoint) as info:
         verify_cancellations(U3, 3)
     assert str(info.value) == "3 paths through (0, 4)"
@@ -433,7 +433,8 @@ def test_walk_refuses_three_paths_through_the_crossing(monkeypatch):
 
 def test_leftmost_lowest_matches_brute_scan():
     # every all-ones grid with n <= 5 and k <= 4: the shared vertices and the
-    # crossing come from the paths' vertex tuples, not from the masks
+    # crossing come from the paths' vertex tuples, decoded bit by bit, not
+    # from the lowest shared bit of the masks
     for n in range(1, 6):
         for u in enumerate_uios(n):
             for k in range(1, 5):

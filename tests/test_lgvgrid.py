@@ -25,7 +25,14 @@ from chroma.lgvgrid import (
     schur_via_lgv,
 )
 from chroma.polyring import Polynomial, det, monomial_from_elements, pack
-from oracles import crossing, grid_edges, grid_path_from_vertices, multipath_key
+from oracles import (
+    crossing,
+    feasible_by_filter,
+    grid_edges,
+    grid_path_from_vertices,
+    multipath_key,
+    paths_by_edges,
+)
 
 U8 = UnitIntervalOrder([3, 4, 5, 6, 7, 8, 9, 9])
 U5 = UnitIntervalOrder([3, 4, 5, 6, 6])
@@ -78,6 +85,51 @@ def test_path_vertices_follow_edge_rules():
             # rows strictly increase, columns weakly
             rows = [r for _, r in p.vertices]
             assert rows == sorted(rows) and len(set(rows)) == len(rows)
+
+
+def all_ones_and_lgv_grids(u, max_k, max_weight):
+    """The all-ones grids of u with k <= max_k, then its grids for every
+    partition of weight 1..max_weight."""
+    for k in range(1, max_k + 1):
+        yield build_grid(u, k, (1,) * k)
+    for w in range(1, max_weight + 1):
+        for lam in partitions_of(w):
+            yield build_grid(u, len(lam), lam)
+
+
+def test_paths_between_matches_the_edge_walk():
+    # every order with n <= 6: each path table of the all-ones grids with
+    # k <= 4 and the lgv grids with |lam| <= 4 is, record for record and in
+    # order, the walk over the grid's edges with masks set vertex by vertex
+    for n in range(1, 7):
+        for u in enumerate_uios(n):
+            for g in all_ones_and_lgv_grids(u, 4, 4):
+                for (i, j), paths in lgvgrid._path_table(g).items():
+                    want = paths_by_edges(g, g.bases[i], g.dests[j])
+                    assert paths == want, (str(u), g.lam, i, j)
+
+
+def test_feasible_matches_the_permutation_filter(monkeypatch):
+    # every grid of the involutions and lgv ranges with n <= 5 and k <= 5:
+    # the same permutations and counts in the same order, and, with any
+    # family, refused by both routes at a budget one short of the total
+    for n in range(1, 6):
+        for u in enumerate_uios(n):
+            for g in all_ones_and_lgv_grids(u, 5, 5):
+                table = lgvgrid._path_table(g)
+                want = feasible_by_filter(table, g.k)
+                got = lgvgrid._feasible(table, g.k)
+                assert list(got.items()) == list(want.items()), (str(u), g.lam)
+                total = sum(want.values())
+                if not total:
+                    continue
+                monkeypatch.setattr(lgvgrid, "DEFAULT_MULTIPATH_BUDGET", total)
+                assert lgvgrid._feasible(table, g.k) == want
+                monkeypatch.setattr(lgvgrid, "DEFAULT_MULTIPATH_BUDGET", total - 1)
+                for route in (lgvgrid._feasible, feasible_by_filter):
+                    with pytest.raises(TooLarge):
+                        route(table, g.k)
+                monkeypatch.undo()
 
 
 def test_path_sums_are_stable_set_polynomials():

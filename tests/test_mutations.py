@@ -14,8 +14,10 @@ not.  Only the determinant side reads the table of the grid's paths
 fails lgv and leaves gasharov, which takes no determinant of paths, alone;
 a path-sum matrix entry that gains a monomial also moves only that side.
 Unplanted, the instances pass both suites (criteria 04 and 05 run
-INSTANCE).  The determinant grows its minors one row at a time; a minor
-that enters with the wrong sign moves only the determinant side of lgv.
+INSTANCE).  The determinant grows its minors one row at a time, past the
+zero entries; a minor that enters with the wrong sign, or a skip that also
+passes over the first nonzero entry of the last row, moves only the
+determinant side of lgv.
 
 The eposn suite compares the top e-coefficient of X_G with the covering
 correct sequences, and the sink suite compares the e-coefficient sums of
@@ -71,8 +73,13 @@ alone, so the corrects and grid sides do not move.
 
 The involutions suite reaches every multipath of the all-ones grid once,
 through the pair of paths at its lowest crossing, and keeps none.  Every
-path of the table is read as ints once (corrects._path_ints: mask, weight,
-first diagonal row, degree, diagonal rows).  Class I is counted per
+path of the table is read as lgvgrid._grid_path built it, one GridPath
+record (mask, weight, first diagonal row, degree, diagonal rows, stride).
+The destination permutations come from lgvgrid._feasible, which corrects
+binds by name; one that loses its last permutation loses that
+permutation's families from both the walks and the count, so the classes
+still hold every family counted but the total misses p^G_k.  Class I is
+counted per
 crossing pair (corrects._count, over the other paths grouped by their bits
 below the crossing), and no family of it is built.  The identity's disjoint
 families are walked by corrects._disjoint_walk, which carries the weight,
@@ -107,9 +114,10 @@ at another row, and that is no path.  Either way the lookup misses and
 only the switch check fails (involution_ok in the detail).
 INVOLUTIONS_REASONS names the check each involutions row breaks.
 
-The check reads the path masks of lgvgrid.GridPath, one bit per grid
-vertex: the crossing pairs, their completions and the disjoint families
-come off the shared bits, and the switch splices the masks.  A mask that
+The check reads the path masks that lgvgrid._grid_path builds, one bit per
+grid vertex set as one block per vertical run: the crossing pairs, their
+completions and the disjoint families come off the shared bits, and the
+switch splices the masks.  The plants below wrap that builder.  A mask that
 also claims the base left of its source makes every family of INSTANCE's
 all-ones grid meet: none is disjoint, so P and L are empty and the
 class-I sum no longer cancels.
@@ -120,8 +128,11 @@ family of INSTANCE's all-ones grid passes for disjoint, and the walk of a
 permutation other than the identity finds it (NonIdentityPermutation).
 With each mask's lowest bit gone, chi_psi_check meets a dominator-free
 (chain, singles) form whose chain has length 1, and the split of the chain
-top refuses it (BadParameter).
-cli._verify_one reports either as that instance's "fail", with the error's
+top refuses it (BadParameter).  With each vertical run one row short, the
+exit vertex of every run is gone, and a crossing family again passes for
+disjoint under a permutation other than the identity
+(NonIdentityPermutation).
+cli._verify_one reports each as that instance's "fail", with the error's
 class name in its detail, and the other instances of the run go on.
 
 The gnechrom suite compares a coefficient of the e^G products with X of the
@@ -167,7 +178,7 @@ import chroma.lgvgrid as lgvgrid
 import chroma.polyring as polyring
 import chroma.symfunc as symfunc
 from chroma.combinat import Graph
-from chroma.polyring import Polynomial
+from chroma.polyring import Polynomial, monomial_from_elements
 
 U3 = "3,4,4"
 INSTANCE = {"uio": U3, "partition": "2,1"}
@@ -300,40 +311,72 @@ def plant_dropped_sequence(monkeypatch):
     monkeypatch.setattr(corrects, "_grow", planted)
 
 
+def plant_mask(monkeypatch, change):
+    # every path the builder returns carries change(path) as its mask
+    original = lgvgrid._grid_path
+
+    def planted(u, a, rows, rb):
+        path = original(u, a, rows, rb)
+        return path._replace(mask=change(path))
+
+    monkeypatch.setattr(lgvgrid, "_grid_path", planted)
+
+
+def vertex_bit(vertex, stride):
+    c, r = vertex
+    return 1 << c * stride + stride - 1 - r
+
+
 def plant_mask_claims_left_base(monkeypatch):
     # every path's mask also claims the vertex one column left of its
     # source: with the bases in adjacent columns, the next base
-    original = lgvgrid.GridPath.__init__
+    def change(path):
+        c, r = path.vertices[0]
+        return path.mask | vertex_bit((c - 1, r), path.stride)
 
-    def planted(self, vertices, diag_rows, stride):
-        original(self, vertices, diag_rows, stride)
-        c, r = self.vertices[0]
-        self.mask |= 1 << (c - 1) * stride + stride - 1 - r
-
-    monkeypatch.setattr(lgvgrid.GridPath, "__init__", planted)
+    plant_mask(monkeypatch, change)
 
 
 def plant_mask_loses_second_vertex(monkeypatch):
     # every path's mask misses its second vertex
-    original = lgvgrid.GridPath.__init__
-
-    def planted(self, vertices, diag_rows, stride):
-        original(self, vertices, diag_rows, stride)
-        c, r = self.vertices[1]
-        self.mask &= ~(1 << c * stride + stride - 1 - r)
-
-    monkeypatch.setattr(lgvgrid.GridPath, "__init__", planted)
+    plant_mask(
+        monkeypatch, lambda path: path.mask & ~vertex_bit(path.vertices[1], path.stride)
+    )
 
 
 def plant_mask_loses_lowest_bit(monkeypatch):
     # every path's mask misses its leftmost lowest vertex
-    original = lgvgrid.GridPath.__init__
+    plant_mask(monkeypatch, lambda path: path.mask & path.mask - 1)
 
-    def planted(self, vertices, diag_rows, stride):
-        original(self, vertices, diag_rows, stride)
-        self.mask &= self.mask - 1
 
-    monkeypatch.setattr(lgvgrid.GridPath, "__init__", planted)
+def plant_run_one_row_short(monkeypatch):
+    # the builder's vertical runs each stop one row above their exit
+    def planted(u, a, rows, rb):
+        stride = u.n + 2
+        starts = (a[1],) + tuple(u.next[r - 1] for r in rows)
+        mask = 0
+        for col, (lo, hi) in enumerate(zip(starts, rows + (rb,)), a[0]):
+            top = (col + 1) * stride
+            mask |= (1 << top - lo) - (1 << top - hi)
+        weight = monomial_from_elements(rows)
+        return lgvgrid.GridPath(
+            mask, weight, rows[0] if rows else 0, len(rows), rows, stride
+        )
+
+    monkeypatch.setattr(lgvgrid, "_grid_path", planted)
+
+
+def plant_feasible_drops_last(monkeypatch):
+    # the permutation search loses the last feasible permutation it finds
+    original = lgvgrid._feasible
+
+    def planted(table, k):
+        feasible = original(table, k)
+        feasible.pop(next(reversed(feasible)))
+        return feasible
+
+    for module in (lgvgrid, corrects):
+        monkeypatch.setattr(module, "_feasible", planted)
 
 
 def plant_sigma_only_switch(monkeypatch):
@@ -555,6 +598,29 @@ def plant_flipped_minor(monkeypatch):
     monkeypatch.setattr(lgvgrid, "det", planted)
 
 
+def plant_det_skips_entry(monkeypatch):
+    # polyring.det that also skips the first nonzero entry of the last row
+    def planted(matrix):
+        last = matrix[-1]
+        skipped = next(j for j, entry in enumerate(last) if entry)
+        minors = {1 << j: entry for j, entry in enumerate(matrix[0]) if entry}
+        for row in matrix[1:]:
+            grown = {}
+            for cols, minor in minors.items():
+                for j, entry in enumerate(row):
+                    if cols >> j & 1 or not entry or row is last and j == skipped:
+                        continue
+                    term = minor * entry
+                    if (cols >> j).bit_count() & 1:
+                        term = -term
+                    key = cols | 1 << j
+                    grown[key] = grown[key] + term if key in grown else term
+            minors = grown
+        return minors.get((1 << len(matrix)) - 1, matrix[0][0] * 0)
+
+    monkeypatch.setattr(lgvgrid, "det", planted)
+
+
 def _switch_alone_fails(detail):
     sums = detail["cancellations"]
     return (
@@ -611,6 +677,19 @@ def _bijection_alone_fails(detail):
     )
 
 
+def _permutation_lost(detail):
+    # the families of the lost permutation are neither walked nor counted:
+    # the classes still hold every family counted, but the total misses
+    # p^G_k while class I cancels
+    sums = detail["cancellations"]
+    families = detail.get("families", {})
+    return (
+        families.get("classified") == families.get("feasible")
+        and sums["total"] != sums["pk"]
+        and sums["sumI"] == "0"
+    )
+
+
 def _no_family_disjoint(detail):
     counts = detail["cancellations"]["counts"]
     return counts["P"] == counts["L"] == 0 and detail["involution_ok"] is False
@@ -626,6 +705,7 @@ INVOLUTIONS_REASONS = {
     plant_completion_ignores_pair: _families_alone_miscounted,
     plant_newton_sign_slip: _total_misses_pk,
     plant_mask_claims_left_base: _no_family_disjoint,
+    plant_feasible_drops_last: _permutation_lost,
 }
 
 
@@ -687,6 +767,7 @@ def test_planted_e_rows_fail_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_sigma_only_switch, "involutions", {"uio": U3, "k": 3}),
         (plant_head_without_column, "involutions", {"uio": U3, "k": 3}),
         (plant_completion_ignores_pair, "involutions", {"uio": "2,3,4", "k": 4}),
+        (plant_feasible_drops_last, "involutions", {"uio": U3, "k": 3}),
         (plant_exit_reaches_next_entry, "lgv", TOUCHING),
         (plant_exit_reaches_next_entry, "gasharov", TOUCHING),
         (plant_elementary, "ppos", {"uio": U3, "k": 3}),
@@ -703,6 +784,7 @@ def test_planted_e_rows_fail_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_missed_order, "scottsuppes", {"n": 3}),
         (plant_skipped_last_chain, "scottsuppes", {"n": 4}),
         (plant_flipped_minor, "lgv", INSTANCE),
+        (plant_det_skips_entry, "lgv", INSTANCE),
         (plant_collect_first_key, "thn1", {"uio": "2,3,4", "l": 2}),
         (plant_collect_first_key, "cauchy", {"d": 2}),
         (plant_e_readout_first_key, "eposn", {"uio": U3}),
@@ -729,6 +811,7 @@ def test_planted_e_rows_fail_the_scan_and_its_replay(capsys, monkeypatch):
         "sigma-only-switch-involutions",
         "head-without-column-involutions",
         "completion-ignores-pair-involutions",
+        "feasible-drops-last-involutions",
         "exit-reaches-next-entry-lgv",
         "exit-reaches-next-entry-gasharov",
         "elementary-extra-monomial-ppos",
@@ -745,6 +828,7 @@ def test_planted_e_rows_fail_the_scan_and_its_replay(capsys, monkeypatch):
         "uio_recognize-missed-order-scottsuppes",
         "is_ab_free-skipped-last-chain-scottsuppes",
         "det-flipped-minor-lgv",
+        "det-skips-entry-lgv",
         "collect-first-key-thn1",
         "collect-first-key-cauchy",
         "e-readout-first-key-eposn",
@@ -770,8 +854,13 @@ def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite, inst)
     [
         (plant_mask_loses_second_vertex, "NonIdentityPermutation"),
         (plant_mask_loses_lowest_bit, "BadParameter"),
+        (plant_run_one_row_short, "NonIdentityPermutation"),
     ],
-    ids=["mask-second-vertex-involutions", "mask-lowest-bit-involutions"],
+    ids=[
+        "mask-second-vertex-involutions",
+        "mask-lowest-bit-involutions",
+        "run-one-row-short-involutions",
+    ],
 )
 def test_planted_error_fails_the_suite_and_names_it(capsys, monkeypatch, plant, error):
     plant(monkeypatch)

@@ -184,6 +184,28 @@ def test_det_by_minors_matches_the_leibniz_sum():
                 for _ in range(size)
             ]
             assert det(mat) == det_by_permutations(mat)
+    # banded matrices, whose zero entries det skips, and singular ones: with
+    # a zero row or column no full minor is reached, and det is the ring's zero
+    zero = Polynomial.zero(3)
+    for size in range(2, 7):
+        for band in (0, 1, 2):
+            mat = [
+                [
+                    random_poly(rng, nterms=2) if -band <= j - i <= 1 else zero
+                    for j in range(size)
+                ]
+                for i in range(size)
+            ]
+            assert det(mat) == det_by_permutations(mat)
+        full = [[random_poly(rng, nterms=2) for _ in range(size)] for _ in range(size)]
+        zero_first = [[zero] * size] + full[1:]
+        zero_last = full[:-1] + [[zero] * size]
+        zero_column = [row[:1] + [zero] + row[2:] for row in full]
+        equal_rows = [full[1]] + full[1:]
+        for mat in (zero_first, zero_last, zero_column, equal_rows):
+            got = det(mat)
+            assert got == det_by_permutations(mat) == zero
+            assert isinstance(got, Polynomial) and got.nvars == 3
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ blocks so far, each block its size and the mask of its later neighbours
 before anything else relies on the fast one.  The scan runs
 the same DP step down the tree of threshold prefixes (_threshold_walk), and
 the per-order DP is its oracle; the two share one memo of moves and one
-read-out of final states, each its block-size type, into the e-basis
-(_state_e).  Coefficients are exact: an int when integral, else a Fraction.
+packed read-out into the e-basis, taken before the last vertex (_leaf_sum).
+Coefficients are exact: an int when integral, else a Fraction.
 """
 
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, factorial, prod
+from operator import mul
 
 from .combinat import multiplicity_factor, partitions_of
 from .errors import TooLarge
@@ -128,13 +130,13 @@ def _stable_step(states, v, own):
     return step
 
 
-def _final_states(g):
-    """The DP's {state: count} after the last vertex of g: every block is
-    closed, so a state is its block sizes in ascending order.  One
-    _stable_step per vertex; for a unit interval order in its natural order
-    an open block's mask is an interval, so the states stay few."""
+def _states_through(g, u):
+    """The DP's {state: count} after vertices 1..u of g; after the last one
+    every block is closed, so a final state is its block sizes in ascending
+    order.  For a unit interval order in its natural order an open block's
+    mask is an interval, so the states stay few."""
     states = {(): 1}
-    for v in range(1, g.n + 1):
+    for v in range(1, u + 1):
         states = _stable_step(states, v, g.adj[v] & -(1 << v))
     return states
 
@@ -142,32 +144,32 @@ def _final_states(g):
 def _stable_partition_signatures(g):
     """Count partitions of V(g) into independent blocks by block-size type,
     read off the final states; in the order of partitions_of, (n) first."""
-    sigs = {state[::-1]: count for state, count in _final_states(g).items()}
+    sigs = {state[::-1]: count for state, count in _states_through(g, g.n).items()}
     return dict(sorted(sigs.items(), reverse=True))
 
 
 def _threshold_walk(first, max_n):
-    """Yield (next, final states) for every threshold vector with next[1] =
-    first and at most max_n entries, depth first; the walk owns the states.
+    """Yield (next, states before its last vertex) for every threshold vector
+    with next[1] = first and at most max_n entries, depth first.
 
     The DP state after vertex v depends only on next[1..v], so the walk
-    takes one _stable_step per prefix of the tree of threshold vectors
-    instead of one per vertex of every order.  Vertex v's later neighbours
-    are v+1..next[v]-1.  A prefix with next[v] = v + 1 is an order of size
-    v: nothing after v is adjacent to 1..v, so every block is closed.
-    Besides the shared memo of moves, only the states along the current
-    path are alive.
+    takes one _stable_step per prefix of the tree of threshold vectors that
+    has children (none of max_n entries does), instead of one per vertex of
+    every order.  Vertex v's later neighbours are v+1..next[v]-1.  A prefix
+    with next[v] = v + 1 is an order of size v.  Besides the shared memos,
+    only the states along the current path are alive.
     """
 
     def grow(prefix, states):
         v, t = len(prefix), prefix[-1]
-        states = _stable_step(states, v, (1 << (t - 1)) - (1 << v))
         if t == v + 1:
             yield tuple(prefix), states
-        for child in range(max(v + 2, t), max_n + 2):
-            prefix.append(child)
-            yield from grow(prefix, states)
-            prefix.pop()
+        if v < max_n:
+            states = _stable_step(states, v, (1 << (t - 1)) - (1 << v))
+            for child in range(max(v + 2, t), max_n + 2):
+                prefix.append(child)
+                yield from grow(prefix, states)
+                prefix.pop()
 
     return grow([first], {(): 1})
 
@@ -194,35 +196,84 @@ def chromatic_symmetric(g, method="stable"):
     raise ValueError("unknown method %r" % (method,))
 
 
+def _pack(fields, width):
+    """sum_i fields[i] * 2^(width * i): sums add field by field, each exact
+    while it stays in [-2^(width-1), 2^(width-1))."""
+    return sum(f << (width * i) for i, f in enumerate(fields))
+
+
+def _unpack(x, width, count):
+    """The first count fields of x, as _pack wrote them; each is biased by
+    2^(width-1) into [0, 2^width), so none borrows from the next."""
+    half = 1 << (width - 1)
+    x += ((1 << count * width) - 1) // ((1 << width) - 1) * half
+    return [(x >> width * i & 2 * half - 1) - half for i in range(count)]
+
+
 @lru_cache(maxsize=None)
-def _stable_e_rows(n):
-    """partitions_of(n), and for each lam the e-expansion that one stable
-    partition of type lam adds to X_G: row lam of the m-to-e matrix times
-    multiplicity_factor(lam), as (position in partitions_of(n), entry).
-    A row is keyed by the final DP state of its type: lam in ascending order."""
+def _packed_rows(n):
+    """(partitions_of(n), field width W, {final state: packed row}).  The row
+    of block-size type lam (ascending) is row lam of the m-to-e matrix times
+    multiplicity_factor(lam), then its values at 1^k, k = 1..n, summed from
+    it so that a check against chi_G(k) tests it.  W fits n^n and sums of
+    rows with counts totalling 2 * n * n!, a bit past what _leaf_sum admits."""
     lams = partitions_of(n)
-    where = {lam: j for j, lam in enumerate(lams)}
-    return lams, {
-        lam[::-1]: [(where[mu], multiplicity_factor(lam) * c) for mu, c in row.items()]
-        for lam, row in transition_matrix("m", "e", n).items()
-    }
+    at_ones = [[prod(comb(k, i) for i in mu) for mu in lams] for k in range(1, n + 1)]
+    rows = {}
+    for lam, row in transition_matrix("m", "e", n).items():
+        fields = [multiplicity_factor(lam) * row.get(mu, 0) for mu in lams]
+        rows[lam[::-1]] = fields + [sum(map(mul, fields, e)) for e in at_ones]
+    largest = max(abs(f) for fields in rows.values() for f in fields)
+    width = max(2 * n * factorial(n) * largest, n**n).bit_length() + 1
+    return lams, width, {state: _pack(fields, width) for state, fields in rows.items()}
 
 
-def _state_e(states):
-    """The e-coefficients of X_G read off the DP's final states: the one
-    read-out of the per-order DP and the prefix walk.  The sums run by
-    position in partitions_of(n), with no SymFunc built."""
-    lams, rows = _stable_e_rows(sum(next(iter(states))))
-    acc = [0] * len(lams)
+class _LastRows(dict):
+    """Q by the state before the last vertex v, on first use: the packed rows
+    that v's step reaches (it has no later neighbour), times their alike."""
+
+    def __init__(self, v):
+        self.v, self.rows = v, _packed_rows(v)[2]
+
+    def __missing__(self, state):
+        moves = _moves(state, self.v, 0)
+        q = self[state] = sum(alike * self.rows[new] for new, alike in moves)
+        return q
+
+
+_LAST = {}  # v -> _LastRows(v), for the life of the process beside _MOVES
+
+
+def _leaf_sum(states, v):
+    """sum count * Q over the DP's {state: count} before the last vertex v;
+    None past counts totalling v! in absolute value (true ones total at most
+    Bell(v - 1)), where a field may overflow."""
+    if sum(map(abs, states.values())) > factorial(v):
+        return None
+    known = _LAST.get(v) or _LAST.setdefault(v, _LastRows(v))
+    acc = 0
     for state, count in states.items():
-        for j, v in rows[state]:
-            acc[j] += count * v
-    return {lams[j]: c for j, c in enumerate(acc) if c}
+        acc += count * known[state]
+    return acc
+
+
+def _leaf_e(states, v):
+    """The e-coefficients of X_G, in the order of partitions_of(v), from the
+    DP's states before its last vertex v: the leaf sum decoded, or past its
+    bound each state's Q decoded alone and the fields summed."""
+    lams, width, _ = _packed_rows(v)
+    acc = _leaf_sum(states, v)
+    if acc is None:
+        qs = (_unpack(_leaf_sum({s: 1}, v), width, len(lams)) for s in states)
+        fields = [sum(map(mul, states.values(), column)) for column in zip(*qs)]
+    else:
+        fields = _unpack(acc, width, len(lams))
+    return {lam: c for lam, c in zip(lams, fields) if c}
 
 
 def e_coefficients(g):
-    """The integer coefficients of X_g on the e-basis."""
-    return _state_e(_final_states(g))
+    """The integer coefficients of X_g on the e-basis (e_() for no vertex)."""
+    return _leaf_e(_states_through(g, g.n - 1), g.n) if g.n else {(): 1}
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,26 @@ detail names its class and message.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import multiprocessing
+import os
 import sys
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import comb, prod
+from operator import sub
 from typing import NamedTuple
 
 from .chromatic import (
-    _state_e,
+    _leaf_e,
+    _leaf_sum,
+    _pack,
+    _packed_rows,
+    _states_through,
     _threshold_walk,
     check_sink_theorem,
     chromatic_symmetric,
@@ -232,35 +239,29 @@ def _check_scott_suppes(n):
             }
 
 
-_FIELD = 64  # bits per k when the values at k = 1..n are packed into one int
-
-
-def _packed(values):
-    """sum_i values[i] * 2^(_FIELD * i): exact for any ints, and equal for two
-    lists whose entries differ by less than 2^_FIELD only if they agree."""
-    return sum(v << (_FIELD * i) for i, v in enumerate(values))
-
-
-@lru_cache(maxsize=None)
-def _e_at_ones(n):
-    """For every lam of n, e_lam(1^k) = prod_i C(k, lam_i) for k = 1..n, as a
-    list and packed; and the largest of these values."""
-    values = {
-        lam: [prod(comb(k, part) for part in lam) for k in range(1, n + 1)]
-        for lam in partitions_of(n)
-    }
-    packed = {lam: _packed(vals) for lam, vals in values.items()}
-    return values, packed, max(max(vals) for vals in values.values())
-
-
 @lru_cache(maxsize=None)
 def _chromatic_values(degrees):
-    """chi_G(k) = prod_i (k - d_i) for k = 1..n, as a list and packed, and
-    n * prod_{i >= 2} d_i, from the d_i sorted (d_1 = 0 comes first): the
-    multiset is all they read, and orders with n <= 11 have 2,047 of them."""
-    n = len(degrees)
-    chi = [prod(k - d for d in degrees) for k in range(1, n + 1)]
-    return chi, _packed(chi), n * prod(degrees[1:])
+    """chi_G(k) = prod_i (k - d_i) for k = 1..n, and n * prod_{i >= 2} d_i,
+    from the d_i sorted (d_1 = 0 comes first): the multiset is all they
+    read, and orders with n <= 11 have 2,047 of them."""
+    chi = [prod(k - d for d in degrees) for k in range(1, len(degrees) + 1)]
+    return chi, len(degrees) * prod(degrees[1:])
+
+
+def _degrees(nxt):
+    """The d_i of _scan_verdict, sorted: the later neighbours of j, next[j] -
+    j - 1 of them, are pairwise adjacent too, so they count the same roots."""
+    return tuple(sorted(map(sub, nxt, range(2, len(nxt) + 2))))
+
+
+@lru_cache(maxsize=None)
+def _passing_sum(degrees, fields, width):
+    """(mask, top, chi): an exact leaf sum acc of fields e-fields of width
+    bits passes iff acc & mask == top (no e-field's sign bit set, the low one
+    the sink count) and acc >> fields * width == chi, chi_G(1..n) packed."""
+    chi, top = _chromatic_values(degrees)
+    signs = ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
+    return signs | (1 << width) - 1, top, _pack(chi, width)
 
 
 def _scan_verdict(nxt, coeffs):
@@ -282,18 +283,12 @@ def _scan_verdict(nxt, coeffs):
         detail["negatives"] = {
             format_partition(lam): c for lam, c in sorted(coeffs.items()) if c < 0
         }
-    degrees = sorted(i - bisect_right(nxt, i + 1, 0, i) for i in range(n))
-    chi, chi_packed, top = _chromatic_values(tuple(degrees))
-    values, packed, largest = _e_at_ones(n)
-    # |x_g(k)| <= sum |c_lam| * largest and |chi(k)| <= n^n: below 2^(_FIELD-1)
-    # each, one packed sum compares all n values; else compare them one by one
-    small = sum(map(abs, coeffs.values())) * largest + n**n < 1 << (_FIELD - 1)
-    if not small or sum(c * packed[lam] for lam, c in coeffs.items()) != chi_packed:
-        for k in range(1, n + 1):
-            x_g = sum(c * values[lam][k - 1] for lam, c in coeffs.items())
-            if x_g != chi[k - 1]:
-                detail["chromatic"] = {"k": k, "x_g": x_g, "chi_g": chi[k - 1]}
-                break
+    chi, top = _chromatic_values(_degrees(nxt))
+    for k in range(1, n + 1):
+        x_g = sum(c * prod(comb(k, i) for i in lam) for lam, c in coeffs.items())
+        if x_g != chi[k - 1]:
+            detail["chromatic"] = {"k": k, "x_g": x_g, "chi_g": chi[k - 1]}
+            break
     if coeffs.get((n,), 0) != top:
         detail["top"] = {"c_n": coeffs.get((n,), 0), "sinks": top}
     if not detail:
@@ -304,22 +299,39 @@ def _scan_verdict(nxt, coeffs):
     return detail
 
 
+def _leaf_verdict(nxt, states):
+    """_scan_verdict's verdict on the order nxt from the DP's states before its
+    last vertex.  With every field exact, a clear sign bit, from the low field
+    up, is a nonnegative field and no borrow: the packed test holds iff
+    _scan_verdict's three checks do.  Any other sum is decoded for them."""
+    n = len(nxt)
+    lams, width, _ = _packed_rows(n)
+    acc = _leaf_sum(states, n)
+    mask, top, chi = _passing_sum(_degrees(nxt), len(lams), width)
+    if acc is not None and acc & mask == top and acc >> (len(lams) * width) == chi:
+        return None
+    detail = _scan_verdict(nxt, _leaf_e(states, n))
+    if detail is None and acc is not None:  # rows and their tails disagree
+        return {"reason": "packed read-out fails, its e-coefficients pass"}
+    return detail
+
+
 def _scan_one(uio):
     """One order of the scan through the per-order DP: the --instance
     replay, and the oracle for the prefix walk."""
     _degree_fits(uio.n)
-    return _scan_verdict(uio.next, e_coefficients(uio.inc_graph()))
+    return _leaf_verdict(uio.next, _states_through(uio.inc_graph(), uio.n - 1))
 
 
 def _scan_subtree(job):
     """The scan of every order with next[1] = first and at most max_n
     elements through the prefix walk: (orders, [(next, inst, "fail",
-    detail)]).  It differs from _scan_one only in where the final DP states
-    come from: the walk, with no order or graph built per order."""
+    detail)]).  It differs from _scan_one only in where the DP states come
+    from: the walk, with no order or graph built per order."""
     first, max_n = job
     count, failures = 0, []
     for nxt, states in _threshold_walk(first, max_n):
-        detail = _scan_verdict(nxt, _state_e(states))
+        detail = _leaf_verdict(nxt, states)
         count += 1
         if detail is not None:
             uio = ",".join(map(str, nxt))
@@ -341,6 +353,8 @@ def _scan_all(max_n, jobs):
     """Every order with at most max_n elements, one subtree of the prefix
     walk per first threshold, on up to jobs workers; failures in the order
     of the suite's instances (by size, then threshold vector)."""
+    for n in range(1, max_n + 1):  # built once, before any worker forks
+        _packed_rows(n)
     work = [(first, max_n) for first in range(2, max_n + 2)]
     parts = _fan_out(_scan_subtree, work, jobs)
     failures = sorted(
@@ -696,7 +710,13 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     handlers = {"csf": _cmd_csf, "verify": _cmd_verify, "scan": _cmd_verify}
-    return handlers[args.command](args)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = handlers[args.command](args)
+    try:
+        print(out.getvalue(), end="", flush=True)
+    except BrokenPipeError:  # the reader has gone: keep the code, no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

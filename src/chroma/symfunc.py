@@ -384,14 +384,14 @@ def _kostka(shape, content):
     return sum(_kostka(mu, rest) for mu in _horizontal_strips(shape, last))
 
 
-def _m_coords(basis, lam, d):
-    """Coordinates of basis_lam on m_nu for nu running over partitions_of(d)
-    (Macdonald, Symmetric Functions and Hall Polynomials, Ch. I, sections 2-6)."""
+def _m_coords(basis, lam, lams):
+    """Coordinates of basis_lam on m_nu for nu running over lams, partitions_of
+    |lam| (Macdonald, Symmetric Functions and Hall Polynomials, Ch. I, 2-6)."""
     if basis == "m":
-        return [int(nu == lam) for nu in partitions_of(d)]
+        return [int(nu == lam) for nu in lams]
     if basis == "s":
-        return [_kostka(lam, nu) for nu in partitions_of(d)]
-    return [_placements(basis, lam, nu) for nu in partitions_of(d)]
+        return [_kostka(lam, nu) for nu in lams]
+    return [_placements(basis, lam, nu) for nu in lams]
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +418,12 @@ def _compute_matrix(frm, to, d):
     if frm == to:
         return {lam: {lam: 1} for lam in lams}
     columns = {
-        mu: {nu: c for nu, c in zip(lams, _m_coords(to, mu, d)) if c} for mu in lams
+        mu: {nu: c for nu, c in zip(lams, _m_coords(to, mu, lams)) if c} for mu in lams
     }
     pivots = _pivots(to, lams)
     matrix = {}
     for lam in lams:
-        residual = dict(zip(lams, _m_coords(frm, lam, d)))
+        residual = dict(zip(lams, _m_coords(frm, lam, lams)))
         solved = {}
         for mu, nu in pivots:
             r = residual[nu]

@@ -86,8 +86,8 @@ def signature_e_rows(n):
 def signature_e(sigs):
     """The e-coefficients of X_G read off its stable-partition counts by
     block-size type, {lam: count} with lam a partition, through rows keyed
-    by lam; the oracle for chromatic._state_e, which reads the DP's final
-    states through rows keyed by the states themselves."""
+    by lam; the oracle for chromatic._leaf_e, which reads the DP's states
+    before the last vertex through packed rows keyed by the final states."""
     lams, rows = signature_e_rows(sum(next(iter(sigs))))
     acc = [0] * len(lams)
     for lam, c in sigs.items():

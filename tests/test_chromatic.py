@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from chroma.chromatic import (
     e_coefficients,
     positivity_report,
 )
-from chroma.cli import _scan_verdict
+from chroma.cli import _leaf_verdict, _scan_verdict
 from chroma.combinat import (
     Graph,
     UnitIntervalOrder,
@@ -25,7 +25,12 @@ from chroma.combinat import (
 )
 from chroma.errors import TooLarge
 from chroma.symfunc import SymFunc, convert
-from oracles import acyclic_orientation_sinks_brute, disjoint_union, signature_e
+from oracles import (
+    acyclic_orientation_sinks_brute,
+    disjoint_union,
+    signature_e,
+    signature_e_rows,
+)
 from test_combinat import threshold_vectors
 
 CLAW = Graph(4, [(1, 2), (1, 3), (1, 4)])
@@ -108,9 +113,10 @@ def test_stable_count_does_not_depend_on_vertex_order(pair):
 
 def test_threshold_walk_matches_per_order_dp(monkeypatch):
     # the scan's prefix walk against the per-order DP: every order with
-    # n <= 8 exactly once, with the same final states and counts in the same
-    # order, and one DP step per prefix of the tree (4,861, against 15,521
-    # vertices)
+    # n <= 8 exactly once, with the same states before its last vertex and
+    # counts in the same order, and one DP step per prefix of the tree that
+    # has children (3,431: the 1,430 prefixes of 8 entries take none; against
+    # 15,521 vertices)
     steps = []
     step = chromatic._stable_step
     monkeypatch.setattr(
@@ -120,25 +126,65 @@ def test_threshold_walk_matches_per_order_dp(monkeypatch):
         pair for first in range(2, 10) for pair in chromatic._threshold_walk(first, 8)
     ]
     monkeypatch.undo()
-    assert len(steps) == 4861
+    assert len(steps) == 3431
     orders = [u for n in range(1, 9) for u in enumerate_uios(n)]
     assert sorted(nxt for nxt, _ in walked) == sorted(u.next for u in orders)
     assert sum(u.n for u in orders) == 15521
     found = dict(walked)
     for u in orders:
-        expected = chromatic._final_states(u.inc_graph())
+        expected = chromatic._states_through(u.inc_graph(), u.n - 1)
         assert list(found[u.next].items()) == list(expected.items()), str(u)
+
+
+def packed_final_sum(g):
+    """The packed read-out summed over the DP's final states of g, one
+    packed row per stable partition type."""
+    rows = chromatic._packed_rows(g.n)[2]
+    return sum(c * rows[s] for s, c in chromatic._states_through(g, g.n).items())
+
+
+def test_leaf_sum_matches_the_packed_final_states():
+    # the last vertex's step read once per state before it, against the
+    # final states each read through its packed row: every order with
+    # n <= 9 as the walk reaches it, and every graph with 1 <= n <= 5
+    orders = 0
+    for first in range(2, 11):
+        for nxt, states in chromatic._threshold_walk(first, 9):
+            g = UnitIntervalOrder(nxt).inc_graph()
+            assert chromatic._leaf_sum(states, g.n) == packed_final_sum(g), nxt
+            orders += 1
+    assert orders == 6917
+    for g in (g for n in range(1, 6) for g in all_graphs(n)):
+        before = chromatic._states_through(g, g.n - 1)
+        assert chromatic._leaf_sum(before, g.n) == packed_final_sum(g), g.edges
+
+
+def test_packed_rows_hold_each_row_and_its_values_at_ones():
+    # each packed row decodes to its m-to-e row times multiplicity_factor,
+    # then that row's e-expansion at 1^k, which for one stable partition of
+    # type lam is multiplicity_factor(lam) * m_lam(1^k) = (k)_l(lam)
+    for n in range(1, 9):
+        lams, width, rows = chromatic._packed_rows(n)
+        oracle_lams, oracle_rows = signature_e_rows(n)
+        assert lams == oracle_lams and len(rows) == len(lams)
+        for lam in lams:
+            fields = chromatic._unpack(rows[lam[::-1]], width, len(lams) + n)
+            row = dict(oracle_rows[lam])
+            assert fields[: len(lams)] == [row.get(j, 0) for j in range(len(lams))]
+            falling = [prod(range(k - len(lam) + 1, k + 1)) for k in range(1, n + 1)]
+            assert fields[len(lams) :] == falling, lam
 
 
 def test_state_readout_matches_the_signature_readout():
     # every order with n <= 8 as the walk reaches it: the e-coefficients read
-    # off its final states equal those read off its signatures and the m-to-e
-    # conversion of X_G, key for key, in the order of partitions_of
+    # off its states before the last vertex equal those read off its
+    # signatures and the m-to-e conversion of X_G, key for key, in the order
+    # of partitions_of
     orders = 0
     for first in range(2, 10):
         for nxt, states in chromatic._threshold_walk(first, 8):
             g = UnitIntervalOrder(nxt).inc_graph()
-            coeffs = chromatic._state_e(states)
+            coeffs = chromatic._leaf_e(states, len(nxt))
             oracle = signature_e(chromatic._stable_partition_signatures(g))
             assert list(coeffs.items()) == list(oracle.items()), nxt
             assert coeffs == convert(chromatic_symmetric(g), "e").as_int_dict()
@@ -146,6 +192,56 @@ def test_state_readout_matches_the_signature_readout():
             assert list(coeffs) == ordered
             orders += 1
     assert orders == 2055
+
+
+def test_walk_verdict_matches_the_exact_verdict():
+    # every order with n <= 8: the packed test on the leaf sum decides as
+    # _scan_verdict does on the decoded e-coefficients
+    for first in range(2, 10):
+        for nxt, states in chromatic._threshold_walk(first, 8):
+            decoded = chromatic._leaf_e(states, len(nxt))
+            assert _leaf_verdict(nxt, states) == _scan_verdict(nxt, decoded), nxt
+
+
+def exact_e(states, v):
+    """The e-coefficients of the DP states before the last vertex v, for any
+    counts: the last step taken, then the signature read-out of the oracle."""
+    final = chromatic._stable_step(states, v, 0)
+    sigs = {s[::-1]: c for s, c in final.items() if c}
+    return signature_e(sigs) if sigs else {}
+
+
+@st.composite
+def perturbed_states(draw):
+    """An order with n <= 8, and the states before its last vertex with one
+    count moved by -1 or +1, made negative, or pushed past the bound of the
+    leaf sum."""
+    nxt = tuple(draw(threshold_vectors(max_n=8)))
+    states = chromatic._states_through(UnitIntervalOrder(nxt).inc_graph(), len(nxt) - 1)
+    state = draw(st.sampled_from(sorted(states)))
+    kind = draw(st.sampled_from(["-1", "+1", "negative", "past the bound"]))
+    states = dict(states)
+    if kind == "past the bound":
+        states[state] += factorial(len(nxt)) + draw(st.integers(1, 10**30))
+    elif kind == "negative":
+        states[state] = -draw(st.integers(1, 10))
+    else:
+        states[state] += int(kind)
+    return nxt, states, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_states())
+def test_verdict_on_perturbed_states_matches_the_exact_verdict(case):
+    # a count off by one either way, a negative count, and counts past the
+    # bound, which the leaf sum refuses so that the exact read-out decides
+    nxt, states, kind = case
+    n = len(nxt)
+    refused = chromatic._leaf_sum(states, n) is None
+    assert refused == (sum(map(abs, states.values())) > factorial(n))
+    assert refused or kind != "past the bound"
+    assert chromatic._leaf_e(states, n) == exact_e(states, n)
+    assert _leaf_verdict(nxt, states) == _scan_verdict(nxt, exact_e(states, n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -198,16 +294,19 @@ def test_shared_move_memo_keeps_every_count(monkeypatch):
 
 
 def test_walk_to_eight_meets_a_fixed_state_space(monkeypatch):
-    # every order with n <= 8, walked with an empty memo, meets 936 distinct
-    # DP states in 1,546 memo entries; an encoding of the state that merges
-    # or splits states changes these figures
+    # every order with n <= 8, walked and read out with empty memos, meets
+    # 914 distinct DP states in 1,436 memo entries of moves and reads 249
+    # states before a last vertex; an encoding of the state that merges or
+    # splits states changes these figures
     monkeypatch.setattr(chromatic, "_MOVES", {})
     monkeypatch.setattr(chromatic, "_STATES", {})
+    monkeypatch.setattr(chromatic, "_LAST", {})
     for first in range(2, 10):
-        for _ in chromatic._threshold_walk(first, 8):
-            pass
-    assert len(chromatic._STATES) == 936
-    assert sum(len(known) for known in chromatic._MOVES.values()) == 1546
+        for nxt, states in chromatic._threshold_walk(first, 8):
+            chromatic._leaf_sum(states, len(nxt))
+    assert len(chromatic._STATES) == 914
+    assert sum(len(known) for known in chromatic._MOVES.values()) == 1436
+    assert sum(len(known) for known in chromatic._LAST.values()) == 249
 
 
 def test_rational_spacing_families_are_e_positive():

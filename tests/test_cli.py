@@ -1,11 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import chroma.chromatic as chromatic
 from chroma.cli import (
     ANALOGUE_DEGREE_BOUND,
     SUITES,
@@ -17,6 +19,8 @@ from chroma.cli import (
     scan_epositivity,
 )
 from chroma.errors import BadParameter, NonIdentityPermutation, TooLarge
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -177,6 +181,33 @@ def test_verify_suites_small_bounds(capsys, suite, bounds):
     code, out, _ = run(capsys, "verify", suite, *bounds)
     assert code == 0, out
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "cauchy", "--max-n", "2"], 0),
+        (["verify", "thn1", "--instance", '{"uio":"2","l":16}'], 3),
+    ],
+    ids=["pass", "budget"],
+)
+def test_closed_pipe_keeps_the_exit_code_and_writes_no_traceback(argv, code):
+    # stdout is a pipe whose reader has already gone, as in `chroma ... | true`
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chroma.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, b"")
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -573,20 +604,19 @@ def test_scan_json_is_the_same_for_any_jobs(capsys):
 
 
 def test_scan_walk_reports_what_the_per_order_route_reports(monkeypatch):
-    # with a stable-partition count that is off for every order, the prefix
-    # walk and a replay of each order through _scan_one report the same
+    # with a count before the last vertex that is off for every order, the
+    # prefix walk and a replay of each order through _scan_one report the same
     # failures, with the same details, in input order
     import chroma.cli as cli
 
-    original = chromatic._state_e
+    original = cli._leaf_verdict
 
-    def planted(states):
+    def planted(nxt, states):
         states = dict(states)
         states[next(iter(states))] += 1
-        return original(states)
+        return original(nxt, states)
 
-    monkeypatch.setattr(chromatic, "_state_e", planted)
-    monkeypatch.setattr(cli, "_state_e", planted)
+    monkeypatch.setattr(cli, "_leaf_verdict", planted)
     walked = run_suite("scan", max_n=5)
     replayed = [
         failure

@@ -26,30 +26,37 @@ stable-partition count, so one miscounted block type fails both.  The scan
 suite checks the e-coefficients of X_G against chi_G(k) = prod (k - d_i)
 and c_(n) = n * prod d_i, which read only the threshold vector.  Its full
 run (the prefix walk) and its --instance replay (_scan_one, the per-order
-oracle) share the DP step and the read-out of its final states into the
-e-basis, but not enumerate_uios: the walk generates the threshold vectors
-itself.  So a stable partition planted in a copy of the final states that
-the read-out reads fails the scan, and the replay of its first failure
-reports the same detail.
+oracle) share the DP step and the read-out, but not enumerate_uios: the
+walk generates the threshold vectors itself.  So a stable partition planted
+in the read-out fails the scan, and the replay of its first failure reports
+the same detail.
 
 Every stable-partition count goes through chromatic._stable_step and its
 one memo of moves: eposn, sink, gnechrom (X of the clan graph) and both
 routes of the scan.  Of these, eposn, sink and the scan read the counts
-into the e-basis through the one read-out chromatic._state_e (cli imports
-it for the walk, so the plant replaces both names); gnechrom compares
-m-expansions and does not read it.  So an e-coefficient that gains 1 there
-fails eposn, sink and the scan, and the replay of the scan's first failure
-agrees.  The read-out takes each final state, whose blocks are all closed,
-through its row of chromatic._stable_e_rows: row lam of the m-to-e matrix
-times multiplicity_factor(lam), keyed by lam in ascending order.  Rows
-without that factor count a stable partition once, not once per ordering of
-its equal parts: on the path 3,4,4 the partition into singletons adds e_3
-once instead of 6 times, so c_(3) reads -2, and the same three fail.  The
-DP has one move rule, chromatic._moves: vertex v starts a block or joins
-one not adjacent to it, and a join into one of k alike blocks counts k
-times.  The 3-chain 2,3,4 has an edgeless incomparability graph, so its
-third vertex meets two alike singletons; a rule that counts that join once
-loses a partition, which eposn, sink and the scan replay each report.
+into the e-basis through the one read-out chromatic._leaf_sum (cli imports
+it for the scan's packed test, so the plant replaces both names), which
+takes the states before the last vertex: e_coefficients decodes it, and
+the scan tests it packed; gnechrom compares m-expansions and does not read
+it.  So a sum that gains the row of one partition into singletons, or 1 in
+its low field c_(n), fails eposn, sink and the scan, and the replay of the
+scan's first failure agrees.  The sum adds, per state before the last
+vertex, its Q: the packed rows of the final states that the last vertex's
+moves reach, each times its multiplicity, kept in the memo
+chromatic._LAST.  A final state, whose blocks are all closed, has its row
+in chromatic._packed_rows: row lam of the m-to-e matrix times
+multiplicity_factor(lam), keyed by lam in ascending order, then that row's
+values at 1^k.  Rows without that factor count a stable partition once,
+not once per ordering of its equal parts: on the path 3,4,4 the partition
+into singletons adds e_3 once instead of 6 times, so c_(3) reads -2, and
+the same three fail.  A row whose value at 1^1 gains 1 leaves every
+e-coefficient right, so only the scan's packed test sees it, and names the
+disagreement.  The DP has one move rule, chromatic._moves: vertex v starts
+a block or joins one not adjacent to it, and a join into one of k alike
+blocks counts k times.  The 3-chain 2,3,4 has an edgeless incomparability
+graph, so its third vertex meets two alike singletons; a rule that counts
+that join once loses a partition, which eposn, sink and the scan replay
+each report, and so does a Q that counts the last vertex's join once.
 
 The ppos suite compares power_via_corrects with power_g, the thn1 suite
 compares m_l1_via_corrects with two power_g routes and monomial_g, and the
@@ -161,11 +168,12 @@ cauchy through the Schur side, whose schur_concrete expands the
 e-determinant (the m-e and e-m sides expand products and monomials
 directly).  So a collected coefficient that gains 1 fails both; on the
 3-chain, whose e^G_3 is not 0, the first key of m_(2,1) counts.  eposn
-does not read it: its e-coefficients come from chromatic._state_e.
+does not read it: its e-coefficients come from chromatic._leaf_sum.
 """
 
 import json
 import multiprocessing
+from functools import lru_cache
 
 import pytest
 
@@ -242,24 +250,70 @@ def plant_path_sum_matrix_entry(monkeypatch):
     monkeypatch.setattr(lgvgrid, "path_sum_matrix", planted)
 
 
+def plant_leaf_sum(monkeypatch, extra):
+    # the leaf sum, read by the per-order DP, the prefix walk and
+    # e_coefficients, gains extra(v)
+    original = chromatic._leaf_sum
+
+    def planted(states, v):
+        return original(states, v) + extra(v)
+
+    monkeypatch.setattr(chromatic, "_leaf_sum", planted)
+    monkeypatch.setattr(cli, "_leaf_sum", planted)
+
+
 def plant_singleton_blocks(monkeypatch):
-    # one more partition into singletons: X_G gains n! * m_(1^n) = n! * e_n;
-    # planted in a copy of the final states that the read-out shared by the
-    # per-order DP and the prefix walk reads
-    original = chromatic._state_e
+    # one more partition into singletons: X_G gains n! * m_(1^n) = n! * e_n
+    plant_leaf_sum(monkeypatch, lambda v: chromatic._packed_rows(v)[2][(1,) * v])
 
-    def planted(states):
-        ones = (1,) * sum(next(iter(states)))
-        states = dict(states)
-        states[ones] = states.get(ones, 0) + 1
-        return original(states)
 
-    monkeypatch.setattr(chromatic, "_state_e", planted)
-    monkeypatch.setattr(cli, "_state_e", planted)
+def plant_e_readout_first_key(monkeypatch):
+    # the first e-coefficient of the read-out, c_(n) in the low field, gains 1
+    plant_leaf_sum(monkeypatch, lambda v: 1)
+
+
+def plant_packed_rows(monkeypatch, change):
+    # every packed row of the read-out becomes change(row fields, lam), at
+    # the same width; the memo of last steps, which sums rows, starts empty
+    original = chromatic._packed_rows
+
+    @lru_cache(maxsize=None)
+    def planted(n):
+        lams, width, rows = original(n)
+        size = len(lams) + n
+        return lams, width, {
+            state: chromatic._pack(
+                change(chromatic._unpack(row, width, size), state), width
+            )
+            for state, row in rows.items()
+        }
+
+    monkeypatch.setattr(chromatic, "_packed_rows", planted)
+    monkeypatch.setattr(cli, "_packed_rows", planted)
+    monkeypatch.setattr(chromatic, "_LAST", {})
+
+
+def plant_e_rows_without_multiplicity(monkeypatch):
+    # the rows of the m-to-e matrix alone, without multiplicity_factor(lam),
+    # and their values at 1^k, which are linear in the row
+    plant_packed_rows(
+        monkeypatch,
+        lambda fields, lam: [f // combinat.multiplicity_factor(lam) for f in fields],
+    )
+
+
+def plant_packed_tail_off_by_one(monkeypatch):
+    # the value of every row at 1^1, the field just past the e-coefficients,
+    # gains 1
+    def change(fields, lam):
+        fields[len(combinat.partitions_of(sum(lam)))] += 1
+        return fields
+
+    plant_packed_rows(monkeypatch, change)
 
 
 def plant_alike_join_counted_once(monkeypatch):
-    # joining one of k alike blocks counts once, not k times; the memo is
+    # joining one of k alike blocks counts once, not k times; the memos are
     # emptied so that no move made by the right rule is read back
     original = chromatic._moves
 
@@ -268,33 +322,19 @@ def plant_alike_join_counted_once(monkeypatch):
 
     monkeypatch.setattr(chromatic, "_moves", planted)
     monkeypatch.setattr(chromatic, "_MOVES", {})
+    monkeypatch.setattr(chromatic, "_LAST", {})
 
 
-def plant_e_readout_first_key(monkeypatch):
-    # the first e-coefficient that the shared read-out returns gains 1
-    original = chromatic._state_e
+def plant_last_step_alike_once(monkeypatch):
+    # Q, the memoised read-out of the last vertex's step, counts a join into
+    # one of k alike blocks once; the DP steps before it are right
+    def planted(self, state):
+        moves = chromatic._moves(state, self.v, 0)
+        q = self[state] = sum(self.rows[new] for new, _ in moves)
+        return q
 
-    def planted(states):
-        coeffs = original(states)
-        coeffs[next(iter(coeffs))] += 1
-        return coeffs
-
-    monkeypatch.setattr(chromatic, "_state_e", planted)
-    monkeypatch.setattr(cli, "_state_e", planted)
-
-
-def plant_e_rows_without_multiplicity(monkeypatch):
-    # the read-out's rows are the rows of the m-to-e matrix alone, without
-    # multiplicity_factor(lam)
-    def planted(n):
-        lams = combinat.partitions_of(n)
-        where = {lam: j for j, lam in enumerate(lams)}
-        return lams, {
-            lam[::-1]: [(where[mu], c) for mu, c in row.items()]
-            for lam, row in symfunc.transition_matrix("m", "e", n).items()
-        }
-
-    monkeypatch.setattr(chromatic, "_stable_e_rows", planted)
+    monkeypatch.setattr(chromatic._LastRows, "__missing__", planted)
+    monkeypatch.setattr(chromatic, "_LAST", {})
 
 
 def plant_dropped_sequence(monkeypatch):
@@ -723,12 +763,13 @@ def test_planted_stable_count_fails_the_suite(capsys, monkeypatch, suite):
     assert [f["outcome"] for f in report["failures"]] == ["fail"]
 
 
-def assert_scan_and_replay_fail(capsys):
+def assert_scan_and_replay_fail(capsys, detail=lambda d: "chromatic" in d):
+    # the walk and the replay of its first failure read the same leaf sum
     code = cli.main(["scan", "--max-n", "6"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     first = report["failures"][0]
-    assert first["outcome"] == "fail" and "chromatic" in first["detail"]
+    assert first["outcome"] == "fail" and detail(first["detail"])
     code, replayed = replay(capsys, "scan", {"uio": first["uio"]})
     assert code == 1
     assert replayed["failures"] == [first]
@@ -747,6 +788,24 @@ def test_planted_e_readout_fails_the_scan_and_its_replay(capsys, monkeypatch):
 def test_planted_e_rows_fail_the_scan_and_its_replay(capsys, monkeypatch):
     plant_e_rows_without_multiplicity(monkeypatch)
     assert_scan_and_replay_fail(capsys)
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [plant_alike_join_counted_once, plant_last_step_alike_once],
+    ids=["alike-join-once", "last-step-alike-once"],
+)
+def test_planted_alike_count_fails_the_scan_and_its_replay(capsys, monkeypatch, plant):
+    plant(monkeypatch)
+    assert_scan_and_replay_fail(capsys)
+
+
+def test_planted_packed_tail_fails_the_scan_and_its_replay(capsys, monkeypatch):
+    # every e-coefficient is right, so the packed test and the exact verdict
+    # disagree, and the scan names that
+    plant_packed_tail_off_by_one(monkeypatch)
+    reason = {"reason": "packed read-out fails, its e-coefficients pass"}
+    assert_scan_and_replay_fail(capsys, lambda d: d == reason)
 
 
 @pytest.mark.parametrize(
@@ -794,6 +853,10 @@ def test_planted_e_rows_fail_the_scan_and_its_replay(capsys, monkeypatch):
         (plant_alike_join_counted_once, "eposn", {"uio": "2,3,4"}),
         (plant_alike_join_counted_once, "sink", {"uio": "2,3,4"}),
         (plant_alike_join_counted_once, "scan", {"uio": "2,3,4"}),
+        (plant_last_step_alike_once, "eposn", {"uio": "2,3,4"}),
+        (plant_last_step_alike_once, "sink", {"uio": "2,3,4"}),
+        (plant_last_step_alike_once, "scan", {"uio": "2,3,4"}),
+        (plant_packed_tail_off_by_one, "scan", {"uio": U3}),
     ],
     ids=[
         "schur_g-extra-monomial-gasharov",
@@ -838,6 +901,10 @@ def test_planted_e_rows_fail_the_scan_and_its_replay(capsys, monkeypatch):
         "alike-join-once-eposn",
         "alike-join-once-sink",
         "alike-join-once-scan",
+        "last-step-alike-once-eposn",
+        "last-step-alike-once-sink",
+        "last-step-alike-once-scan",
+        "packed-tail-off-by-one-scan",
     ],
 )
 def test_planted_defect_fails_the_suite(capsys, monkeypatch, plant, suite, inst):

@@ -349,8 +349,8 @@ def gauss_jordan_matrix(frm, to, d):
     the m-coordinates of both bases, with no use of triangularity."""
     lams = partitions_of(d)
     size = len(lams)
-    columns = [_m_coords(to, mu, d) for mu in lams]
-    targets = [_m_coords(frm, lam, d) for lam in lams]
+    columns = [_m_coords(to, mu, lams) for mu in lams]
+    targets = [_m_coords(frm, lam, lams) for lam in lams]
     rows = [
         [Fraction(columns[c][r]) for c in range(size)] + [t[r] for t in targets]
         for r in range(size)
@@ -387,8 +387,8 @@ def test_coordinate_off_the_triangle_is_refused(monkeypatch):
     # s_11 planted with a coordinate on m_2, above the diagonal
     original = symfunc._m_coords
 
-    def planted(basis, lam, d):
-        coords = original(basis, lam, d)
+    def planted(basis, lam, lams):
+        coords = original(basis, lam, lams)
         if basis == "s" and lam == (1, 1):
             coords[0] += 1
         return coords

@@ -221,7 +221,8 @@ def _packed_rows(n):
     at_ones = [[prod(comb(k, i) for i in mu) for mu in lams] for k in range(1, n + 1)]
     rows = {}
     for lam, row in transition_matrix("m", "e", n).items():
-        fields = [multiplicity_factor(lam) * row.get(mu, 0) for mu in lams]
+        factor = multiplicity_factor(lam)
+        fields = [factor * row.get(mu, 0) for mu in lams]
         rows[lam[::-1]] = fields + [sum(map(mul, fields, e)) for e in at_ones]
     largest = max(abs(f) for fields in rows.values() for f in fields)
     width = max(2 * n * factorial(n) * largest, n**n).bit_length() + 1

@@ -72,7 +72,8 @@ from .symfunc import cauchy_check, convert
 # ppos's k, thn1's l + 1, gasharov's weight |lam| (its schur_g), and the
 # vertex count of an order or graph whose X is read into the e-basis (eposn,
 # sink, a scan replay): each the degree of a cold m->e or s->e build, which
-# takes 0.6-0.7 s at 12
+# at 12 takes 0.013 s for m->e and 0.17-0.20 s for s->e, nearly all of it
+# Kostka numbers (2-core x86-64, Python 3.11)
 ANALOGUE_DEGREE_BOUND = 12
 
 # ---------------------------------------------------------------------------

@@ -98,16 +98,16 @@ def _top(mono):
     return (mono.bit_length() + FIELD - 1) // FIELD
 
 
-def _grow(u, states):
+def _grow(states, lo, nxt):
     """One more entry for each state: packed monomial -> list of the numbers
     of correct prefixes of that monomial, indexed by lo[last entry].
 
     A prefix's future depends on its last entry only through lo[last], and
     its running maximum is the monomial's top variable, so entry c may follow
     the prefixes whose lo is at most c (a prefix sum of the list) for c below
-    nxt[top].  The empty prefix counts at lo = 1."""
-    lo, nxt = _extension_bounds(u)
-    n = u.n
+    nxt[top], for the tables lo and nxt of _extension_bounds.  The empty prefix
+    counts at lo = 1."""
+    n = len(lo) - 1
     units = [0] + [1 << FIELD * (c - 1) for c in range(1, n + 1)]
     out = {}
     for mono, counts in states.items():
@@ -135,8 +135,8 @@ def _empty(u):
     return {0: [0, 1] + [0] * (u.n - 1)}
 
 
-def _states(u, k):
-    """The states of the correct sequences of length k."""
+def _states(u, k, lo, nxt):
+    """The states of the correct sequences of length k, under u's lo and nxt."""
     if k < 1:
         raise ValueError("k must be >= 1")
     _exponents_fit(k)
@@ -144,7 +144,7 @@ def _states(u, k):
         raise TooLarge("n^k = %d exceeds the sequence budget" % (u.n ** k,))
     states = _empty(u)
     for _ in range(k):
-        states = _grow(u, states)
+        states = _grow(states, lo, nxt)
     return states
 
 
@@ -158,7 +158,7 @@ def enumerate_corrects(u, k):
 
 def power_via_corrects(u, k):
     """Sum of w_1 * .. * w_k over correct sequences; the power-sum analogue."""
-    states = _states(u, k)
+    states = _states(u, k, *_extension_bounds(u))
     return Polynomial(u.n, {mono: sum(counts) for mono, counts in states.items()})
 
 
@@ -167,9 +167,10 @@ def covering_corrects_count(u):
     squarefree states are kept after each step (no field at 2), so the
     antichain costs subsets rather than n^n."""
     twos = monomial_from_elements(range(1, u.n + 1)) << 1
+    lo, nxt = _extension_bounds(u)
     states = _empty(u)
     for _ in range(u.n):
-        states = {m: c for m, c in _grow(u, states).items() if not m & twos}
+        states = {m: c for m, c in _grow(states, lo, nxt).items() if not m & twos}
     return sum(sum(counts) for counts in states.values())
 
 
@@ -187,10 +188,10 @@ def m_l1_via_corrects(u, l):
         raise BadParameter("the pair expansion needs l >= 2")
     _exponents_fit(l + 1)
     n = u.n
-    _, nxt = _extension_bounds(u)
+    lo, nxt = _extension_bounds(u)
     units = [0] + [1 << FIELD * (z - 1) for z in range(1, n + 1)]
     counts = Counter()
-    for mono, row in _states(u, l).items():
+    for mono, row in _states(u, l, lo, nxt).items():
         top = nxt[_top(mono)]
         total = sum(row)
         for z in range(top, n + 1):

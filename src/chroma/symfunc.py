@@ -1,19 +1,18 @@
 """Symmetric functions in the e/m/p/s bases with exact basis changes.
 
 Basis elements are indexed by partitions; coefficients are exact: an int
-when integral, else a Fraction.  All basis changes go through one
-mechanism: write both bases on the monomial basis by counting (0-1
-matrices for e, ordered groupings of parts for p, Kostka numbers for s,
-Macdonald Ch. I) and solve the resulting square system exactly, by
-back-substitution: every basis is triangular on m in a suitable order of
-the partitions, unitriangular for e, m and s (see _pivots).  Computed
-matrices are memoised in memory, once per process, with their integral
-entries stored as ints, so that e/m/s basis changes are integer
-arithmetic.  Degree 0 has its own 1x1 matrix {(): {(): 1}}, and a basis
-changed into itself goes through the identity matrix, so convert has no
-special case.  The concrete expansions in finitely many variables
-(expand_concrete, SymFunc.expand) are the independent oracle for that
-route.
+when integral, else a Fraction.  Each basis is written on the monomial
+basis by counting (0-1 matrices for e, ordered groupings of parts for p,
+Kostka numbers for s; Macdonald Ch. I).  The m-to-e matrix comes one
+degree at a time from the products p_k m_mu (_m_to_e), any other basis
+goes into e through its m-coordinates, and a matrix into m, s or p is
+solved from both bases' m-coordinates by back-substitution.  Matrices
+are memoised once per process, integral entries as ints, so e/m/s basis
+changes are integer arithmetic.  Degree 0 has its own 1x1 matrix
+{(): {(): 1}}, and a basis changed into itself goes through the identity
+matrix, so convert has no special case.  The concrete expansions in
+finitely many variables (expand_concrete, SymFunc.expand) are the
+independent oracle for these routes.
 
 SymFunc.collect is the one loop that applies a linear map out of a basis,
 sum_lam c_lam * image(lam), into a single dict: convert collects matrix
@@ -22,12 +21,14 @@ rows, and SymFunc.expand collects concrete expansions.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import factorial
 
 from .combinat import (
     conjugate,
     format_partition,
     is_partition,
+    multiplicity_factor,
     parse_partition,
     partitions_of,
 )
@@ -398,43 +399,77 @@ def _m_coords(basis, lam, lams):
 # transition matrices
 
 
-def _pivots(to, lams):
-    """(mu, nu) pairs, in solving order, that make the m-coordinates of the
-    `to` basis triangular: to_mu has a nonzero coordinate on m_nu, and no
-    to_mu of a later pair has one there.  Dominance is refined by the order
-    of partitions_of, so s_mu (Kostka, nu <= mu) is solved from (d) down,
-    p_mu (parts merged, nu >= mu) from (1^d) up, and e_mu (0-1 matrices,
-    nu <= mu*, with 1 at mu*) in the order of its conjugate."""
-    if to == "e":
-        return [(conjugate(nu), nu) for nu in lams]
-    return [(nu, nu) for nu in (reversed(lams) if to == "p" else lams)]
+def _times(coords, matrix, lams, row):
+    """row + sum_nu coords[nu] * matrix[nu], in the order of lams, zeros dropped."""
+    for nu, c in coords.items():
+        for mu, x in matrix[nu].items():
+            row[mu] = row.get(mu, 0) + c * x
+    return {mu: row[mu] for mu in lams if row.get(mu)}
 
 
-def _compute_matrix(frm, to, d):
-    """Matrix M with frm_lam = sum_mu M[lam][mu] * to_mu, weight d: both
-    bases on m-coordinates, then back-substitution along _pivots.  The
-    diagonal is 1 except for p, so entries stay ints for e, m and s."""
+def _newton_row(d):
+    """p_d on the e-basis, Newton's identity solved (Macdonald I.2): e_lam has
+    (-1)^(d - l) d (l - 1)! / prod_i m_i!, l = len(lam), m_i its parts i."""
+    row = {}
+    for lam in partitions_of(d):
+        l = len(lam)
+        row[lam] = (-1) ** (d - l) * d * factorial(l - 1) // multiplicity_factor(lam)
+    return row
+
+
+def _raised(mu, k):
+    """mu with one part w raised to w + k, once for each distinct w."""
+    return [(w + k,) + mu[:i] + mu[i + 1:] for i, w in enumerate(mu) if w not in mu[:i]]
+
+
+def _m_to_e(d, get):
+    """The m-to-e matrix of degree d >= 1 from p_k m_mu = sum_w c_w m_(mu, a part
+    w raised by k), c_w the multiplicity of w + k (Macdonald I.6).  Row nu = (k,
+    mu), k its first part, is that product on e (partitions merge) less the rows
+    of _raised (c_w = 1; above nu in dominance, so earlier in partitions_of),
+    divided exactly by mult_nu(k), the c_w of w = 0."""
+    lams, rows = partitions_of(d), {}
+    for nu in lams:
+        k, mu = nu[0], nu[1:]
+        pk = _newton_row(d) if k == d else get("m", "e", k)[(k,)]
+        row = {}
+        for (x, a), (y, b) in product(pk.items(), get("m", "e", d - k)[mu].items()):
+            key = tuple(sorted(x + y, reverse=True))
+            row[key] = row.get(key, 0) + a * b
+        row = _times(dict.fromkeys(_raised(mu, k), -1), rows, lams, row)
+        mult = nu.count(k)
+        rows[nu] = {lam: x // mult for lam, x in row.items()}
+    return rows
+
+
+def _compute_matrix(frm, to, d, get):
+    """Matrix M with frm_lam = sum_mu M[lam][mu] * to_mu, weight d, lower degrees
+    read through get.  Into e: _m_to_e, or frm's m-coordinates times it.  Else
+    back-substitution on m-coordinates in the order of partitions_of, which
+    refines dominance, for s (Kostka, nu <= mu) and reversed for p (nu >= mu)."""
     lams = partitions_of(d)
-    if frm == to:
+    if frm == to or not d:
         return {lam: {lam: 1} for lam in lams}
+    if to == "e":
+        if frm == "m":
+            return _m_to_e(d, get)
+        m_to_e = get("m", "e", d)
+        return {lam: _times(c, m_to_e, lams, {}) for lam, c in get(frm, "m", d).items()}
     columns = {
         mu: {nu: c for nu, c in zip(lams, _m_coords(to, mu, lams)) if c} for mu in lams
     }
-    pivots = _pivots(to, lams)
     matrix = {}
     for lam in lams:
         residual = dict(zip(lams, _m_coords(frm, lam, lams)))
         solved = {}
-        for mu, nu in pivots:
-            r = residual[nu]
+        for mu in reversed(lams) if to == "p" else lams:
+            r = residual[mu]
             if not r:
                 continue
-            diagonal = columns[mu].get(nu, 0)
+            diagonal = columns[mu].get(mu, 0)
             if not diagonal:
                 raise SingularSystem("basis expansion matrix is singular")
-            x = r if diagonal == 1 else Fraction(r, diagonal)
-            if type(x) is not int and x.denominator == 1:
-                x = x.numerator
+            x = r // diagonal if not r % diagonal else Fraction(r, diagonal)
             solved[mu] = x
             for key, c in columns[mu].items():
                 residual[key] -= x * c
@@ -459,7 +494,7 @@ class TransitionMatrixCache:
                 raise ValueError("unknown basis")
             if d < 0:
                 raise ValueError("degree must be >= 0")
-            self._memory[key] = _compute_matrix(frm, to, d)
+            self._memory[key] = _compute_matrix(frm, to, d, self.get)
         return self._memory[key]
 
     def convert(self, f, to):

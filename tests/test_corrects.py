@@ -159,7 +159,7 @@ def test_states_by_monomial_match_the_dp_by_last_entry():
 
 
 def test_power_budget_refuses_before_counting(monkeypatch):
-    def no_step(u, states):
+    def no_step(states, lo, nxt):
         raise AssertionError("counted past the budget")
 
     monkeypatch.setattr(corrects, "_grow", no_step)

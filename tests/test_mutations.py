@@ -58,6 +58,17 @@ graph, so its third vertex meets two alike singletons; a rule that counts
 that join once loses a partition, which eposn, sink and the scan replay
 each report, and so does a Q that counts the last vertex's join once.
 
+Those rows come from the m-to-e matrix, which symfunc._m_to_e builds one
+degree at a time: row (k, mu) is p_k * m_mu less the rows that raise one
+part of mu by k (symfunc._raised), divided by the multiplicity of k.  A
+recursion that drops the first of those corrections from every row that
+has one leaves m_(1,1) wrong at degree 2, and m_(2,1) and m_(1,1,1) at
+degree 3, so on 3,4,4 the
+scan replay misses chi_G and c_(n), eposn's c_(n) misses the covering
+sequences, and sink's sums miss the orientations.  The plant starts the
+matrix cache, chromatic._packed_rows and chromatic._LAST empty, so no row
+built by the right recursion is read back.
+
 The ppos suite compares power_via_corrects with power_g, the thn1 suite
 compares m_l1_via_corrects with two power_g routes and monomial_g, and the
 eposn suite compares covering_corrects_count with the top e-coefficient;
@@ -312,6 +323,18 @@ def plant_packed_tail_off_by_one(monkeypatch):
     plant_packed_rows(monkeypatch, change)
 
 
+def plant_dropped_raised_term(monkeypatch):
+    # the m-to-e recursion drops the first correction term of every row that
+    # has one; the matrices and the packed rows read from them start empty
+    original = symfunc._raised
+    monkeypatch.setattr(symfunc, "_raised", lambda mu, k: original(mu, k)[1:])
+    monkeypatch.setattr(symfunc.default_cache, "_memory", {})
+    rows = lru_cache(maxsize=None)(chromatic._packed_rows.__wrapped__)
+    monkeypatch.setattr(chromatic, "_packed_rows", rows)
+    monkeypatch.setattr(cli, "_packed_rows", rows)
+    monkeypatch.setattr(chromatic, "_LAST", {})
+
+
 def plant_alike_join_counted_once(monkeypatch):
     # joining one of k alike blocks counts once, not k times; the memos are
     # emptied so that no move made by the right rule is read back
@@ -342,8 +365,8 @@ def plant_dropped_sequence(monkeypatch):
     # first lo[last] that holds a prefix of it
     original = corrects._grow
 
-    def planted(u, states):
-        grown = original(u, states)
+    def planted(states, lo, nxt):
+        grown = original(states, lo, nxt)
         counts = grown[next(iter(grown))]
         counts[next(i for i, c in enumerate(counts) if c)] -= 1
         return grown
@@ -806,6 +829,24 @@ def test_planted_packed_tail_fails_the_scan_and_its_replay(capsys, monkeypatch):
     plant_packed_tail_off_by_one(monkeypatch)
     reason = {"reason": "packed read-out fails, its e-coefficients pass"}
     assert_scan_and_replay_fail(capsys, lambda d: d == reason)
+
+
+@pytest.mark.parametrize(
+    "suite, reason",
+    [
+        ("scan", lambda d: "chromatic" in d and "top" in d),
+        ("eposn", lambda d: d["c_n"] != d["covering_corrects"]),
+        ("sink", lambda d: d["reason"].startswith("sink counts disagree")),
+    ],
+    ids=["scan", "eposn", "sink"],
+)
+def test_planted_m_to_e_recursion_fails_the_suite(capsys, monkeypatch, suite, reason):
+    # on 3,4,4 the rows m_(2,1) and m_(1,1,1) each lose their one correction
+    plant_dropped_raised_term(monkeypatch)
+    code, report = replay(capsys, suite, {"uio": U3})
+    assert code == 1
+    [failure] = report["failures"]
+    assert failure["outcome"] == "fail" and reason(failure["detail"])
 
 
 @pytest.mark.parametrize(

@@ -372,11 +372,11 @@ def gauss_jordan_matrix(frm, to, d):
 
 def test_triangular_matrices_match_gauss_jordan():
     # every pair of bases through degree 8, which the n <= 8 scan reaches;
-    # back-substitution keeps the entries that are integers as ints
+    # entries that are integers are stored as ints
     for d in range(0, 9):
         for frm in BASES:
             for to in BASES:
-                built = _compute_matrix(frm, to, d)
+                built = _compute_matrix(frm, to, d, transition_matrix)
                 assert built == gauss_jordan_matrix(frm, to, d), (frm, to, d)
                 for row in built.values():
                     for c in row.values():
@@ -395,7 +395,34 @@ def test_coordinate_off_the_triangle_is_refused(monkeypatch):
 
     monkeypatch.setattr(symfunc, "_m_coords", planted)
     with pytest.raises(SingularSystem):
-        symfunc._compute_matrix("m", "s", 2)
+        symfunc._compute_matrix("m", "s", 2, transition_matrix)
+
+
+def test_matrices_into_e_match_gauss_jordan():
+    # m-to-e by the power-sum recursion, and every other basis through its
+    # m-coordinates times that matrix, against the e-columns solved outright
+    for d in range(0, 11):
+        for frm in BASES:
+            assert transition_matrix(frm, "e", d) == gauss_jordan_matrix(frm, "e", d)
+
+
+def test_newton_row_matches_the_determinant():
+    for k in range(1, 9):
+        assert symfunc._newton_row(k) == newton_p(k).coeffs
+
+
+def test_m_to_e_inverts_e_to_m():
+    # e-to-m counts 0-1 matrices and back-substitutes, with no use of the
+    # recursion behind m-to-e
+    for d in range(0, 13):
+        e_to_m = transition_matrix("e", "m", d)
+        m_to_e = transition_matrix("m", "e", d)
+        for lam in partitions_of(d):
+            acc = {}
+            for mu, c in e_to_m[lam].items():
+                for nu, c2 in m_to_e[mu].items():
+                    acc[nu] = acc.get(nu, 0) + c * c2
+            assert {nu: c for nu, c in acc.items() if c} == {lam: 1}, (d, lam)
 
 
 def test_transition_matrix_is_memoised():

@@ -11,16 +11,18 @@ before anything else relies on the fast one.  The scan runs
 the same DP step down the tree of threshold prefixes (_threshold_walk), and
 the per-order DP is its oracle; the two share one memo of moves and one
 packed read-out into the e-basis, taken before the last vertex (_leaf_sum).
-Coefficients are exact: an int when integral, else a Fraction.
+The packed layout and the scan's test of an order on it (_leaf_verdict)
+live here alone.  Coefficients are exact: an int when integral, else a
+Fraction.
 """
 
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
-from operator import mul
+from operator import mul, sub
 
-from .combinat import multiplicity_factor, partitions_of
+from .combinat import format_partition, multiplicity_factor, partitions_of
 from .errors import TooLarge
 from .symfunc import SymFunc, convert, transition_matrix
 
@@ -141,13 +143,6 @@ def _states_through(g, u):
     return states
 
 
-def _stable_partition_signatures(g):
-    """Count partitions of V(g) into independent blocks by block-size type,
-    read off the final states; in the order of partitions_of, (n) first."""
-    sigs = {state[::-1]: count for state, count in _states_through(g, g.n).items()}
-    return dict(sorted(sigs.items(), reverse=True))
-
-
 def _threshold_walk(first, max_n):
     """Yield (next, states before its last vertex) for every threshold vector
     with next[1] = first and at most max_n entries, depth first.
@@ -176,11 +171,10 @@ def _threshold_walk(first, max_n):
 
 def chromatic_symmetric_stable(g):
     """X_g via independent-set partitions: the m-coefficient of lam counts
-    stable partitions of type lam, weighted by permutations of equal parts."""
-    sigs = _stable_partition_signatures(g)
-    return SymFunc(
-        "m", {lam: count * multiplicity_factor(lam) for lam, count in sigs.items()}
-    )
+    stable partitions of type lam, the final states of blocks of sizes lam,
+    weighted by permutations of equal parts."""
+    final = _states_through(g, g.n)
+    return SymFunc("m", {s[::-1]: c * multiplicity_factor(s) for s, c in final.items()})
 
 
 def chromatic_symmetric(g, method="stable"):
@@ -275,6 +269,84 @@ def _leaf_e(states, v):
 def e_coefficients(g):
     """The integer coefficients of X_g on the e-basis (e_() for no vertex)."""
     return _leaf_e(_states_through(g, g.n - 1), g.n) if g.n else {(): 1}
+
+
+# ---------------------------------------------------------------------------
+# the scan's order test
+
+_TESTS = {}  # (d_i sorted, e-field count, width) -> _order_test's answer
+
+
+def _order_test(nxt):
+    """(chi, top, mask, target) for the order with threshold vector nxt.
+
+    The earlier neighbours of i, d_i = #{j < i : next[j] > i} of them, are
+    pairwise adjacent, so chi = chi_G(1..n) with chi_G(k) = prod_i (k - d_i),
+    and the sink theorem at one sink and Greene-Zaslavsky give top = c_(n) =
+    n * prod_{i >= 2} d_i.  An exact leaf sum acc of the order passes iff
+    acc & mask == target: no e-field's sign bit set, the low field top, and
+    the fields past the e-fields chi packed.  Memoised by the d_i as a
+    multiset (the later neighbours of j, next[j] - j - 1 of them, are
+    pairwise adjacent too, so they count the same roots; orders with n <= 11
+    have 2,047 multisets), the e-field count and the width."""
+    n = len(nxt)
+    lams, width, _ = _packed_rows(n)
+    degrees = tuple(sorted(map(sub, nxt, range(2, n + 2))))
+    key = degrees, len(lams), width
+    test = _TESTS.get(key)
+    if test is None:
+        chi = [prod(k - d for d in degrees) for k in range(1, n + 1)]
+        top, tail = n * prod(degrees[1:]), len(lams) * width
+        signs = ((1 << tail) - 1) // ((1 << width) - 1) << (width - 1)
+        mask = signs | (1 << width) - 1 | -(1 << tail)
+        test = _TESTS[key] = chi, top, mask, top | _pack(chi, width) << tail
+    return test
+
+
+def _scan_verdict(nxt, coeffs):
+    """The scan's verdict on the order with threshold vector nxt, given the
+    e-coefficients of its X_G: the failure detail, or None when none is
+    negative and two identities that need neither stable partitions nor
+    the m-to-e matrix hold: X_G(1^k) = chi_G(k) (Stanley, Adv. Math. 111
+    (1995), Prop. 2.2), which reads sum_lam c_lam prod_i C(k, lam_i) =
+    prod_i (k - d_i) for k = 1..n, and c_(n) = n * prod_{i >= 2} d_i, both
+    closed forms from _order_test."""
+    n = len(nxt)
+    detail = {}
+    if min(coeffs.values(), default=0) < 0:
+        detail["negatives"] = {
+            format_partition(lam): c for lam, c in sorted(coeffs.items()) if c < 0
+        }
+    chi, top, _, _ = _order_test(nxt)
+    for k in range(1, n + 1):
+        x_g = sum(c * prod(comb(k, i) for i in lam) for lam, c in coeffs.items())
+        if x_g != chi[k - 1]:
+            detail["chromatic"] = {"k": k, "x_g": x_g, "chi_g": chi[k - 1]}
+            break
+    if coeffs.get((n,), 0) != top:
+        detail["top"] = {"c_n": coeffs.get((n,), 0), "sinks": top}
+    if not detail:
+        return None
+    detail["expansion"] = {
+        format_partition(lam): c for lam, c in sorted(coeffs.items())
+    }
+    return detail
+
+
+def _leaf_verdict(nxt, states):
+    """_scan_verdict's verdict on the order nxt from the DP's states before its
+    last vertex.  With every field exact, a clear sign bit, from the low field
+    up, is a nonnegative field and no borrow: the packed test holds iff
+    _scan_verdict's three checks do.  Any other sum is decoded for them."""
+    n = len(nxt)
+    acc = _leaf_sum(states, n)
+    _, _, mask, target = _order_test(nxt)
+    if acc is not None and acc & mask == target:
+        return None
+    detail = _scan_verdict(nxt, _leaf_e(states, n))
+    if detail is None and acc is not None:  # rows and their tails disagree
+        return {"reason": "packed read-out fails, its e-coefficients pass"}
+    return detail
 
 
 # ---------------------------------------------------------------------------

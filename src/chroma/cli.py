@@ -15,7 +15,8 @@ Every instance, default or replayed, takes one path: the suite's schema
 parses it into the check's keyword arguments (a bad value is exit 2), the
 check computes, and _verify_one alone turns what a check raises into an
 outcome: TooLarge is "budget", any other package error a "fail" whose
-detail names its class and message.
+detail names its class and message.  The scan judges each order with
+chromatic._leaf_verdict, which owns the packed read-out and its layout.
 """
 
 import argparse
@@ -27,16 +28,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
-from math import comb, prod
-from operator import sub
 from typing import NamedTuple
 
 from .chromatic import (
-    _leaf_e,
-    _leaf_sum,
-    _pack,
+    _leaf_verdict,
     _packed_rows,
     _states_through,
     _threshold_walk,
@@ -238,83 +234,6 @@ def _check_scott_suppes(n):
                 "free": free,
                 "recognized": recognized,
             }
-
-
-@lru_cache(maxsize=None)
-def _chromatic_values(degrees):
-    """chi_G(k) = prod_i (k - d_i) for k = 1..n, and n * prod_{i >= 2} d_i,
-    from the d_i sorted (d_1 = 0 comes first): the multiset is all they
-    read, and orders with n <= 11 have 2,047 of them."""
-    chi = [prod(k - d for d in degrees) for k in range(1, len(degrees) + 1)]
-    return chi, len(degrees) * prod(degrees[1:])
-
-
-def _degrees(nxt):
-    """The d_i of _scan_verdict, sorted: the later neighbours of j, next[j] -
-    j - 1 of them, are pairwise adjacent too, so they count the same roots."""
-    return tuple(sorted(map(sub, nxt, range(2, len(nxt) + 2))))
-
-
-@lru_cache(maxsize=None)
-def _passing_sum(degrees, fields, width):
-    """(mask, top, chi): an exact leaf sum acc of fields e-fields of width
-    bits passes iff acc & mask == top (no e-field's sign bit set, the low one
-    the sink count) and acc >> fields * width == chi, chi_G(1..n) packed."""
-    chi, top = _chromatic_values(degrees)
-    signs = ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
-    return signs | (1 << width) - 1, top, _pack(chi, width)
-
-
-def _scan_verdict(nxt, coeffs):
-    """The scan's verdict on the order with threshold vector nxt, given the
-    e-coefficients of its X_G: the failure detail, or None when none is
-    negative and two identities that need neither stable partitions nor
-    the m-to-e matrix hold.
-
-    The earlier neighbours of i, d_i = #{j < i : next[j] > i} of them, are
-    pairwise adjacent, so chi_G(k) = prod_i (k - d_i), and X_G(1^k) =
-    chi_G(k) (Stanley, Adv. Math. 111 (1995), Prop. 2.2) reads
-    sum_lam c_lam prod_i C(k, lam_i) = prod_i (k - d_i) for k = 1..n.  The
-    sink theorem at one sink and Greene-Zaslavsky give c_(n) = n * |[k]
-    chi_G(k)| = n * prod_{i >= 2} d_i.
-    """
-    n = len(nxt)
-    detail = {}
-    if min(coeffs.values(), default=0) < 0:
-        detail["negatives"] = {
-            format_partition(lam): c for lam, c in sorted(coeffs.items()) if c < 0
-        }
-    chi, top = _chromatic_values(_degrees(nxt))
-    for k in range(1, n + 1):
-        x_g = sum(c * prod(comb(k, i) for i in lam) for lam, c in coeffs.items())
-        if x_g != chi[k - 1]:
-            detail["chromatic"] = {"k": k, "x_g": x_g, "chi_g": chi[k - 1]}
-            break
-    if coeffs.get((n,), 0) != top:
-        detail["top"] = {"c_n": coeffs.get((n,), 0), "sinks": top}
-    if not detail:
-        return None
-    detail["expansion"] = {
-        format_partition(lam): c for lam, c in sorted(coeffs.items())
-    }
-    return detail
-
-
-def _leaf_verdict(nxt, states):
-    """_scan_verdict's verdict on the order nxt from the DP's states before its
-    last vertex.  With every field exact, a clear sign bit, from the low field
-    up, is a nonnegative field and no borrow: the packed test holds iff
-    _scan_verdict's three checks do.  Any other sum is decoded for them."""
-    n = len(nxt)
-    lams, width, _ = _packed_rows(n)
-    acc = _leaf_sum(states, n)
-    mask, top, chi = _passing_sum(_degrees(nxt), len(lams), width)
-    if acc is not None and acc & mask == top and acc >> (len(lams) * width) == chi:
-        return None
-    detail = _scan_verdict(nxt, _leaf_e(states, n))
-    if detail is None and acc is not None:  # rows and their tails disagree
-        return {"reason": "packed read-out fails, its e-coefficients pass"}
-    return detail
 
 
 def _scan_one(uio):

@@ -36,7 +36,9 @@ from .errors import SingularSystem, TooLarge
 from .polyring import Polynomial, _addmul, det, monomial_from_elements, pack
 
 BASES = ("e", "m", "p", "s")
-CAUCHY_DEGREE_BOUND = 7  # cauchy_check's largest degree: d = 7 takes over 20 s
+# cauchy_check's largest degree: the replay of d = 7 takes 10.5 s and 803 MB
+# peak RSS in a fresh process (2-core x86-64, Python 3.11)
+CAUCHY_DEGREE_BOUND = 7
 
 
 def _as_partition(lam):

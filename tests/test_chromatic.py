@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 import chroma.chromatic as chromatic
 from chroma.chromatic import (
+    _leaf_verdict,
+    _scan_verdict,
     acyclic_orientation_sinks,
     check_sink_theorem,
     chromatic_symmetric,
@@ -14,7 +16,6 @@ from chroma.chromatic import (
     e_coefficients,
     positivity_report,
 )
-from chroma.cli import _leaf_verdict, _scan_verdict
 from chroma.combinat import (
     Graph,
     UnitIntervalOrder,
@@ -175,17 +176,53 @@ def test_packed_rows_hold_each_row_and_its_values_at_ones():
             assert fields[len(lams) :] == falling, lam
 
 
+@st.composite
+def packed_fields(draw):
+    """An order with n <= 8, and exact fields at the width of _packed_rows(n):
+    its e-fields (c_(n) first), then its values at 1^k.  Each part passes or
+    is off: e-fields made negative, which borrow from the field above, a
+    wrong low field, or one wrong value at 1^k."""
+    nxt = tuple(draw(threshold_vectors(max_n=8)))
+    n = len(nxt)
+    lams, width, _ = chromatic._packed_rows(n)
+    chi, top, _, _ = chromatic._order_test(nxt)
+    half = 1 << (width - 1)
+    exact = st.integers(-half, half - 1)
+    e = draw(st.lists(st.integers(0, half - 1), min_size=len(lams), max_size=len(lams)))
+    e[0] = draw(st.one_of(st.just(top), exact))
+    for i in draw(st.sets(st.integers(0, len(lams) - 1), max_size=3)):
+        e[i] = draw(st.integers(-half, -1))
+    tail = list(chi)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        tail[k] = draw(exact.filter(lambda x: x != chi[k]))
+    return nxt, e, tail
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_fields())
+def test_order_test_holds_exactly_when_its_three_checks_do(case):
+    # the one comparison acc & mask == target on exact fields: no negative
+    # e-field, c_(n) in the low field, and chi_G(1..n) past the e-fields
+    nxt, e, tail = case
+    chi, top, mask, target = chromatic._order_test(nxt)
+    width = chromatic._packed_rows(len(nxt))[1]
+    passes = min(e) >= 0 and e[0] == top and tail == chi
+    assert (chromatic._pack(e + tail, width) & mask == target) == passes
+
+
 def test_state_readout_matches_the_signature_readout():
     # every order with n <= 8 as the walk reaches it: the e-coefficients read
-    # off its states before the last vertex equal those read off its
-    # signatures and the m-to-e conversion of X_G, key for key, in the order
+    # off its states before the last vertex equal those read off its final
+    # states and the m-to-e conversion of X_G, key for key, in the order
     # of partitions_of
     orders = 0
     for first in range(2, 10):
         for nxt, states in chromatic._threshold_walk(first, 8):
             g = UnitIntervalOrder(nxt).inc_graph()
             coeffs = chromatic._leaf_e(states, len(nxt))
-            oracle = signature_e(chromatic._stable_partition_signatures(g))
+            final = chromatic._states_through(g, g.n)
+            oracle = signature_e({s[::-1]: c for s, c in final.items()})
             assert list(coeffs.items()) == list(oracle.items()), nxt
             assert coeffs == convert(chromatic_symmetric(g), "e").as_int_dict()
             ordered = [lam for lam in partitions_of(len(nxt)) if lam in coeffs]
@@ -281,14 +318,14 @@ def test_shared_move_memo_keeps_every_count(monkeypatch):
     alone = []
     for g in graphs:
         chromatic._MOVES.clear()
-        alone.append(chromatic._stable_partition_signatures(g))
+        alone.append(chromatic._states_through(g, g.n))
     chromatic._MOVES.clear()
-    first = [chromatic._stable_partition_signatures(g) for g in graphs]
+    first = [chromatic._states_through(g, g.n) for g in graphs]
     for start in range(2, 9):
         for _ in chromatic._threshold_walk(start, 7):
             pass
     met = len(chromatic._STATES)
-    again = [chromatic._stable_partition_signatures(g) for g in graphs]
+    again = [chromatic._states_through(g, g.n) for g in graphs]
     assert first == alone and again == alone
     assert len(chromatic._STATES) == met
 

@@ -13,11 +13,11 @@ from chroma.cli import (
     SUITES,
     _fan_out,
     _parse,
-    _scan_verdict,
     main,
     run_suite,
     scan_epositivity,
 )
+from chroma.chromatic import _scan_verdict
 from chroma.errors import BadParameter, NonIdentityPermutation, TooLarge
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -650,6 +650,13 @@ def test_scan_verdict_does_not_trust_a_wrapped_packed_sum():
     big = 1 << 64
     detail = _scan_verdict((3, 3), {(2,): 1 - 4 * big, (1, 1): big})
     assert detail["chromatic"] == {"k": 1, "x_g": big, "chi_g": 0}
+
+
+def test_cli_binds_no_name_of_the_packed_layout():
+    # the packed rows' layout and the order test on them live in chromatic
+    import chroma.cli as cli
+
+    assert not {"_leaf_e", "_leaf_sum", "_pack", "_unpack"} & set(vars(cli))
 
 
 def in_process_pools(monkeypatch):

@@ -34,13 +34,15 @@ the same detail.
 Every stable-partition count goes through chromatic._stable_step and its
 one memo of moves: eposn, sink, gnechrom (X of the clan graph) and both
 routes of the scan.  Of these, eposn, sink and the scan read the counts
-into the e-basis through the one read-out chromatic._leaf_sum (cli imports
-it for the scan's packed test, so the plant replaces both names), which
-takes the states before the last vertex: e_coefficients decodes it, and
-the scan tests it packed; gnechrom compares m-expansions and does not read
-it.  So a sum that gains the row of one partition into singletons, or 1 in
-its low field c_(n), fails eposn, sink and the scan, and the replay of the
-scan's first failure agrees.  The sum adds, per state before the last
+into the e-basis through the one read-out chromatic._leaf_sum, which takes
+the states before the last vertex: e_coefficients decodes it, and the
+scan's order test, chromatic._leaf_verdict, tests it packed.  The packed
+layout and that test live in chromatic alone (cli calls _leaf_verdict and
+reads no field), so every plant below patches chromatic's names only.
+gnechrom compares m-expansions and does not read it.  So a sum that
+gains the row of one partition into singletons, or 1 in its low field
+c_(n), fails eposn, sink and the scan, and the replay of the scan's first
+failure agrees.  The sum adds, per state before the last
 vertex, its Q: the packed rows of the final states that the last vertex's
 moves reach, each times its multiplicity, kept in the memo
 chromatic._LAST.  A final state, whose blocks are all closed, has its row
@@ -270,7 +272,6 @@ def plant_leaf_sum(monkeypatch, extra):
         return original(states, v) + extra(v)
 
     monkeypatch.setattr(chromatic, "_leaf_sum", planted)
-    monkeypatch.setattr(cli, "_leaf_sum", planted)
 
 
 def plant_singleton_blocks(monkeypatch):
@@ -300,7 +301,6 @@ def plant_packed_rows(monkeypatch, change):
         }
 
     monkeypatch.setattr(chromatic, "_packed_rows", planted)
-    monkeypatch.setattr(cli, "_packed_rows", planted)
     monkeypatch.setattr(chromatic, "_LAST", {})
 
 
@@ -331,7 +331,6 @@ def plant_dropped_raised_term(monkeypatch):
     monkeypatch.setattr(symfunc.default_cache, "_memory", {})
     rows = lru_cache(maxsize=None)(chromatic._packed_rows.__wrapped__)
     monkeypatch.setattr(chromatic, "_packed_rows", rows)
-    monkeypatch.setattr(cli, "_packed_rows", rows)
     monkeypatch.setattr(chromatic, "_LAST", {})
 
 

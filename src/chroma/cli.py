@@ -23,8 +23,9 @@ import argparse
 import contextlib
 import io
 import json
-import multiprocessing
 import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -259,14 +260,101 @@ def _scan_subtree(job):
     return count, failures
 
 
+_TICKET = 4  # bytes of one chunk index in _fan_out's ticket pipe
+
+
 def _fan_out(fn, work, jobs):
     """[fn(w) for w in work], on min(jobs, len(work)) processes when that is
-    at least 2, in chunks of len(work) // (4 * processes), at least 1."""
+    at least 2, in chunks of len(work) // (4 * processes), at least 1.
+
+    The workers are forked, so fn and the work are inherited, not pickled.
+    Each chunk's index is one ticket in a shared pipe, and a free worker
+    reads the next one, so one slow chunk does not hold up the rest.  A
+    worker pickles back {chunk: results} on its own pipe, or the exception
+    fn raised, which is raised here; a worker that exits with neither is a
+    RuntimeError.  Every child is reaped before this returns or raises."""
     workers = min(jobs, len(work))  # never more processes than items
     if workers < 2:
         return [fn(w) for w in work]
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(fn, work, chunksize=max(1, len(work) // (4 * workers)))
+    chunks = _chunked(work, workers)
+    ends = [
+        [open(fd, mode, buffering=0) for fd, mode in zip(os.pipe(), ("rb", "wb"))]
+        for _ in range(workers + 1)
+    ]
+    (tickets, dealer), results = ends[0], ends[1:]
+    pids, done = [], {}
+    try:
+        for _, out in results:
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, chunks, tickets, out, ends)
+            pids.append(pid)
+            out.close()
+        tickets.close()
+        # dealt after the forks, so a full pipe waits only for the workers
+        deal = (i.to_bytes(_TICKET, "little") for i in range(len(chunks)))
+        try:
+            _write_all(dealer, b"".join(deal))
+        except BrokenPipeError:  # every worker has gone; the reads say how
+            pass
+        dealer.close()
+        for pid, (source, _) in zip(pids, results):
+            data = source.readall()
+            if not data:
+                status = os.waitpid(pid, 0)[1]
+                pids.remove(pid)  # reaped here, for its exit code
+                raise RuntimeError(
+                    "worker %d exited with code %d and no result"
+                    % (pid, os.waitstatus_to_exitcode(status))
+                )
+            outcome = pickle.loads(data)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            done.update(outcome)
+    finally:
+        for f in (f for end in ends for f in end):
+            f.close()
+        failed = len(done) < len(chunks)
+        for pid in pids:
+            if failed:  # what the other workers still do is not wanted
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [r for i in range(len(chunks)) for r in done[i]]
+
+
+def _chunked(work, workers):
+    """work in chunks of len(work) // (4 * workers) items, at least 1."""
+    size = max(1, len(work) // (4 * workers))
+    return [work[i : i + size] for i in range(0, len(work), size)]
+
+
+def _work(fn, chunks, tickets, out, ends):
+    """A forked worker of _fan_out: fn over the chunk of each ticket it
+    reads until the pipe is empty, then {chunk: results}, or what fn
+    raised, pickled to out.  It never returns."""
+    code = 1
+    try:
+        for f in (f for end in ends for f in end):  # inherited ends it does not use
+            if f is not tickets and f is not out:
+                f.close()
+        outcome = {}
+        try:
+            while ticket := tickets.read(_TICKET):
+                i = int.from_bytes(ticket, "little")
+                outcome[i] = [fn(w) for w in chunks[i]]
+        except BaseException as exc:  # sent on, and raised by the parent
+            outcome = exc
+        _write_all(out, pickle.dumps(outcome))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _write_all(f, data):
+    """Write all of data to the unbuffered f, which may take it in parts."""
+    view = memoryview(data)
+    while view:
+        view = view[f.write(view) :]
 
 
 def _scan_all(max_n, jobs):

@@ -1,8 +1,10 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -659,29 +661,34 @@ def test_cli_binds_no_name_of_the_packed_layout():
     assert not {"_leaf_e", "_leaf_sum", "_pack", "_unpack"} & set(vars(cli))
 
 
-def in_process_pools(monkeypatch):
-    """Replace multiprocessing.Pool by one that maps in this process; the
-    returned list gets (processes, chunksize) for each pool that maps."""
-    import multiprocessing
+def forked_fan_outs(monkeypatch):
+    """Count the workers each fan-out forks: the returned list gets
+    [processes, chunk size] for each _fan_out that forks."""
+    import chroma.cli as cli
 
-    pools = []
+    fan_outs = []
+    chunked, fork = cli._chunked, cli.os.fork
 
-    class InProcessPool:
-        def __init__(self, processes):
-            self.processes = processes
+    def chunked_seen(work, workers):
+        chunks = chunked(work, workers)
+        fan_outs.append([0, len(chunks[0])])
+        return chunks
 
-        def __enter__(self):
-            return self
+    def fork_counted():
+        pid = fork()
+        if pid:  # in the parent; the child returns 0 and counts nothing
+            fan_outs[-1][0] += 1
+        return pid
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(cli, "_chunked", chunked_seen)
+    monkeypatch.setattr(cli.os, "fork", fork_counted)
+    return fan_outs
 
-        def map(self, fn, items, chunksize=None):
-            pools.append((self.processes, chunksize))
-            return [fn(item) for item in items]
 
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    return pools
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
 
 
 @pytest.mark.parametrize(
@@ -703,19 +710,72 @@ def in_process_pools(monkeypatch):
     ],
 )
 def test_jobs_never_exceed_instances(capsys, monkeypatch, argv, pool_sizes):
-    pools = in_process_pools(monkeypatch)
+    fan_outs = forked_fan_outs(monkeypatch)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["ok"]
-    assert [processes for processes, _ in pools] == pool_sizes
+    assert [processes for processes, _ in fan_outs] == pool_sizes
+    assert no_child_left()
 
 
 def test_fan_out_chunks(monkeypatch):
     # the scan's few subtrees go one per task, and an instance suite gets
     # the chunk size pool.map picks by default (144 for gasharov, --jobs 2)
-    pools = in_process_pools(monkeypatch)
+    fan_outs = forked_fan_outs(monkeypatch)
     for size, jobs in ((7, 2), (10, 2), (10, 10), (1152, 2)):
         assert _fan_out(str, range(size), jobs) == [str(i) for i in range(size)]
-    assert [chunksize for _, chunksize in pools] == [1, 1, 1, 144]
+    assert [chunksize for _, chunksize in fan_outs] == [1, 1, 1, 144]
+    assert no_child_left()
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that is still running after 20 s, instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the fan-out did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_fan_out_raises_what_a_worker_raised(deadline):
+    def fails_on_five(i):
+        if i == 5:
+            raise ValueError("item %d" % i)
+        return i
+
+    with pytest.raises(ValueError, match="item 5"):
+        _fan_out(fails_on_five, range(40), 2)
+    assert no_child_left()
+
+
+def test_fan_out_raises_when_a_worker_dies(deadline):
+    def dies_on_five(i):
+        if i == 5:
+            os._exit(3)
+        return i
+
+    with pytest.raises(RuntimeError, match="exited with code 3 and no result"):
+        _fan_out(dies_on_five, range(40), 2)
+    assert no_child_left()
+
+
+def test_fan_out_keeps_input_order_over_uneven_chunks(deadline):
+    # 1,152 items on 3 workers: 12 chunks of 96.  The worker that takes the
+    # first chunk sleeps on it, so the other two take more of the tickets.
+    def square(i):
+        if i == 0:
+            time.sleep(0.3)
+        return os.getpid(), i * i
+
+    results = _fan_out(square, range(1152), 3)
+    assert [r for _, r in results] == [i * i for i in range(1152)]
+    items = Counter(pid for pid, _ in results)
+    assert items[results[0][0]] < max(items.values())
+    assert no_child_left()
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ does not read it: its e-coefficients come from chromatic._leaf_sum.
 """
 
 import json
-import multiprocessing
+import os
 from functools import lru_cache
 
 import pytest
@@ -979,7 +979,7 @@ def test_planted_error_fails_the_suite_and_names_it(capsys, monkeypatch, plant, 
 
 
 @pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    not hasattr(os, "fork"),
     reason="a planted defect reaches the workers only when they are forked",
 )
 def test_planted_error_gives_the_same_report_for_any_jobs(capsys, monkeypatch):

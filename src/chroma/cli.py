@@ -248,11 +248,12 @@ def _scan_subtree(job):
     """The scan of every order with next[1] = first and at most max_n
     elements through the prefix walk: (orders, [(next, inst, "fail",
     detail)]).  It differs from _scan_one only in where the DP states come
-    from: the walk, with no order or graph built per order."""
+    from: the walk, with no order or graph built per order, which leaves the
+    last steps of its longest orders to the read-out's memo."""
     first, max_n = job
     count, failures = 0, []
-    for nxt, states in _threshold_walk(first, max_n):
-        detail = _leaf_verdict(nxt, states)
+    for nxt, states, owns in _threshold_walk(first, max_n):
+        detail = _leaf_verdict(nxt, states, owns)
         count += 1
         if detail is not None:
             uio = ",".join(map(str, nxt))

@@ -112,29 +112,43 @@ def test_stable_count_does_not_depend_on_vertex_order(pair):
     assert chromatic_symmetric_stable(renamed) == brute
 
 
+def before_last(nxt, states, owns):
+    """The DP states before the last vertex of the order nxt, from the states
+    the walk yields with it: the steps of the vertices in owns taken."""
+    for v, own in enumerate(owns, len(nxt) - len(owns)):
+        states = chromatic._stable_step(states, v, own)
+    return states
+
+
 def test_threshold_walk_matches_per_order_dp(monkeypatch):
     # the scan's prefix walk against the per-order DP: every order with
-    # n <= 8 exactly once, with the same states before its last vertex and
-    # counts in the same order, and one DP step per prefix of the tree that
-    # has children (3,431: the 1,430 prefixes of 8 entries take none; against
-    # 15,521 vertices)
+    # n <= 8 exactly once, with the same states and counts in the same order
+    # before the vertices whose later neighbours it yields, and one DP step
+    # per prefix of at most 8 - _FUSED = 5 entries (1,000: of the 3,431
+    # prefixes with children, the 1,430 of 7 entries and the 1,001 of 6 take
+    # none; against 15,521 vertices)
     steps = []
     step = chromatic._stable_step
     monkeypatch.setattr(
         chromatic, "_stable_step", lambda *args: steps.append(1) or step(*args)
     )
     walked = [
-        pair for first in range(2, 10) for pair in chromatic._threshold_walk(first, 8)
+        item for first in range(2, 10) for item in chromatic._threshold_walk(first, 8)
     ]
     monkeypatch.undo()
-    assert len(steps) == 3431
+    assert chromatic._FUSED == 3 and len(steps) == 1000
     orders = [u for n in range(1, 9) for u in enumerate_uios(n)]
-    assert sorted(nxt for nxt, _ in walked) == sorted(u.next for u in orders)
+    assert sorted(nxt for nxt, _, _ in walked) == sorted(u.next for u in orders)
     assert sum(u.n for u in orders) == 15521
-    found = dict(walked)
+    found = {nxt: (states, owns) for nxt, states, owns in walked}
     for u in orders:
-        expected = chromatic._states_through(u.inc_graph(), u.n - 1)
-        assert list(found[u.next].items()) == list(expected.items()), str(u)
+        g = u.inc_graph()
+        states, owns = found[u.next]
+        start = u.n - len(owns)
+        assert len(owns) == min(u.n - 1, max(0, u.n - 8 + chromatic._FUSED - 1))
+        expected = chromatic._states_through(g, start - 1)
+        assert list(states.items()) == list(expected.items()), str(u)
+        assert owns == tuple(g.adj[v] & -(1 << v) for v in range(start, u.n))
 
 
 def packed_final_sum(g):
@@ -145,19 +159,42 @@ def packed_final_sum(g):
 
 
 def test_leaf_sum_matches_the_packed_final_states():
-    # the last vertex's step read once per state before it, against the
-    # final states each read through its packed row: every order with
+    # the last steps read in one memoised sum per state before them, against
+    # the final states each read through its packed row: every order with
     # n <= 9 as the walk reaches it, and every graph with 1 <= n <= 5
     orders = 0
     for first in range(2, 11):
-        for nxt, states in chromatic._threshold_walk(first, 9):
+        for nxt, states, owns in chromatic._threshold_walk(first, 9):
             g = UnitIntervalOrder(nxt).inc_graph()
-            assert chromatic._leaf_sum(states, g.n) == packed_final_sum(g), nxt
+            fused = chromatic._leaf_sum(states, g.n, owns)
+            assert fused == packed_final_sum(g), nxt
             orders += 1
     assert orders == 6917
     for g in (g for n in range(1, 6) for g in all_graphs(n)):
         before = chromatic._states_through(g, g.n - 1)
         assert chromatic._leaf_sum(before, g.n) == packed_final_sum(g), g.edges
+
+
+def test_fused_sum_equals_the_stepped_leaf_sum():
+    # every order of max_n entries, and of max_n - 1, for max_n = 2..9: the
+    # sum over the states before vertex n - len(owns) equals the leaf sum
+    # over the states before the last vertex, the steps in owns taken; at
+    # max_n = 2 the states are those before vertex 1, {(): 1}
+    longest = []
+    for max_n in range(2, 10):
+        longest.append(0)
+        for first in range(2, max_n + 2):
+            for nxt, states, owns in chromatic._threshold_walk(first, max_n):
+                n = len(nxt)
+                if n >= max_n - 1:
+                    assert len(owns) == min(n - 1, n - max_n + chromatic._FUSED - 1)
+                    stepped = before_last(nxt, states, owns)
+                    fused = chromatic._leaf_sum(states, n, owns)
+                    assert fused == chromatic._leaf_sum(stepped, n), nxt
+                    longest[-1] += n == max_n
+                if max_n == 2:
+                    assert states == {(): 1}
+    assert longest == [2, 5, 14, 42, 132, 429, 1430, 4862]
 
 
 def test_packed_rows_hold_each_row_and_its_values_at_ones():
@@ -218,9 +255,9 @@ def test_state_readout_matches_the_signature_readout():
     # of partitions_of
     orders = 0
     for first in range(2, 10):
-        for nxt, states in chromatic._threshold_walk(first, 8):
+        for nxt, states, owns in chromatic._threshold_walk(first, 8):
             g = UnitIntervalOrder(nxt).inc_graph()
-            coeffs = chromatic._leaf_e(states, len(nxt))
+            coeffs = chromatic._leaf_e(before_last(nxt, states, owns), len(nxt))
             final = chromatic._states_through(g, g.n)
             oracle = signature_e({s[::-1]: c for s, c in final.items()})
             assert list(coeffs.items()) == list(oracle.items()), nxt
@@ -232,12 +269,13 @@ def test_state_readout_matches_the_signature_readout():
 
 
 def test_walk_verdict_matches_the_exact_verdict():
-    # every order with n <= 8: the packed test on the leaf sum decides as
+    # every order with n <= 8: the packed test on the fused sum decides as
     # _scan_verdict does on the decoded e-coefficients
     for first in range(2, 10):
-        for nxt, states in chromatic._threshold_walk(first, 8):
-            decoded = chromatic._leaf_e(states, len(nxt))
-            assert _leaf_verdict(nxt, states) == _scan_verdict(nxt, decoded), nxt
+        for nxt, states, owns in chromatic._threshold_walk(first, 8):
+            decoded = chromatic._leaf_e(before_last(nxt, states, owns), len(nxt))
+            verdict = _leaf_verdict(nxt, states, owns)
+            assert verdict == _scan_verdict(nxt, decoded), nxt
 
 
 def exact_e(states, v):
@@ -250,35 +288,41 @@ def exact_e(states, v):
 
 @st.composite
 def perturbed_states(draw):
-    """An order with n <= 8, and the states before its last vertex with one
-    count moved by -1 or +1, made negative, or pushed past the bound of the
-    leaf sum."""
+    """An order with n <= 8, the later neighbours owns of up to _FUSED - 1
+    vertices before its last, and the states before the first of them with
+    one count moved by -1 or +1, made negative, or pushed past the bound of
+    the leaf sum."""
     nxt = tuple(draw(threshold_vectors(max_n=8)))
-    states = chromatic._states_through(UnitIntervalOrder(nxt).inc_graph(), len(nxt) - 1)
+    n, g = len(nxt), UnitIntervalOrder(nxt).inc_graph()
+    u = n - draw(st.integers(0, min(n - 1, chromatic._FUSED - 1)))
+    owns = tuple(g.adj[v] & -(1 << v) for v in range(u, n))
+    states = chromatic._states_through(g, u - 1)
     state = draw(st.sampled_from(sorted(states)))
     kind = draw(st.sampled_from(["-1", "+1", "negative", "past the bound"]))
     states = dict(states)
     if kind == "past the bound":
-        states[state] += factorial(len(nxt)) + draw(st.integers(1, 10**30))
+        states[state] += factorial(u) + draw(st.integers(1, 10**30))
     elif kind == "negative":
         states[state] = -draw(st.integers(1, 10))
     else:
         states[state] += int(kind)
-    return nxt, states, kind
+    return nxt, states, owns, kind
 
 
 @settings(max_examples=300, deadline=None)
 @given(perturbed_states())
 def test_verdict_on_perturbed_states_matches_the_exact_verdict(case):
     # a count off by one either way, a negative count, and counts past the
-    # bound, which the leaf sum refuses so that the exact read-out decides
-    nxt, states, kind = case
+    # bound, which the leaf sum refuses so that the exact read-out decides,
+    # before the last vertex or before the steps that the read-out fuses
+    nxt, states, owns, kind = case
     n = len(nxt)
-    refused = chromatic._leaf_sum(states, n) is None
-    assert refused == (sum(map(abs, states.values())) > factorial(n))
+    refused = chromatic._leaf_sum(states, n, owns) is None
+    assert refused == (sum(map(abs, states.values())) > factorial(n - len(owns)))
     assert refused or kind != "past the bound"
-    assert chromatic._leaf_e(states, n) == exact_e(states, n)
-    assert _leaf_verdict(nxt, states) == _scan_verdict(nxt, exact_e(states, n))
+    stepped = before_last(nxt, states, owns)
+    assert chromatic._leaf_e(stepped, n) == exact_e(stepped, n)
+    assert _leaf_verdict(nxt, states, owns) == _scan_verdict(nxt, exact_e(stepped, n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -332,18 +376,22 @@ def test_shared_move_memo_keeps_every_count(monkeypatch):
 
 def test_walk_to_eight_meets_a_fixed_state_space(monkeypatch):
     # every order with n <= 8, walked and read out with empty memos, meets
-    # 914 distinct DP states in 1,436 memo entries of moves and reads 249
-    # states before a last vertex; an encoding of the state that merges or
-    # splits states changes these figures
+    # 583 distinct DP states in 754 memo entries of moves, and the read-out
+    # holds 249 states before a last vertex, 430 before the vertex before it
+    # and 540 before the one before that; an encoding of the state that
+    # merges or splits states changes these figures
     monkeypatch.setattr(chromatic, "_MOVES", {})
     monkeypatch.setattr(chromatic, "_STATES", {})
     monkeypatch.setattr(chromatic, "_LAST", {})
     for first in range(2, 10):
-        for nxt, states in chromatic._threshold_walk(first, 8):
-            chromatic._leaf_sum(states, len(nxt))
-    assert len(chromatic._STATES) == 914
-    assert sum(len(known) for known in chromatic._MOVES.values()) == 1436
-    assert sum(len(known) for known in chromatic._LAST.values()) == 249
+        for nxt, states, owns in chromatic._threshold_walk(first, 8):
+            chromatic._leaf_sum(states, len(nxt), owns)
+    entries = [0] * chromatic._FUSED
+    for (_, owns), known in chromatic._LAST.items():
+        entries[len(owns)] += len(known)
+    assert len(chromatic._STATES) == 583
+    assert sum(len(known) for known in chromatic._MOVES.values()) == 754
+    assert entries == [249, 430, 540]
 
 
 def test_rational_spacing_families_are_e_positive():

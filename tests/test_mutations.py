@@ -59,6 +59,13 @@ blocks counts k times.  The 3-chain 2,3,4 has an edgeless incomparability
 graph, so its third vertex meets two alike singletons; a rule that counts
 that join once loses a partition, which eposn, sink and the scan replay
 each report, and so does a Q that counts the last vertex's join once.
+The walk reads an order off the states before its last chromatic._FUSED
+vertices, through Qs of the same memo that sum the next vertex's Q over
+their moves, so every plant that empties chromatic._LAST empties those
+too.  Only the walk fuses steps: a fused Q that counts the join once, or
+takes its vertex to have no later neighbour, fails the scan with the
+packed disagreement named, and _scan_one's stepped replay of each such
+order passes.
 
 Those rows come from the m-to-e matrix, which symfunc._m_to_e builds one
 degree at a time: row (k, mu) is p_k * m_mu less the rows that raise one
@@ -268,8 +275,8 @@ def plant_leaf_sum(monkeypatch, extra):
     # e_coefficients, gains extra(v)
     original = chromatic._leaf_sum
 
-    def planted(states, v):
-        return original(states, v) + extra(v)
+    def planted(states, v, owns=()):
+        return original(states, v, owns) + extra(v)
 
     monkeypatch.setattr(chromatic, "_leaf_sum", planted)
 
@@ -347,15 +354,41 @@ def plant_alike_join_counted_once(monkeypatch):
     monkeypatch.setattr(chromatic, "_LAST", {})
 
 
-def plant_last_step_alike_once(monkeypatch):
-    # Q, the memoised read-out of the last vertex's step, counts a join into
-    # one of k alike blocks once; the DP steps before it are right
+def plant_read_out_alike_once(monkeypatch, fused):
+    # the memoised read-out counts a join into one of k alike blocks once: in
+    # Q, the last vertex's step, or else in the steps the walk fuses into it
+    # (the Q whose rows are another Q); the DP steps before it are right
+    original = chromatic._LastRows.__missing__
+
     def planted(self, state):
-        moves = chromatic._moves(state, self.v, 0)
+        if isinstance(self.rows, chromatic._LastRows) != fused:
+            return original(self, state)
+        moves = chromatic._moves(state, self.v, self.own)
         q = self[state] = sum(self.rows[new] for new, _ in moves)
         return q
 
     monkeypatch.setattr(chromatic._LastRows, "__missing__", planted)
+    monkeypatch.setattr(chromatic, "_LAST", {})
+
+
+def plant_last_step_alike_once(monkeypatch):
+    plant_read_out_alike_once(monkeypatch, fused=False)
+
+
+def plant_fused_step_alike_once(monkeypatch):
+    plant_read_out_alike_once(monkeypatch, fused=True)
+
+
+def plant_fused_step_drops_own(monkeypatch):
+    # the fused steps of the read-out take their vertex to have no later
+    # neighbour, so a later vertex may join a block it is adjacent to
+    original = chromatic._LastRows.__init__
+
+    def planted(self, v, owns):
+        original(self, v, owns)
+        self.own = 0
+
+    monkeypatch.setattr(chromatic._LastRows, "__init__", planted)
     monkeypatch.setattr(chromatic, "_LAST", {})
 
 
@@ -820,6 +853,33 @@ def test_planted_e_rows_fail_the_scan_and_its_replay(capsys, monkeypatch):
 def test_planted_alike_count_fails_the_scan_and_its_replay(capsys, monkeypatch, plant):
     plant(monkeypatch)
     assert_scan_and_replay_fail(capsys)
+
+
+@pytest.mark.parametrize(
+    "plant, max_n, uios",
+    [
+        (plant_fused_step_alike_once, 4, ["2,3,4,5", "2,3,5,5", "3,3,4,5", "3,3,5,5"]),
+        (plant_fused_step_drops_own, 2, ["3,3"]),
+    ],
+    ids=["fused-step-alike-once", "fused-step-drops-own"],
+)
+def test_planted_fused_step_fails_the_scan_not_its_replay(
+    capsys, monkeypatch, plant, max_n, uios
+):
+    # only the walk fuses steps into the read-out, so the scan names each
+    # order whose fused sum is wrong, and _scan_one's stepped replay of it
+    # passes: the orders whose second-to-last vertex meets two alike blocks,
+    # and the edge 3,3, whose first vertex is adjacent to its second
+    plant(monkeypatch)
+    code = cli.main(["scan", "--max-n", str(max_n)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [f["uio"] for f in report["failures"]] == uios
+    reason = {"reason": "packed read-out fails, its e-coefficients pass"}
+    for failure in report["failures"]:
+        assert failure["outcome"] == "fail" and failure["detail"] == reason
+        code, replayed = replay(capsys, "scan", {"uio": failure["uio"]})
+        assert code == 0 and replayed["failures"] == []
 
 
 def test_planted_packed_tail_fails_the_scan_and_its_replay(capsys, monkeypatch):

@@ -175,25 +175,17 @@ def _threshold_walk(first, max_n):
     return grow([first], {(): 1}, ())
 
 
-def chromatic_symmetric_stable(g):
-    """X_g via independent-set partitions: the m-coefficient of lam counts
-    stable partitions of type lam, the final states of blocks of sizes lam,
-    weighted by permutations of equal parts."""
-    final = _states_through(g, g.n)
-    return SymFunc("m", {s[::-1]: c * multiplicity_factor(s) for s, c in final.items()})
-
-
 def chromatic_symmetric(g, method="stable"):
-    """X_g as an m-basis SymFunc of degree n.
-
-    method "stable" counts stable partitions; "brute" enumerates colourings
-    (TooLarge past BRUTE_FORCE_BOUND).
-    """
+    """X_g as an m-basis SymFunc of degree n.  method "stable" counts stable
+    partitions: the m-coefficient of lam counts those of type lam, the final
+    states of blocks of sizes lam, weighted by permutations of equal parts.
+    "brute" enumerates colourings (TooLarge past BRUTE_FORCE_BOUND)."""
     if method == "brute":
         return chromatic_symmetric_brute(g)
-    if method == "stable":
-        return chromatic_symmetric_stable(g)
-    raise ValueError("unknown method %r" % (method,))
+    if method != "stable":
+        raise ValueError("unknown method %r" % (method,))
+    final = _states_through(g, g.n)
+    return SymFunc("m", {s[::-1]: c * multiplicity_factor(s) for s, c in final.items()})
 
 
 def _pack(fields, width):

@@ -72,6 +72,13 @@ from .symfunc import cauchy_check, convert
 # at 12 takes 0.013 s for m->e and 0.17-0.20 s for s->e, nearly all of it
 # Kostka numbers (2-core x86-64, Python 3.11)
 ANALOGUE_DEGREE_BOUND = 12
+# gnechrom's weight sum(alpha): the clan graph's vertex count and the degree
+# of each e^G_lam, one per lam |- weight.  At 15 a replay takes 0.15-0.22 s on
+# orders of at most 4 elements and 0.7 s, 54 MB on the 5-chain; (26, 26) took
+# 7 s.  The products also grow with the element count, which this does not
+# cap: at weight 15, 3.6 s on 6 elements, 15 s and 794 MB on 7, and past
+# 2.5 GB on 8 (2-core x86-64, Python 3.11)
+GNECHROM_WEIGHT_BOUND = 15
 
 # ---------------------------------------------------------------------------
 # reports
@@ -188,6 +195,8 @@ def _check_sink(uio=None, graph=None):
 
 
 def _check_gnechrom(uio, alpha):
+    if sum(alpha) > GNECHROM_WEIGHT_BOUND:  # read before anything is built
+        raise TooLarge("weight %d exceeds %d" % (sum(alpha), GNECHROM_WEIGHT_BOUND))
     ctx = GAnalogueContext(uio.inc_graph())
     if not gnechrom_check(ctx, alpha):
         return {"reason": "clan-graph identity failed"}

@@ -28,10 +28,6 @@ class BadParameter(ChromaError):
     """An argument is outside the range where the formula is valid."""
 
 
-class SingularSystem(ChromaError):
-    """A basis-change linear system was singular (internal failure)."""
-
-
 class NonIdentityPermutation(ChromaError):
     """A non-intersecting multipath induced a non-identity permutation,
     which contradicts planarity and signals a grid-construction bug."""

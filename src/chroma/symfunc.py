@@ -1,13 +1,10 @@
 """Symmetric functions in the e/m/p/s bases with exact basis changes.
 
 Basis elements are indexed by partitions; coefficients are exact: an int
-when integral, else a Fraction.  Each basis is written on the monomial
-basis by counting (0-1 matrices for e, ordered groupings of parts for p,
-Kostka numbers for s; Macdonald Ch. I).  The m-to-e matrix comes one
-degree at a time from the products p_k m_mu (_m_to_e), any other basis
-goes into e through its m-coordinates, and a matrix into m, s or p is
-solved from both bases' m-coordinates by back-substitution.  Matrices
-are memoised once per process, integral entries as ints, so e/m/s basis
+when integral, else a Fraction.  Every transition matrix is a formula, a
+transpose by the Hall inner product, or a product of two others, and no
+linear system is solved (_compute_matrix; Macdonald Ch. I).  Matrices are
+memoised once per process, integral entries as ints, so e/m/s basis
 changes are integer arithmetic.  Degree 0 has its own 1x1 matrix
 {(): {(): 1}}, and a basis changed into itself goes through the identity
 matrix, so convert has no special case.  The concrete expansions in
@@ -22,7 +19,7 @@ rows, and SymFunc.expand collects concrete expansions.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 
 from .combinat import (
     conjugate,
@@ -32,7 +29,7 @@ from .combinat import (
     parse_partition,
     partitions_of,
 )
-from .errors import SingularSystem, TooLarge
+from .errors import TooLarge
 from .polyring import Polynomial, _addmul, det, monomial_from_elements, pack
 
 BASES = ("e", "m", "p", "s")
@@ -328,36 +325,7 @@ def newton_p(k):
 
 
 # ---------------------------------------------------------------------------
-# m-coordinates by counting
-
-
-@lru_cache(maxsize=None)
-def _placements(basis, parts, slots):
-    """The coefficient of the monomial with exponents `slots` (a partition) in
-    the product of basis_k over k in parts, for basis e or p.
-
-    Each factor e_k puts exponent 1 on k distinct slots, so for e this counts
-    0-1 matrices with row sums parts and column sums slots; each factor p_k
-    puts exponent k on one slot, so for p it counts the ways to send the parts
-    to slots with slot i's parts summing to slots[i].  The count only depends
-    on the multiset of exponents still to fill, hence the sorted state.
-    """
-    if not parts:
-        return 1  # the weights agree, so every slot is filled too
-    k, rest = parts[0], parts[1:]
-    if basis == "e":
-        choices, step = combinations(range(len(slots)), k), 1
-    else:
-        choices, step = ((i,) for i in range(len(slots))), k
-    total = 0
-    for chosen in choices:
-        left = list(slots)
-        for i in chosen:
-            left[i] -= step
-        if min(left, default=0) >= 0:
-            state = tuple(sorted((x for x in left if x), reverse=True))
-            total += _placements(basis, rest, state)
-    return total
+# Kostka numbers
 
 
 def _horizontal_strips(shape, k):
@@ -388,26 +356,21 @@ def _kostka(shape, content):
     return sum(_kostka(mu, rest) for mu in _horizontal_strips(shape, last))
 
 
-def _m_coords(basis, lam, lams):
-    """Coordinates of basis_lam on m_nu for nu running over lams, partitions_of
-    |lam| (Macdonald, Symmetric Functions and Hall Polynomials, Ch. I, 2-6)."""
-    if basis == "m":
-        return [int(nu == lam) for nu in lams]
-    if basis == "s":
-        return [_kostka(lam, nu) for nu in lams]
-    return [_placements(basis, lam, nu) for nu in lams]
-
-
 # ---------------------------------------------------------------------------
 # transition matrices
 
 
+def _ordered(row, lams):
+    """row in the order of lams, zeros dropped, integral entries as ints."""
+    return _clean((mu, row[mu]) for mu in lams if mu in row)
+
+
 def _times(coords, matrix, lams, row):
-    """row + sum_nu coords[nu] * matrix[nu], in the order of lams, zeros dropped."""
+    """row + sum_nu coords[nu] * matrix[nu], in the order of lams."""
     for nu, c in coords.items():
         for mu, x in matrix[nu].items():
             row[mu] = row.get(mu, 0) + c * x
-    return {mu: row[mu] for mu in lams if row.get(mu)}
+    return _ordered(row, lams)
 
 
 def _newton_row(d):
@@ -425,61 +388,71 @@ def _raised(mu, k):
     return [(w + k,) + mu[:i] + mu[i + 1:] for i, w in enumerate(mu) if w not in mu[:i]]
 
 
-def _m_to_e(d, get):
-    """The m-to-e matrix of degree d >= 1 from p_k m_mu = sum_w c_w m_(mu, a part
-    w raised by k), c_w the multiplicity of w + k (Macdonald I.6).  Row nu = (k,
-    mu), k its first part, is that product on e (partitions merge) less the rows
-    of _raised (c_w = 1; above nu in dominance, so earlier in partitions_of),
-    divided exactly by mult_nu(k), the c_w of w = 0."""
+def _into_e(frm, d, get):
+    """The m-to-e or p-to-e matrix of degree d >= 1, row nu = (k, mu) by its
+    first part k from p_k, Newton's row (the row of m_(k) = p_(k) below degree
+    d), times row mu of degree d - k, partitions merging.  That is p_nu; for m,
+    p_k m_mu = sum_w c_w m_(mu, a part w raised by k), c_w the multiplicity of
+    w + k (Macdonald I.6), so row nu is that product less the rows of _raised
+    (c_w = 1; above nu in dominance, so earlier in partitions_of), divided
+    exactly by mult_nu(k), the c_w of w = 0."""
     lams, rows = partitions_of(d), {}
     for nu in lams:
         k, mu = nu[0], nu[1:]
-        pk = _newton_row(d) if k == d else get("m", "e", k)[(k,)]
+        pk = _newton_row(d) if k == d else get(frm, "e", k)[(k,)]
         row = {}
-        for (x, a), (y, b) in product(pk.items(), get("m", "e", d - k)[mu].items()):
+        for (x, a), (y, b) in product(pk.items(), get(frm, "e", d - k)[mu].items()):
             key = tuple(sorted(x + y, reverse=True))
             row[key] = row.get(key, 0) + a * b
-        row = _times(dict.fromkeys(_raised(mu, k), -1), rows, lams, row)
-        mult = nu.count(k)
+        raised, mult = (_raised(mu, k), nu.count(k)) if frm == "m" else ((), 1)
+        row = _times(dict.fromkeys(raised, -1), rows, lams, row)
         rows[nu] = {lam: x // mult for lam, x in row.items()}
     return rows
 
 
+def _transpose(rows, lams, entry):
+    """out[lam][key] = value for each nonzero x = rows[mu][lam], with (key,
+    value) = entry(mu, x); rows and entries in the order of lams."""
+    out = {lam: {} for lam in lams}
+    for mu, row in rows.items():
+        for lam, x in row.items():
+            key, value = entry(mu, x)
+            out[lam][key] = value
+    return {lam: _ordered(row, lams) for lam, row in out.items()}
+
+
+# the basis a pair with no formula of its own goes through; any other, e
+_THROUGH = {("s", "e"): "m", ("e", "m"): "s", ("e", "p"): "m"}
+
+
 def _compute_matrix(frm, to, d, get):
     """Matrix M with frm_lam = sum_mu M[lam][mu] * to_mu, weight d, lower degrees
-    read through get.  Into e: _m_to_e, or frm's m-coordinates times it.  Else
-    back-substitution on m-coordinates in the order of partitions_of, which
-    refines dominance, for s (Kostka, nu <= mu) and reversed for p (nu >= mu)."""
+    read through get, rows and entries in the order of partitions_of, with no
+    linear system solved (Macdonald I.2-I.6).  m->e and p->e by _into_e; s->m
+    holds the Kostka numbers, s_lam = sum_mu K[lam][mu] m_mu, and e->s their
+    transpose, e_lam = sum_mu K[mu][lam] s_mu*.  Out of m by the Hall inner
+    product, under which m is dual to h = omega(e), s to s and p to p / z, and
+    omega(p_mu) = eps_mu p_mu: m->s[lam][mu] = s->e[mu*][lam] and m->p[lam][mu]
+    = eps_mu p->e[mu][lam] / z_mu, eps_mu = (-1)^(d - len(mu)).  Any other pair
+    is a product of two through the basis _THROUGH names."""
     lams = partitions_of(d)
     if frm == to or not d:
         return {lam: {lam: 1} for lam in lams}
-    if to == "e":
-        if frm == "m":
-            return _m_to_e(d, get)
-        m_to_e = get("m", "e", d)
-        return {lam: _times(c, m_to_e, lams, {}) for lam, c in get(frm, "m", d).items()}
-    columns = {
-        mu: {nu: c for nu, c in zip(lams, _m_coords(to, mu, lams)) if c} for mu in lams
-    }
-    matrix = {}
-    for lam in lams:
-        residual = dict(zip(lams, _m_coords(frm, lam, lams)))
-        solved = {}
-        for mu in reversed(lams) if to == "p" else lams:
-            r = residual[mu]
-            if not r:
-                continue
-            diagonal = columns[mu].get(mu, 0)
-            if not diagonal:
-                raise SingularSystem("basis expansion matrix is singular")
-            x = r // diagonal if not r % diagonal else Fraction(r, diagonal)
-            solved[mu] = x
-            for key, c in columns[mu].items():
-                residual[key] -= x * c
-        if any(residual.values()):  # a coordinate off the triangle
-            raise SingularSystem("basis expansion matrix is not triangular")
-        matrix[lam] = {mu: solved[mu] for mu in lams if mu in solved}
-    return matrix
+    pair = (frm, to)
+    if pair in (("m", "e"), ("p", "e")):
+        return _into_e(frm, d, get)
+    if pair == ("s", "m"):
+        return {lam: _clean((mu, _kostka(lam, mu)) for mu in lams) for lam in lams}
+    if pair in (("e", "s"), ("m", "s")):
+        rows = get("s", "m" if frm == "e" else "e", d)
+        return _transpose(rows, lams, lambda mu, x: (conjugate(mu), x))
+    if pair == ("m", "p"):  # z_mu = prod_i i^m_i m_i!
+        z = {mu: prod(mu) * multiplicity_factor(mu) for mu in lams}
+        eps_z = {mu: Fraction((-1) ** (d - len(mu)), z[mu]) for mu in lams}
+        return _transpose(get("p", "e", d), lams, lambda mu, x: (mu, x * eps_z[mu]))
+    via = _THROUGH.get(pair, "e")
+    first, second = get(frm, via, d), get(via, to, d)
+    return {lam: _times(first[lam], second, lams, {}) for lam in lams}
 
 
 class TransitionMatrixCache:

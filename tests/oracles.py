@@ -11,6 +11,7 @@ enumerate_multipaths) stay in the package.
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
@@ -36,7 +37,7 @@ from chroma.lgvgrid import (
     enumerate_multipaths,
 )
 from chroma.polyring import FIELD, Polynomial, monomial_from_elements
-from chroma.symfunc import convert, expand_concrete, transition_matrix
+from chroma.symfunc import _kostka, convert, expand_concrete, transition_matrix
 
 
 def acyclic_orientation_sinks_brute(g):
@@ -94,6 +95,72 @@ def signature_e(sigs):
         for j, v in rows[lam]:
             acc[j] += c * v
     return {lams[j]: c for j, c in enumerate(acc) if c}
+
+
+@lru_cache(maxsize=None)
+def _placements(basis, parts, slots):
+    """The coefficient of the monomial with exponents `slots` (a partition) in
+    the product of basis_k over k in parts, for basis e or p.
+
+    Each factor e_k puts exponent 1 on k distinct slots, so for e this counts
+    0-1 matrices with row sums parts and column sums slots; each factor p_k
+    puts exponent k on one slot, so for p it counts the ways to send the parts
+    to slots with slot i's parts summing to slots[i].  The count only depends
+    on the multiset of exponents still to fill, hence the sorted state.
+    """
+    if not parts:
+        return 1  # the weights agree, so every slot is filled too
+    k, rest = parts[0], parts[1:]
+    if basis == "e":
+        choices, step = combinations(range(len(slots)), k), 1
+    else:
+        choices, step = ((i,) for i in range(len(slots))), k
+    total = 0
+    for chosen in choices:
+        left = list(slots)
+        for i in chosen:
+            left[i] -= step
+        if min(left, default=0) >= 0:
+            state = tuple(sorted((x for x in left if x), reverse=True))
+            total += _placements(basis, rest, state)
+    return total
+
+
+def _m_coords(basis, lam, lams):
+    """Coordinates of basis_lam on m_nu for nu running over lams, partitions_of
+    |lam| (Macdonald, Symmetric Functions and Hall Polynomials, Ch. I, 2-6)."""
+    if basis == "m":
+        return [int(nu == lam) for nu in lams]
+    if basis == "s":
+        return [_kostka(lam, nu) for nu in lams]
+    return [_placements(basis, lam, nu) for nu in lams]
+
+
+def gauss_jordan_matrix(frm, to, d):
+    """The basis-change matrix by Gauss-Jordan elimination over Fractions on
+    the m-coordinates of both bases, with no use of triangularity; the oracle
+    for symfunc.transition_matrix, which solves no linear system."""
+    lams = partitions_of(d)
+    size = len(lams)
+    columns = [_m_coords(to, mu, lams) for mu in lams]
+    targets = [_m_coords(frm, lam, lams) for lam in lams]
+    rows = [
+        [Fraction(columns[c][r]) for c in range(size)] + [t[r] for t in targets]
+        for r in range(size)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [v * inv for v in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return {
+        lam: {mu: rows[r][size + t] for r, mu in enumerate(lams) if rows[r][size + t]}
+        for t, lam in enumerate(lams)
+    }
 
 
 def is_correct_via_connectivity(u, seq):

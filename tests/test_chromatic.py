@@ -12,7 +12,6 @@ from chroma.chromatic import (
     check_sink_theorem,
     chromatic_symmetric,
     chromatic_symmetric_brute,
-    chromatic_symmetric_stable,
     e_coefficients,
     positivity_report,
 )
@@ -64,17 +63,17 @@ def test_uio_examples():
 def test_stable_accelerator_matches_brute_force():
     for n in range(0, 5):
         for g in all_graphs(n):
-            assert chromatic_symmetric_brute(g) == chromatic_symmetric_stable(g)
+            assert chromatic_symmetric_brute(g) == chromatic_symmetric(g)
     for n in range(1, 6):
         for u in enumerate_uios(n):
             g = u.inc_graph()
-            assert chromatic_symmetric_brute(g) == chromatic_symmetric_stable(g)
-    assert chromatic_symmetric_brute(CLAW) == chromatic_symmetric_stable(CLAW)
+            assert chromatic_symmetric_brute(g) == chromatic_symmetric(g)
+    assert chromatic_symmetric_brute(CLAW) == chromatic_symmetric(CLAW)
 
 
 def test_stable_accelerator_matches_brute_force_all_n5():
     for g in all_graphs(5):
-        assert chromatic_symmetric_brute(g) == chromatic_symmetric_stable(g)
+        assert chromatic_symmetric_brute(g) == chromatic_symmetric(g)
 
 
 def test_stable_accelerator_matches_brute_force_sampled_n6():
@@ -87,7 +86,7 @@ def test_stable_accelerator_matches_brute_force_sampled_n6():
     for _ in range(25):
         edges = [e for e in pairs if rng.random() < 0.5]
         g = Graph(6, edges)
-        assert chromatic_symmetric_brute(g) == chromatic_symmetric_stable(g)
+        assert chromatic_symmetric_brute(g) == chromatic_symmetric(g)
 
 
 @st.composite
@@ -108,8 +107,8 @@ def test_stable_count_does_not_depend_on_vertex_order(pair):
     # the dynamic programme walks the vertices in label order; X_G does not
     g, renamed = pair
     brute = chromatic_symmetric_brute(g)
-    assert chromatic_symmetric_stable(g) == brute
-    assert chromatic_symmetric_stable(renamed) == brute
+    assert chromatic_symmetric(g) == brute
+    assert chromatic_symmetric(renamed) == brute
 
 
 def before_last(nxt, states, owns):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chroma.cli import (
     ANALOGUE_DEGREE_BOUND,
+    GNECHROM_WEIGHT_BOUND,
     SUITES,
     _fan_out,
     _parse,
@@ -252,11 +253,28 @@ def test_verify_fail_outranks_budget(capsys, monkeypatch):
 
 def test_gnechrom_replays_a_fifteen_vertex_clan_graph(capsys):
     # the clan graph has 15 vertices and 12,962,661 stable partitions; they
-    # are counted by block sizes, not listed one by one
+    # are counted by block sizes, not listed one by one.  Its weight is the
+    # largest that the weight bound admits
     inst = {"uio": "2,3,4", "alpha": [5, 5, 5]}
+    assert sum(inst["alpha"]) == GNECHROM_WEIGHT_BOUND
     code, out, _ = run(capsys, "verify", "gnechrom", "--instance", json.dumps(inst))
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+# unguarded, (26, 26) took 7 s and (30, 30) 32 s, nearly all of it one
+# product e^G_lam for each of the p(52) and p(60) partitions of the weight
+@pytest.mark.parametrize("alpha", [[GNECHROM_WEIGHT_BOUND, 1], [26, 26], [30, 30]])
+def test_gnechrom_past_its_weight_bound_is_a_budget_outcome(capsys, alpha):
+    inst = {"uio": "2,3", "alpha": alpha}
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "gnechrom", "--instance", json.dumps(inst))
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    [failure] = json.loads(out)["failures"]
+    assert failure["outcome"] == "budget"
+    reason = "weight %d exceeds %d" % (sum(alpha), GNECHROM_WEIGHT_BOUND)
+    assert failure["detail"] == {"reason": reason}
 
 
 def test_involutions_never_list_every_multipath(monkeypatch):

@@ -67,7 +67,7 @@ takes its vertex to have no later neighbour, fails the scan with the
 packed disagreement named, and _scan_one's stepped replay of each such
 order passes.
 
-Those rows come from the m-to-e matrix, which symfunc._m_to_e builds one
+Those rows come from the m-to-e matrix, which symfunc._into_e builds one
 degree at a time: row (k, mu) is p_k * m_mu less the rows that raise one
 part of mu by k (symfunc._raised), divided by the multiplicity of k.  A
 recursion that drops the first of those corrections from every row that
@@ -96,7 +96,11 @@ whose scale carries Newton's signs and the bare constants of the nested
 sum.  A scale whose sign is dropped fails ppos and gasharov: on the
 3-chain, whose e^G_3 is not 0, s_(2,1) = e_(2,1) - e_(3) has the bare
 constant -1.  Products through * pass the scale 1, which the plant leaves
-alone, so the corrects and grid sides do not move.
+alone, so the corrects and grid sides do not move.  schur_g reads s_lam
+into the e-basis through the s-to-m matrix, the Kostka numbers, times
+m-to-e; an s-to-m entry that gains 1 (K[(2,1)][(1,1,1)] = 3) reads s_(2,1)
+as e_(2,1), not e_(2,1) - e_(3), so gasharov fails on the 3-chain and the
+grid side does not move.  The plant starts the matrix cache empty.
 
 The involutions suite reaches every multipath of the all-ones grid once,
 through the pair of paths at its lowest crossing, and keeps none.  Every
@@ -328,6 +332,20 @@ def plant_packed_tail_off_by_one(monkeypatch):
         return fields
 
     plant_packed_rows(monkeypatch, change)
+
+
+def plant_kostka_entry(monkeypatch):
+    # s_(2,1) on m reads 3 m_(1,1,1), not 2; the matrix cache starts empty
+    original = symfunc._compute_matrix
+
+    def planted(frm, to, d, get):
+        matrix = original(frm, to, d, get)
+        if (frm, to, d) == ("s", "m", 3):
+            matrix[(2, 1)][(1, 1, 1)] += 1
+        return matrix
+
+    monkeypatch.setattr(symfunc, "_compute_matrix", planted)
+    monkeypatch.setattr(symfunc.default_cache, "_memory", {})
 
 
 def plant_dropped_raised_term(monkeypatch):
@@ -935,6 +953,7 @@ def test_planted_m_to_e_recursion_fails_the_suite(capsys, monkeypatch, suite, re
         (plant_newton_sign_slip, "involutions", {"uio": U3, "k": 3}),
         (plant_unsigned_scale, "ppos", {"uio": U3, "k": 3}),
         (plant_unsigned_scale, "gasharov", {"uio": "2,3,4", "partition": "2,1"}),
+        (plant_kostka_entry, "gasharov", {"uio": "2,3,4", "partition": "2,1"}),
         (plant_dropped_group, "thn1", {"uio": U3, "l": 2}),
         (plant_dropped_group, "gasharov", INSTANCE),
         (plant_elementary_product, "gnechrom", {"uio": "2,3,4", "alpha": [1, 0, 0]}),
@@ -983,6 +1002,7 @@ def test_planted_m_to_e_recursion_fails_the_suite(capsys, monkeypatch, suite, re
         "newton-sign-slip-involutions",
         "addmul-unsigned-scale-ppos",
         "addmul-unsigned-scale-gasharov",
+        "s-to-m-kostka-entry-gasharov",
         "nested-dropped-group-thn1",
         "nested-dropped-group-gasharov",
         "elementary_product-extra-monomial-gnechrom",

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 import chroma.symfunc as symfunc
 from chroma.combinat import partitions_of
-from chroma.errors import SingularSystem
 from chroma.polyring import Polynomial, pack, unpack
 from chroma.symfunc import (
     BASES,
     SymFunc,
     _compute_matrix,
-    _m_coords,
     cauchy_check,
     convert,
     expand_concrete,
@@ -23,6 +21,7 @@ from chroma.symfunc import (
     newton_p,
     transition_matrix,
 )
+from oracles import gauss_jordan_matrix
 
 
 def xvar(i, n):
@@ -344,35 +343,10 @@ def test_schur_to_m_is_kostka_nonnegative():
 # cache behaviour
 
 
-def gauss_jordan_matrix(frm, to, d):
-    """The basis-change matrix by Gauss-Jordan elimination over Fractions on
-    the m-coordinates of both bases, with no use of triangularity."""
-    lams = partitions_of(d)
-    size = len(lams)
-    columns = [_m_coords(to, mu, lams) for mu in lams]
-    targets = [_m_coords(frm, lam, lams) for lam in lams]
-    rows = [
-        [Fraction(columns[c][r]) for c in range(size)] + [t[r] for t in targets]
-        for r in range(size)
-    ]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return {
-        lam: {mu: rows[r][size + t] for r, mu in enumerate(lams) if rows[r][size + t]}
-        for t, lam in enumerate(lams)
-    }
-
-
 def test_triangular_matrices_match_gauss_jordan():
-    # every pair of bases through degree 8, which the n <= 8 scan reaches;
-    # entries that are integers are stored as ints
+    # every pair of bases through degree 8, which the n <= 8 scan reaches,
+    # each a formula or a product of two; entries that are integers are
+    # stored as ints
     for d in range(0, 9):
         for frm in BASES:
             for to in BASES:
@@ -383,27 +357,20 @@ def test_triangular_matrices_match_gauss_jordan():
                         assert type(c) is int or c.denominator > 1, (frm, to, d)
 
 
-def test_coordinate_off_the_triangle_is_refused(monkeypatch):
-    # s_11 planted with a coordinate on m_2, above the diagonal
-    original = symfunc._m_coords
-
-    def planted(basis, lam, lams):
-        coords = original(basis, lam, lams)
-        if basis == "s" and lam == (1, 1):
-            coords[0] += 1
-        return coords
-
-    monkeypatch.setattr(symfunc, "_m_coords", planted)
-    with pytest.raises(SingularSystem):
-        symfunc._compute_matrix("m", "s", 2, transition_matrix)
-
-
 def test_matrices_into_e_match_gauss_jordan():
-    # m-to-e by the power-sum recursion, and every other basis through its
-    # m-coordinates times that matrix, against the e-columns solved outright
+    # m-to-e by the power-sum recursion, p-to-e by Newton products, and s-to-e
+    # through m, against the e-columns solved outright
     for d in range(0, 11):
         for frm in BASES:
             assert transition_matrix(frm, "e", d) == gauss_jordan_matrix(frm, "e", d)
+
+
+@pytest.mark.parametrize("to", ["s", "p"])
+def test_matrices_out_of_m_match_gauss_jordan(to):
+    # m-to-s and m-to-p are transposes of s-to-e and p-to-e by Hall duality,
+    # with no linear system solved; against the columns solved outright
+    for d in range(0, 11):
+        assert transition_matrix("m", to, d) == gauss_jordan_matrix("m", to, d), d
 
 
 def test_newton_row_matches_the_determinant():
@@ -412,8 +379,8 @@ def test_newton_row_matches_the_determinant():
 
 
 def test_m_to_e_inverts_e_to_m():
-    # e-to-m counts 0-1 matrices and back-substitutes, with no use of the
-    # recursion behind m-to-e
+    # e-to-m is e-to-s, a transpose of the Kostka numbers, times s-to-m, the
+    # Kostka numbers themselves, with no use of the recursion behind m-to-e
     for d in range(0, 13):
         e_to_m = transition_matrix("e", "m", d)
         m_to_e = transition_matrix("m", "e", d)
